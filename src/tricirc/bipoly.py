@@ -25,29 +25,13 @@ from .errors import NonExactDivision
 
 
 class Monomial(NamedTuple):
-    """An exponent pair x^r * y^s, totally ordered by (r+s, r, s)."""
+    """An exponent pair x^r * y^s; ``sort_key`` gives the canonical order."""
 
     r: int
     s: int
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.r + self.s, self.r, self.s)
-
-    def __lt__(self, other) -> bool:
-        o = Monomial(*other)
-        return self.sort_key() < o.sort_key()
-
-    def __le__(self, other) -> bool:
-        o = Monomial(*other)
-        return self.sort_key() <= o.sort_key()
-
-    def __gt__(self, other) -> bool:
-        o = Monomial(*other)
-        return self.sort_key() > o.sort_key()
-
-    def __ge__(self, other) -> bool:
-        o = Monomial(*other)
-        return self.sort_key() >= o.sort_key()
 
 
 def _display_key(m: Monomial) -> tuple[int, int]:
@@ -95,7 +79,8 @@ class BiPoly:
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order."""
-        return iter(sorted(self._terms.items()))
+        terms = self._terms
+        return ((m, terms[m]) for m in sorted(terms, key=Monomial.sort_key))
 
     def is_zero(self) -> bool:
         return not self._terms

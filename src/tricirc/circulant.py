@@ -41,8 +41,10 @@ class CirculantSpec:
     """Parameters (p, q, t) of the three-band circulant.
 
     Canonical specs have t=1 and 2 <= q <= p-1; non-canonical specs are
-    accepted only as input to :func:`reduce_theta`.  The three band
-    offsets 0, t, q must be pairwise distinct.
+    accepted only as input to :func:`reduce_theta`, so t or q must be
+    invertible modulo p (:class:`IrreducibleSpec` otherwise, checked
+    before the next rule).  The three band offsets 0, t, q must be
+    pairwise distinct.
     """
 
     p: int
@@ -56,6 +58,11 @@ class CirculantSpec:
             raise ValueError(f"q must lie in [1, p-1], got q={self.q}")
         if not 1 <= self.t < self.p:
             raise ValueError(f"t must lie in [1, p-1], got t={self.t}")
+        if math.gcd(self.t, self.p) > 1 and math.gcd(self.q, self.p) > 1:
+            raise IrreducibleSpec(
+                f"gcd(t={self.t}, p={self.p}) > 1 and "
+                f"gcd(q={self.q}, p={self.p}) > 1: no canonical form is known"
+            )
         if self.t == self.q:
             raise ValueError("band offsets t and q must be distinct")
 
@@ -76,9 +83,9 @@ def reduce_theta(spec: CirculantSpec) -> ReducedSpec:
 
     When gcd(t, p) = 1 the product over roots of unity can be reindexed
     so the x band sits at offset 1 and the y band at offset q*t^-1 mod p.
-    When only gcd(q, p) = 1 the same works with the variable roles
-    exchanged (flagged in the result).  If neither offset is invertible
-    modulo p there is no such rewrite and the call refuses.
+    Otherwise gcd(q, p) = 1 (a spec with neither offset invertible
+    cannot be built) and the same works with the variable roles
+    exchanged (flagged in the result).
     """
     p = spec.p
     if spec.is_canonical:
@@ -86,13 +93,8 @@ def reduce_theta(spec: CirculantSpec) -> ReducedSpec:
     if math.gcd(spec.t, p) == 1:
         qp = spec.q * pow(spec.t, -1, p) % p
         return ReducedSpec(CirculantSpec(p, qp, 1), False)
-    if math.gcd(spec.q, p) == 1:
-        qp = spec.t * pow(spec.q, -1, p) % p
-        return ReducedSpec(CirculantSpec(p, qp, 1), True)
-    raise IrreducibleSpec(
-        f"gcd(t={spec.t}, p={p}) > 1 and gcd(q={spec.q}, p={p}) > 1: "
-        "no canonical form is known for this case"
-    )
+    qp = spec.t * pow(spec.q, -1, p) % p
+    return ReducedSpec(CirculantSpec(p, qp, 1), True)
 
 
 def _require_canonical(spec: CirculantSpec) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -25,15 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import permanent as permmod
 from . import phi as phimod
 from . import verify as verifymod
-from .circulant import (
-    MAX_WINDOW_BITS,
-    CirculantSpec,
-    det_bareiss,
-    det_bruteforce,
-    det_cycle_cover,
-    reduce_theta,
-    window_width,
-)
+from .circulant import CirculantSpec, reduce_theta
 from .errors import IrreducibleSpec, StateSpaceTooLarge, TooLarge
 from .permclass import PermClassKey, construct_witness, enumerate_class, predict_structure
 
@@ -65,17 +56,6 @@ def _worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_phi(args) -> int:
-    # the no-invertible-band refusal outranks the t != q well-formedness check
-    if (
-        args.p >= 3
-        and 1 <= args.t < args.p
-        and 1 <= args.q < args.p
-        and math.gcd(args.t, args.p) > 1
-        and math.gcd(args.q, args.p) > 1
-    ):
-        raise IrreducibleSpec(
-            f"gcd(t={args.t}, p={args.p}) > 1 and gcd(q={args.q}, p={args.p}) > 1"
-        )
     spec = CirculantSpec(args.p, args.q, args.t)
     reduced = reduce_theta(spec)
     canon = reduced.spec
@@ -222,50 +202,36 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if res.passed else EXIT_FAILED
 
 
-_BENCH_BACKENDS = ("bareiss", "cycle_cover", "bruteforce", "ryser")
-
-
-def _bench_supported(backend: str, p: int, q: int) -> bool:
-    if p < 3 or not 2 <= q <= p - 1:
-        return False
-    if backend == "bruteforce":
-        return p <= 10
-    if backend == "ryser":
-        return p <= permmod.RYSER_LIMIT
-    if backend == "cycle_cover":
-        return window_width(p, q) <= MAX_WINDOW_BITS
-    return True
-
-
 def _cmd_bench(args) -> int:
+    choices = (*phimod.BACKENDS, "ryser")
     backends = args.backends.split(",")
     for b in backends:
-        if b not in _BENCH_BACKENDS:
+        if b not in choices:
             raise ValueError(
-                f"unknown backend {b!r}; choose from {','.join(_BENCH_BACKENDS)}"
+                f"unknown backend {b!r}; choose from {','.join(choices)}"
             )
     p_list = [int(v) for v in args.p.split(",")]
     q_list = [int(v) for v in args.q.split(",")]
-    det_fns = {
-        "bareiss": det_bareiss,
-        "cycle_cover": det_cycle_cover,
-        "bruteforce": det_bruteforce,
-    }
     mismatch = False
     print("backend,p,q,seconds,status")
     for p in p_list:
         for q in q_list:
+            if not 2 <= q < p:  # not canonical: no backend applies
+                for backend in backends:
+                    print(f"{backend},{p},{q},,SKIPPED")
+                continue
             polys = {}
             perms = {}
             for backend in backends:
-                if not _bench_supported(backend, p, q):
+                t0 = time.perf_counter()
+                try:
+                    if backend == "ryser":
+                        perms[backend] = permmod.permanent_ryser(p, q)
+                    else:
+                        polys[backend] = phimod.BACKENDS[backend](CirculantSpec(p, q))
+                except (TooLarge, StateSpaceTooLarge):
                     print(f"{backend},{p},{q},,SKIPPED")
                     continue
-                t0 = time.perf_counter()
-                if backend == "ryser":
-                    perms[backend] = permmod.permanent_ryser(p, q)
-                else:
-                    polys[backend] = det_fns[backend](CirculantSpec(p, q))
                 dt = time.perf_counter() - t0
                 print(f"{backend},{p},{q},{dt:.6f},ok")
             values = list(polys.values())

@@ -36,16 +36,12 @@ BACKENDS: dict[str, Callable[[CirculantSpec], BiPoly]] = {
     "bruteforce": det_bruteforce,
 }
 
-#: p at or below which the default backend is fraction-free elimination
-BAREISS_DEFAULT_LIMIT = 64
-
 
 def default_backend(p: int, q: int) -> str:
-    """Elimination up to p=64; the counting DP beyond that for small q."""
-    if p <= BAREISS_DEFAULT_LIMIT:
-        return "bareiss"
-    if q <= 12:
-        return "cycle_cover"
+    """The backend used when none is named: elimination, for every (p, q).
+
+    The other backends are independent cross-checks and explicit choices.
+    """
     return "bareiss"
 
 
@@ -153,19 +149,18 @@ def binomial_power(p: int) -> BiPoly:
     return BiPoly({(r, p - r): math.comb(p, r) for r in range(p + 1)})
 
 
-def primality_check(p: int, q: int = 2, backend: str = "cycle_cover") -> bool:
+def primality_check(p: int, q: int = 2) -> bool:
     """Whether 1 minus the determinant polynomial is (x+y)^p mod p.
 
     With the fixed default q = 2 (reported by the CLI) the congruence
     holds iff p is prime on the whole verified range.  The choice of q
     matters: some composite p pass the congruence for other q (p = 9
     with q = 4, for instance), so callers overriding q lose the
-    equivalence.  The counting DP is the default backend here because
-    its cost at q = 2 is tiny for any p.
+    equivalence.  The polynomial comes from the default route.
     """
     if p < 3:
         raise ValueError("p must be at least 3")
-    f = ONE - phi_polynomial(p, q, backend)
+    f = ONE - phi_polynomial(p, q)
     diff = f - binomial_power(p)
     return diff.reduce_mod(p).is_zero()
 

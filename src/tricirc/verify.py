@@ -481,7 +481,9 @@ def suite_parameters(
     """The effective (fully-defaulted) parameters of a suite run.
 
     Carried into the result so reports are self-describing; the prime
-    suite records the fixed q its congruence check uses.
+    suite records the fixed q its congruence check uses.  A size that
+    would check nothing (cases < 1 for lemmas, p_max < 3 otherwise) is
+    a ValueError.
     """
     if suite not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -490,7 +492,11 @@ def suite_parameters(
     if p_max is None:
         p_max = DEFAULT_PMAX.get(suite, 9)
     if suite == "lemmas":
+        if cases < 1:
+            raise ValueError(f"cases must be at least 1, got {cases}")
         return {"cases_per_battery": cases, "seed": seed}
+    if p_max < 3:
+        raise ValueError(f"pmax must be at least 3, got {p_max}")
     if suite == "prime":
         return {"p_max": p_max, "q": 2}
     return {"p_max": p_max, "q_policy": q_policy}

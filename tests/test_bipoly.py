@@ -28,7 +28,7 @@ class TestBasics:
     def test_monomial_ordering_is_degree_then_x(self):
         ms = [Monomial(8, 0), Monomial(0, 0), Monomial(1, 5), Monomial(5, 1),
               Monomial(2, 2), Monomial(0, 8), Monomial(4, 4)]
-        assert sorted(ms) == [
+        assert sorted(ms, key=Monomial.sort_key) == [
             Monomial(0, 0), Monomial(2, 2), Monomial(1, 5), Monomial(5, 1),
             Monomial(0, 8), Monomial(4, 4), Monomial(8, 0),
         ]

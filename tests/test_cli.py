@@ -54,6 +54,13 @@ class TestExitCodes:
         res = cli("phi", "--p", "12", "--q", "3", "--backend", "bruteforce")
         assert res.returncode == 3
 
+    def test_verify_size_that_checks_nothing_is_usage_error(self):
+        for argv in (("--suite", "lemmas", "--cases", "-5"),
+                     ("--suite", "lemmas", "--cases", "0"),
+                     ("--suite", "sign", "--pmax", "2")):
+            res = cli("verify", *argv)
+            assert res.returncode == 2 and res.stdout == ""
+
     def test_verify_failure_would_be_exit_1(self):
         # all suites pass, so exercise the passing path only
         res = cli("verify", "--suite", "prime", "--pmax", "10")
@@ -199,6 +206,21 @@ class TestBench:
     def test_unknown_backend(self):
         res = cli("bench", "--backends", "cofactor", "--p", "5", "--q", "3")
         assert res.returncode == 2
+
+    def test_dp_window_over_16_bits_is_skipped(self):
+        res = cli("bench", "--backends", "cycle_cover,bareiss",
+                  "--p", "40", "--q", "20")
+        lines = res.stdout.splitlines()
+        assert lines[1] == "cycle_cover,40,20,,SKIPPED"
+        assert lines[2].startswith("bareiss,40,20,") and lines[2].endswith(",ok")
+        assert res.returncode == 0
+
+    def test_invalid_pair_is_skipped(self):
+        res = cli("bench", "--backends", "bareiss,ryser", "--p", "8", "--q", "1")
+        assert res.stdout.splitlines()[1:] == [
+            "bareiss,8,1,,SKIPPED", "ryser,8,1,,SKIPPED",
+        ]
+        assert res.returncode == 0
 
 
 class TestDeterminism:

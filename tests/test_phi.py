@@ -1,5 +1,9 @@
 """Support predicate, coefficient reports and the primality congruence."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from tricirc.bipoly import BiPoly
@@ -7,7 +11,6 @@ from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.phi import (
     binomial_power,
     coefficient,
-    default_backend,
     phi_polynomial,
     primality_check,
     support,
@@ -85,8 +88,13 @@ class TestPhiPolynomial:
         assert phi_polynomial(7, 3, "cycle_cover") == ref
 
     def test_default_backend_rule(self):
-        assert default_backend(20, 19) == "bareiss"
-        assert default_backend(65, 3) == "cycle_cover"
+        res = subprocess.run(
+            [sys.executable, "-m", "tricirc", "phi", "--p", "65", "--q", "3",
+             "--format", "json"],
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(res.stdout)["backend"] == "bareiss"
+        assert phi_polynomial(65, 3) == phi_polynomial(65, 3, "cycle_cover")
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):

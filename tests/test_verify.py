@@ -67,6 +67,20 @@ def test_unknown_suite_rejected():
         build_cases("support", q_policy="random")
 
 
+def test_lemmas_need_at_least_one_case():
+    for cases in (0, -5):
+        with pytest.raises(ValueError):
+            build_cases("lemmas", cases=cases)
+
+
+def test_sweeps_need_pmax_at_least_3():
+    for suite in SUITES:
+        if suite != "lemmas":
+            with pytest.raises(ValueError):
+                build_cases(suite, p_max=2)
+    assert build_cases("sign", p_max=3) == [("sign", 3, 2)]
+
+
 def test_cycle_suite_guards_pmax():
     with pytest.raises(TooLarge):
         build_cases("cycle", p_max=12)
