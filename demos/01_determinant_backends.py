@@ -1,7 +1,8 @@
-"""The determinant polynomial computed three independent ways.
+"""The determinant polynomial computed four independent ways.
 
 The p x p circulant with bands 1, -x, -y at cyclic offsets 0, 1, q has
-a determinant that every backend must agree on: fraction-free
+a determinant that every backend must agree on: Newton's identities
+over closed-form power sums (the default route), fraction-free
 elimination, the cycle-cover counting DP, and (at desk scale) the full
 permutation expansion.  A floating-point product over complex roots of
 unity serves as an advisory sanity check on top.
@@ -13,16 +14,17 @@ from tricirc import (
     det_bruteforce,
     det_cycle_cover,
     det_float_check,
+    det_newton,
     reduce_theta,
 )
 
 for p, q in ((5, 3), (8, 3), (9, 4)):
     spec = CirculantSpec(p, q)
-    poly = det_bareiss(spec)
+    poly = det_newton(spec)
     print(f"p={p}, q={q}:")
     print(f"  det = {poly.render()}")
-    agree = poly == det_cycle_cover(spec) == det_bruteforce(spec)
-    print(f"  elimination == counting DP == brute force: {agree}")
+    agree = poly == det_bareiss(spec) == det_cycle_cover(spec) == det_bruteforce(spec)
+    print(f"  Newton == elimination == counting DP == brute force: {agree}")
     rep = det_float_check(spec, poly)
     print(
         f"  float cross-check: passed={rep.passed}, "
@@ -36,4 +38,4 @@ for p, q in ((5, 3), (8, 3), (9, 4)):
 red = reduce_theta(CirculantSpec(5, 3, 2))
 print(f"offset spec (p=5, q=3, t=2) reduces to q' = {red.spec.q} "
       f"(swapped={red.swapped})")
-print(f"  det = {det_bareiss(red.spec).render()}")
+print(f"  det = {det_newton(red.spec).render()}")

@@ -13,8 +13,10 @@ brute-force oracles.
 
 from .bipoly import ONE, X, Y, ZERO, BiPoly, Monomial, exact_div
 from .circulant import (
+    BAREISS_LIMIT,
     BRUTEFORCE_LIMIT,
-    MAX_WINDOW_BITS,
+    DP_BUDGET,
+    NEWTON_LIMIT,
     CirculantSpec,
     FloatCheckReport,
     ReducedSpec,
@@ -24,6 +26,8 @@ from .circulant import (
     det_bruteforce,
     det_cycle_cover,
     det_float_check,
+    det_newton,
+    dp_cost,
     integer_det,
     reduce_theta,
     substituted_matrix,

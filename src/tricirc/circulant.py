@@ -3,9 +3,11 @@
 The matrix has 1 on the diagonal, -x on the cyclic band at offset t
 (canonically t=1) and -y on the cyclic band at offset q.  Its
 determinant is a bivariate integer polynomial; this module computes it
-by three independent exact routes plus an advisory floating-point
+by four independent exact routes plus an advisory floating-point
 cross-check over complex roots of unity:
 
+* ``det_newton``       -- Newton's identities over closed-form power sums
+                          tr(A^i) of A = xP + yP^q; the default route;
 * ``det_bareiss``      -- fraction-free elimination over the polynomial ring;
 * ``det_cycle_cover``  -- bitmask transfer DP counting cycle covers, with the
                           term sign attached from the gcd parity rule;
@@ -13,7 +15,10 @@ cross-check over complex roots of unity:
 * ``det_float_check``  -- product over complex p-th roots of unity at a
                           fixed sample grid, advisory only.
 
-All functions are pure; different specs or backends may run concurrently.
+Each exact route has a declared size limit and raises :class:`TooLarge`
+or :class:`StateSpaceTooLarge` beyond it instead of starting a run of
+unbounded length.  All functions are pure; different specs or backends
+may run concurrently.
 """
 
 from __future__ import annotations
@@ -27,10 +32,18 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
-from .errors import IrreducibleSpec, StateSpaceTooLarge, TooLarge
+from .errors import IrreducibleSpec, NonExactDivision, StateSpaceTooLarge, TooLarge
 
-#: ceiling on the occupancy-mask width of the cycle-cover DP
-MAX_WINDOW_BITS = 16
+#: largest p accepted by the Newton-identity route (about 0.2 s at
+#: p = 1000 on a 2-CPU host with Python 3.11)
+NEWTON_LIMIT = 1000
+
+#: largest p accepted by fraction-free elimination ((96, 48) takes
+#: 20-30 s on a 2-CPU host with Python 3.11)
+BAREISS_LIMIT = 96
+
+#: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
+DP_BUDGET = 8 * 10**9
 
 #: largest p accepted by the brute-force permutation expansion
 BRUTEFORCE_LIMIT = 10
@@ -120,6 +133,76 @@ def band_matrix(spec: CirculantSpec) -> list[list[BiPoly]]:
 
 
 # ---------------------------------------------------------------------------
+# Newton's identities over closed-form power sums
+# ---------------------------------------------------------------------------
+
+def power_sums(p: int, q: int) -> dict[int, dict[int, int]]:
+    """The nonzero power sums tr(A^i), 1 <= i <= p, of A = xP + yP^q.
+
+    P is the cyclic shift, so tr(P^k) is p when p divides k and 0
+    otherwise, and the binomial theorem gives
+    tr(A^i) = p * sum C(i, s) x^(i-s) y^s over the s in [0, i] with
+    p | i + s(q-1).  Maps i to {s: coefficient}; the x-exponent is i-s.
+    """
+    g = math.gcd(q - 1, p)
+    m = p // g
+    inv = pow((q - 1) // g, -1, m)
+    sums = {}
+    for i in range(g, p + 1, g):  # the s exist only where g divides i
+        s0 = -(i // g) * inv % m
+        if s0 <= i:
+            sums[i] = {s: p * math.comb(i, s) for s in range(s0, i + 1, m)}
+    return sums
+
+
+def det_newton(spec: CirculantSpec) -> BiPoly:
+    """Exact determinant from Newton's identities.
+
+    det(I - A) = sum (-1)^t e_t, where e_t is the t-th elementary
+    symmetric function of the eigenvalues of A = xP + yP^q and is
+    homogeneous of degree t.  Newton's identities
+    t e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) tr(A^i) give the signed
+    slices c_t = (-1)^t e_t as t c_t = -sum_{i=1..t} c_(t-i) tr(A^i).
+    Every slice is stored by y-exponent alone and has only the few terms
+    the support theorem allows, so the cost is polynomial in p for every
+    q.  Each division by t must be exact (:class:`NonExactDivision`
+    otherwise), and the unit constant term is checked as in Bareiss.
+    """
+    _require_canonical(spec)
+    p, q = spec.p, spec.q
+    if p > NEWTON_LIMIT:
+        raise TooLarge(f"Newton's identities are limited to p <= {NEWTON_LIMIT}")
+    sums = [(i, list(ps.items())) for i, ps in power_sums(p, q).items()]
+    slices: list[dict[int, int]] = [{0: 1}]
+    for t in range(1, p + 1):
+        acc: dict[int, int] = {}
+        for i, ps in sums:
+            if i > t:
+                break
+            for s1, c1 in slices[t - i].items():
+                for s2, c2 in ps:
+                    k = s1 + s2
+                    acc[k] = acc.get(k, 0) + c1 * c2
+        ct = {}
+        for s, v in acc.items():
+            c, rem = divmod(-v, t)
+            if rem:
+                raise NonExactDivision(
+                    f"{t} does not divide the coefficient {-v} of "
+                    f"x^{t - s}*y^{s} in t*c_t for {spec}"
+                )
+            if c:
+                ct[s] = c
+        slices.append(ct)
+    det = BiPoly(
+        {(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()}
+    )
+    if det.constant_term() != 1:
+        raise AssertionError("determinant lost its unit constant term")
+    return det
+
+
+# ---------------------------------------------------------------------------
 # Bareiss fraction-free elimination
 # ---------------------------------------------------------------------------
 
@@ -135,6 +218,8 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
+    if p > BAREISS_LIMIT:
+        raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
     mx = BiPoly.monomial(-1, 1, 0)
     my = BiPoly.monomial(-1, 0, 1)
     rows: list[dict[int, BiPoly]] = []
@@ -256,6 +341,32 @@ def window_width(p: int, q: int) -> int:
     return min(q + 1, p - q + 2)
 
 
+def dp_cost(p: int, q: int) -> float:
+    """Estimated work of :func:`cycle_cover_counts` (p, q), p^3.5 * 2.75^w.
+
+    w is the window width.  Each window bit doubles the seam boundaries
+    and adds live states, about 2.75x in all; p enters through the p
+    steps per boundary, the states per step and the packed integers of
+    up to 2p^3 bits.  Fitted to 26 timed runs (p = 14..200, w = 3..13)
+    on a 2-CPU host with Python 3.11, where one unit took 0.7-1.3 ns.
+    """
+    return p**3.5 * 2.75 ** window_width(p, q)
+
+
+def check_dp_budget(p: int, q: int) -> None:
+    """Raise :class:`StateSpaceTooLarge` if the DP for (p, q) is over budget.
+
+    DP_BUDGET admits (64, 7) at 8 bits (about 5 s on the host above)
+    and refuses (22, 11) at 12 bits (about 11 s).
+    """
+    if dp_cost(p, q) > DP_BUDGET:
+        raise StateSpaceTooLarge(
+            f"the cycle-cover DP for p={p}, q={q} ({window_width(p, q)}-bit "
+            f"window) is estimated at {dp_cost(p, q):.2g} work units, "
+            f"over the budget of {DP_BUDGET:.2g}"
+        )
+
+
 @lru_cache(maxsize=None)
 def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """Number of cycle covers N(r, s) for every displacement profile.
@@ -271,14 +382,11 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """
     if p < 3 or not 2 <= q <= p - 1:
         raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
+    check_dp_budget(p, q)
     qe = q if q + 1 <= p - q + 2 else q - p
     offsets = (0, 1, qe)
     omin = min(offsets)
     width = max(offsets) - omin + 1
-    if width > MAX_WINDOW_BITS:
-        raise StateSpaceTooLarge(
-            f"window needs {width} bits, ceiling is {MAX_WINDOW_BITS}"
-        )
 
     # Each DP value is one big integer packing all (r, s) slots; a slot
     # holds the count of partial assignments, which is < 3^p < 2^wbits.

@@ -16,7 +16,7 @@ class IrreducibleSpec(ValueError):
 
 
 class StateSpaceTooLarge(ValueError):
-    """The occupancy-mask window of the counting DP exceeds the ceiling."""
+    """The estimated work of the counting DP exceeds its budget."""
 
 
 class TooLarge(ValueError):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .bipoly import BiPoly
-from .circulant import CirculantSpec, cycle_cover_counts
+from .circulant import CirculantSpec, check_dp_budget, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
 from .phi import phi_polynomial
 
@@ -138,11 +138,10 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     monomial mixes signs.  Bound checks avoid floats entirely: the
     lower bound by cross-multiplication, the upper bound after cubing.
     """
-    gen = permanent_generating(p, q)
     if p <= RYSER_DEFAULT_CROSSCHECK:
         d11 = permanent_ryser(p, q)
     else:
-        d11 = gen.evaluate(1, 1)
+        d11 = permanent_generating(p, q).evaluate(1, 1)
     signed = phi_polynomial(p, q, backend)
     abs_sum = signed.abs_coefficient_sum()
     if d11 != abs_sum:
@@ -197,11 +196,15 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
 
     Values come from the unsigned DP; the p-th root column is float and
     purely presentational.  sandwich_ok records whether
-    d11/N <= M <= d11 held (checked exactly).
+    d11/N <= M <= d11 held (checked exactly).  The last row is the
+    dearest, so a table whose last DP is over budget is refused up front.
     """
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got q={q}")
     p_min = max(3, q + 1)
     if p_max < p_min:
         raise ValueError(f"p_max must be at least {p_min} for q={q}")
+    check_dp_budget(p_max, q)
     rows = []
     for p in range(p_min, p_max + 1):
         gen = permanent_generating(p, q)

@@ -27,10 +27,12 @@ from .circulant import (
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
+    det_newton,
 )
 from .errors import InternalInconsistency
 
 BACKENDS: dict[str, Callable[[CirculantSpec], BiPoly]] = {
+    "newton": det_newton,
     "bareiss": det_bareiss,
     "cycle_cover": det_cycle_cover,
     "bruteforce": det_bruteforce,
@@ -38,11 +40,11 @@ BACKENDS: dict[str, Callable[[CirculantSpec], BiPoly]] = {
 
 
 def default_backend(p: int, q: int) -> str:
-    """The backend used when none is named: elimination, for every (p, q).
+    """The backend used when none is named: Newton's identities, for every (p, q).
 
     The other backends are independent cross-checks and explicit choices.
     """
-    return "bareiss"
+    return "newton"
 
 
 def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:

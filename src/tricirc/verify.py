@@ -5,7 +5,8 @@ machine checks against independent oracles:
 
 * ``support``   -- nonzero coefficients are exactly the divisible profiles;
 * ``sign``      -- every term obeys the gcd parity sign rule, and the
-                   exact backends agree with each other;
+                   exact backends agree: Newton's identities with at
+                   least one other route in every case;
 * ``cycle``     -- class members share one cycle type and one sign, and
                    class sizes match coefficient magnitudes;
 * ``witness``   -- the constructed member lands in its class with the
@@ -29,13 +30,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import phi as phimod
+from .bipoly import Monomial
 from .circulant import (
-    MAX_WINDOW_BITS,
+    BAREISS_LIMIT,
+    DP_BUDGET,
+    NEWTON_LIMIT,
     CirculantSpec,
+    check_dp_budget,
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
-    window_width,
+    det_newton,
+    dp_cost,
 )
 from .errors import TooLarge
 from .permanent import (
@@ -161,13 +167,24 @@ def _support_case(p: int, q: int, backend: str) -> CaseOutcome:
 
 
 def _sign_case(p: int, q: int) -> CaseOutcome:
+    """Newton's polynomial against the other exact routes, and the sign rule.
+
+    Every case has Newton's identities and at least one other route.
+    The other routes are compared in a chain, one check per adjacent
+    pair.  Newton's polynomial is compared with the first of them one
+    monomial at a time, in the same check as that monomial's sign, over
+    the union of their terms.
+    """
+    spec = CirculantSpec(p, q)
+    newton = det_newton(spec)
     polys = {}
     if p <= 9:
-        polys["bruteforce"] = det_bruteforce(CirculantSpec(p, q))
-    if p <= 24:
-        polys["bareiss"] = det_bareiss(CirculantSpec(p, q))
-    if window_width(p, q) <= MAX_WINDOW_BITS:
-        polys["cycle_cover"] = det_cycle_cover(CirculantSpec(p, q))
+        polys["bruteforce"] = det_bruteforce(spec)
+    dp_ok = dp_cost(p, q) <= DP_BUDGET
+    if dp_ok:
+        polys["cycle_cover"] = det_cycle_cover(spec)
+    if p <= 24 or not dp_ok:
+        polys["bareiss"] = det_bareiss(spec)
     names = sorted(polys)
     checks = failures = 0
     first = None
@@ -176,13 +193,21 @@ def _sign_case(p: int, q: int) -> CaseOutcome:
         if polys[a] != polys[b]:
             failures += 1
             first = first or f"(p={p}, q={q}): {a} and {b} disagree"
-    poly = polys[names[0]]
-    for m, c in poly.items():
+    ref = polys[names[0]]
+    for m in sorted(ref.terms.keys() | newton.terms.keys(), key=Monomial.sort_key):
         checks += 1
+        c = ref.coefficient(m.r, m.s)
+        cn = newton.coefficient(m.r, m.s)
         ell = (m.r + m.s * q) // p
         k = math.gcd(m.r, m.s, ell)
         expected = -1 if k % 2 else 1
-        if (c > 0) != (expected > 0):
+        if cn != c:
+            failures += 1
+            first = first or (
+                f"(p={p}, q={q}): a({m.r},{m.s}) = {c} by {names[0]} "
+                f"but {cn} by newton"
+            )
+        elif (c > 0) != (expected > 0):
             failures += 1
             if first is None:
                 first = (
@@ -407,10 +432,16 @@ def _build_support(p_max, q_policy, cases, seed):
             for p, q in _iter_pq(10, p_max, q_policy)
             if q <= 8
         ]
+    for _, p, q, backend in out:
+        if backend == "cycle_cover":
+            check_dp_budget(p, q)
     return out
 
 
 def _build_sign(p_max, q_policy, cases, seed):
+    if p_max > BAREISS_LIMIT:
+        # past it, wide windows have no exact route besides Newton's
+        raise TooLarge(f"the sign suite needs pmax <= {BAREISS_LIMIT}")
     return [("sign", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
 
 
@@ -427,10 +458,15 @@ def _build_witness(p_max, q_policy, cases, seed):
 def _build_permanent(p_max, q_policy, cases, seed):
     if p_max > RYSER_LIMIT:
         raise TooLarge(f"the permanent suite needs pmax <= {RYSER_LIMIT}")
-    return [("permanent", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
+    out = [("permanent", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
+    for _, p, q in out:
+        check_dp_budget(p, q)
+    return out
 
 
 def _build_prime(p_max, q_policy, cases, seed):
+    if p_max > NEWTON_LIMIT:
+        raise TooLarge(f"the prime suite needs pmax <= {NEWTON_LIMIT}")
     return [("prime", p) for p in range(3, p_max + 1)]
 
 

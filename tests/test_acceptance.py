@@ -23,6 +23,7 @@ from tricirc.circulant import (
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
+    det_newton,
 )
 from tricirc.permanent import bounds_report, permanent_generating, permanent_ryser
 from tricirc.permclass import (
@@ -58,13 +59,14 @@ def _cli(*argv):
 
 @pytest.fixture(scope="session")
 def oracle_sweep():
-    """All three backends for 3 <= p <= 9, 2 <= q <= p-1, with timing."""
+    """All four exact backends for 3 <= p <= 9, 2 <= q <= p-1, with timing."""
     t0 = time.perf_counter()
     polys = {}
     for p in range(3, 10):
         for q in range(2, p):
             spec = CirculantSpec(p, q)
             polys[(p, q)] = {
+                "newton": det_newton(spec),
                 "bareiss": det_bareiss(spec),
                 "cycle_cover": det_cycle_cover(spec),
                 "bruteforce": det_bruteforce(spec),
@@ -104,7 +106,10 @@ def test_criterion_02_oracle_equivalence(oracle_sweep):
     mismatches = [
         pq
         for pq, backends in polys.items()
-        if not (backends["bareiss"] == backends["cycle_cover"] == backends["bruteforce"])
+        if not (
+            backends["newton"] == backends["bareiss"]
+            == backends["cycle_cover"] == backends["bruteforce"]
+        )
     ]
     ok = not mismatches and elapsed < 60.0
     _report(

@@ -2,22 +2,36 @@
 
 import random
 
+import time
+
 import pytest
 
+from tricirc import circulant
 from tricirc.bipoly import ZERO, BiPoly
 from tricirc.circulant import (
+    BAREISS_LIMIT,
+    DP_BUDGET,
+    NEWTON_LIMIT,
     CirculantSpec,
     cycle_cover_counts,
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
     det_float_check,
+    det_newton,
+    dp_cost,
     integer_det,
+    power_sums,
     reduce_theta,
     substituted_matrix,
     window_width,
 )
-from tricirc.errors import IrreducibleSpec, StateSpaceTooLarge, TooLarge
+from tricirc.errors import (
+    IrreducibleSpec,
+    NonExactDivision,
+    StateSpaceTooLarge,
+    TooLarge,
+)
 
 # expanded by hand via cofactors along the first row
 DET_3_2 = BiPoly.parse("1 - x^3 - 3*x*y - y^3")
@@ -107,6 +121,69 @@ class TestBareiss:
     def test_rejects_noncanonical(self):
         with pytest.raises(ValueError):
             det_bareiss(CirculantSpec(5, 3, 2))
+
+
+class TestNewton:
+    def test_published_polynomials(self):
+        assert det_newton(CirculantSpec(5, 3)) == PHI_5_3
+        assert det_newton(CirculantSpec(8, 3)) == PHI_8_3
+        assert det_newton(CirculantSpec(3, 2)) == DET_3_2
+        assert det_newton(CirculantSpec(4, 2)) == DET_4_2
+
+    def test_power_sums_3_2(self):
+        # tr(A) = 0, tr(A^2) = 6xy, tr(A^3) = 3x^3 + 3y^3
+        assert power_sums(3, 2) == {2: {1: 6}, 3: {0: 3, 3: 3}}
+
+    @pytest.mark.parametrize("p", (12, 17, 24, 31))
+    def test_matches_bareiss_every_q(self, p):
+        for q in range(2, p):
+            spec = CirculantSpec(p, q)
+            assert det_newton(spec) == det_bareiss(spec), (p, q)
+
+    @pytest.mark.parametrize("q", (2, 3, 13, 20, 21, 39))
+    def test_matches_bareiss_at_40(self, q):
+        spec = CirculantSpec(40, q)
+        assert det_newton(spec) == det_bareiss(spec)
+
+    @pytest.mark.parametrize("p", range(65, 71))
+    def test_matches_cycle_cover_past_64(self, p):
+        for q in (2, 3, 4):
+            spec = CirculantSpec(p, q)
+            assert det_newton(spec) == det_cycle_cover(spec), (p, q)
+
+    def test_inexact_power_sum_raises(self, monkeypatch):
+        # tr(A) = x makes c_2 = x^2/2, which is not an integer polynomial
+        monkeypatch.setattr(circulant, "power_sums", lambda p, q: {1: {0: 1}})
+        with pytest.raises(NonExactDivision):
+            det_newton(CirculantSpec(5, 3))
+
+    def test_rejects_noncanonical(self):
+        with pytest.raises(ValueError):
+            det_newton(CirculantSpec(5, 3, 2))
+
+
+class TestSizeLimits:
+    def test_newton_limit(self):
+        det_newton(CirculantSpec(NEWTON_LIMIT, 3))
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            det_newton(CirculantSpec(NEWTON_LIMIT + 1, 3))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_bareiss_limit_keeps_p_96(self):
+        assert BAREISS_LIMIT >= 96
+        with pytest.raises(TooLarge):
+            det_bareiss(CirculantSpec(BAREISS_LIMIT + 1, 3))
+
+    def test_dp_budget(self):
+        # admitted: the windows the benchmark and the suites use
+        for p, q in ((64, 7), (96, 5), (20, 10), (48, 2)):
+            assert dp_cost(p, q) <= DP_BUDGET, (p, q)
+        # refused: each of these ran 10 s or more
+        for p, q in ((22, 11), (24, 12), (30, 10), (30, 15), (96, 6)):
+            assert dp_cost(p, q) > DP_BUDGET, (p, q)
+            with pytest.raises(StateSpaceTooLarge):
+                cycle_cover_counts(p, q)
 
 
 class TestBruteforce:

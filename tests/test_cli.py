@@ -4,10 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+
+from tricirc import cli as climod
+from tricirc import phi as phimod
+from tricirc.bipoly import ONE
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -61,6 +66,33 @@ class TestExitCodes:
             res = cli("verify", *argv)
             assert res.returncode == 2 and res.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("phi", "--p", "100000", "--q", "3"),
+        ("phi", "--p", "97", "--q", "48", "--backend", "bareiss"),
+        ("permanent", "--p", "30", "--q", "15"),
+        ("growth", "--q", "3", "--pmax", "100000"),
+    ])
+    def test_over_budget_request_is_refused_fast(self, argv):
+        t0 = time.perf_counter()
+        res = cli(*argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.returncode == 3 and res.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "permanent", "--pmax", "22"),
+        ("--suite", "support", "--pmax", "200"),
+        ("--suite", "sign", "--pmax", "97"),
+        ("--suite", "prime", "--pmax", "1001"),
+    ])
+    def test_over_budget_verify_is_refused_up_front(self, argv):
+        res = cli("verify", *argv)
+        assert res.returncode == 3 and res.stdout == ""
+
+    def test_growth_names_bad_q(self):
+        res = cli("growth", "--q", "1", "--pmax", "5")
+        assert res.returncode == 2 and res.stdout == ""
+        assert "q must be at least 2, got q=1" in res.stderr
+
     def test_verify_failure_would_be_exit_1(self):
         # all suites pass, so exercise the passing path only
         res = cli("verify", "--suite", "prime", "--pmax", "10")
@@ -87,7 +119,7 @@ class TestJsonSchema:
     def test_phi(self):
         doc = json.loads(cli("phi", "--p", "8", "--q", "3", "--format", "json").stdout)
         check_schema(doc)
-        assert doc["backend"] == "bareiss" and not doc["swapped"]
+        assert doc["backend"] == "newton" and not doc["swapped"]
 
     def test_phi_swapped(self):
         doc = json.loads(
@@ -206,6 +238,21 @@ class TestBench:
     def test_unknown_backend(self):
         res = cli("bench", "--backends", "cofactor", "--p", "5", "--q", "3")
         assert res.returncode == 2
+
+    def test_newton_and_bareiss_reported(self, capsys):
+        argv = ["bench", "--backends", "newton,bareiss", "--p", "8", "--q", "3"]
+        assert climod.run(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["newton", "bareiss"]
+        assert all(r.endswith(",ok") for r in rows)
+
+    def test_newton_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(phimod.BACKENDS, "newton", lambda spec: ONE)
+        argv = ["bench", "--backends", "newton,bareiss", "--p", "8", "--q", "3"]
+        assert climod.run(argv) == 1
+        out = capsys.readouterr()
+        assert len(out.out.splitlines()) == 3
+        assert "mismatch among backends at p=8 q=3" in out.err
 
     def test_dp_window_over_16_bits_is_skipped(self):
         res = cli("bench", "--backends", "cycle_cover,bareiss",

@@ -84,6 +84,7 @@ class TestCoefficient:
 class TestPhiPolynomial:
     def test_backends_agree_on_7_3(self):
         ref = phi_polynomial(7, 3, "bruteforce")
+        assert phi_polynomial(7, 3, "newton") == ref
         assert phi_polynomial(7, 3, "bareiss") == ref
         assert phi_polynomial(7, 3, "cycle_cover") == ref
 
@@ -93,8 +94,10 @@ class TestPhiPolynomial:
              "--format", "json"],
             capture_output=True, text=True, check=True,
         )
-        assert json.loads(res.stdout)["backend"] == "bareiss"
-        assert phi_polynomial(65, 3) == phi_polynomial(65, 3, "cycle_cover")
+        assert json.loads(res.stdout)["backend"] == "newton"
+        default = phi_polynomial(65, 3)
+        assert default == phi_polynomial(65, 3, "bareiss")
+        assert default == phi_polynomial(65, 3, "cycle_cover")
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
