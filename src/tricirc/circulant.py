@@ -43,7 +43,7 @@ NEWTON_LIMIT = 1000
 BAREISS_LIMIT = 96
 
 #: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
-DP_BUDGET = 8 * 10**9
+DP_BUDGET = 15 * 10**8
 
 #: largest p accepted by the brute-force permutation expansion
 BRUTEFORCE_LIMIT = 10
@@ -342,22 +342,26 @@ def window_width(p: int, q: int) -> int:
 
 
 def dp_cost(p: int, q: int) -> float:
-    """Estimated work of :func:`cycle_cover_counts` (p, q), p^3.5 * 2.75^w.
+    """Estimated work of :func:`cycle_cover_counts` (p, q), p^2 (1 + p/1000) 2.9^w.
 
     w is the window width.  Each window bit doubles the seam boundaries
-    and adds live states, about 2.75x in all; p enters through the p
-    steps per boundary, the states per step and the packed integers of
-    up to 2p^3 bits.  Fitted to 26 timed runs (p = 14..200, w = 3..13)
-    on a 2-CPU host with Python 3.11, where one unit took 0.7-1.3 ns.
+    and adds live states, about 2.9x in all; p enters through the p
+    steps per boundary and the packed integers of up to 2p^2 bits, whose
+    additions grow faster than their length once they pass a few
+    hundred kilobits (p in the thousands).  Fitted to 42 timed runs of
+    0.2 s or more (p = 24..4000, w = 3..15) on a 2-CPU host with
+    Python 3.11, where one unit took 2.0-6.4 ns.
     """
-    return p**3.5 * 2.75 ** window_width(p, q)
+    return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
 
 
 def check_dp_budget(p: int, q: int) -> None:
     """Raise :class:`StateSpaceTooLarge` if the DP for (p, q) is over budget.
 
-    DP_BUDGET admits (64, 7) at 8 bits (about 5 s on the host above)
-    and refuses (22, 11) at 12 bits (about 11 s).
+    DP_BUDGET admits (24, 12) at 13 bits (about 1.5-3.3 s on the host
+    above) and (3000, 2) (about 4.5 s), and refuses (32, 13) at 14 bits
+    (about 9.5 s), (28, 14) at 15 bits (about 16 s), (3000, 3) (about
+    12 s) and (4000, 2) (about 10 s).
     """
     if dp_cost(p, q) > DP_BUDGET:
         raise StateSpaceTooLarge(
@@ -377,6 +381,12 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     images inside a sliding window; the cyclic seam is closed by
     enumerating the boundary mask and requiring the run to reproduce it.
 
+    The DP tracks s alone: a complete cover has r + sq = 0 (mod p) and
+    r + s <= p, which fixes r for every s > 0, while s = 0 has exactly
+    two covers, the identity (r = 0) and the full shift (r = p).  So
+    each DP value packs p+1 count slots, one per s.  Both facts are
+    checked on the result (AssertionError otherwise).
+
     Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
     treat it as immutable).
     """
@@ -388,15 +398,24 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     omin = min(offsets)
     width = max(offsets) - omin + 1
 
-    # Each DP value is one big integer packing all (r, s) slots; a slot
-    # holds the count of partial assignments, which is < 3^p < 2^wbits.
-    wbits = max(64, 2 * p)
-    stride_y = 1 << wbits
-    stride_x = 1 << (wbits * (p + 1))
+    # Each DP value is one big integer packing the p+1 slots by s; a slot
+    # holds the count of partial assignments, which is < 3^p < 2^wbits
+    # (whole bytes, so the total unpacks in one pass).
+    wbits = 8 * max(8, -(-p // 4))
     moves = tuple(
-        (1 << (off - omin), mult)
-        for off, mult in ((0, 1), (1, stride_x), (qe, stride_y))
+        (1 << (off - omin), shift)
+        for off, shift in ((0, 0), (1, 0), (qe, wbits))
     )
+    # Every step applies the same transfer, so the successors of each
+    # mask (with the y shift of the move) are tabulated once.
+    succ = [
+        tuple(
+            ((mask | bit) >> 1, shift)
+            for bit, shift in moves
+            if not mask & bit and (mask | bit) & 1
+        )
+        for mask in range(1 << (width - 1))
+    ]
 
     total = 0
     # the top window cell can never be claimed from across the seam
@@ -405,14 +424,8 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
         for _ in range(p):
             nxt: dict[int, int] = {}
             for mask, val in states.items():
-                for bit, mult in moves:
-                    if mask & bit:
-                        continue
-                    m2 = mask | bit
-                    if not m2 & 1:
-                        continue
-                    key = m2 >> 1
-                    add = val * mult
+                for key, shift in succ[mask]:
+                    add = val << shift if shift else val
                     if key in nxt:
                         nxt[key] += add
                     else:
@@ -421,17 +434,37 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
                 break
             states = nxt
         total += states.get(boundary, 0)
+    return _unpack_counts(total, p, q, wbits)
 
-    out = []
-    mask = stride_y - 1
-    slot = 0
-    while total:
-        c = total & mask
+
+def _unpack_counts(
+    total: int, p: int, q: int, wbits: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Split the DP's packed total (slot s at bit wbits*s) into (r, s, N).
+
+    s = 0 must hold exactly the identity and the full shift, and every
+    other nonzero slot must leave r = -sq mod p with r + s <= p;
+    AssertionError otherwise.  wbits is a multiple of 8.
+    """
+    size = wbits // 8
+    data = total.to_bytes(size * (p + 1), "little")
+    counts = [
+        int.from_bytes(data[i:i + size], "little")
+        for i in range(0, len(data), size)
+    ]
+    if counts[0] != 2:
+        raise AssertionError(
+            f"s = 0 holds {counts[0]} covers for p={p}, q={q}, not 2"
+        )
+    out = [(0, 0, 1), (p, 0, 1)]
+    for s, c in enumerate(counts[1:], 1):
         if c:
-            r, s = divmod(slot, p + 1)
+            r = -s * q % p
+            if r + s > p:
+                raise AssertionError(
+                    f"{c} covers with s={s} need r={r}, so r+s > p={p}"
+                )
             out.append((r, s, c))
-        total >>= wbits
-        slot += 1
     return tuple(sorted(out))
 
 
@@ -440,17 +473,15 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
 
     Every permutation contributing to x^r y^s has sign
     (-1)^(r+s+gcd(r,s,l)) with l = (r+sq)/p, so the monomial's signed
-    coefficient is (-1)^gcd(r,s,l) times the plain count.
+    coefficient is (-1)^gcd(r,s,l) times the plain count.  p divides
+    r+sq by construction, since :func:`cycle_cover_counts` derives r
+    from s.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
     terms = {}
     for r, s, n in cycle_cover_counts(p, q):
-        rem, ell = (r + s * q) % p, (r + s * q) // p
-        if rem:
-            raise AssertionError(
-                f"nonempty profile (r={r}, s={s}) with p not dividing r+sq"
-            )
+        ell = (r + s * q) // p
         k = math.gcd(r, s, ell)
         terms[(r, s)] = -n if k % 2 else n
     return BiPoly(terms)

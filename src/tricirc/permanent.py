@@ -6,10 +6,13 @@ polynomial has the coefficients |a(r, s)|.  Since all permutations
 behind one monomial share a sign there is no cancellation, so the
 permanent of the 0-1 band matrix (value at x = y = 1) equals the sum of
 the absolute coefficient values.  This module computes that permanent
-two independent ways and checks it against classical two-sided bounds:
+and checks it against classical two-sided bounds:
 
-* Ryser inclusion-exclusion with Gray-code updates (exact, p <= 24);
-* the unsigned cycle-cover DP shared with the determinant backends;
+* the unsigned cycle-cover DP shared with the determinant backends, the
+  route :func:`bounds_report` and :func:`growth_table` take;
+* Ryser inclusion-exclusion with Gray-code updates (exact, p <= 24), an
+  independent route for the ``permanent`` verify suite, ``bench`` and
+  :func:`bounds_report` when its signed polynomial is the DP's own;
 * lower bound 3^p p!/p^p (doubly stochastic scaling), upper bound
   6^(p/3) (row-sum bound), both compared in exact integer arithmetic.
 """
@@ -27,9 +30,6 @@ from .phi import phi_polynomial
 
 #: largest p accepted by the Ryser expansion (cost O(2^p * p))
 RYSER_LIMIT = 24
-
-#: largest p for which bounds_report cross-checks with Ryser by default
-RYSER_DEFAULT_CROSSCHECK = 20
 
 
 def permanent_generating(p: int, q: int) -> BiPoly:
@@ -132,13 +132,21 @@ class PermanentReport:
 def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport:
     """Fill every report field with exact arithmetic.
 
-    d11 comes from Ryser when p <= 20 (independent of the DP) and from
-    the unsigned DP beyond; abs_sum comes from the signed determinant
-    polynomial of the selected backend.  The two must agree, since no
-    monomial mixes signs.  Bound checks avoid floats entirely: the
-    lower bound by cross-multiplication, the upper bound after cubing.
+    d11 comes from the unsigned DP; abs_sum comes from the signed
+    determinant polynomial of the selected backend (Newton's identities
+    by default).  The two must agree, since no monomial mixes signs.
+    With the ``cycle_cover`` backend the signed polynomial is the DP's
+    own, so d11 comes from Ryser instead, and past RYSER_LIMIT the
+    report is refused (:class:`TooLarge`) rather than compare the DP
+    with itself.  Bound checks avoid floats entirely: the lower bound
+    by cross-multiplication, the upper bound after cubing.
     """
-    if p <= RYSER_DEFAULT_CROSSCHECK:
+    if backend == "cycle_cover":
+        if p > RYSER_LIMIT:
+            raise TooLarge(
+                f"with the cycle_cover backend d11 must come from Ryser's "
+                f"expansion, which is limited to p <= {RYSER_LIMIT}"
+            )
         d11 = permanent_ryser(p, q)
     else:
         d11 = permanent_generating(p, q).evaluate(1, 1)

@@ -45,7 +45,6 @@ from .circulant import (
 )
 from .errors import TooLarge
 from .permanent import (
-    RYSER_DEFAULT_CROSSCHECK,
     RYSER_LIMIT,
     bounds_report,
     permanent_generating,
@@ -73,6 +72,11 @@ DEFAULT_PMAX = {
     "permanent": 12,
     "prime": 40,
 }
+
+#: largest p at which the ``permanent`` suite also checks Ryser's
+#: expansion against the DP and the signed polynomial (used here only:
+#: ``bounds_report`` takes d11 from the DP at every p)
+RYSER_DEFAULT_CROSSCHECK = 20
 
 DEFAULT_CASES = 10000
 DEFAULT_SEED = 90437

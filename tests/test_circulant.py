@@ -176,11 +176,14 @@ class TestSizeLimits:
             det_bareiss(CirculantSpec(BAREISS_LIMIT + 1, 3))
 
     def test_dp_budget(self):
-        # admitted: the windows the benchmark and the suites use
-        for p, q in ((64, 7), (96, 5), (20, 10), (48, 2)):
+        # admitted: the windows the benchmark and the suites use, and
+        # (22, 11) 1.0 s, (24, 12) 1.5-3.3 s, (30, 10) 0.7 s, (96, 6) 0.07 s
+        for p, q in ((64, 7), (96, 5), (20, 10), (48, 2),
+                     (22, 11), (24, 12), (30, 10), (96, 6)):
             assert dp_cost(p, q) <= DP_BUDGET, (p, q)
-        # refused: each of these ran 10 s or more
-        for p, q in ((22, 11), (24, 12), (30, 10), (30, 15), (96, 6)):
+        # refused: each of these ran 9 s or more; (30, 15) was not run,
+        # its window is one bit wider than that of (28, 14) at 16 s
+        for p, q in ((30, 15), (32, 13), (28, 14), (3000, 3), (4000, 2)):
             assert dp_cost(p, q) > DP_BUDGET, (p, q)
             with pytest.raises(StateSpaceTooLarge):
                 cycle_cover_counts(p, q)
@@ -227,6 +230,33 @@ class TestCycleCover:
         a = cycle_cover_counts(5, 3)
         assert a is cycle_cover_counts(5, 3)
         assert a == ((0, 0, 1), (0, 5, 1), (1, 3, 5), (2, 1, 5), (5, 0, 1))
+
+    @pytest.mark.parametrize("p", range(3, 10))
+    def test_counts_match_bruteforce(self, p):
+        for q in range(2, p):
+            brute = det_bruteforce(CirculantSpec(p, q)).termwise_abs()
+            got = BiPoly({(r, s): n for r, s, n in cycle_cover_counts(p, q)})
+            assert got == brute, (p, q)
+
+    def test_counts_match_newton_up_to_8_bit_windows(self):
+        for p in range(3, 49):
+            for q in range(2, p):
+                if window_width(p, q) > 8:
+                    continue
+                want = det_newton(CirculantSpec(p, q)).termwise_abs()
+                got = BiPoly({(r, s): n for r, s, n in cycle_cover_counts(p, q)})
+                assert got == want, (p, q)
+
+    def test_unpacking_checks_both_cover_facts(self):
+        # slot s of the packed total sits at bit 64*s for p <= 32
+        assert circulant._unpack_counts(2 + (5 << 64), 5, 3, 64) == (
+            (0, 0, 1), (2, 1, 5), (5, 0, 1)
+        )
+        with pytest.raises(AssertionError, match="s = 0 holds 1"):
+            circulant._unpack_counts(1 + (5 << 64), 5, 3, 64)
+        # s = 4 needs r = -12 mod 5 = 3, and 3 + 4 > 5
+        with pytest.raises(AssertionError, match="r\\+s > p"):
+            circulant._unpack_counts(2 + (1 << 256), 5, 3, 64)
 
 
 class TestStructuralInvariants:

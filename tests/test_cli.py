@@ -79,14 +79,19 @@ class TestExitCodes:
         assert res.returncode == 3 and res.stdout == ""
 
     @pytest.mark.parametrize("argv", [
-        ("--suite", "permanent", "--pmax", "22"),
-        ("--suite", "support", "--pmax", "200"),
+        ("--suite", "permanent", "--pmax", "25"),
+        ("--suite", "support", "--pmax", "284"),
         ("--suite", "sign", "--pmax", "97"),
         ("--suite", "prime", "--pmax", "1001"),
     ])
     def test_over_budget_verify_is_refused_up_front(self, argv):
         res = cli("verify", *argv)
         assert res.returncode == 3 and res.stdout == ""
+
+    def test_permanent_on_dp_backend_past_ryser_limit_names_reason(self):
+        res = cli("permanent", "--p", "25", "--q", "3", "--backend", "cycle_cover")
+        assert res.returncode == 3 and res.stdout == ""
+        assert "d11 must come from Ryser" in res.stderr
 
     def test_growth_names_bad_q(self):
         res = cli("growth", "--q", "1", "--pmax", "5")

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from tricirc import permanent as permmod
 from tricirc.bipoly import BiPoly
-from tricirc.errors import TooLarge
+from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import (
+    RYSER_LIMIT,
     bounds_report,
     growth_table,
     growth_table_csv,
@@ -77,6 +79,29 @@ class TestBounds:
         rep = bounds_report(22, 3)
         assert rep.d11 == rep.abs_sum
         assert rep.lower_ok and rep.upper_ok
+
+    def test_d11_comes_from_the_dp_without_ryser(self, monkeypatch):
+        def no_ryser(p, q):
+            raise AssertionError("Ryser must not run")
+
+        monkeypatch.setattr(permmod, "permanent_ryser", no_ryser)
+        rep = bounds_report(20, 19)
+        assert rep.d11 == rep.abs_sum == permanent_generating(20, 19).evaluate(1, 1)
+
+    def test_dp_backend_takes_d11_from_ryser(self, monkeypatch):
+        def no_dp(p, q):
+            raise AssertionError("the unsigned DP must not give d11")
+
+        monkeypatch.setattr(permmod, "permanent_generating", no_dp)
+        assert bounds_report(8, 3, "cycle_cover").d11 == 33
+        # a wrong Ryser value is caught against the DP's own polynomial
+        monkeypatch.setattr(permmod, "permanent_ryser", lambda p, q: 34)
+        with pytest.raises(InternalInconsistency):
+            bounds_report(8, 3, "cycle_cover")
+
+    def test_dp_backend_past_ryser_limit_is_refused(self):
+        with pytest.raises(TooLarge, match="d11 must come from Ryser"):
+            bounds_report(RYSER_LIMIT + 1, 3, "cycle_cover")
 
 
 class TestGrowth:
