@@ -8,7 +8,6 @@ from tricirc import permanent as permmod
 from tricirc.bipoly import BiPoly
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import (
-    RYSER_LIMIT,
     bounds_report,
     growth_table,
     growth_table_csv,
@@ -98,10 +97,6 @@ class TestBounds:
         monkeypatch.setattr(permmod, "permanent_ryser", lambda p, q: 34)
         with pytest.raises(InternalInconsistency):
             bounds_report(8, 3, "cycle_cover")
-
-    def test_dp_backend_past_ryser_limit_is_refused(self):
-        with pytest.raises(TooLarge, match="d11 must come from Ryser"):
-            bounds_report(RYSER_LIMIT + 1, 3, "cycle_cover")
 
 
 class TestGrowth:
