@@ -20,7 +20,6 @@ from .circulant import (
     CirculantSpec,
     FloatCheckReport,
     ReducedSpec,
-    band_matrix,
     cycle_cover_counts,
     det_bareiss,
     det_bruteforce,

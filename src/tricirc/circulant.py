@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
 from .errors import IrreducibleSpec, NonExactDivision, StateSpaceTooLarge, TooLarge
+from .permclass import PermClassKey
 
 #: largest p accepted by the Newton-identity route (about 0.2 s at
 #: p = 1000 on a 2-CPU host with Python 3.11)
@@ -115,21 +116,6 @@ def _require_canonical(spec: CirculantSpec) -> None:
         raise ValueError(
             f"{spec} is not canonical; apply reduce_theta first"
         )
-
-
-def band_matrix(spec: CirculantSpec) -> list[list[BiPoly]]:
-    """The p-by-p matrix with 1 at offset 0, -x at offset t, -y at offset q."""
-    p = spec.p
-    mx = BiPoly.monomial(-1, 1, 0)
-    my = BiPoly.monomial(-1, 0, 1)
-    rows = []
-    for i in range(p):
-        row = [ZERO] * p
-        row[i] = ONE
-        row[(i + spec.t) % p] = mx
-        row[(i + spec.q) % p] = my
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +349,16 @@ def check_dp_budget(p: int, q: int) -> None:
     (about 9.5 s), (28, 14) at 15 bits (about 16 s), (3000, 3) (about
     12 s) and (4000, 2) (about 10 s).
     """
-    if dp_cost(p, q) > DP_BUDGET:
+    cost = dp_cost(p, q)
+    if cost > DP_BUDGET:
+        # as many significant digits as tell the two apart (17 always do)
+        digits = next(
+            d for d in range(2, 18) if f"{cost:.{d}g}" != f"{DP_BUDGET:.{d}g}"
+        )
         raise StateSpaceTooLarge(
             f"the cycle-cover DP for p={p}, q={q} ({window_width(p, q)}-bit "
-            f"window) is estimated at {dp_cost(p, q):.2g} work units, "
-            f"over the budget of {DP_BUDGET:.2g}"
+            f"window) is estimated at {cost:.{digits}g} work units, "
+            f"over the budget of {DP_BUDGET:.{digits}g}"
         )
 
 
@@ -473,18 +464,18 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
 
     Every permutation contributing to x^r y^s has sign
     (-1)^(r+s+gcd(r,s,l)) with l = (r+sq)/p, so the monomial's signed
-    coefficient is (-1)^gcd(r,s,l) times the plain count.  p divides
-    r+sq by construction, since :func:`cycle_cover_counts` derives r
-    from s.
+    coefficient is (-1)^gcd(r,s,l) times the plain count
+    (:attr:`PermClassKey.term_sign`).  p divides r+sq by construction,
+    since :func:`cycle_cover_counts` derives r from s.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
-    terms = {}
-    for r, s, n in cycle_cover_counts(p, q):
-        ell = (r + s * q) // p
-        k = math.gcd(r, s, ell)
-        terms[(r, s)] = -n if k % 2 else n
-    return BiPoly(terms)
+    return BiPoly(
+        {
+            (r, s): PermClassKey(p, q, r, s).term_sign * n
+            for r, s, n in cycle_cover_counts(p, q)
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +497,6 @@ class FloatCheckReport:
     max_abs_deviation: float
     worst_point: tuple[float, float]
     points: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_abs_deviation": self.max_abs_deviation,
-            "worst_point": list(self.worst_point),
-            "points": self.points,
-        }
 
 
 def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:

@@ -8,8 +8,8 @@ error, 3 unsupported parameter regime.
 
 ``verify`` is the only command that may spawn worker processes; set the
 environment variable TRICIRC_WORKERS to a positive integer to enable
-that.  Results are merged in case order, so output bytes do not depend
-on the worker count.
+that.  ``verify.run_suite`` merges results in case order, so output
+bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import permanent as permmod
 from . import phi as phimod
@@ -177,25 +176,20 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workers = _worker_count()
-    cases = verifymod.build_cases(
-        args.suite, args.pmax, args.q_policy, args.cases, args.seed
+    res = verifymod.run_suite(
+        args.suite,
+        args.pmax,
+        args.q_policy,
+        args.cases,
+        args.seed,
+        workers=_worker_count(),
     )
-    params = verifymod.suite_parameters(
-        args.suite, args.pmax, args.q_policy, args.cases, args.seed
-    )
-    if workers > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(verifymod.run_case, cases, chunksize=4))
-    else:
-        outcomes = [verifymod.run_case(c) for c in cases]
-    res = verifymod.merge_outcomes(args.suite, outcomes, params)
     if args.format == "json":
         payload = res.to_json_dict()
         payload["command"] = "verify"
         _emit_json(payload)
     else:
-        shown = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+        shown = " ".join(f"{k}={v}" for k, v in sorted(res.parameters.items()))
         print(f"suite={res.suite} {shown} cases={res.cases} failures={res.failures}")
         if res.first_counterexample:
             print(f"first_counterexample: {res.first_counterexample}")

@@ -34,9 +34,6 @@ RYSER_LIMIT = 24
 
 def permanent_generating(p: int, q: int) -> BiPoly:
     """sum N(r, s) x^r y^s, the cycle-cover counts without signs."""
-    spec = CirculantSpec(p, q)
-    if not spec.is_canonical:
-        raise ValueError(f"(p={p}, q={q}) is not canonical")
     return BiPoly({(r, s): n for r, s, n in cycle_cover_counts(p, q)})
 
 
@@ -49,9 +46,7 @@ def permanent_ryser(p: int, q: int) -> int:
     product of nonzero row sums is patched by one exact division and
     one multiplication.
     """
-    spec = CirculantSpec(p, q)
-    if not spec.is_canonical:
-        raise ValueError(f"(p={p}, q={q}) is not canonical")
+    CirculantSpec(p, q)  # validates p and q
     if p > RYSER_LIMIT:
         raise TooLarge(f"Ryser expansion is limited to p <= {RYSER_LIMIT}")
     rows_of_col = [(j, (j - 1) % p, (j - q) % p) for j in range(p)]
@@ -83,15 +78,20 @@ def permanent_ryser(p: int, q: int) -> int:
 
 
 def _ceil_cube_root(n: int) -> int:
-    """Smallest integer c with c**3 >= n (n >= 0)."""
+    """Smallest integer c with c**3 >= n (n >= 0), in integers only.
+
+    Newton's iteration from 2^ceil(bits/3) >= n^(1/3) falls
+    monotonically to the floor of the cube root.
+    """
     if n <= 0:
         return 0
-    c = round(n ** (1 / 3))
-    while c**3 >= n:
-        c -= 1
-    while c**3 < n:
-        c += 1
-    return c
+    c = 1 << -(-n.bit_length() // 3)
+    while True:
+        nxt = (2 * c + n // (c * c)) // 3
+        if nxt >= c:
+            break
+        c = nxt
+    return c if c**3 == n else c + 1
 
 
 @dataclass(frozen=True)
@@ -132,26 +132,35 @@ class PermanentReport:
 def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport:
     """Fill every report field with exact arithmetic.
 
-    d11 comes from the unsigned DP; abs_sum comes from the signed
+    d11 comes from the unsigned DP and abs_sum from the signed
     determinant polynomial of the selected backend (Newton's identities
-    by default).  The two must agree, since no monomial mixes signs.
+    by default).  Since no monomial mixes signs, the DP must equal that
+    polynomial with every coefficient made absolute, term by term.
     With the ``cycle_cover`` backend the signed polynomial is the DP's
-    own, so d11 comes from Ryser instead, and past RYSER_LIMIT the
-    report is refused (:class:`TooLarge`) rather than compare the DP
-    with itself.  Bound checks avoid floats entirely: the lower bound
-    by cross-multiplication, the upper bound after cubing.
+    own, so d11 comes from Ryser instead and only the sums can be
+    compared; past RYSER_LIMIT the report is refused
+    (:class:`TooLarge`) rather than compare the DP with itself.  Any
+    disagreement raises :class:`InternalInconsistency`.  Bound checks
+    avoid floats entirely: the lower bound by cross-multiplication, the
+    upper bound after cubing.
     """
-    if backend == "cycle_cover":
-        if p > RYSER_LIMIT:
-            raise TooLarge(
-                f"with the cycle_cover backend d11 must come from Ryser's "
-                f"expansion, which is limited to p <= {RYSER_LIMIT}"
-            )
-        d11 = permanent_ryser(p, q)
-    else:
-        d11 = permanent_generating(p, q).evaluate(1, 1)
+    if backend == "cycle_cover" and p > RYSER_LIMIT:
+        raise TooLarge(
+            f"with the cycle_cover backend d11 must come from Ryser's "
+            f"expansion, which is limited to p <= {RYSER_LIMIT}"
+        )
     signed = phi_polynomial(p, q, backend)
     abs_sum = signed.abs_coefficient_sum()
+    if backend == "cycle_cover":
+        d11 = permanent_ryser(p, q)
+    else:
+        unsigned = permanent_generating(p, q)
+        if unsigned != signed.termwise_abs():
+            raise InternalInconsistency(
+                f"the unsigned DP differs from the absolute determinant "
+                f"term by term for (p={p}, q={q})"
+            )
+        d11 = unsigned.evaluate(1, 1)
     if d11 != abs_sum:
         raise InternalInconsistency(
             f"permanent {d11} differs from the absolute coefficient sum "

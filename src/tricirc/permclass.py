@@ -150,7 +150,8 @@ class PermClassKey:
     Derived quantities: ``ell`` = (r+sq)/p when p divides r+sq (None
     otherwise, and the class is empty), and ``k`` = gcd(r, s, ell), the
     number of nontrivial cycles of every member.  The identity-only
-    class (0, 0) has ell = 0 and k = 0 by convention.
+    class (0, 0) has ell = 0 and k = 0 by convention.  These properties
+    are the package's one statement of the support and sign rules.
     """
 
     p: int
@@ -183,7 +184,16 @@ class PermClassKey:
 
     @property
     def is_empty(self) -> bool:
+        """Whether the class is empty, i.e. a(r, s) = 0 (the support theorem)."""
         return not (self.divisible and self.r + self.s <= self.p)
+
+    @property
+    def term_sign(self) -> Optional[int]:
+        """The sign (-1)^k of a(r, s) in the determinant (None when ell is)."""
+        k = self.k
+        if k is None:
+            return None
+        return -1 if k % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -197,14 +207,6 @@ class StructureReport:
     @property
     def cycle_length(self) -> int:
         return self.cycles_each[0] + self.cycles_each[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ones_per_cycle": self.cycles_each[0],
-            "q_steps_per_cycle": self.cycles_each[1],
-            "sign": self.sign,
-        }
 
 
 def predict_structure(key: PermClassKey) -> StructureReport:
@@ -226,45 +228,17 @@ def predict_structure(key: PermClassKey) -> StructureReport:
 def enumerate_class(key: PermClassKey) -> list[Permutation]:
     """All members of the class, sorted by one-line notation (p <= 10).
 
-    Walks the positions in order, choosing displacement 0, 1 or q at
-    each and pruning on image collisions and on the remaining (r, s)
-    budget, so only class members are ever completed.
+    Read off :func:`enumerate_by_profile`, the search that the ``cycle``
+    verify suite checks against brute force.
     """
-    if key.p > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration is limited to p <= {ENUMERATION_LIMIT}")
-    if key.is_empty:
-        return []
-    found: list[Permutation] = []
-    p, q, r, s = key.p, key.q, key.r, key.s
-    images = [0] * p
-
-    def walk(j: int, used: int, left_r: int, left_s: int) -> None:
-        if j == p:
-            found.append(Permutation(images))
-            return
-        if left_r + left_s > p - j:
-            return
-        for d, dr, ds in ((0, 0, 0), (1, 1, 0), (q, 0, 1)):
-            if dr > left_r or ds > left_s:
-                continue
-            im = (j + d) % p
-            bit = 1 << im
-            if used & bit:
-                continue
-            images[j] = im + 1
-            walk(j + 1, used | bit, left_r - dr, left_s - ds)
-
-    walk(0, 0, r, s)
-    found.sort(key=lambda w: w.images)
-    return found
+    return enumerate_by_profile(key.p, key.q).get((key.r, key.s), [])
 
 
 def enumerate_by_profile(p: int, q: int) -> dict[tuple[int, int], list[Permutation]]:
     """All displacement-constrained permutations grouped by (r, s).
 
-    One search over the whole displacement product space (p <= 10);
-    cheaper than calling :func:`enumerate_class` per profile when a
-    full sweep is wanted.
+    One search over the whole displacement product space (p <= 10),
+    each group sorted by one-line notation.
     """
     if p > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration is limited to p <= {ENUMERATION_LIMIT}")

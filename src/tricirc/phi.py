@@ -30,6 +30,7 @@ from .circulant import (
     det_newton,
 )
 from .errors import InternalInconsistency
+from .permclass import PermClassKey
 
 BACKENDS: dict[str, Callable[[CirculantSpec], BiPoly]] = {
     "newton": det_newton,
@@ -50,8 +51,6 @@ def default_backend(p: int, q: int) -> str:
 def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:
     """The determinant polynomial of the canonical (p, q) circulant."""
     spec = CirculantSpec(p, q)
-    if not spec.is_canonical:
-        raise ValueError(f"(p={p}, q={q}) is not canonical")
     name = backend or default_backend(p, q)
     try:
         fn = BACKENDS[name]
@@ -63,17 +62,9 @@ def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:
 def support(p: int, q: int, r: int, s: int) -> bool:
     """Whether the monomial x^r y^s has a nonzero coefficient.
 
-    True iff r+s <= p, p divides r+sq, and (when s = 0) r is 0 or p.
+    True iff r+s <= p and p divides r+sq (:attr:`PermClassKey.is_empty`).
     """
-    if p < 3 or not 2 <= q <= p - 1:
-        raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be nonnegative")
-    if r + s > p or (r + s * q) % p != 0:
-        return False
-    if s == 0 and r not in (0, p):
-        return False
-    return True
+    return not PermClassKey(p, q, r, s).is_empty
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,8 @@ def coefficient(
     zero coefficient where the support predicate says nonzero, and vice
     versa) raises :class:`InternalInconsistency`.
     """
-    present = support(p, q, r, s)
+    key = PermClassKey(p, q, r, s)
+    present = not key.is_empty
     c = phi_polynomial(p, q, backend).coefficient(r, s)
     if not present:
         if c != 0:
@@ -130,9 +122,7 @@ def coefficient(
                 f"but the backend found {c}"
             )
         return CoefficientReport(p, q, r, s, False, None, None, None, 0, 0)
-    ell = (r + s * q) // p
-    k = math.gcd(r, s, ell)
-    sign = -1 if k % 2 else 1
+    sign = key.term_sign
     if c == 0:
         raise InternalInconsistency(
             f"support predicate says a({r},{s}) != 0 for (p={p}, q={q}) "
@@ -143,7 +133,7 @@ def coefficient(
             f"backend sign of a({r},{s}) = {c} contradicts the gcd rule "
             f"sign {sign} for (p={p}, q={q})"
         )
-    return CoefficientReport(p, q, r, s, True, ell, k, sign, abs(c), c)
+    return CoefficientReport(p, q, r, s, True, key.ell, key.k, sign, abs(c), c)
 
 
 def binomial_power(p: int) -> BiPoly:

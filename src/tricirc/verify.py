@@ -17,15 +17,17 @@ machine checks against independent oracles:
 * ``lemmas``    -- randomized checks of cyclic-order preservation, the
                    lattice-path bound and the divisibility gap.
 
-Suites are pure and sequential; the CLI may fan the per-case functions
-out to worker processes, and results are merged in case order so the
-output is identical for any worker count.
+Every case is pure.  :func:`run_suite` runs them in order, or fans them
+out to worker processes when asked for more than one worker, and merges
+the outcomes in case order, so the result is identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,12 +46,7 @@ from .circulant import (
     dp_cost,
 )
 from .errors import TooLarge
-from .permanent import (
-    RYSER_LIMIT,
-    bounds_report,
-    permanent_generating,
-    permanent_ryser,
-)
+from .permanent import RYSER_LIMIT, bounds_report, permanent_ryser
 from .permclass import (
     PermClassKey,
     build_path,
@@ -202,16 +199,14 @@ def _sign_case(p: int, q: int) -> CaseOutcome:
         checks += 1
         c = ref.coefficient(m.r, m.s)
         cn = newton.coefficient(m.r, m.s)
-        ell = (m.r + m.s * q) // p
-        k = math.gcd(m.r, m.s, ell)
-        expected = -1 if k % 2 else 1
+        expected = PermClassKey(p, q, m.r, m.s).term_sign
         if cn != c:
             failures += 1
             first = first or (
                 f"(p={p}, q={q}): a({m.r},{m.s}) = {c} by {names[0]} "
                 f"but {cn} by newton"
             )
-        elif (c > 0) != (expected > 0):
+        elif expected is None or (c > 0) != (expected > 0):
             failures += 1
             if first is None:
                 first = (
@@ -270,9 +265,7 @@ def _cycle_case(p: int, q: int) -> CaseOutcome:
                     f"{sigma.one_line()} deviates from {rep}"
                 )
             checks += 1
-            gcd_one = all(
-                math.gcd(a, b, (a + b * q) // p) == 1 for a, b in profiles
-            )
+            gcd_one = all(PermClassKey(p, q, a, b).k == 1 for a, b in profiles)
             if not gcd_one:
                 fail(
                     f"(p={p}, q={q}, r={r}, s={s}): cycle profile with "
@@ -324,38 +317,24 @@ def _witness_case(p: int, q: int) -> CaseOutcome:
 
 
 def _permanent_case(p: int, q: int) -> CaseOutcome:
-    checks = failures = 0
-    first = None
+    """The bounds report, Ryser's value at p <= 20 and the three bounds.
 
-    def fail(msg: str) -> None:
-        nonlocal failures, first
-        failures += 1
-        if first is None:
-            first = msg
-
-    gen = permanent_generating(p, q)
-    d11_dp = gen.evaluate(1, 1)
-    signed = phimod.phi_polynomial(p, q)
-    checks += 1
-    if gen != signed.termwise_abs():
-        fail(f"(p={p}, q={q}): unsigned DP differs from |determinant| termwise")
-    if p <= RYSER_DEFAULT_CROSSCHECK:
-        checks += 1
-        ry = permanent_ryser(p, q)
-        if not (ry == d11_dp == signed.abs_coefficient_sum()):
-            fail(
-                f"(p={p}, q={q}): ryser {ry}, DP {d11_dp}, "
-                f"abs-sum {signed.abs_coefficient_sum()}"
-            )
+    ``bounds_report`` compares the unsigned DP with the absolute signed
+    polynomial term by term and raises on a mismatch, which fails the
+    case; that comparison is the first check counted.
+    """
     rep = bounds_report(p, q)
-    checks += 3
-    if not rep.lower_ok:
-        fail(f"(p={p}, q={q}): lower bound 3^p p!/p^p fails")
-    if not rep.upper_ok:
-        fail(f"(p={p}, q={q}): upper bound 6^(p/3) fails")
-    if not rep.sandwich_ok:
-        fail(f"(p={p}, q={q}): d11/N <= M <= d11 fails")
-    return CaseOutcome(checks, failures, first)
+    results = [
+        (rep.lower_ok, "lower bound 3^p p!/p^p fails"),
+        (rep.upper_ok, "upper bound 6^(p/3) fails"),
+        (rep.sandwich_ok, "d11/N <= M <= d11 fails"),
+    ]
+    if p <= RYSER_DEFAULT_CROSSCHECK:
+        ry = permanent_ryser(p, q)
+        results.insert(0, (ry == rep.d11, f"ryser {ry}, DP and abs-sum {rep.d11}"))
+    bad = [msg for ok, msg in results if not ok]
+    first = f"(p={p}, q={q}): {bad[0]}" if bad else None
+    return CaseOutcome(1 + len(results), len(bad), first)
 
 
 def _prime_case(p: int) -> CaseOutcome:
@@ -562,15 +541,19 @@ def run_suite(
     q_policy: str = "all",
     cases: int = DEFAULT_CASES,
     seed: int = DEFAULT_SEED,
+    workers: int = 1,
 ) -> SuiteResult:
-    """Run a whole suite sequentially and merge the outcomes."""
+    """Run a whole suite and merge the outcomes in case order.
+
+    With ``workers`` > 1 the cases are spread over that many worker
+    processes; the result does not depend on the worker count.
+    """
     case_list = build_cases(suite, p_max, q_policy, cases, seed)
     params = suite_parameters(suite, p_max, q_policy, cases, seed)
-    checks, failures, first = _merge(run_case(c) for c in case_list)
-    return SuiteResult(suite, checks, failures, first, params)
-
-
-def merge_outcomes(suite: str, outcomes, parameters: Optional[dict] = None) -> SuiteResult:
-    """Combine per-case outcomes (in case order) into a suite result."""
+    if workers > 1 and len(case_list) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_case, case_list, chunksize=4))
+    else:
+        outcomes = map(run_case, case_list)
     checks, failures, first = _merge(outcomes)
-    return SuiteResult(suite, checks, failures, first, parameters or {})
+    return SuiteResult(suite, checks, failures, first, params)

@@ -188,6 +188,16 @@ class TestSizeLimits:
             with pytest.raises(StateSpaceTooLarge):
                 cycle_cover_counts(p, q)
 
+    def test_refusal_tells_estimate_and_budget_apart(self):
+        # (284, 8) is just over the budget: both read 1.5e+09 at 2 digits
+        with pytest.raises(StateSpaceTooLarge) as exc:
+            cycle_cover_counts(284, 8)
+        words = str(exc.value).split()
+        estimate = words[words.index("at") + 1]
+        budget = words[words.index("of") + 1]
+        assert estimate != budget
+        assert float(estimate) > float(budget) == DP_BUDGET
+
 
 class TestBruteforce:
     def test_published_5_3(self):

@@ -88,6 +88,14 @@ class TestExitCodes:
         res = cli("verify", *argv)
         assert res.returncode == 3 and res.stdout == ""
 
+    @pytest.mark.parametrize("p, q", [(100, 3), (400, 2)])
+    def test_large_permanent_finishes_fast(self, p, q):
+        # the cube-root bound once stepped by 1 from a float guess
+        t0 = time.perf_counter()
+        res = cli("permanent", "--p", str(p), "--q", str(q))
+        assert time.perf_counter() - t0 < 2.0
+        assert res.returncode == 0 and "upper_ok = true" in res.stdout
+
     def test_permanent_on_dp_backend_past_ryser_limit_names_reason(self):
         res = cli("permanent", "--p", "25", "--q", "3", "--backend", "cycle_cover")
         assert res.returncode == 3 and res.stdout == ""

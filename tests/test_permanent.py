@@ -79,6 +79,15 @@ class TestBounds:
         assert rep.d11 == rep.abs_sum
         assert rep.lower_ok and rep.upper_ok
 
+    def test_ceil_cube_root_is_exact_at_large_cubes(self):
+        c = 2**400 + 12345
+        assert permmod._ceil_cube_root(c**3 - 1) == c
+        assert permmod._ceil_cube_root(c**3) == c
+        assert permmod._ceil_cube_root(c**3 + 1) == c + 1
+        for n in range(200):
+            c = permmod._ceil_cube_root(n)
+            assert (c - 1) ** 3 < n <= c**3 or n == c == 0
+
     def test_d11_comes_from_the_dp_without_ryser(self, monkeypatch):
         def no_ryser(p, q):
             raise AssertionError("Ryser must not run")
@@ -86,6 +95,16 @@ class TestBounds:
         monkeypatch.setattr(permmod, "permanent_ryser", no_ryser)
         rep = bounds_report(20, 19)
         assert rep.d11 == rep.abs_sum == permanent_generating(20, 19).evaluate(1, 1)
+
+    def test_dp_is_checked_term_by_term(self, monkeypatch):
+        # 12 and 2 swapped: the sum, and so d11, is still 33
+        swapped = BiPoly.parse(
+            "1 + x^8 + 8*x^5*y + 2*x^2*y^2 + 12*x^4*y^4 + 8*x*y^5 + y^8"
+        )
+        assert swapped != permanent_generating(8, 3)
+        monkeypatch.setattr(permmod, "permanent_generating", lambda p, q: swapped)
+        with pytest.raises(InternalInconsistency):
+            bounds_report(8, 3)
 
     def test_dp_backend_takes_d11_from_ryser(self, monkeypatch):
         def no_dp(p, q):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 from tricirc.permclass import (
     CycleWord,
@@ -73,10 +74,12 @@ class TestKey:
     def test_derived_quantities(self):
         key = PermClassKey(17, 5, 6, 9)
         assert key.divisible and key.ell == 3 and key.k == 3
-        assert not key.is_empty
+        assert not key.is_empty and key.term_sign == -1
+        assert PermClassKey(8, 3, 4, 4).term_sign == 1  # k = 2
 
     def test_empty_markers(self):
         assert PermClassKey(5, 3, 1, 1).ell is None
+        assert PermClassKey(5, 3, 1, 1).term_sign is None
         assert PermClassKey(5, 3, 1, 1).is_empty
         assert PermClassKey(5, 3, 4, 2).is_empty  # divisible but r+s > p
 
@@ -113,13 +116,16 @@ class TestEnumerate:
             enumerate_class(PermClassKey(11, 3, 0, 0))
 
     def test_profile_sweep_consistency(self):
-        classes = enumerate_by_profile(6, 4)
-        for (r, s), members in classes.items():
-            key = PermClassKey(6, 4, r, s)
-            assert not key.is_empty
-            assert enumerate_class(key) == members
-            for sigma in members:
-                assert displacement_profile(sigma, 6, 4) == (r, s, 6 - r - s)
+        # class sizes are the |coefficients| of the brute-force determinant
+        for p, q in ((6, 4), (8, 3), (9, 6)):
+            classes = enumerate_by_profile(p, q)
+            poly = det_bruteforce(CirculantSpec(p, q))
+            assert set(classes) == {(m.r, m.s) for m in poly.terms}
+            for (r, s), members in classes.items():
+                assert not PermClassKey(p, q, r, s).is_empty
+                assert len(members) == abs(poly.coefficient(r, s))
+                for sigma in members:
+                    assert displacement_profile(sigma, p, q) == (r, s, p - r - s)
 
 
 class TestPredictStructure:

@@ -3,13 +3,7 @@
 import pytest
 
 from tricirc.errors import TooLarge
-from tricirc.verify import (
-    SUITES,
-    build_cases,
-    merge_outcomes,
-    run_case,
-    run_suite,
-)
+from tricirc.verify import SUITES, build_cases, run_suite
 
 
 def test_all_suites_pass_at_small_sizes():
@@ -44,10 +38,12 @@ def test_lemma_chunking_covers_exact_case_count():
 
 
 def test_merge_preserves_first_counterexample_order():
-    cases = build_cases("prime", p_max=10)
-    outcomes = [run_case(c) for c in cases]
-    res = merge_outcomes("prime", outcomes)
-    assert res.cases == 8 and res.failures == 0
+    # two workers merge their outcomes into the one-worker result
+    for suite, size in (("prime", {"p_max": 10}), ("witness", {"p_max": 14}),
+                        ("lemmas", {"cases": 200})):
+        seq = run_suite(suite, **size, workers=1)
+        assert run_suite(suite, **size, workers=2) == seq
+        assert seq.passed and seq.cases > 0
 
 
 def test_results_record_their_parameters():
