@@ -27,9 +27,7 @@ from .circulant import (
     det_float_check,
     det_newton,
     dp_cost,
-    integer_det,
     reduce_theta,
-    substituted_matrix,
     window_width,
 )
 from .errors import (

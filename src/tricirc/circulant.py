@@ -341,24 +341,34 @@ def dp_cost(p: int, q: int) -> float:
     return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
 
 
-def check_dp_budget(p: int, q: int) -> None:
+def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
     """Raise :class:`StateSpaceTooLarge` if the DP for (p, q) is over budget.
+
+    With ``p_min`` the estimate is the sum of one DP for every p from
+    p_min to p, as a table with one row per p runs them; the dearest
+    DP, at p, is checked alone first, which bounds the length of the sum.
 
     DP_BUDGET admits (24, 12) at 13 bits (about 1.5-3.3 s on the host
     above) and (3000, 2) (about 4.5 s), and refuses (32, 13) at 14 bits
     (about 9.5 s), (28, 14) at 15 bits (about 16 s), (3000, 3) (about
     12 s) and (4000, 2) (about 10 s).
     """
-    cost = dp_cost(p, q)
+    if p_min is None:
+        cost = dp_cost(p, q)
+        what = f"p={p}, q={q} ({window_width(p, q)}-bit window)"
+    else:
+        check_dp_budget(p, q)
+        cost = sum(dp_cost(n, q) for n in range(p_min, p + 1))
+        what = f"p={p_min}..{p}, q={q} (one per p)"
     if cost > DP_BUDGET:
         # as many significant digits as tell the two apart (17 always do)
         digits = next(
             d for d in range(2, 18) if f"{cost:.{d}g}" != f"{DP_BUDGET:.{d}g}"
         )
         raise StateSpaceTooLarge(
-            f"the cycle-cover DP for p={p}, q={q} ({window_width(p, q)}-bit "
-            f"window) is estimated at {cost:.{digits}g} work units, "
-            f"over the budget of {DP_BUDGET:.{digits}g}"
+            f"the cycle-cover DP for {what} is estimated at "
+            f"{cost:.{digits}g} work units, over the budget of "
+            f"{DP_BUDGET:.{digits}g}"
         )
 
 
@@ -381,8 +391,7 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
     treat it as immutable).
     """
-    if p < 3 or not 2 <= q <= p - 1:
-        raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
+    PermClassKey.check_pair(p, q)
     check_dp_budget(p, q)
     qe = q if q + 1 <= p - q + 2 else q - p
     offsets = (0, 1, qe)
@@ -530,47 +539,3 @@ def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
             if dev >= FLOAT_CHECK_RTOL * (1 + abs(exact)):
                 ok = False
     return FloatCheckReport(ok, worst, worst_pt, n_pts)
-
-
-# ---------------------------------------------------------------------------
-# integer determinant (test utility)
-# ---------------------------------------------------------------------------
-
-def integer_det(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Row pivoting with sign tracking; used to spot-check the symbolic
-    backends at random integer points.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def substituted_matrix(spec: CirculantSpec, x0: int, y0: int) -> list[list[int]]:
-    """The band matrix with integers substituted for x and y."""
-    p = spec.p
-    rows = []
-    for i in range(p):
-        row = [0] * p
-        row[i] = 1
-        row[(i + spec.t) % p] = -x0
-        row[(i + spec.q) % p] = -y0
-        rows.append(row)
-    return rows

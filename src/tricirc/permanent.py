@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial, log
 
 from .bipoly import BiPoly
-from .circulant import CirculantSpec, check_dp_budget, cycle_cover_counts
+from .circulant import check_dp_budget, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
+from .permclass import PermClassKey
 from .phi import phi_polynomial
 
 #: largest p accepted by the Ryser expansion (cost O(2^p * p))
@@ -46,7 +47,7 @@ def permanent_ryser(p: int, q: int) -> int:
     product of nonzero row sums is patched by one exact division and
     one multiplication.
     """
-    CirculantSpec(p, q)  # validates p and q
+    PermClassKey.check_pair(p, q)
     if p > RYSER_LIMIT:
         raise TooLarge(f"Ryser expansion is limited to p <= {RYSER_LIMIT}")
     rows_of_col = [(j, (j - 1) % p, (j - q) % p) for j in range(p)]
@@ -212,16 +213,17 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     """Max-coefficient growth for fixed q, p from q+1 (at least 3) up.
 
     Values come from the unsigned DP; the p-th root column is float and
-    purely presentational.  sandwich_ok records whether
-    d11/N <= M <= d11 held (checked exactly).  The last row is the
-    dearest, so a table whose last DP is over budget is refused up front.
+    purely presentational, taken through the logarithm so that no M is
+    too large for it.  sandwich_ok records whether d11/N <= M <= d11
+    held (checked exactly).  A table whose DPs together are over budget
+    is refused up front.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got q={q}")
     p_min = max(3, q + 1)
     if p_max < p_min:
         raise ValueError(f"p_max must be at least {p_min} for q={q}")
-    check_dp_budget(p_max, q)
+    check_dp_budget(p_max, q, p_min)
     rows = []
     for p in range(p_min, p_max + 1):
         gen = permanent_generating(p, q)
@@ -235,7 +237,7 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
                 max_coeff=m,
                 d11=d11,
                 n_monomials=n,
-                root=m ** (1 / p),
+                root=exp(log(m) / p),
                 sandwich_ok=d11 <= m * n and m <= d11,
             )
         )

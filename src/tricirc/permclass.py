@@ -151,7 +151,8 @@ class PermClassKey:
     otherwise, and the class is empty), and ``k`` = gcd(r, s, ell), the
     number of nontrivial cycles of every member.  The identity-only
     class (0, 0) has ell = 0 and k = 0 by convention.  These properties
-    are the package's one statement of the support and sign rules.
+    are the package's one statement of the support and sign rules, and
+    :meth:`check_pair` its one statement of which (p, q) are canonical.
     """
 
     p: int
@@ -160,10 +161,15 @@ class PermClassKey:
     s: int
 
     def __post_init__(self):
-        if self.p < 3 or not 2 <= self.q <= self.p - 1:
-            raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got {self}")
+        self.check_pair(self.p, self.q)
         if self.r < 0 or self.s < 0:
             raise ValueError("r and s must be nonnegative")
+
+    @staticmethod
+    def check_pair(p: int, q: int) -> None:
+        """Raise ValueError unless (p, q) is canonical: p >= 3, 2 <= q <= p-1."""
+        if p < 3 or not 2 <= q <= p - 1:
+            raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
 
     @property
     def divisible(self) -> bool:

@@ -50,6 +50,7 @@ def default_backend(p: int, q: int) -> str:
 
 def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:
     """The determinant polynomial of the canonical (p, q) circulant."""
+    PermClassKey.check_pair(p, q)
     spec = CirculantSpec(p, q)
     name = backend or default_backend(p, q)
     try:

@@ -17,6 +17,14 @@ machine checks against independent oracles:
 * ``lemmas``    -- randomized checks of cyclic-order preservation, the
                    lattice-path bound and the divisibility gap.
 
+A suite is one row of ``_SUITES``: its default and largest pmax, a
+builder that lists the arguments of its cases, and a case function.
+A case function is a generator that yields once per check: ``None``
+when the check passed, the counterexample text when it failed, so a
+message is built only for a failure.  :func:`run_case` keeps the one
+tally of checks, failures and first counterexample, and counts a case
+that raises as one failed check.
+
 Every case is pure.  :func:`run_suite` runs them in order, or fans them
 out to worker processes when asked for more than one worker, and merges
 the outcomes in case order, so the result is identical for any worker
@@ -29,7 +37,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from . import phi as phimod
 from .bipoly import Monomial
@@ -59,16 +67,10 @@ from .permclass import (
     rotate,
 )
 
-SUITES = ("support", "sign", "cycle", "witness", "permanent", "prime", "lemmas")
-
-DEFAULT_PMAX = {
-    "support": 9,
-    "sign": 9,
-    "cycle": 9,
-    "witness": 30,
-    "permanent": 12,
-    "prime": 40,
-}
+#: largest p swept exhaustively, by brute force over all p! permutations
+#: and by enumerating every class: brute force takes about 0.2 s per
+#: (p, q) at p = 9 and 2.3 s at p = 10 (2-CPU host, Python 3.11)
+EXHAUSTIVE_PMAX = 9
 
 #: largest p at which the ``permanent`` suite also checks Ryser's
 #: expansion against the DP and the signed polynomial (used here only:
@@ -81,6 +83,9 @@ DEFAULT_SEED = 90437
 #: lemma batteries are split into this many fixed chunks so results do
 #: not depend on how chunks are assigned to workers
 LEMMA_CHUNKS = 32
+
+#: what a case function yields per check: None, or the counterexample
+Checks = Iterator[Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -121,53 +126,27 @@ def _iter_pq(p_lo: int, p_hi: int, q_policy: str):
             yield p, q
 
 
-def _merge(outcomes) -> tuple[int, int, Optional[str]]:
-    checks = failures = 0
-    first = None
-    for oc in outcomes:
-        checks += oc.checks
-        failures += oc.failures
-        if first is None and oc.first is not None:
-            first = oc.first
-    return checks, failures, first
-
-
-def _guarded(fn: Callable[..., CaseOutcome], *args) -> CaseOutcome:
-    try:
-        return fn(*args)
-    except Exception as exc:  # a crashed case is a failed case
-        return CaseOutcome(1, 1, f"{fn.__name__}{args}: {exc!r}")
-
-
 # ---------------------------------------------------------------------------
 # per-case checks
 # ---------------------------------------------------------------------------
 
-def _support_case(p: int, q: int, backend: str) -> CaseOutcome:
+def _support_case(p: int, q: int, backend: str) -> Checks:
     poly = phimod.phi_polynomial(p, q, backend)
-    checks = failures = 0
-    first = None
     for r in range(p + 1):
         for s in range(p + 1):
-            checks += 1
             predicted = phimod.support(p, q, r, s)
             actual = poly.coefficient(r, s) != 0
-            if predicted != actual:
-                failures += 1
-                if first is None:
-                    first = (
-                        f"(p={p}, q={q}, r={r}, s={s}): support predicate "
-                        f"{predicted} vs backend {actual}"
-                    )
+            yield None if predicted == actual else (
+                f"(p={p}, q={q}, r={r}, s={s}): support predicate "
+                f"{predicted} vs backend {actual}"
+            )
     # no stored term may fall outside the scanned square
     for m in poly.terms:
         if m.r > p or m.s > p:
-            failures += 1
-            first = first or f"(p={p}, q={q}): stray exponent {m}"
-    return CaseOutcome(checks, failures, first)
+            yield f"(p={p}, q={q}): stray exponent {m}"
 
 
-def _sign_case(p: int, q: int) -> CaseOutcome:
+def _sign_case(p: int, q: int) -> Checks:
     """Newton's polynomial against the other exact routes, and the sign rule.
 
     Every case has Newton's identities and at least one other route.
@@ -179,7 +158,7 @@ def _sign_case(p: int, q: int) -> CaseOutcome:
     spec = CirculantSpec(p, q)
     newton = det_newton(spec)
     polys = {}
-    if p <= 9:
+    if p <= EXHAUSTIVE_PMAX:
         polys["bruteforce"] = det_bruteforce(spec)
     dp_ok = dp_cost(p, q) <= DP_BUDGET
     if dp_ok:
@@ -187,69 +166,51 @@ def _sign_case(p: int, q: int) -> CaseOutcome:
     if p <= 24 or not dp_ok:
         polys["bareiss"] = det_bareiss(spec)
     names = sorted(polys)
-    checks = failures = 0
-    first = None
     for a, b in zip(names, names[1:]):
-        checks += 1
-        if polys[a] != polys[b]:
-            failures += 1
-            first = first or f"(p={p}, q={q}): {a} and {b} disagree"
+        yield None if polys[a] == polys[b] else f"(p={p}, q={q}): {a} and {b} disagree"
     ref = polys[names[0]]
     for m in sorted(ref.terms.keys() | newton.terms.keys(), key=Monomial.sort_key):
-        checks += 1
         c = ref.coefficient(m.r, m.s)
         cn = newton.coefficient(m.r, m.s)
         expected = PermClassKey(p, q, m.r, m.s).term_sign
         if cn != c:
-            failures += 1
-            first = first or (
+            yield (
                 f"(p={p}, q={q}): a({m.r},{m.s}) = {c} by {names[0]} "
                 f"but {cn} by newton"
             )
         elif expected is None or (c > 0) != (expected > 0):
-            failures += 1
-            if first is None:
-                first = (
-                    f"(p={p}, q={q}): a({m.r},{m.s}) = {c} but the gcd "
-                    f"rule gives sign {expected}"
-                )
-    return CaseOutcome(checks, failures, first)
+            yield (
+                f"(p={p}, q={q}): a({m.r},{m.s}) = {c} but the gcd "
+                f"rule gives sign {expected}"
+            )
+        else:
+            yield None
 
 
-def _cycle_case(p: int, q: int) -> CaseOutcome:
+def _cycle_case(p: int, q: int) -> Checks:
     classes = enumerate_by_profile(p, q)
     poly = det_bruteforce(CirculantSpec(p, q))
-    checks = failures = 0
-    first = None
-
-    def fail(msg: str) -> None:
-        nonlocal failures, first
-        failures += 1
-        if first is None:
-            first = msg
 
     # nonemptiness in both directions
     for r in range(p + 1):
         for s in range(p + 1 - r):
-            checks += 1
-            k = PermClassKey(p, q, r, s)
-            if ((r, s) in classes) != (not k.is_empty):
-                fail(f"(p={p}, q={q}, r={r}, s={s}): emptiness mismatch")
+            nonempty = not PermClassKey(p, q, r, s).is_empty
+            yield None if ((r, s) in classes) == nonempty else (
+                f"(p={p}, q={q}, r={r}, s={s}): emptiness mismatch"
+            )
 
     for (r, s), members in sorted(classes.items()):
-        checks += 1
-        if abs(poly.coefficient(r, s)) != len(members):
-            fail(
-                f"(p={p}, q={q}, r={r}, s={s}): |class| = {len(members)} "
-                f"but |a| = {abs(poly.coefficient(r, s))}"
-            )
+        size = abs(poly.coefficient(r, s))
+        yield None if size == len(members) else (
+            f"(p={p}, q={q}, r={r}, s={s}): |class| = {len(members)} "
+            f"but |a| = {size}"
+        )
         if r == 0 and s == 0:
             continue
         key = PermClassKey(p, q, r, s)
         rep = predict_structure(key)
         per_cycle = sorted([rep.cycles_each] * rep.k)
         for sigma in members:
-            checks += 1
             profiles = []
             for cyc in sigma.cycles():
                 ones = sum(
@@ -259,21 +220,19 @@ def _cycle_case(p: int, q: int) -> CaseOutcome:
                 )
                 qs = len(cyc) - ones
                 profiles.append((ones, qs))
-            if sorted(profiles) != per_cycle or sigma.sign() != rep.sign:
-                fail(
-                    f"(p={p}, q={q}, r={r}, s={s}): member "
-                    f"{sigma.one_line()} deviates from {rep}"
-                )
-            checks += 1
+            yield None if (
+                sorted(profiles) == per_cycle and sigma.sign() == rep.sign
+            ) else (
+                f"(p={p}, q={q}, r={r}, s={s}): member "
+                f"{sigma.one_line()} deviates from {rep}"
+            )
             gcd_one = all(PermClassKey(p, q, a, b).k == 1 for a, b in profiles)
-            if not gcd_one:
-                fail(
-                    f"(p={p}, q={q}, r={r}, s={s}): cycle profile with "
-                    f"gcd > 1 in {sigma.one_line()}"
-                )
+            yield None if gcd_one else (
+                f"(p={p}, q={q}, r={r}, s={s}): cycle profile with "
+                f"gcd > 1 in {sigma.one_line()}"
+            )
 
     if (p, q) == (5, 3):
-        checks += 1
         expected = {
             (1, 2, 4, 5, 3),
             (1, 3, 4, 2, 5),
@@ -282,21 +241,18 @@ def _cycle_case(p: int, q: int) -> CaseOutcome:
             (4, 2, 3, 5, 1),
         }
         got = {m.images for m in classes.get((2, 1), [])}
-        if got != expected:
-            fail(f"T_(5,3)(2,1) = {sorted(got)}, expected {sorted(expected)}")
-    return CaseOutcome(checks, failures, first)
+        yield None if got == expected else (
+            f"T_(5,3)(2,1) = {sorted(got)}, expected {sorted(expected)}"
+        )
 
 
-def _witness_case(p: int, q: int) -> CaseOutcome:
-    checks = failures = 0
-    first = None
-    classes = enumerate_by_profile(p, q) if p <= 9 else None
+def _witness_case(p: int, q: int) -> Checks:
+    classes = enumerate_by_profile(p, q) if p <= EXHAUSTIVE_PMAX else None
     for s in range(p + 1):
         for r in range(p + 1 - s):
             key = PermClassKey(p, q, r, s)
             if key.is_empty:
                 continue
-            checks += 1
             sigma = construct_witness(key)
             prof = displacement_profile(sigma, p, q)
             ok = prof == (r, s, p - r - s)
@@ -309,14 +265,10 @@ def _witness_case(p: int, q: int) -> CaseOutcome:
                 ok = ok and sigma.sign() == rep.sign
             if ok and classes is not None:
                 ok = sigma in set(classes.get((r, s), []))
-            if not ok:
-                failures += 1
-                if first is None:
-                    first = f"witness for (p={p}, q={q}, r={r}, s={s}) invalid"
-    return CaseOutcome(checks, failures, first)
+            yield None if ok else f"witness for (p={p}, q={q}, r={r}, s={s}) invalid"
 
 
-def _permanent_case(p: int, q: int) -> CaseOutcome:
+def _permanent_case(p: int, q: int) -> Checks:
     """The bounds report, Ryser's value at p <= 20 and the three bounds.
 
     ``bounds_report`` compares the unsigned DP with the absolute signed
@@ -324,53 +276,53 @@ def _permanent_case(p: int, q: int) -> CaseOutcome:
     case; that comparison is the first check counted.
     """
     rep = bounds_report(p, q)
-    results = [
-        (rep.lower_ok, "lower bound 3^p p!/p^p fails"),
-        (rep.upper_ok, "upper bound 6^(p/3) fails"),
-        (rep.sandwich_ok, "d11/N <= M <= d11 fails"),
-    ]
+    yield None
     if p <= RYSER_DEFAULT_CROSSCHECK:
         ry = permanent_ryser(p, q)
-        results.insert(0, (ry == rep.d11, f"ryser {ry}, DP and abs-sum {rep.d11}"))
-    bad = [msg for ok, msg in results if not ok]
-    first = f"(p={p}, q={q}): {bad[0]}" if bad else None
-    return CaseOutcome(1 + len(results), len(bad), first)
+        yield None if ry == rep.d11 else (
+            f"(p={p}, q={q}): ryser {ry}, DP and abs-sum {rep.d11}"
+        )
+    for ok, bound in (
+        (rep.lower_ok, "lower bound 3^p p!/p^p"),
+        (rep.upper_ok, "upper bound 6^(p/3)"),
+        (rep.sandwich_ok, "d11/N <= M <= d11"),
+    ):
+        yield None if ok else f"(p={p}, q={q}): {bound} fails"
 
 
-def _prime_case(p: int) -> CaseOutcome:
+def _prime_case(p: int) -> Checks:
     got = phimod.primality_check(p)
     want = phimod.trial_division(p)
-    if got != want:
-        return CaseOutcome(
-            1, 1, f"p={p}: congruence check {got}, trial division {want}"
-        )
-    return CaseOutcome(1, 0)
+    yield None if got == want else (
+        f"p={p}: congruence check {got}, trial division {want}"
+    )
 
 
 # ---------------------------------------------------------------------------
-# randomized lemma batteries
+# randomized lemma batteries: each draws one instance and returns None if
+# the lemma holds there, else a description of the instance
 # ---------------------------------------------------------------------------
 
-def _check_cyclic_order(rng: random.Random):
+def _check_cyclic_order(rng: random.Random) -> Optional[str]:
     p = rng.randint(3, 60)
     m = rng.randint(3, min(p, 8))
     zs = rng.sample(range(1, p + 1), m)
     q = rng.randint(1, p - 1)
     ws = [rotate(z, q, p) for z in zs]
     lhs, rhs = cyclic_order(zs), cyclic_order(ws)
-    return lhs == rhs, f"p={p} q={q} zs={zs}: {lhs} vs rotated {rhs}"
+    return None if lhs == rhs else f"p={p} q={q} zs={zs}: {lhs} vs rotated {rhs}"
 
 
-def _check_path_bound(rng: random.Random):
+def _check_path_bound(rng: random.Random) -> Optional[str]:
     r = rng.randint(0, 20)
     s = rng.randint(0, 20)
     if r + s == 0:
         r = 1
     ok = path_bound_check(build_path(r, s), r, s)
-    return ok, f"path bound fails for r={r} s={s}"
+    return None if ok else f"path bound fails for r={r} s={s}"
 
 
-def _check_divisibility_gap(rng: random.Random):
+def _check_divisibility_gap(rng: random.Random) -> Optional[str]:
     p = rng.randint(3, 50)
     q = rng.randint(2, p - 1)
     b = rng.randint(-20, 20)
@@ -379,7 +331,7 @@ def _check_divisibility_gap(rng: random.Random):
     r = -s * q + p * rng.randint(-3, 3)
     v = s * a - r * b
     ok = v == 0 or abs(v) >= p
-    return ok, f"p={p} q={q} a={a} b={b} r={r} s={s}: sa-rb={v}"
+    return None if ok else f"p={p} q={q} a={a} b={b} r={r} s={s}: sa-rb={v}"
 
 
 _LEMMA_BATTERIES = {
@@ -389,105 +341,83 @@ _LEMMA_BATTERIES = {
 }
 
 
-def _lemma_chunk(battery: str, n: int, seed: int) -> CaseOutcome:
+def _lemma_chunk(battery: str, n: int, seed: int) -> Checks:
     rng = random.Random(seed)
     check = _LEMMA_BATTERIES[battery]
-    failures = 0
-    first = None
     for _ in range(n):
-        ok, desc = check(rng)
-        if not ok:
-            failures += 1
-            if first is None:
-                first = f"{battery}: {desc}"
-    return CaseOutcome(n, failures, first)
+        desc = check(rng)
+        yield None if desc is None else f"{battery}: {desc}"
 
 
 # ---------------------------------------------------------------------------
-# suite assembly
+# suite assembly: each builder lists the arguments of a suite's cases
 # ---------------------------------------------------------------------------
 
-def _build_support(p_max, q_policy, cases, seed):
-    out = [("support", p, q, "bruteforce") for p, q in _iter_pq(3, min(p_max, 9), q_policy)]
-    if p_max > 9:
-        out += [
-            ("support", p, q, "cycle_cover")
-            for p, q in _iter_pq(10, p_max, q_policy)
-            if q <= 8
-        ]
-    for _, p, q, backend in out:
-        if backend == "cycle_cover":
+def _pairs(p_max, q_policy, cases, seed):
+    # every pair up to RYSER_LIMIT is within the DP budget, so the
+    # permanent suite needs no budget check of its own
+    return list(_iter_pq(3, p_max, q_policy))
+
+
+def _support_args(p_max, q_policy, cases, seed):
+    out = [
+        (p, q, "bruteforce")
+        for p, q in _iter_pq(3, min(p_max, EXHAUSTIVE_PMAX), q_policy)
+    ]
+    for p, q in _iter_pq(EXHAUSTIVE_PMAX + 1, p_max, q_policy):
+        if q <= 8:
             check_dp_budget(p, q)
+            out.append((p, q, "cycle_cover"))
     return out
 
 
-def _build_sign(p_max, q_policy, cases, seed):
-    if p_max > BAREISS_LIMIT:
-        # past it, wide windows have no exact route besides Newton's
-        raise TooLarge(f"the sign suite needs pmax <= {BAREISS_LIMIT}")
-    return [("sign", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
+def _prime_args(p_max, q_policy, cases, seed):
+    return [(p,) for p in range(3, p_max + 1)]
 
 
-def _build_cycle(p_max, q_policy, cases, seed):
-    if p_max > 9:
-        raise TooLarge("the cycle suite enumerates classes and needs pmax <= 9")
-    return [("cycle", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
-
-
-def _build_witness(p_max, q_policy, cases, seed):
-    return [("witness", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
-
-
-def _build_permanent(p_max, q_policy, cases, seed):
-    if p_max > RYSER_LIMIT:
-        raise TooLarge(f"the permanent suite needs pmax <= {RYSER_LIMIT}")
-    out = [("permanent", p, q) for p, q in _iter_pq(3, p_max, q_policy)]
-    for _, p, q in out:
-        check_dp_budget(p, q)
-    return out
-
-
-def _build_prime(p_max, q_policy, cases, seed):
-    if p_max > NEWTON_LIMIT:
-        raise TooLarge(f"the prime suite needs pmax <= {NEWTON_LIMIT}")
-    return [("prime", p) for p in range(3, p_max + 1)]
-
-
-def _build_lemmas(p_max, q_policy, cases, seed):
+def _lemma_args(p_max, q_policy, cases, seed):
     out = []
     for b_idx, battery in enumerate(sorted(_LEMMA_BATTERIES)):
         base, extra = divmod(cases, LEMMA_CHUNKS)
         for i in range(LEMMA_CHUNKS):
             n = base + (1 if i < extra else 0)
             if n:
-                out.append(("lemmas", battery, n, seed + 1000 * b_idx + i))
+                out.append((battery, n, seed + 1000 * b_idx + i))
     return out
 
 
-_SUITE_BUILDERS = {
-    "support": _build_support,
-    "sign": _build_sign,
-    "cycle": _build_cycle,
-    "witness": _build_witness,
-    "permanent": _build_permanent,
-    "prime": _build_prime,
-    "lemmas": _build_lemmas,
+#: name -> (default pmax, largest pmax or None, argument builder, case
+#: function); ``sign`` stops at BAREISS_LIMIT because past it wide
+#: windows have no exact route besides Newton's
+_SUITES = {
+    "support": (EXHAUSTIVE_PMAX, None, _support_args, _support_case),
+    "sign": (EXHAUSTIVE_PMAX, BAREISS_LIMIT, _pairs, _sign_case),
+    "cycle": (EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, _pairs, _cycle_case),
+    "witness": (30, None, _pairs, _witness_case),
+    "permanent": (12, RYSER_LIMIT, _pairs, _permanent_case),
+    "prime": (40, NEWTON_LIMIT, _prime_args, _prime_case),
+    "lemmas": (None, None, _lemma_args, _lemma_chunk),
 }
 
-_CASE_FNS = {
-    "support": _support_case,
-    "sign": _sign_case,
-    "cycle": _cycle_case,
-    "witness": _witness_case,
-    "permanent": _permanent_case,
-    "prime": _prime_case,
-    "lemmas": _lemma_chunk,
-}
+SUITES = tuple(_SUITES)
 
 
 def run_case(case: tuple) -> CaseOutcome:
-    """Execute one self-contained case tuple (kind, *args)."""
-    return _guarded(_CASE_FNS[case[0]], *case[1:])
+    """Run one self-contained case tuple (kind, *args) and tally its checks."""
+    fn = _SUITES[case[0]][3]
+    args = case[1:]
+    checks = failures = 0
+    first = None
+    try:
+        for failure in fn(*args):
+            checks += 1
+            if failure is not None:
+                failures += 1
+                if first is None:
+                    first = failure
+    except Exception as exc:  # a crashed case is a failed case
+        return CaseOutcome(1, 1, f"{fn.__name__}{args}: {exc!r}")
+    return CaseOutcome(checks, failures, first)
 
 
 def suite_parameters(
@@ -504,16 +434,16 @@ def suite_parameters(
     would check nothing (cases < 1 for lemmas, p_max < 3 otherwise) is
     a ValueError.
     """
-    if suite not in _SUITE_BUILDERS:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if q_policy not in ("all", "coprime"):
         raise ValueError(f"unknown q policy {q_policy!r}")
-    if p_max is None:
-        p_max = DEFAULT_PMAX.get(suite, 9)
     if suite == "lemmas":
         if cases < 1:
             raise ValueError(f"cases must be at least 1, got {cases}")
         return {"cases_per_battery": cases, "seed": seed}
+    if p_max is None:
+        p_max = _SUITES[suite][0]
     if p_max < 3:
         raise ValueError(f"pmax must be at least 3, got {p_max}")
     if suite == "prime":
@@ -528,11 +458,15 @@ def build_cases(
     cases: int = DEFAULT_CASES,
     seed: int = DEFAULT_SEED,
 ) -> list[tuple]:
-    """The deterministic, ordered case list of a suite."""
-    suite_parameters(suite, p_max, q_policy, cases, seed)  # validates
-    if p_max is None:
-        p_max = DEFAULT_PMAX.get(suite, 9)
-    return _SUITE_BUILDERS[suite](p_max, q_policy, cases, seed)
+    """The deterministic, ordered case list of a suite.
+
+    A pmax over the suite's largest is refused with :class:`TooLarge`.
+    """
+    p_max = suite_parameters(suite, p_max, q_policy, cases, seed).get("p_max")
+    _, largest, builder, _ = _SUITES[suite]
+    if largest is not None and p_max > largest:
+        raise TooLarge(f"the {suite} suite needs pmax <= {largest}")
+    return [(suite, *args) for args in builder(p_max, q_policy, cases, seed)]
 
 
 def run_suite(
@@ -554,6 +488,12 @@ def run_suite(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_case, case_list, chunksize=4))
     else:
-        outcomes = map(run_case, case_list)
-    checks, failures, first = _merge(outcomes)
-    return SuiteResult(suite, checks, failures, first, params)
+        outcomes = list(map(run_case, case_list))
+    first = next((oc.first for oc in outcomes if oc.first is not None), None)
+    return SuiteResult(
+        suite,
+        sum(oc.checks for oc in outcomes),
+        sum(oc.failures for oc in outcomes),
+        first,
+        params,
+    )

@@ -20,10 +20,8 @@ from tricirc.circulant import (
     det_float_check,
     det_newton,
     dp_cost,
-    integer_det,
     power_sums,
     reduce_theta,
-    substituted_matrix,
     window_width,
 )
 from tricirc.errors import (
@@ -32,6 +30,47 @@ from tricirc.errors import (
     StateSpaceTooLarge,
     TooLarge,
 )
+
+
+def integer_det(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Row pivoting with sign tracking; spot-checks the symbolic backends
+    at random integer points.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def substituted_matrix(spec: CirculantSpec, x0: int, y0: int) -> list[list[int]]:
+    """The band matrix with integers substituted for x and y."""
+    p = spec.p
+    rows = []
+    for i in range(p):
+        row = [0] * p
+        row[i] = 1
+        row[(i + spec.t) % p] = -x0
+        row[(i + spec.q) % p] = -y0
+        rows.append(row)
+    return rows
+
 
 # expanded by hand via cofactors along the first row
 DET_3_2 = BiPoly.parse("1 - x^3 - 3*x*y - y^3")

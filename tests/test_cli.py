@@ -71,6 +71,8 @@ class TestExitCodes:
         ("phi", "--p", "97", "--q", "48", "--backend", "bareiss"),
         ("permanent", "--p", "30", "--q", "15"),
         ("growth", "--q", "3", "--pmax", "100000"),
+        # every row is within budget, the table as a whole is not
+        ("growth", "--q", "2", "--pmax", "1000"),
     ])
     def test_over_budget_request_is_refused_fast(self, argv):
         t0 = time.perf_counter()
@@ -106,10 +108,29 @@ class TestExitCodes:
         assert res.returncode == 2 and res.stdout == ""
         assert "q must be at least 2, got q=1" in res.stderr
 
+    def test_permanent_names_q_range(self):
+        res = cli("permanent", "--p", "5", "--q", "1")
+        assert res.returncode == 2 and res.stdout == ""
+        assert "need p >= 3 and 2 <= q <= p-1, got p=5 q=1" in res.stderr
+
+    def test_growth_table_within_budget_runs(self, capsys):
+        assert climod.run(["growth", "--q", "2", "--pmax", "500"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 498
+
     def test_verify_failure_would_be_exit_1(self):
         # all suites pass, so exercise the passing path only
         res = cli("verify", "--suite", "prime", "--pmax", "10")
         assert res.returncode == 0
+
+    def test_verify_failure_is_exit_1(self, capsys, monkeypatch):
+        real = phimod.trial_division
+        monkeypatch.setattr(phimod, "trial_division", lambda n: n == 9 or real(n))
+        monkeypatch.setenv(climod.WORKERS_ENV, "1")
+        assert climod.run(["verify", "--suite", "prime", "--pmax", "10"]) == 1
+        assert capsys.readouterr().out == (
+            "suite=prime p_max=10 q=2 cases=8 failures=1\n"
+            "first_counterexample: p=9: congruence check False, trial division True\n"
+        )
 
 
 class TestGolden:

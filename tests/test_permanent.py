@@ -139,6 +139,17 @@ class TestGrowth:
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert all(line == line.rstrip() for line in lines)
 
+    def test_root_of_a_coefficient_past_float_range(self, monkeypatch):
+        big = 10**401
+        monkeypatch.setattr(
+            permmod,
+            "permanent_generating",
+            lambda p, q: BiPoly({(0, 0): 1, (p, 0): 1, (1, 1): big}),
+        )
+        (row,) = growth_table(2, 3)
+        assert row.max_coeff == big
+        assert row.root == pytest.approx(10 ** (401 / 3))
+
     def test_pmax_validation(self):
         with pytest.raises(ValueError):
             growth_table(5, 4)

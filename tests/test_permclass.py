@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tricirc.circulant import CirculantSpec, det_bruteforce
+from tricirc.circulant import CirculantSpec, cycle_cover_counts, det_bruteforce
 from tricirc.errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 from tricirc.permclass import (
     CycleWord,
@@ -23,6 +23,8 @@ from tricirc.permclass import (
     predict_structure,
     rotate,
 )
+from tricirc.permanent import permanent_ryser
+from tricirc.phi import phi_polynomial
 
 
 class TestPermutation:
@@ -92,6 +94,17 @@ class TestKey:
             PermClassKey(5, 1, 0, 0)
         with pytest.raises(ValueError):
             PermClassKey(5, 3, -1, 0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda p, q: PermClassKey(p, q, 0, 0),
+        cycle_cover_counts,
+        phi_polynomial,
+        permanent_ryser,
+    ])
+    @pytest.mark.parametrize("p, q", [(5, 1), (5, 5), (2, 1)])
+    def test_one_canonical_pair_rule(self, fn, p, q):
+        with pytest.raises(ValueError, match=r"need p >= 3 and 2 <= q <= p-1"):
+            fn(p, q)
 
 
 class TestEnumerate:

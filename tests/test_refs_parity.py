@@ -5,9 +5,9 @@ its exit code and the first 16 hex digits of the sha256 of its stdout,
 each derived by a second route.  A fixed sample runs here through
 ``cli.run``: every refusal, every 32nd job of each (command, route)
 group other than ``verify``, and the cheapest job of each ``verify``
-suite whose recorded cost is under VERIFY_COST_S (support, witness,
-permanent and prime; the cheapest sign, cycle and lemmas jobs take about
-1 s each in-process, so they are left to a run over the whole file).
+suite whose recorded cost is under VERIFY_COST_S, which every suite's
+cheapest job is (the sign, cycle and lemmas ones take about 0.6-0.7 s
+each in-process).
 """
 
 import contextlib
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from tricirc import cli as climod
+from tricirc.circulant import check_dp_budget
 
 REFS = Path(__file__).resolve().parent.parent / "benchmark" / "refs.json"
 
@@ -26,7 +27,7 @@ REFS = Path(__file__).resolve().parent.parent / "benchmark" / "refs.json"
 STRIDE = 32
 
 #: verify suites whose cheapest job's recorded cost (s) is under this run
-VERIFY_COST_S = 0.5
+VERIFY_COST_S = 0.7
 
 
 def _sample() -> list[tuple[str, int, str]]:
@@ -57,8 +58,20 @@ def test_sample_covers_every_command_and_refusal():
     refs = json.loads(REFS.read_text())["refs"]
     commands = {job.split()[0] for job in refs}
     assert {job.split()[0] for job, _, _ in SAMPLE} == commands
+    suites = {job.split()[2] for job in refs if job.startswith("verify")}
+    sampled = {job.split()[2] for job, _, _ in SAMPLE if job.startswith("verify")}
+    assert sampled == suites
     refusals = {job for job, (code, *_) in refs.items() if code != 0}
     assert refusals <= {job for job, _, _ in SAMPLE}
+
+
+def test_every_catalogue_growth_table_is_within_the_budget():
+    refs = json.loads(REFS.read_text())["refs"]
+    for job, (code, *_) in refs.items():
+        words = job.split()
+        if words[0] == "growth" and code == 0:
+            q, p_max = int(words[2]), int(words[4])
+            check_dp_budget(p_max, q, max(3, q + 1))
 
 
 @pytest.mark.parametrize(

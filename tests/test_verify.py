@@ -2,8 +2,10 @@
 
 import pytest
 
+from tricirc import phi as phimod
+from tricirc import verify as verifymod
 from tricirc.errors import TooLarge
-from tricirc.verify import SUITES, build_cases, run_suite
+from tricirc.verify import SUITES, build_cases, run_case, run_suite
 
 
 def test_all_suites_pass_at_small_sizes():
@@ -87,3 +89,25 @@ def test_coprime_policy_thins_the_sweep():
     thin = build_cases("sign", p_max=8, q_policy="coprime")
     assert len(thin) < len(full)
     assert all((p, q) != (8, 6) for _, p, q in thin)
+
+
+def test_failed_check_is_counted_with_its_counterexample(monkeypatch):
+    real = phimod.trial_division
+    monkeypatch.setattr(phimod, "trial_division", lambda n: n == 9 or real(n))
+    res = run_suite("prime", p_max=10)
+    assert (res.cases, res.failures) == (8, 1)
+    assert res.first_counterexample == (
+        "p=9: congruence check False, trial division True"
+    )
+
+
+@pytest.mark.parametrize("name", ["bounds_report", "permanent_ryser"])
+def test_crashed_case_is_one_failed_check(monkeypatch, name):
+    # a raise discards the checks the case had already passed
+    def crash(p, q):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verifymod, name, crash)
+    out = run_case(("permanent", 5, 2))
+    assert (out.checks, out.failures) == (1, 1)
+    assert out.first == "_permanent_case(5, 2): RuntimeError('boom')"
