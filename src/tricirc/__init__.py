@@ -9,77 +9,60 @@ classes behind each coefficient (structure, sign, explicit witnesses),
 computes the companion permanent with two-sided growth bounds, and
 ships a verification harness that checks every structural fact against
 brute-force oracles.
+
+The public names below are loaded on first use (PEP 562), so importing
+the package, or one submodule, loads only the modules that are used.
+Each access reads the name from its home module afresh: nothing is
+cached here, so ``tricirc.X`` is always ``tricirc.<module>.X``.
 """
 
-from .bipoly import ONE, X, Y, ZERO, BiPoly, Monomial, exact_div
-from .circulant import (
-    BAREISS_LIMIT,
-    BRUTEFORCE_LIMIT,
-    DP_BUDGET,
-    NEWTON_LIMIT,
-    CirculantSpec,
-    FloatCheckReport,
-    ReducedSpec,
-    cycle_cover_counts,
-    det_bareiss,
-    det_bruteforce,
-    det_cycle_cover,
-    det_float_check,
-    det_newton,
-    dp_cost,
-    reduce_theta,
-    window_width,
-)
-from .errors import (
-    EmptyClass,
-    InternalInconsistency,
-    InvalidKey,
-    IrreducibleSpec,
-    NonExactDivision,
-    NotACycle,
-    StateSpaceTooLarge,
-    TooLarge,
-)
-from .permanent import (
-    RYSER_LIMIT,
-    GrowthRow,
-    PermanentReport,
-    bounds_report,
-    growth_table,
-    growth_table_csv,
-    permanent_generating,
-    permanent_ryser,
-)
-from .permclass import (
-    ENUMERATION_LIMIT,
-    CycleWord,
-    LatticePath,
-    PermClassKey,
-    Permutation,
-    StructureReport,
-    build_path,
-    construct_witness,
-    cycle_from_word,
-    cyclic_order,
-    displacement_profile,
-    enumerate_by_profile,
-    enumerate_class,
-    path_bound_check,
-    predict_structure,
-    reduce_1p,
-    rotate,
-)
-from .phi import (
-    BACKENDS,
-    CoefficientReport,
-    binomial_power,
-    coefficient,
-    default_backend,
-    phi_polynomial,
-    primality_check,
-    support,
-    trial_division,
-)
-from .verify import SUITES, SuiteResult, run_suite
+import importlib
+
+#: home submodule -> the public names it gives the package
+_HOMES = {
+    "bipoly": "ONE X Y ZERO BiPoly Monomial exact_div",
+    "circulant": (
+        "BAREISS_LIMIT BRUTEFORCE_LIMIT DP_BUDGET NEWTON_LIMIT "
+        "CirculantSpec FloatCheckReport ReducedSpec cycle_cover_counts "
+        "det_bareiss det_bruteforce det_cycle_cover det_float_check "
+        "det_newton dp_cost reduce_theta window_width"
+    ),
+    "errors": (
+        "EmptyClass InternalInconsistency InvalidKey IrreducibleSpec "
+        "NonExactDivision NotACycle StateSpaceTooLarge TooLarge"
+    ),
+    "permanent": (
+        "RYSER_LIMIT GrowthRow PermanentReport bounds_report growth_table "
+        "growth_table_csv permanent_generating permanent_ryser"
+    ),
+    "permclass": (
+        "ENUMERATION_LIMIT CycleWord LatticePath PermClassKey Permutation "
+        "StructureReport build_path construct_witness cycle_from_word "
+        "cyclic_order displacement_profile enumerate_by_profile "
+        "enumerate_class path_bound_check predict_structure reduce_1p "
+        "rotate"
+    ),
+    "phi": (
+        "BACKENDS CoefficientReport binomial_power coefficient "
+        "default_backend phi_polynomial primality_check support "
+        "trial_division"
+    ),
+    "verify": "SUITES SuiteResult run_suite",
+}
+
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = list(_HOME_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,6 +10,11 @@ error, 3 unsupported parameter regime.
 environment variable TRICIRC_WORKERS to a positive integer to enable
 that.  ``verify.run_suite`` merges results in case order, so output
 bytes do not depend on the worker count.
+
+Each command imports only the modules it uses: ``permanent`` and
+``verify`` are imported inside the commands that call them, so the
+parser, ``phi`` and ``--help`` load neither.  ``verify`` owns its suite
+names and default sizes, and refuses an unknown ``--suite`` (exit 2).
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ import os
 import sys
 import time
 
-from . import permanent as permmod
 from . import phi as phimod
-from . import verify as verifymod
 from .circulant import CirculantSpec, reduce_theta
 from .errors import IrreducibleSpec, StateSpaceTooLarge, TooLarge
 from .permclass import PermClassKey, construct_witness, enumerate_class, predict_structure
@@ -146,6 +149,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_permanent(args) -> int:
+    from . import permanent as permmod
     rep = permmod.bounds_report(args.p, args.q, args.backend)
     if args.format == "json":
         payload = rep.to_json_dict()
@@ -165,6 +169,7 @@ def _cmd_permanent(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from . import permanent as permmod
     rows = permmod.growth_table(args.q, args.pmax)
     if args.format == "json":
         _emit_json(
@@ -176,6 +181,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verifymod
     res = verifymod.run_suite(
         args.suite,
         args.pmax,
@@ -197,6 +203,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import permanent as permmod
     choices = (*phimod.BACKENDS, "ryser")
     backends = args.backends.split(",")
     for b in backends:
@@ -308,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_growth)
 
     sp = subs.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("--suite", choices=verifymod.SUITES, required=True)
+    sp.add_argument("--suite", required=True)
     sp.add_argument("--pmax", type=int, default=None)
     sp.add_argument(
         "--q-policy", dest="q_policy", choices=("all", "coprime"), default="all"
     )
-    sp.add_argument("--cases", type=int, default=verifymod.DEFAULT_CASES)
-    sp.add_argument("--seed", type=int, default=verifymod.DEFAULT_SEED)
+    sp.add_argument("--cases", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
     _add_format(sp)
     sp.set_defaults(func=_cmd_verify)
 

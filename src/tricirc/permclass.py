@@ -26,6 +26,10 @@ from .errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 #: largest p accepted by exhaustive class enumeration
 ENUMERATION_LIMIT = 10
 
+#: largest p accepted by ``construct_witness``: ``tricirc witness`` at
+#: p = 10^6 takes about 2.2 s and 150 MB (2-CPU host, Python 3.11)
+WITNESS_LIMIT = 10**6
+
 
 def reduce_1p(value: int, p: int) -> int:
     """Reduce into the residue system {1, ..., p}."""
@@ -433,6 +437,8 @@ def construct_witness(key: PermClassKey) -> Permutation:
     product is a class member; both facts are re-checked here.
     """
     p, q, r, s = key.p, key.q, key.r, key.s
+    if p > WITNESS_LIMIT:
+        raise TooLarge(f"witness construction is limited to p <= {WITNESS_LIMIT}")
     if not key.divisible:
         raise EmptyClass(f"{p} does not divide {r}+{s}*{q}")
     if r == 0 and s == 0:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -46,7 +45,6 @@ from .circulant import (
     DP_BUDGET,
     NEWTON_LIMIT,
     CirculantSpec,
-    check_dp_budget,
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
@@ -79,6 +77,10 @@ RYSER_DEFAULT_CROSSCHECK = 20
 
 DEFAULT_CASES = 10000
 DEFAULT_SEED = 90437
+
+#: largest cases per battery of the ``lemmas`` suite: 100000 take about
+#: 7 s with one worker (2-CPU host, Python 3.11)
+LEMMA_CASES_LIMIT = 100000
 
 #: lemma batteries are split into this many fixed chunks so results do
 #: not depend on how chunks are assigned to workers
@@ -350,32 +352,34 @@ def _lemma_chunk(battery: str, n: int, seed: int) -> Checks:
 
 
 # ---------------------------------------------------------------------------
-# suite assembly: each builder lists the arguments of a suite's cases
+# suite assembly: each builder lists a suite's case arguments from its parameters
 # ---------------------------------------------------------------------------
 
-def _pairs(p_max, q_policy, cases, seed):
+def _pairs(params):
     # every pair up to RYSER_LIMIT is within the DP budget, so the
     # permanent suite needs no budget check of its own
-    return list(_iter_pq(3, p_max, q_policy))
+    return list(_iter_pq(3, params["p_max"], params["q_policy"]))
 
 
-def _support_args(p_max, q_policy, cases, seed):
+def _support_args(params):
+    # pmax <= 50 keeps every DP case under 3% of the DP budget
+    p_max, q_policy = params["p_max"], params["q_policy"]
     out = [
         (p, q, "bruteforce")
         for p, q in _iter_pq(3, min(p_max, EXHAUSTIVE_PMAX), q_policy)
     ]
     for p, q in _iter_pq(EXHAUSTIVE_PMAX + 1, p_max, q_policy):
         if q <= 8:
-            check_dp_budget(p, q)
             out.append((p, q, "cycle_cover"))
     return out
 
 
-def _prime_args(p_max, q_policy, cases, seed):
-    return [(p,) for p in range(3, p_max + 1)]
+def _prime_args(params):
+    return [(p,) for p in range(3, params["p_max"] + 1)]
 
 
-def _lemma_args(p_max, q_policy, cases, seed):
+def _lemma_args(params):
+    cases, seed = params["cases_per_battery"], params["seed"]
     out = []
     for b_idx, battery in enumerate(sorted(_LEMMA_BATTERIES)):
         base, extra = divmod(cases, LEMMA_CHUNKS)
@@ -388,12 +392,13 @@ def _lemma_args(p_max, q_policy, cases, seed):
 
 #: name -> (default pmax, largest pmax or None, argument builder, case
 #: function); ``sign`` stops at BAREISS_LIMIT because past it wide
-#: windows have no exact route besides Newton's
+#: windows have no exact route besides Newton's; ``support`` (7.7 s) and
+#: ``witness`` (9.7 s) stop near 10 s for one worker (2-CPU host, Python 3.11)
 _SUITES = {
-    "support": (EXHAUSTIVE_PMAX, None, _support_args, _support_case),
+    "support": (EXHAUSTIVE_PMAX, 50, _support_args, _support_case),
     "sign": (EXHAUSTIVE_PMAX, BAREISS_LIMIT, _pairs, _sign_case),
     "cycle": (EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, _pairs, _cycle_case),
-    "witness": (30, None, _pairs, _witness_case),
+    "witness": (30, 60, _pairs, _witness_case),
     "permanent": (12, RYSER_LIMIT, _pairs, _permanent_case),
     "prime": (40, NEWTON_LIMIT, _prime_args, _prime_case),
     "lemmas": (None, None, _lemma_args, _lemma_chunk),
@@ -424,28 +429,36 @@ def suite_parameters(
     suite: str,
     p_max: Optional[int] = None,
     q_policy: str = "all",
-    cases: int = DEFAULT_CASES,
-    seed: int = DEFAULT_SEED,
+    cases: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> dict:
     """The effective (fully-defaulted) parameters of a suite run.
 
     Carried into the result so reports are self-describing; the prime
-    suite records the fixed q its congruence check uses.  A size that
-    would check nothing (cases < 1 for lemmas, p_max < 3 otherwise) is
-    a ValueError.
+    suite records the fixed q its congruence check uses.  An unknown
+    suite or a size that would check nothing (cases < 1 for lemmas,
+    p_max < 3 otherwise) is a ValueError, a size past the largest is
+    :class:`TooLarge`.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if q_policy not in ("all", "coprime"):
         raise ValueError(f"unknown q policy {q_policy!r}")
     if suite == "lemmas":
+        cases = DEFAULT_CASES if cases is None else cases
         if cases < 1:
             raise ValueError(f"cases must be at least 1, got {cases}")
+        if cases > LEMMA_CASES_LIMIT:
+            raise TooLarge(f"the lemmas suite needs cases <= {LEMMA_CASES_LIMIT}")
+        seed = DEFAULT_SEED if seed is None else seed
         return {"cases_per_battery": cases, "seed": seed}
+    default, largest = _SUITES[suite][:2]
     if p_max is None:
-        p_max = _SUITES[suite][0]
+        p_max = default
     if p_max < 3:
         raise ValueError(f"pmax must be at least 3, got {p_max}")
+    if largest is not None and p_max > largest:
+        raise TooLarge(f"the {suite} suite needs pmax <= {largest}")
     if suite == "prime":
         return {"p_max": p_max, "q": 2}
     return {"p_max": p_max, "q_policy": q_policy}
@@ -455,26 +468,20 @@ def build_cases(
     suite: str,
     p_max: Optional[int] = None,
     q_policy: str = "all",
-    cases: int = DEFAULT_CASES,
-    seed: int = DEFAULT_SEED,
+    cases: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> list[tuple]:
-    """The deterministic, ordered case list of a suite.
-
-    A pmax over the suite's largest is refused with :class:`TooLarge`.
-    """
-    p_max = suite_parameters(suite, p_max, q_policy, cases, seed).get("p_max")
-    _, largest, builder, _ = _SUITES[suite]
-    if largest is not None and p_max > largest:
-        raise TooLarge(f"the {suite} suite needs pmax <= {largest}")
-    return [(suite, *args) for args in builder(p_max, q_policy, cases, seed)]
+    """The deterministic, ordered case list of a suite."""
+    params = suite_parameters(suite, p_max, q_policy, cases, seed)
+    return [(suite, *args) for args in _SUITES[suite][2](params)]
 
 
 def run_suite(
     suite: str,
     p_max: Optional[int] = None,
     q_policy: str = "all",
-    cases: int = DEFAULT_CASES,
-    seed: int = DEFAULT_SEED,
+    cases: Optional[int] = None,
+    seed: Optional[int] = None,
     workers: int = 1,
 ) -> SuiteResult:
     """Run a whole suite and merge the outcomes in case order.
@@ -485,6 +492,8 @@ def run_suite(
     case_list = build_cases(suite, p_max, q_policy, cases, seed)
     params = suite_parameters(suite, p_max, q_policy, cases, seed)
     if workers > 1 and len(case_list) > 1:
+        # imported here so that a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_case, case_list, chunksize=4))
     else:

@@ -73,6 +73,10 @@ class TestExitCodes:
         ("growth", "--q", "3", "--pmax", "100000"),
         # every row is within budget, the table as a whole is not
         ("growth", "--q", "2", "--pmax", "1000"),
+        ("witness", "--p", "100000000", "--q", "3", "--r", "1", "--s", "33333333"),
+        ("verify", "--suite", "witness", "--pmax", "120"),
+        ("verify", "--suite", "support", "--pmax", "80"),
+        ("verify", "--suite", "lemmas", "--cases", "100000000"),
     ])
     def test_over_budget_request_is_refused_fast(self, argv):
         t0 = time.perf_counter()
@@ -311,13 +315,41 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_count_does_not_change_output(self):
-        argv = ("verify", "--suite", "witness", "--pmax", "14", "--format", "json")
-        seq = cli(*argv, env_extra={"TRICIRC_WORKERS": "1"})
-        par = cli(*argv, env_extra={"TRICIRC_WORKERS": "3"})
-        assert seq.stdout == par.stdout
-        assert seq.returncode == par.returncode == 0
+        for argv, workers in (
+            (("verify", "--suite", "witness", "--pmax", "14", "--format", "json"), "3"),
+            (("verify", "--suite", "prime", "--pmax", "12"), "2"),
+        ):
+            seq = cli(*argv, env_extra={"TRICIRC_WORKERS": "1"})
+            par = cli(*argv, env_extra={"TRICIRC_WORKERS": workers})
+            assert seq.stdout == par.stdout
+            assert seq.returncode == par.returncode == 0
 
     def test_bad_worker_env_is_usage_error(self):
         res = cli("verify", "--suite", "prime", "--pmax", "6",
                   env_extra={"TRICIRC_WORKERS": "many"})
         assert res.returncode == 2
+
+
+class TestImportGate:
+    def test_phi_and_help_load_only_their_modules(self):
+        # each command imports what it uses: verify, permanent and the
+        # process pool stay unloaded unless the command needs them
+        script = (
+            "import contextlib, io, sys\n"
+            "from tricirc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.run(['phi', '--p', '8', '--q', '3']), cli.run(['--help'])]\n"
+            "banned = ('tricirc.verify', 'tricirc.permanent',\n"
+            "          'concurrent.futures', 'multiprocessing')\n"
+            "print(codes, sorted(m for m in banned if m in sys.modules))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[0, 0] []\n"
+
+    def test_unknown_suite_is_refused_by_verify(self):
+        res = cli("verify", "--suite", "everything")
+        assert res.returncode == 2 and res.stdout == ""
+        assert "unknown suite 'everything'; choose from ('support'," in res.stderr

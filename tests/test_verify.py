@@ -111,3 +111,15 @@ def test_crashed_case_is_one_failed_check(monkeypatch, name):
     out = run_case(("permanent", 5, 2))
     assert (out.checks, out.failures) == (1, 1)
     assert out.first == "_permanent_case(5, 2): RuntimeError('boom')"
+
+
+def test_largest_sizes_are_admitted_and_one_more_is_refused():
+    for suite, size, over in (
+        ("support", {"p_max": 50}, {"p_max": 51}),
+        ("witness", {"p_max": 60}, {"p_max": 61}),
+        ("lemmas", {"cases": verifymod.LEMMA_CASES_LIMIT},
+         {"cases": verifymod.LEMMA_CASES_LIMIT + 1}),
+    ):
+        assert build_cases(suite, **size)
+        with pytest.raises(TooLarge):
+            build_cases(suite, **over)
