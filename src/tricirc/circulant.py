@@ -393,10 +393,10 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """
     PermClassKey.check_pair(p, q)
     check_dp_budget(p, q)
-    qe = q if q + 1 <= p - q + 2 else q - p
-    offsets = (0, 1, qe)
-    omin = min(offsets)
-    width = max(offsets) - omin + 1
+    width = window_width(p, q)
+    # the q band walked as displacement q or q-p, whichever fits that window
+    qe = q if width == q + 1 else q - p
+    omin = min(0, qe)
 
     # Each DP value is one big integer packing the p+1 slots by s; a slot
     # holds the count of partial assignments, which is < 3^p < 2^wbits

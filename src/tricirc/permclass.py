@@ -224,10 +224,11 @@ def predict_structure(key: PermClassKey) -> StructureReport:
 
     k = gcd(r, s, ell) nontrivial cycles, each with r/k 1-steps and s/k
     q-steps, common sign (-1)^(r+s+k).  The identity class (0, 0) gets
-    the degenerate report k=0, sign +1.
+    the degenerate report k=0, sign +1.  An empty class raises
+    :class:`EmptyClass`.
     """
-    if not key.divisible:
-        raise EmptyClass(f"{key.p} does not divide {key.r}+{key.s}*{key.q}")
+    if key.is_empty:
+        raise EmptyClass(f"{key} is an empty class: a(r, s) = 0")
     if key.r == 0 and key.s == 0:
         return StructureReport(0, (0, 0), 1)
     k = key.k

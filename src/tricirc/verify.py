@@ -5,20 +5,23 @@ machine checks against independent oracles:
 
 * ``support``   -- nonzero coefficients are exactly the divisible profiles;
 * ``sign``      -- every term obeys the gcd parity sign rule, and the
-                   exact backends agree: Newton's identities with at
-                   least one other route in every case;
+                   exact backends agree: Newton's identities, Bareiss
+                   and the cycle-cover DP in every case, and brute
+                   force up to ``EXHAUSTIVE_PMAX``;
 * ``cycle``     -- class members share one cycle type and one sign, and
                    class sizes match coefficient magnitudes;
 * ``witness``   -- the constructed member lands in its class with the
                    predicted cycle structure;
 * ``permanent`` -- Ryser, the unsigned DP and the signed polynomial
-                   agree, and the two-sided bounds hold;
+                   agree in every case, and the two-sided bounds hold;
 * ``prime``     -- the binomial congruence matches trial division;
 * ``lemmas``    -- randomized checks of cyclic-order preservation, the
                    lattice-path bound and the divisibility gap.
 
 A suite is one row of ``_SUITES``: its default and largest pmax, a
 builder that lists the arguments of its cases, and a case function.
+A case function runs the same routes in every case, and the largest
+pmax is the suite's own measured size, inside every route's reach.
 A case function is a generator that yields once per check: ``None``
 when the check passed, the counterexample text when it failed, so a
 message is built only for a failure.  :func:`run_case` keeps the one
@@ -41,18 +44,15 @@ from typing import Iterator, Optional
 from . import phi as phimod
 from .bipoly import Monomial
 from .circulant import (
-    BAREISS_LIMIT,
-    DP_BUDGET,
     NEWTON_LIMIT,
     CirculantSpec,
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
     det_newton,
-    dp_cost,
 )
 from .errors import TooLarge
-from .permanent import RYSER_LIMIT, bounds_report, permanent_ryser
+from .permanent import bounds_report, permanent_ryser
 from .permclass import (
     PermClassKey,
     build_path,
@@ -69,11 +69,6 @@ from .permclass import (
 #: and by enumerating every class: brute force takes about 0.2 s per
 #: (p, q) at p = 9 and 2.3 s at p = 10 (2-CPU host, Python 3.11)
 EXHAUSTIVE_PMAX = 9
-
-#: largest p at which the ``permanent`` suite also checks Ryser's
-#: expansion against the DP and the signed polynomial (used here only:
-#: ``bounds_report`` takes d11 from the DP at every p)
-RYSER_DEFAULT_CROSSCHECK = 20
 
 DEFAULT_CASES = 10000
 DEFAULT_SEED = 90437
@@ -151,22 +146,17 @@ def _support_case(p: int, q: int, backend: str) -> Checks:
 def _sign_case(p: int, q: int) -> Checks:
     """Newton's polynomial against the other exact routes, and the sign rule.
 
-    Every case has Newton's identities and at least one other route.
-    The other routes are compared in a chain, one check per adjacent
-    pair.  Newton's polynomial is compared with the first of them one
-    monomial at a time, in the same check as that monomial's sign, over
-    the union of their terms.
+    Bareiss and the DP run in every case, and brute force too at
+    p <= EXHAUSTIVE_PMAX.  These routes are compared in a chain, one
+    check per adjacent pair.  Newton's polynomial is compared with the
+    first of them one monomial at a time, in the same check as that
+    monomial's sign, over the union of their terms.
     """
     spec = CirculantSpec(p, q)
     newton = det_newton(spec)
-    polys = {}
+    polys = {"bareiss": det_bareiss(spec), "cycle_cover": det_cycle_cover(spec)}
     if p <= EXHAUSTIVE_PMAX:
         polys["bruteforce"] = det_bruteforce(spec)
-    dp_ok = dp_cost(p, q) <= DP_BUDGET
-    if dp_ok:
-        polys["cycle_cover"] = det_cycle_cover(spec)
-    if p <= 24 or not dp_ok:
-        polys["bareiss"] = det_bareiss(spec)
     names = sorted(polys)
     for a, b in zip(names, names[1:]):
         yield None if polys[a] == polys[b] else f"(p={p}, q={q}): {a} and {b} disagree"
@@ -271,7 +261,7 @@ def _witness_case(p: int, q: int) -> Checks:
 
 
 def _permanent_case(p: int, q: int) -> Checks:
-    """The bounds report, Ryser's value at p <= 20 and the three bounds.
+    """The bounds report, Ryser's value and the three bounds.
 
     ``bounds_report`` compares the unsigned DP with the absolute signed
     polynomial term by term and raises on a mismatch, which fails the
@@ -279,11 +269,10 @@ def _permanent_case(p: int, q: int) -> Checks:
     """
     rep = bounds_report(p, q)
     yield None
-    if p <= RYSER_DEFAULT_CROSSCHECK:
-        ry = permanent_ryser(p, q)
-        yield None if ry == rep.d11 else (
-            f"(p={p}, q={q}): ryser {ry}, DP and abs-sum {rep.d11}"
-        )
+    ry = permanent_ryser(p, q)
+    yield None if ry == rep.d11 else (
+        f"(p={p}, q={q}): ryser {ry}, DP and abs-sum {rep.d11}"
+    )
     for ok, bound in (
         (rep.lower_ok, "lower bound 3^p p!/p^p"),
         (rep.upper_ok, "upper bound 6^(p/3)"),
@@ -356,13 +345,10 @@ def _lemma_chunk(battery: str, n: int, seed: int) -> Checks:
 # ---------------------------------------------------------------------------
 
 def _pairs(params):
-    # every pair up to RYSER_LIMIT is within the DP budget, so the
-    # permanent suite needs no budget check of its own
     return list(_iter_pq(3, params["p_max"], params["q_policy"]))
 
 
 def _support_args(params):
-    # pmax <= 50 keeps every DP case under 3% of the DP budget
     p_max, q_policy = params["p_max"], params["q_policy"]
     out = [
         (p, q, "bruteforce")
@@ -391,15 +377,17 @@ def _lemma_args(params):
 
 
 #: name -> (default pmax, largest pmax or None, argument builder, case
-#: function); ``sign`` stops at BAREISS_LIMIT because past it wide
-#: windows have no exact route besides Newton's; ``support`` (7.7 s) and
-#: ``witness`` (9.7 s) stop near 10 s for one worker (2-CPU host, Python 3.11)
+#: function); the largest pmax is where one worker stays near 10 s or
+#: less (2-CPU host, Python 3.11): ``support`` 50 takes 7.7 s,
+#: ``witness`` 60 9.7 s, ``sign`` 23 7.8 s (one more takes 16.6 s) and
+#: ``permanent`` 18 5.7 s (one more 15.8 s); ``prime`` runs to Newton's
+#: limit, 19.3 s at 1000
 _SUITES = {
     "support": (EXHAUSTIVE_PMAX, 50, _support_args, _support_case),
-    "sign": (EXHAUSTIVE_PMAX, BAREISS_LIMIT, _pairs, _sign_case),
+    "sign": (EXHAUSTIVE_PMAX, 23, _pairs, _sign_case),
     "cycle": (EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, _pairs, _cycle_case),
     "witness": (30, 60, _pairs, _witness_case),
-    "permanent": (12, RYSER_LIMIT, _pairs, _permanent_case),
+    "permanent": (12, 18, _pairs, _permanent_case),
     "prime": (40, NEWTON_LIMIT, _prime_args, _prime_case),
     "lemmas": (None, None, _lemma_args, _lemma_chunk),
 }

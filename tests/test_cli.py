@@ -85,9 +85,9 @@ class TestExitCodes:
         assert res.returncode == 3 and res.stdout == ""
 
     @pytest.mark.parametrize("argv", [
-        ("--suite", "permanent", "--pmax", "25"),
+        ("--suite", "permanent", "--pmax", "19"),
         ("--suite", "support", "--pmax", "284"),
-        ("--suite", "sign", "--pmax", "97"),
+        ("--suite", "sign", "--pmax", "24"),
         ("--suite", "prime", "--pmax", "1001"),
     ])
     def test_over_budget_verify_is_refused_up_front(self, argv):

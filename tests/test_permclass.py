@@ -156,8 +156,10 @@ class TestPredictStructure:
         assert (rep.k, rep.sign) == (2, 1)
 
     def test_empty_class_raises(self):
-        with pytest.raises(EmptyClass):
-            predict_structure(PermClassKey(5, 3, 1, 1))
+        # (5, 3, 1, 1) is not divisible; the other two are, but r + s > p
+        for key in ((5, 3, 1, 1), (5, 3, 5, 5), (8, 3, 2, 10)):
+            with pytest.raises(EmptyClass):
+                predict_structure(PermClassKey(*key))
 
     def test_odd_p_sign_shortcut(self):
         # for odd p the sign is -1 exactly when r and s are both odd

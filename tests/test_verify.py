@@ -4,7 +4,9 @@ import pytest
 
 from tricirc import phi as phimod
 from tricirc import verify as verifymod
+from tricirc.circulant import BAREISS_LIMIT, check_dp_budget
 from tricirc.errors import TooLarge
+from tricirc.permanent import RYSER_LIMIT
 from tricirc.verify import SUITES, build_cases, run_case, run_suite
 
 
@@ -117,9 +119,27 @@ def test_largest_sizes_are_admitted_and_one_more_is_refused():
     for suite, size, over in (
         ("support", {"p_max": 50}, {"p_max": 51}),
         ("witness", {"p_max": 60}, {"p_max": 61}),
+        ("sign", {"p_max": 23}, {"p_max": 24}),
+        ("permanent", {"p_max": 18}, {"p_max": 19}),
         ("lemmas", {"cases": verifymod.LEMMA_CASES_LIMIT},
          {"cases": verifymod.LEMMA_CASES_LIMIT + 1}),
     ):
         assert build_cases(suite, **size)
         with pytest.raises(TooLarge):
             build_cases(suite, **over)
+
+
+def test_every_route_reaches_every_case_of_the_largest_run():
+    # the case functions call their routes without asking whether they
+    # reach, so no admitted case may be one that a route refuses
+    def largest(suite):
+        return verifymod._SUITES[suite][1]
+
+    # sign runs Bareiss and the DP, permanent Ryser and the DP
+    for suite, limit in (("sign", BAREISS_LIMIT), ("permanent", RYSER_LIMIT)):
+        for _, p, q in build_cases(suite, p_max=largest(suite)):
+            check_dp_budget(p, q)
+            assert p <= limit, (suite, p, q)
+    for _, p, q, backend in build_cases("support", p_max=largest("support")):
+        if backend == "cycle_cover":
+            check_dp_budget(p, q)
