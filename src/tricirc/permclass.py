@@ -410,19 +410,16 @@ def path_bound_check(path: LatticePath, r: int, s: int) -> bool:
     """Whether |a*s - b*r| <= r+s-1 for every vertex pair of the path.
 
     Here (a, b) is the coordinate difference of the pair.  Holds for
-    every constructed path; a hand-made path can fail.
+    every constructed path; a hand-made path can fail.  With
+    f = s*x - r*y at each vertex, a*s - b*r is the difference of two
+    values of f, so the largest pair gap is max(f) - min(f), read in
+    one pass.  A path of one vertex has no pair and always passes.
     """
     verts = path.vertices
-    bound = r + s - 1
-    n = len(verts)
-    for i in range(n):
-        xi, yi = verts[i]
-        for j in range(i + 1, n):
-            a = verts[j][0] - xi
-            b = verts[j][1] - yi
-            if abs(a * s - b * r) > bound:
-                return False
-    return True
+    if len(verts) < 2:
+        return True
+    f = [s * x - r * y for x, y in verts]
+    return max(f) - min(f) <= r + s - 1
 
 
 # ---------------------------------------------------------------------------

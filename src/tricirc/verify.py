@@ -65,16 +65,18 @@ from .permclass import (
     rotate,
 )
 
-#: largest p swept exhaustively, by brute force over all p! permutations
-#: and by enumerating every class: brute force takes about 0.2 s per
-#: (p, q) at p = 9 and 2.3 s at p = 10 (2-CPU host, Python 3.11)
+#: largest p swept exhaustively, by brute force (the Leibniz expansion
+#: over the matrix's nonzero entries) and by enumerating every class:
+#: brute force takes under 1 ms per (p, q) at p = 9 and about 1 ms at
+#: p = 10 (2-CPU host, Python 3.11); the check counts, goldens and
+#: benchmark references rest on this size
 EXHAUSTIVE_PMAX = 9
 
 DEFAULT_CASES = 10000
 DEFAULT_SEED = 90437
 
 #: largest cases per battery of the ``lemmas`` suite: 100000 take about
-#: 7 s with one worker (2-CPU host, Python 3.11)
+#: 3 s with one worker (2-CPU host, Python 3.11)
 LEMMA_CASES_LIMIT = 100000
 
 #: lemma batteries are split into this many fixed chunks so results do
@@ -378,8 +380,8 @@ def _lemma_args(params):
 
 #: name -> (default pmax, largest pmax or None, argument builder, case
 #: function); the largest pmax is where one worker stays near 10 s or
-#: less (2-CPU host, Python 3.11): ``support`` 50 takes 7.7 s,
-#: ``witness`` 60 9.7 s, ``sign`` 23 7.8 s (one more takes 16.6 s) and
+#: less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
+#: ``witness`` 60 9.7 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
 #: ``permanent`` 18 5.7 s (one more 15.8 s); ``prime`` runs to Newton's
 #: limit, 19.3 s at 1000
 _SUITES = {

@@ -1,5 +1,6 @@
 """Determinant backends against each other, hand values and float checks."""
 
+import itertools
 import random
 
 import time
@@ -10,6 +11,7 @@ from tricirc import circulant
 from tricirc.bipoly import ZERO, BiPoly
 from tricirc.circulant import (
     BAREISS_LIMIT,
+    BRUTEFORCE_LIMIT,
     DP_BUDGET,
     NEWTON_LIMIT,
     CirculantSpec,
@@ -57,6 +59,42 @@ def integer_det(matrix: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def leibniz_reference(spec: CirculantSpec) -> BiPoly:
+    """The determinant as the literal sum over all p! permutations.
+
+    Keeps only permutations whose displacements (sigma(j)-j) mod p lie
+    in {0, 1, q}; each contributes sgn(sigma) * (-x)^r * (-y)^s.  The
+    definition that ``det_bruteforce`` must reproduce.
+    """
+    p, q = spec.p, spec.q
+    acc: dict[tuple[int, int], int] = {}
+    for images in itertools.permutations(range(p)):
+        r = s = 0
+        for j in range(p):
+            d = (images[j] - j) % p
+            if d == 0:
+                continue
+            if d == 1:
+                r += 1
+            elif d == q:
+                s += 1
+            else:
+                break
+        else:
+            cycles = 0
+            seen = [False] * p
+            for start in range(p):
+                if not seen[start]:
+                    cycles += 1
+                    j = start
+                    while not seen[j]:
+                        seen[j] = True
+                        j = images[j]
+            sgn = -1 if (p - cycles + r + s) % 2 else 1
+            acc[(r, s)] = acc.get((r, s), 0) + sgn
+    return BiPoly(acc)
 
 
 def substituted_matrix(spec: CirculantSpec, x0: int, y0: int) -> list[list[int]]:
@@ -251,6 +289,18 @@ class TestBruteforce:
     def test_size_guard(self):
         with pytest.raises(TooLarge):
             det_bruteforce(CirculantSpec(11, 3))
+
+    @pytest.mark.parametrize("p", range(3, 9))
+    def test_matches_literal_definition(self, p):
+        for q in range(2, p):
+            spec = CirculantSpec(p, q)
+            assert det_bruteforce(spec) == leibniz_reference(spec), (p, q)
+
+    def test_matches_newton_at_limit(self):
+        p = BRUTEFORCE_LIMIT
+        for q in range(2, p):
+            spec = CirculantSpec(p, q)
+            assert det_bruteforce(spec) == det_newton(spec), (p, q)
 
 
 class TestCycleCover:

@@ -27,6 +27,24 @@ from tricirc.permanent import permanent_ryser
 from tricirc.phi import phi_polynomial
 
 
+def pairwise_path_bound(path: LatticePath, r: int, s: int) -> bool:
+    """|a*s - b*r| <= r+s-1 over every vertex pair, one pair at a time.
+
+    The lemma as stated; ``path_bound_check`` must agree with it.
+    """
+    verts = path.vertices
+    bound = r + s - 1
+    n = len(verts)
+    for i in range(n):
+        xi, yi = verts[i]
+        for j in range(i + 1, n):
+            a = verts[j][0] - xi
+            b = verts[j][1] - yi
+            if abs(a * s - b * r) > bound:
+                return False
+    return True
+
+
 class TestPermutation:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
@@ -236,6 +254,36 @@ class TestPathBound:
         # (0,0) -> (3,0) gives |3*3 - 0*3| = 9 > 5
         bad = LatticePath.from_word("EEENNN")
         assert not path_bound_check(bad, 3, 3)
+
+    def test_one_vertex_path_passes(self):
+        # no pair to check, even though the bound r+s-1 is -1
+        origin = LatticePath(((0, 0),))
+        assert path_bound_check(origin, 0, 0)
+        assert pairwise_path_bound(origin, 0, 0)
+
+    def test_matches_pairwise_on_constructed_paths(self):
+        for r in range(0, 13):
+            for s in range(0, 13):
+                if r + s == 0:
+                    continue
+                path = build_path(r, s)
+                assert path_bound_check(path, r, s), (r, s)
+                assert pairwise_path_bound(path, r, s), (r, s)
+
+    def test_matches_pairwise_on_random_words(self):
+        rng = random.Random(4091)
+        outcomes = set()
+        for _ in range(400):
+            word = "".join(rng.choice("EN") for _ in range(rng.randint(0, 14)))
+            path = LatticePath.from_word(word)
+            # the path's own end, or a profile it was not built for
+            r, s = path.end if rng.random() < 0.5 else (
+                rng.randint(0, 8), rng.randint(0, 8)
+            )
+            want = pairwise_path_bound(path, r, s)
+            assert path_bound_check(path, r, s) == want, (word, r, s)
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
