@@ -6,10 +6,13 @@ text/json/csv (data goes to stdout, diagnostics to stderr).  Exit
 codes: 0 success, 1 verification failure or backend mismatch, 2 usage
 error, 3 unsupported parameter regime.
 
-``verify`` is the only command that may spawn worker processes; set the
+``verify`` is the only command that may start worker processes; set the
 environment variable TRICIRC_WORKERS to a positive integer to enable
-that.  ``verify.run_suite`` merges results in case order, so output
-bytes do not depend on the worker count.
+that.  ``verify.run_suite`` forks at most min(TRICIRC_WORKERS, cases,
+os.cpu_count()) - 1 children (a larger value is not an error, only
+capped), runs in order in-process where ``os.fork`` does not exist, and
+merges results in case order, so output bytes do not depend on the
+worker count.
 
 Each command imports only the modules it uses: ``permanent`` and
 ``verify`` are imported inside the commands that call them, so the

@@ -88,27 +88,43 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its least point."""
+        images = self.images
+        p = len(images)
         out = []
-        seen = [False] * self.p
-        for start in range(1, self.p + 1):
-            if seen[start - 1]:
+        seen = [False] * (p + 1)
+        for start in range(1, p + 1):
+            if seen[start]:
                 continue
             cyc = []
             j = start
-            while not seen[j - 1]:
-                seen[j - 1] = True
+            while not seen[j]:
+                seen[j] = True
                 cyc.append(j)
-                j = self.images[j - 1]
+                j = images[j - 1]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_count(self) -> int:
-        """Number of cycles including fixed points."""
-        return len(self.cycles(include_fixed=True))
-
     def sign(self) -> int:
-        return -1 if (self.p - self.cycle_count()) % 2 else 1
+        """(-1)^(p - c) for c cycles, fixed points included.
+
+        p - c is the sum of len - 1 over the nontrivial cycles, counted
+        in one walk over the points without building the cycles.
+        """
+        images = self.images
+        p = len(images)
+        seen = [False] * (p + 1)
+        steps = 0
+        for start in range(1, p + 1):
+            if seen[start]:
+                continue
+            seen[start] = True
+            j = images[start - 1]
+            while j != start:
+                seen[j] = True
+                steps += 1
+                j = images[j - 1]
+        return -1 if steps % 2 else 1
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.p + 1) if self.images[i - 1] == i)
@@ -134,8 +150,8 @@ def displacement_profile(
     if sigma.p != p:
         raise ValueError(f"permutation acts on {sigma.p} points, not {p}")
     r = s = fixed = 0
-    for j in range(1, p + 1):
-        d = (sigma(j) - j) % p
+    for j, image in enumerate(sigma.images, 1):
+        d = (image - j) % p
         if d == 0:
             fixed += 1
         elif d == 1:
@@ -196,6 +212,23 @@ class PermClassKey:
     def is_empty(self) -> bool:
         """Whether the class is empty, i.e. a(r, s) = 0 (the support theorem)."""
         return not (self.divisible and self.r + self.s <= self.p)
+
+    @staticmethod
+    def nonempty_profiles(p: int, q: int) -> list[tuple[int, int]]:
+        """Every (r, s) whose class in (p, q) is nonempty, s ascending.
+
+        The profiles that :attr:`is_empty` admits, listed without a key
+        per (r, s): for each s, r runs from (-s*q) mod p in steps of p
+        while r + s <= p.  Raises ValueError unless (p, q) is canonical.
+        """
+        PermClassKey.check_pair(p, q)
+        out = []
+        for s in range(p + 1):
+            r = (-s * q) % p
+            while r + s <= p:
+                out.append((r, s))
+                r += p
+        return out
 
     @property
     def term_sign(self) -> Optional[int]:
@@ -292,7 +325,7 @@ def _walk_word(start: int, word, p: int) -> list[int]:
     seen = {start}
     v = start
     for i, step in enumerate(word):
-        v = reduce_1p(v + step, p)
+        v = (v + step - 1) % p + 1  # reduce_1p, inline
         if i == len(word) - 1:
             if v != start:
                 raise NotACycle(
@@ -455,7 +488,7 @@ def construct_witness(key: PermClassKey) -> Permutation:
                     f"witness cycles for {key} are not disjoint at point {a}"
                 )
             taken[a] = b
-    sigma = Permutation(tuple(taken.get(i, i) for i in range(1, p + 1)))
+    sigma = Permutation([taken.get(i, i) for i in range(1, p + 1)])
     if displacement_profile(sigma, p, q) != (r, s, p - r - s):
         raise AssertionError(f"witness for {key} has the wrong profile")
     return sigma

@@ -28,15 +28,22 @@ message is built only for a failure.  :func:`run_case` keeps the one
 tally of checks, failures and first counterexample, and counts a case
 that raises as one failed check.
 
-Every case is pure.  :func:`run_suite` runs them in order, or fans them
-out to worker processes when asked for more than one worker, and merges
-the outcomes in case order, so the result is identical for any worker
-count.
+Every case is pure.  :func:`run_suite` runs them in order, or, when
+asked for more than one worker, splits them into strided shares over
+``min(workers, cases, os.cpu_count())`` processes: the parent runs one
+share and ``os.fork`` starts a child for each other share, which sends
+its outcomes back over a pipe.  The outcomes are merged back into case
+order, so the result is identical for any worker count; a child that
+dies or sends a broken share raises :class:`InternalInconsistency`
+rather than leave the result partial.  Without ``os.fork`` the cases
+run in order in-process.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -51,7 +58,7 @@ from .circulant import (
     det_cycle_cover,
     det_newton,
 )
-from .errors import TooLarge
+from .errors import InternalInconsistency, TooLarge
 from .permanent import bounds_report, permanent_ryser
 from .permclass import (
     PermClassKey,
@@ -242,24 +249,21 @@ def _cycle_case(p: int, q: int) -> Checks:
 
 def _witness_case(p: int, q: int) -> Checks:
     classes = enumerate_by_profile(p, q) if p <= EXHAUSTIVE_PMAX else None
-    for s in range(p + 1):
-        for r in range(p + 1 - s):
-            key = PermClassKey(p, q, r, s)
-            if key.is_empty:
-                continue
-            sigma = construct_witness(key)
-            prof = displacement_profile(sigma, p, q)
-            ok = prof == (r, s, p - r - s)
-            if ok and (r, s) != (0, 0):
-                rep = predict_structure(key)
-                cycles = sigma.cycles()
-                ok = len(cycles) == rep.k and all(
-                    len(c) == rep.cycle_length for c in cycles
-                )
-                ok = ok and sigma.sign() == rep.sign
-            if ok and classes is not None:
-                ok = sigma in set(classes.get((r, s), []))
-            yield None if ok else f"witness for (p={p}, q={q}, r={r}, s={s}) invalid"
+    for r, s in PermClassKey.nonempty_profiles(p, q):
+        key = PermClassKey(p, q, r, s)
+        sigma = construct_witness(key)
+        prof = displacement_profile(sigma, p, q)
+        ok = prof == (r, s, p - r - s)
+        if ok and (r, s) != (0, 0):
+            rep = predict_structure(key)
+            cycles = sigma.cycles()
+            ok = len(cycles) == rep.k and all(
+                len(c) == rep.cycle_length for c in cycles
+            )
+            ok = ok and sigma.sign() == rep.sign
+        if ok and classes is not None:
+            ok = sigma in classes.get((r, s), ())
+        yield None if ok else f"witness for (p={p}, q={q}, r={r}, s={s}) invalid"
 
 
 def _permanent_case(p: int, q: int) -> Checks:
@@ -381,7 +385,7 @@ def _lemma_args(params):
 #: name -> (default pmax, largest pmax or None, argument builder, case
 #: function); the largest pmax is where one worker stays near 10 s or
 #: less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
-#: ``witness`` 60 9.7 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
+#: ``witness`` 60 3.7-4.1 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
 #: ``permanent`` 18 5.7 s (one more 15.8 s); ``prime`` runs to Newton's
 #: limit, 19.3 s at 1000
 _SUITES = {
@@ -466,6 +470,87 @@ def build_cases(
     return [(suite, *args) for args in _SUITES[suite][2](params)]
 
 
+def _run_share(case_list: list, i: int, width: int) -> list[CaseOutcome]:
+    return [run_case(case) for case in case_list[i::width]]
+
+
+def _child_share(case_list: list, i: int, width: int, r: int, w: int) -> None:
+    """Run share i in a forked child, send it down the pipe and exit."""
+    code = 1
+    try:
+        os.close(r)
+        share = _run_share(case_list, i, width)
+        payload = marshal.dumps([(oc.checks, oc.failures, oc.first) for oc in share])
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, fd: int) -> tuple[int, bytes]:
+    """Read a child's pipe to EOF, then wait for it: (exit code, payload)."""
+    with os.fdopen(fd, "rb") as pipe:
+        payload = pipe.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), payload
+
+
+def _decode(pid: int, status: int, payload: bytes, expected: int) -> list[CaseOutcome]:
+    """A child's share, or InternalInconsistency unless it is whole."""
+    if status != 0:
+        raise InternalInconsistency(f"verify worker {pid} exited with status {status}")
+    try:
+        share = [CaseOutcome(c, f, first) for c, f, first in marshal.loads(payload)]
+    except (EOFError, ValueError, TypeError) as exc:
+        raise InternalInconsistency(
+            f"verify worker {pid} sent an unreadable share: {exc!r}"
+        ) from None
+    if len(share) != expected:
+        raise InternalInconsistency(
+            f"verify worker {pid} sent {len(share)} outcomes, expected {expected}"
+        )
+    return share
+
+
+def _fan_out(case_list: list, width: int) -> list[CaseOutcome]:
+    """Outcomes in case order, from ``width`` strided shares of the cases.
+
+    Share i is ``case_list[i::width]``.  Shares 1..width-1 each run in a
+    forked child that sends its outcomes back over a pipe; the parent
+    runs share 0, then reads every pipe and reaps every child, even when
+    its own share raised.  A share whose fork fails runs in the parent.
+    Forking assumes the caller runs no other thread, as the CLI does not.
+    """
+    shares: list[Optional[list[CaseOutcome]]] = [None] * width
+    children = []  # (share index, pid, read end)
+    reaped = []
+    try:
+        for i in range(1, width):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                _child_share(case_list, i, width, r, w)
+            os.close(w)
+            children.append((i, pid, r))
+        shares[0] = _run_share(case_list, 0, width)
+    finally:
+        for i, pid, fd in children:
+            reaped.append((i, pid, *_reap(pid, fd)))
+    for i, pid, status, payload in reaped:
+        shares[i] = _decode(pid, status, payload, len(case_list[i::width]))
+    outcomes: list = [None] * len(case_list)
+    for i, share in enumerate(shares):
+        if share is None:  # its fork failed
+            share = _run_share(case_list, i, width)
+        outcomes[i::width] = share
+    return outcomes
+
+
 def run_suite(
     suite: str,
     p_max: Optional[int] = None,
@@ -476,18 +561,18 @@ def run_suite(
 ) -> SuiteResult:
     """Run a whole suite and merge the outcomes in case order.
 
-    With ``workers`` > 1 the cases are spread over that many worker
-    processes; the result does not depend on the worker count.
+    The cases are split over ``min(workers, cases, os.cpu_count())``
+    processes (see :func:`_fan_out`), or run in order in this process
+    when that is one or the platform has no ``os.fork``; the result does
+    not depend on the worker count.
     """
     case_list = build_cases(suite, p_max, q_policy, cases, seed)
     params = suite_parameters(suite, p_max, q_policy, cases, seed)
-    if workers > 1 and len(case_list) > 1:
-        # imported here so that a one-worker run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_case, case_list, chunksize=4))
+    width = min(workers, len(case_list), os.cpu_count() or 1)
+    if width > 1 and hasattr(os, "fork"):
+        outcomes = _fan_out(case_list, width)
     else:
-        outcomes = list(map(run_case, case_list))
+        outcomes = _run_share(case_list, 0, 1)
     first = next((oc.first for oc in outcomes if oc.first is not None), None)
     return SuiteResult(
         suite,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -348,6 +349,28 @@ class TestImportGate:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[0, 0] []\n"
+
+    def test_verify_fans_out_without_a_process_pool(self):
+        # two workers fork their shares directly: neither the pool nor
+        # multiprocessing is loaded, and no module of the package imports them
+        script = (
+            "import contextlib, io, sys\n"
+            "from tricirc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.run(['verify', '--suite', 'prime', '--pmax', '12'])\n"
+            "banned = ('concurrent.futures', 'multiprocessing')\n"
+            "print(code, out.getvalue().split()[-1],\n"
+            "      sorted(m for m in banned if m in sys.modules))\n"
+        )
+        env = dict(os.environ, TRICIRC_WORKERS="2")
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 failures=0 []\n"
+        pattern = re.compile(r"^\s*(from|import)\s+(concurrent|multiprocessing)\b", re.M)
+        for path in (REPO / "src" / "tricirc").glob("*.py"):
+            assert not pattern.search(path.read_text()), path.name
 
     def test_unknown_suite_is_refused_by_verify(self):
         res = cli("verify", "--suite", "everything")

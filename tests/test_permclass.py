@@ -1,5 +1,6 @@
 """Permutation classes: membership, structure, witnesses, lattice paths."""
 
+import itertools
 import math
 import random
 
@@ -45,6 +46,37 @@ def pairwise_path_bound(path: LatticePath, r: int, s: int) -> bool:
     return True
 
 
+def reference_cycles(sigma: Permutation, include_fixed: bool = False):
+    """Disjoint cycles by the walk ``Permutation.cycles`` used to make.
+
+    One point at a time through ``sigma(j)``, with a seen list indexed
+    from 0; ``Permutation.cycles`` must give the same list.
+    """
+    out = []
+    seen = [False] * sigma.p
+    for start in range(1, sigma.p + 1):
+        if seen[start - 1]:
+            continue
+        cyc = []
+        j = start
+        while not seen[j - 1]:
+            seen[j - 1] = True
+            cyc.append(j)
+            j = sigma(j)
+        if len(cyc) > 1 or include_fixed:
+            out.append(tuple(cyc))
+    return out
+
+
+def inversion_parity_sign(images) -> int:
+    """(-1)^(number of inversions), one pair at a time."""
+    n = len(images)
+    inversions = sum(
+        1 for i in range(n) for j in range(i + 1, n) if images[i] > images[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
 class TestPermutation:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
@@ -57,6 +89,22 @@ class TestPermutation:
         assert sigma.fixed_points() == (4, 5)
         tau = Permutation([2, 1, 3])  # a transposition
         assert tau.sign() == -1
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_sign_matches_inversion_parity(self, p):
+        for images in itertools.permutations(range(1, p + 1)):
+            assert Permutation(images).sign() == inversion_parity_sign(images)
+
+    def test_cycles_match_reference_walk(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            images = list(range(1, rng.randint(1, 40) + 1))
+            rng.shuffle(images)
+            sigma = Permutation(images)
+            for include_fixed in (False, True):
+                assert sigma.cycles(include_fixed) == reference_cycles(
+                    sigma, include_fixed
+                )
 
     def test_renderings(self):
         sigma = Permutation([1, 2, 4, 5, 3])
@@ -123,6 +171,26 @@ class TestKey:
     def test_one_canonical_pair_rule(self, fn, p, q):
         with pytest.raises(ValueError, match=r"need p >= 3 and 2 <= q <= p-1"):
             fn(p, q)
+
+
+class TestNonemptyProfiles:
+    def test_matches_is_empty_in_order(self):
+        # the listing must be exactly the square's nonempty keys, in the
+        # order the witness suite walked them: s ascending, then r
+        for p in range(3, 61):
+            for q in range(2, p):
+                want = [
+                    (r, s)
+                    for s in range(p + 1)
+                    for r in range(p + 1 - s)
+                    if not PermClassKey(p, q, r, s).is_empty
+                ]
+                assert PermClassKey.nonempty_profiles(p, q) == want, (p, q)
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (5, 1), (5, 5), (5, 7), (7, 0)])
+    def test_non_canonical_pair_raises(self, p, q):
+        with pytest.raises(ValueError):
+            PermClassKey.nonempty_profiles(p, q)
 
 
 class TestEnumerate:

@@ -1,11 +1,14 @@
 """The verification harness itself: suite plumbing and small sweeps."""
 
+import marshal
+import os
+
 import pytest
 
 from tricirc import phi as phimod
 from tricirc import verify as verifymod
 from tricirc.circulant import BAREISS_LIMIT, check_dp_budget
-from tricirc.errors import TooLarge
+from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import RYSER_LIMIT
 from tricirc.verify import SUITES, build_cases, run_case, run_suite
 
@@ -41,13 +44,93 @@ def test_lemma_chunking_covers_exact_case_count():
     assert set(per_battery.values()) == {997}
 
 
-def test_merge_preserves_first_counterexample_order():
+def _patch_suite(monkeypatch, case_fn, cpus=2):
+    # a "flaky" suite with the prime suite's cases p = 3..p_max, on a host
+    # that reports ``cpus`` CPUs; with two workers the parent runs the odd
+    # p (share 0) and a forked child the even p (share 1)
+    monkeypatch.setitem(
+        verifymod._SUITES, "flaky", (12, None, verifymod._prime_args, case_fn)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def test_merge_preserves_first_counterexample_order(monkeypatch):
     # two workers merge their outcomes into the one-worker result
     for suite, size in (("prime", {"p_max": 10}), ("witness", {"p_max": 14}),
                         ("lemmas", {"cases": 200})):
         seq = run_suite(suite, **size, workers=1)
         assert run_suite(suite, **size, workers=2) == seq
         assert seq.passed and seq.cases > 0
+
+    # failures in both shares: the child's p = 6 comes first in case
+    # order, ahead of the parent's p = 7 and p = 9
+    def flaky(p):
+        yield None
+        yield f"p={p} fails" if p in (6, 7, 9, 10) else None
+
+    _patch_suite(monkeypatch, flaky)
+    seq = run_suite("flaky", workers=1)
+    assert (seq.cases, seq.failures) == (20, 4)
+    assert seq.first_counterexample == "p=6 fails"
+    assert run_suite("flaky", workers=2) == seq
+
+
+def test_dead_worker_raises_and_is_reaped(monkeypatch):
+    parent = os.getpid()
+    forked = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    def dies_in_child(p):
+        if p == 8 and os.getpid() != parent:
+            os._exit(7)
+        yield None
+
+    _patch_suite(monkeypatch, dies_in_child)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    with pytest.raises(InternalInconsistency, match="exited with status 7"):
+        run_suite("flaky", workers=2)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("payload", [
+    b"",
+    b"\xff\x00garbage",
+    marshal.dumps([(1, 0, None), (2, 1, "x")])[:-3],
+    marshal.dumps([(1, 0), (2, 1)]),
+    marshal.dumps([(1, 0, None)]),
+], ids=["nothing", "not-marshal", "cut-short", "row-shape", "one-of-two"])
+def test_unreadable_share_raises(payload):
+    with pytest.raises(InternalInconsistency):
+        verifymod._decode(1234, 0, payload, 2)
+    good = marshal.dumps([(1, 0, None), (2, 1, "x")])
+    assert verifymod._decode(1234, 0, good, 2) == [
+        verifymod.CaseOutcome(1, 0), verifymod.CaseOutcome(2, 1, "x")
+    ]
+
+
+def test_fan_out_is_capped_by_the_cpu_count(monkeypatch):
+    # a stub fork that counts its calls and fails starts no process; each
+    # share whose fork fails runs in the parent, so the result is whole
+    calls = []
+
+    def failing_fork():
+        calls.append(1)
+        raise OSError("fork refused")
+
+    seq = run_suite("prime", p_max=80, workers=1)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    for cpus in (os.cpu_count(), 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        calls.clear()
+        assert run_suite("prime", p_max=80, workers=64) == seq
+        assert len(calls) == min(64, cpus or 1) - 1
 
 
 def test_results_record_their_parameters():
