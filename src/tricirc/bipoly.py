@@ -17,7 +17,6 @@ Two term orders matter:
 
 from __future__ import annotations
 
-import re
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
@@ -36,10 +35,6 @@ class Monomial(NamedTuple):
 
 def _display_key(m: Monomial) -> tuple[int, int]:
     return (m.s, m.r)
-
-
-# one term of the text grammar, e.g. "12", "x", "x^5", "y^2"
-_FACTOR_RE = re.compile(r"^(?:(\d+)|([xy])(?:\^(\d+))?)$")
 
 
 class BiPoly:
@@ -94,12 +89,6 @@ class BiPoly:
     def constant_term(self) -> int:
         return self._terms.get(Monomial(0, 0), 0)
 
-    def total_degree(self) -> int:
-        """Max of r+s over stored terms; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m.r + m.s for m in self._terms)
-
     def leading_term(self) -> tuple[Monomial, int]:
         """Largest term in the canonical order; errors on zero."""
         if not self._terms:
@@ -110,8 +99,7 @@ class BiPoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "BiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, BiPoly):
             return NotImplemented
         out = dict(self._terms)
         for m, c in other._terms.items():
@@ -122,26 +110,15 @@ class BiPoly:
                 del out[m]
         return _wrap(out)
 
-    def __radd__(self, other) -> "BiPoly":
-        return self.__add__(other)
-
     def __neg__(self) -> "BiPoly":
         return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "BiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, BiPoly):
             return NotImplemented
         return self.__add__(-other)
 
-    def __rsub__(self, other) -> "BiPoly":
-        return (-self).__add__(other)
-
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return ZERO
-            return _wrap({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict = {}
@@ -153,24 +130,7 @@ class BiPoly:
                 out[k] = v
         return BiPoly(out)
 
-    def __rmul__(self, other) -> "BiPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -237,45 +197,6 @@ class BiPoly:
                 pieces.append(f"{' - ' if c < 0 else ' + '}{body}")
         return "".join(pieces)
 
-    @classmethod
-    def parse(cls, text: str) -> "BiPoly":
-        """Inverse of :meth:`render`; accepts any whitespace spacing."""
-        compact = text.replace(" ", "")
-        if compact in ("", "0"):
-            return ZERO
-        out: dict[tuple[int, int], int] = {}
-        pos = 0
-        sign = 1
-        if compact[0] in "+-":
-            sign = -1 if compact[0] == "-" else 1
-            pos = 1
-        for tok in re.split(r"([+-])", compact[pos:]):
-            if tok == "":
-                raise ValueError(f"malformed polynomial text: {text!r}")
-            if tok in "+-":
-                sign = -1 if tok == "-" else 1
-                continue
-            coeff, r, s = 1, 0, 0
-            saw_coeff = False
-            for part in tok.split("*"):
-                m = _FACTOR_RE.match(part)
-                if m is None:
-                    raise ValueError(f"bad factor {part!r} in {text!r}")
-                digits, var, exp = m.groups()
-                if digits is not None:
-                    if saw_coeff:
-                        raise ValueError(f"two coefficients in term {tok!r}")
-                    coeff = int(digits)
-                    saw_coeff = True
-                elif var == "x":
-                    r += int(exp) if exp else 1
-                else:
-                    s += int(exp) if exp else 1
-            key = (r, s)
-            out[key] = out.get(key, 0) + sign * coeff
-            sign = 1
-        return cls(out)
-
     def to_json_dict(self) -> dict:
         """JSON form with decimal-string coefficients, canonical order."""
         return {
@@ -284,14 +205,6 @@ class BiPoly:
             ]
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BiPoly":
-        terms = {}
-        for t in obj["terms"]:
-            key = (int(t["r"]), int(t["s"]))
-            terms[key] = terms.get(key, 0) + int(t["c"])
-        return cls(terms)
-
 
 def _wrap(canon: dict) -> BiPoly:
     # internal: keys are already Monomial instances and values nonzero
@@ -299,14 +212,6 @@ def _wrap(canon: dict) -> BiPoly:
     p._terms = canon
     p._hash = None
     return p
-
-
-def _coerce(other):
-    if isinstance(other, BiPoly):
-        return other
-    if isinstance(other, int):
-        return BiPoly.constant(other)
-    return NotImplemented
 
 
 ZERO = BiPoly()

@@ -9,10 +9,15 @@ error, 3 unsupported parameter regime.
 ``verify`` is the only command that may start worker processes; set the
 environment variable TRICIRC_WORKERS to a positive integer to enable
 that.  ``verify.run_suite`` forks at most min(TRICIRC_WORKERS, cases,
-os.cpu_count()) - 1 children (a larger value is not an error, only
-capped), runs in order in-process where ``os.fork`` does not exist, and
-merges results in case order, so output bytes do not depend on the
-worker count.
+CPUs) - 1 children, counting the CPUs this process may run on (its
+affinity set where the platform has one, else ``os.cpu_count()``); a
+larger value is not an error, only capped.  It runs in order in-process
+where ``os.fork`` does not exist, and merges results in case order, so
+output bytes do not depend on the worker count.
+
+``enumerate`` checks the size of the class it prints against |a(r, s)|
+of the determinant polynomial: it admits p = 10, one past the largest p
+at which the ``cycle`` suite compares the class search with brute force.
 
 Each command imports only the modules it uses: ``permanent`` and
 ``verify`` are imported inside the commands that call them, so the
@@ -30,7 +35,9 @@ import time
 
 from . import phi as phimod
 from .circulant import CirculantSpec, reduce_theta
-from .errors import IrreducibleSpec, StateSpaceTooLarge, TooLarge
+from .errors import (
+    InternalInconsistency, IrreducibleSpec, StateSpaceTooLarge, TooLarge,
+)
 from .permclass import PermClassKey, construct_witness, enumerate_class, predict_structure
 
 WORKERS_ENV = "TRICIRC_WORKERS"
@@ -133,6 +140,11 @@ def _cmd_witness(args) -> int:
 def _cmd_enumerate(args) -> int:
     key = PermClassKey(args.p, args.q, args.r, args.s)
     members = enumerate_class(key)
+    size = abs(phimod.phi_polynomial(args.p, args.q).coefficient(args.r, args.s))
+    if len(members) != size:
+        raise InternalInconsistency(
+            f"{len(members)} members enumerated for {key}, but |a(r, s)| = {size}"
+        )
     if args.format == "json":
         _emit_json(
             {

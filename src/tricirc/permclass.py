@@ -74,9 +74,6 @@ class Permutation:
     def p(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -86,8 +83,8 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each rotated to start at its least point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The nontrivial cycles (no fixed points), each from its least point."""
         images = self.images
         p = len(images)
         out = []
@@ -101,7 +98,7 @@ class Permutation:
                 seen[j] = True
                 cyc.append(j)
                 j = images[j - 1]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -125,9 +122,6 @@ class Permutation:
                 steps += 1
                 j = images[j - 1]
         return -1 if steps % 2 else 1
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.p + 1) if self.images[i - 1] == i)
 
     def one_line(self) -> str:
         return "{" + ",".join(str(v) for v in self.images) + "}"
@@ -373,21 +367,6 @@ class LatticePath:
         for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
             if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
                 raise ValueError("steps must be unit east or north moves")
-
-    @classmethod
-    def from_word(cls, word: str) -> "LatticePath":
-        """Build from a string of E/N step letters."""
-        x = y = 0
-        verts = [(0, 0)]
-        for ch in word:
-            if ch == "E":
-                x += 1
-            elif ch == "N":
-                y += 1
-            else:
-                raise ValueError(f"step letter {ch!r} is not E or N")
-            verts.append((x, y))
-        return cls(tuple(verts))
 
     @property
     def end(self) -> tuple[int, int]:

@@ -15,7 +15,8 @@ machine checks against independent oracles:
 * ``permanent`` -- Ryser, the unsigned DP and the signed polynomial
                    agree in every case, and the two-sided bounds hold;
 * ``prime``     -- the binomial congruence matches trial division;
-* ``lemmas``    -- randomized checks of cyclic-order preservation, the
+* ``lemmas``    -- randomized checks of cyclic order (against its
+                   definition, and preserved by rotation), the
                    lattice-path bound and the divisibility gap.
 
 A suite is one row of ``_SUITES``: its default and largest pmax, a
@@ -28,15 +29,16 @@ message is built only for a failure.  :func:`run_case` keeps the one
 tally of checks, failures and first counterexample, and counts a case
 that raises as one failed check.
 
-Every case is pure.  :func:`run_suite` runs them in order, or, when
-asked for more than one worker, splits them into strided shares over
-``min(workers, cases, os.cpu_count())`` processes: the parent runs one
-share and ``os.fork`` starts a child for each other share, which sends
-its outcomes back over a pipe.  The outcomes are merged back into case
-order, so the result is identical for any worker count; a child that
-dies or sends a broken share raises :class:`InternalInconsistency`
-rather than leave the result partial.  Without ``os.fork`` the cases
-run in order in-process.
+Every case is pure.  :func:`run_suite` splits them into strided shares
+over ``min(workers, cases, CPUs)`` processes, counting the CPUs this
+process may run on (its affinity set, else ``os.cpu_count()``): the
+parent runs one share and ``os.fork`` starts a child for each other
+share, which sends its outcomes back over a pipe.  At one share, and
+always where ``os.fork`` does not exist, the parent runs the whole list
+in order.  The outcomes are merged back into case order, so the result
+is identical for any worker count; a child that dies or sends a broken
+share raises :class:`InternalInconsistency` rather than leave the
+result partial.
 """
 
 from __future__ import annotations
@@ -300,6 +302,14 @@ def _prime_case(p: int) -> Checks:
 # the lemma holds there, else a description of the instance
 # ---------------------------------------------------------------------------
 
+def _rises_from_least(zs: list) -> bool:
+    # cyclic order by its definition, apart from the descent count:
+    # started at its least point, the sequence strictly increases
+    i = zs.index(min(zs))
+    run = zs[i:] + zs[:i]
+    return all(a < b for a, b in zip(run, run[1:]))
+
+
 def _check_cyclic_order(rng: random.Random) -> Optional[str]:
     p = rng.randint(3, 60)
     m = rng.randint(3, min(p, 8))
@@ -307,6 +317,9 @@ def _check_cyclic_order(rng: random.Random) -> Optional[str]:
     q = rng.randint(1, p - 1)
     ws = [rotate(z, q, p) for z in zs]
     lhs, rhs = cyclic_order(zs), cyclic_order(ws)
+    want = _rises_from_least(zs)
+    if lhs != want:
+        return f"p={p} zs={zs}: cyclic_order {lhs}, by definition {want}"
     return None if lhs == rhs else f"p={p} q={q} zs={zs}: {lhs} vs rotated {rhs}"
 
 
@@ -512,6 +525,14 @@ def _decode(pid: int, status: int, payload: bytes, expected: int) -> list[CaseOu
     return share
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set (a cpuset can be
+    smaller than the machine), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fan_out(case_list: list, width: int) -> list[CaseOutcome]:
     """Outcomes in case order, from ``width`` strided shares of the cases.
 
@@ -519,6 +540,7 @@ def _fan_out(case_list: list, width: int) -> list[CaseOutcome]:
     forked child that sends its outcomes back over a pipe; the parent
     runs share 0, then reads every pipe and reaps every child, even when
     its own share raised.  A share whose fork fails runs in the parent.
+    At width 1 nothing is forked and share 0 is the whole list.
     Forking assumes the caller runs no other thread, as the CLI does not.
     """
     shares: list[Optional[list[CaseOutcome]]] = [None] * width
@@ -561,18 +583,17 @@ def run_suite(
 ) -> SuiteResult:
     """Run a whole suite and merge the outcomes in case order.
 
-    The cases are split over ``min(workers, cases, os.cpu_count())``
-    processes (see :func:`_fan_out`), or run in order in this process
-    when that is one or the platform has no ``os.fork``; the result does
-    not depend on the worker count.
+    The cases are split over ``min(workers, cases, CPUs)`` processes
+    (see :func:`_fan_out` and :func:`_usable_cpus`), or over one, this
+    process, where the platform has no ``os.fork``; the result does not
+    depend on the worker count.
     """
     case_list = build_cases(suite, p_max, q_policy, cases, seed)
     params = suite_parameters(suite, p_max, q_policy, cases, seed)
-    width = min(workers, len(case_list), os.cpu_count() or 1)
-    if width > 1 and hasattr(os, "fork"):
-        outcomes = _fan_out(case_list, width)
-    else:
-        outcomes = _run_share(case_list, 0, 1)
+    width = 1
+    if hasattr(os, "fork"):
+        width = max(1, min(workers, len(case_list), _usable_cpus()))
+    outcomes = _fan_out(case_list, width)
     first = next((oc.first for oc in outcomes if oc.first is not None), None)
     return SuiteResult(
         suite,

@@ -216,7 +216,7 @@ def test_criterion_06_witness_construction():
     for start in (1, 5, 9):
         walk = [start]
         for _ in range(5):
-            walk.append(sigma(walk[-1]))
+            walk.append(sigma.images[walk[-1] - 1])
         steps = tuple((b - a) % 17 for a, b in zip(walk, walk[1:]))
         example_ok = example_ok and walk[-1] == start and steps == word
     ok = res.passed and example_ok

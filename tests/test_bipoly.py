@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polytext import parse as P
 from tricirc.bipoly import ONE, X, Y, ZERO, BiPoly, Monomial, exact_div
 from tricirc.errors import NonExactDivision
-
-
-def P(text):
-    return BiPoly.parse(text)
 
 
 class TestBasics:
@@ -23,7 +20,12 @@ class TestBasics:
     def test_equality_is_term_equality(self):
         assert BiPoly({(1, 1): 2}) == BiPoly({(1, 1): 2})
         assert BiPoly({(1, 1): 2}) != BiPoly({(1, 1): 3})
-        assert ZERO == BiPoly() and ONE == 1
+        assert ZERO == BiPoly() and ONE == BiPoly.constant(1)
+
+    def test_only_polynomial_operands(self):
+        for op in (lambda: X + 1, lambda: 1 + X, lambda: X - 1, lambda: 2 * X):
+            with pytest.raises(TypeError):
+                op()
 
     def test_monomial_ordering_is_degree_then_x(self):
         ms = [Monomial(8, 0), Monomial(0, 0), Monomial(1, 5), Monomial(5, 1),
@@ -51,15 +53,11 @@ class TestMul:
         assert P("1 - x") * P("1 + x") == P("1 - x^2")
 
     def test_binomial_square(self):
-        assert P("x + y") ** 2 == P("x^2 + 2*x*y + y^2")
+        assert P("x + y") * P("x + y") == P("x^2 + 2*x*y + y^2")
 
     def test_identity(self):
         p = P("1 - x - y")
         assert p * ONE == p
-
-    def test_int_scaling(self):
-        assert 3 * P("x + y") == P("3*x + 3*y")
-        assert P("x") * 0 == ZERO
 
 
 class TestExactDiv:
@@ -172,20 +170,22 @@ class TestSerialization:
                 {"r": 0, "s": 2, "c": "4"},
             ]
         }
-        assert BiPoly.from_json_dict(p.to_json_dict()) == p
 
     @given(polys)
     def test_text_round_trip(self, p):
-        assert BiPoly.parse(p.render()) == p
+        assert P(p.render()) == p
 
     @given(polys)
     def test_json_round_trip(self, p):
-        assert BiPoly.from_json_dict(p.to_json_dict()) == p
+        # the JSON terms read back into the same polynomial, each term once
+        terms = p.to_json_dict()["terms"]
+        assert BiPoly({(t["r"], t["s"]): int(t["c"]) for t in terms}) == p
+        assert len(terms) == len(p)
 
     def test_parse_rejects_garbage(self):
         for bad in ("x**2", "2x", "x^-1", "x +", "z"):
             with pytest.raises(ValueError):
-                BiPoly.parse(bad)
+                P(bad)
 
 
 class TestHelpers:
@@ -198,7 +198,3 @@ class TestHelpers:
         assert p.abs_coefficient_sum() == 13
         assert p.max_abs_coefficient() == 5
         assert len(p) == 5
-
-    def test_total_degree(self):
-        assert P("1 + x*y^3").total_degree() == 4
-        assert ZERO.total_degree() == -1

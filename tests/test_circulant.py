@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from polytext import parse
 from tricirc import circulant
 from tricirc.bipoly import ZERO, BiPoly
 from tricirc.circulant import (
@@ -111,14 +112,14 @@ def substituted_matrix(spec: CirculantSpec, x0: int, y0: int) -> list[list[int]]
 
 
 # expanded by hand via cofactors along the first row
-DET_3_2 = BiPoly.parse("1 - x^3 - 3*x*y - y^3")
+DET_3_2 = parse("1 - x^3 - 3*x*y - y^3")
 
 # derived by pairing conjugate roots of unity: the 4x4 case factors as
 # ((1-y)^2 - x^2) * ((1+y)^2 + x^2)
-DET_4_2 = BiPoly.parse("1 - 4*x^2*y - 2*y^2 - x^4 + y^4")
+DET_4_2 = parse("1 - 4*x^2*y - 2*y^2 - x^4 + y^4")
 
-PHI_8_3 = BiPoly.parse("1 - x^8 - 8*x^5*y - 12*x^2*y^2 + 2*x^4*y^4 - 8*x*y^5 - y^8")
-PHI_5_3 = BiPoly.parse("1 - x^5 - 5*x^2*y - 5*x*y^3 - y^5")
+PHI_8_3 = parse("1 - x^8 - 8*x^5*y - 12*x^2*y^2 + 2*x^4*y^4 - 8*x*y^5 - y^8")
+PHI_5_3 = parse("1 - x^5 - 5*x^2*y - 5*x*y^3 - y^5")
 
 
 class TestSpec:
@@ -365,7 +366,7 @@ class TestStructuralInvariants:
             det = det_bareiss(CirculantSpec(p, q))
             assert det.constant_term() == 1
             assert det.coefficient(p, 0) == -1
-            assert det.total_degree() <= p
+            assert max(r + s for r, s in det.terms) <= p
 
     def test_random_point_agreement(self):
         rng = random.Random(1812)

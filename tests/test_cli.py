@@ -12,8 +12,10 @@ import jsonschema
 import pytest
 
 from tricirc import cli as climod
+from tricirc import permclass
 from tricirc import phi as phimod
 from tricirc.bipoly import ONE
+from tricirc.errors import InternalInconsistency
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -231,6 +233,21 @@ class TestTextFormats:
         assert res.stdout.splitlines() == [
             "{1,2,4,5,3}", "{1,3,4,2,5}", "{2,3,1,4,5}", "{2,5,3,4,1}", "{4,2,3,5,1}",
         ]
+
+    def test_enumerate_checks_the_class_size(self, capsys, monkeypatch):
+        # a class search that loses a member fails before printing anything
+        real = permclass.enumerate_by_profile
+
+        def drops_one(p, q):
+            classes = real(p, q)
+            classes[(2, 1)] = classes[(2, 1)][1:]
+            return classes
+
+        monkeypatch.setattr(permclass, "enumerate_by_profile", drops_one)
+        argv = ["enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1"]
+        with pytest.raises(InternalInconsistency, match=r"4 members .* = 5"):
+            climod.run(argv)
+        assert capsys.readouterr().out == ""
 
     def test_enumerate_empty_class_prints_nothing(self):
         res = cli("enumerate", "--p", "5", "--q", "3", "--r", "1", "--s", "1")

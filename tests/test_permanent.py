@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polytext import parse
 from tricirc import permanent as permmod
 from tricirc.bipoly import BiPoly
 from tricirc.errors import InternalInconsistency, TooLarge
@@ -19,17 +20,17 @@ from tricirc.phi import phi_polynomial
 
 class TestGenerating:
     def test_unsigned_5_3(self):
-        assert permanent_generating(5, 3) == BiPoly.parse(
+        assert permanent_generating(5, 3) == parse(
             "1 + x^5 + 5*x^2*y + 5*x*y^3 + y^5"
         )
 
     def test_unsigned_8_3(self):
-        assert permanent_generating(8, 3) == BiPoly.parse(
+        assert permanent_generating(8, 3) == parse(
             "1 + x^8 + 8*x^5*y + 12*x^2*y^2 + 2*x^4*y^4 + 8*x*y^5 + y^8"
         )
 
     def test_unsigned_3_2(self):
-        assert permanent_generating(3, 2) == BiPoly.parse("1 + x^3 + 3*x*y + y^3")
+        assert permanent_generating(3, 2) == parse("1 + x^3 + 3*x*y + y^3")
 
     def test_termwise_abs_of_determinant(self):
         for p, q in ((6, 4), (9, 5), (10, 7)):
@@ -98,7 +99,7 @@ class TestBounds:
 
     def test_dp_is_checked_term_by_term(self, monkeypatch):
         # 12 and 2 swapped: the sum, and so d11, is still 33
-        swapped = BiPoly.parse(
+        swapped = parse(
             "1 + x^8 + 8*x^5*y + 2*x^2*y^2 + 12*x^4*y^4 + 8*x*y^5 + y^8"
         )
         assert swapped != permanent_generating(8, 3)

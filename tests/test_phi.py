@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tricirc.bipoly import BiPoly
+from polytext import parse
 from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.phi import (
     binomial_power,
@@ -106,7 +106,7 @@ class TestPhiPolynomial:
 
 class TestPrimality:
     def test_binomial_power(self):
-        assert binomial_power(5) == BiPoly.parse(
+        assert binomial_power(5) == parse(
             "x^5 + 5*x^4*y + 10*x^3*y^2 + 10*x^2*y^3 + 5*x*y^4 + y^5"
         )
 

@@ -52,6 +52,9 @@ def _patch_suite(monkeypatch, case_fn, cpus=2):
         verifymod._SUITES, "flaky", (12, None, verifymod._prime_args, case_fn)
     )
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
 
 
 def test_merge_preserves_first_counterexample_order(monkeypatch):
@@ -125,12 +128,52 @@ def test_fan_out_is_capped_by_the_cpu_count(monkeypatch):
         raise OSError("fork refused")
 
     seq = run_suite("prime", p_max=80, workers=1)
+    real_cpus = os.cpu_count()
     monkeypatch.setattr(os, "fork", failing_fork)
-    for cpus in (os.cpu_count(), 3, None):
+
+    # the affinity set counts, not the machine's CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for cpus in (1, 3, 5):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        calls.clear()
+        assert run_suite("prime", p_max=80, workers=64) == seq
+        assert len(calls) == cpus - 1
+
+    # where the platform has no affinity call, os.cpu_count() sizes it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus in (real_cpus, 3, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         calls.clear()
         assert run_suite("prime", p_max=80, workers=64) == seq
         assert len(calls) == min(64, cpus or 1) - 1
+
+
+def test_without_fork_the_cases_run_in_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    seq = run_suite("prime", p_max=20, workers=4)
+    assert seq.passed and seq.cases == 18
+
+
+def test_lemmas_check_cyclic_order_against_its_definition(monkeypatch):
+    # counting ascents instead of descents keeps rotation invariance, so
+    # only the comparison with the definition catches it
+    def ascent_order(points):
+        zs = list(points)
+        m = len(zs)
+        if m <= 1:
+            return True
+        if len(set(zs)) != m:
+            return False
+        return sum(1 for i in range(m) if zs[i] < zs[(i + 1) % m]) == 1
+
+    good = run_suite("lemmas", cases=200)
+    assert good.passed
+    monkeypatch.setattr(verifymod, "cyclic_order", ascent_order)
+    bad = run_suite("lemmas", cases=200)
+    assert not bad.passed and bad.cases == good.cases
+    assert bad.first_counterexample.startswith("cyclic_order: ")
 
 
 def test_results_record_their_parameters():
