@@ -22,10 +22,13 @@ import importlib
 _HOMES = {
     "bipoly": "ONE X Y ZERO BiPoly Monomial exact_div",
     "circulant": (
-        "BAREISS_LIMIT BRUTEFORCE_LIMIT DP_BUDGET NEWTON_LIMIT "
-        "CirculantSpec FloatCheckReport ReducedSpec cycle_cover_counts "
-        "det_bareiss det_bruteforce det_cycle_cover det_float_check "
-        "det_newton dp_cost reduce_theta window_width"
+        "BAREISS_LIMIT BRUTEFORCE_LIMIT DP_BUDGET FloatCheckReport "
+        "cycle_cover_counts det_bareiss det_bruteforce det_cycle_cover "
+        "det_float_check dp_cost window_width"
+    ),
+    "core": (
+        "NEWTON_LIMIT CirculantSpec PermClassKey ReducedSpec det_newton "
+        "reduce_theta"
     ),
     "errors": (
         "EmptyClass InternalInconsistency InvalidKey IrreducibleSpec "
@@ -36,7 +39,7 @@ _HOMES = {
         "growth_table_csv permanent_generating permanent_ryser"
     ),
     "permclass": (
-        "ENUMERATION_LIMIT CycleWord LatticePath PermClassKey Permutation "
+        "ENUMERATION_LIMIT CycleWord LatticePath Permutation "
         "StructureReport build_path construct_witness cycle_from_word "
         "cyclic_order displacement_profile enumerate_by_profile "
         "enumerate_class path_bound_check predict_structure reduce_1p "

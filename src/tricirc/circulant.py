@@ -1,13 +1,13 @@
-"""The p-by-p circulant with bands at offsets 0, t and q, and its determinant.
+"""The cross-check routes for the determinant of the three-band circulant.
 
-The matrix has 1 on the diagonal, -x on the cyclic band at offset t
-(canonically t=1) and -y on the cyclic band at offset q.  Its
-determinant is a bivariate integer polynomial; this module computes it
-by four independent exact routes plus an advisory floating-point
+The matrix has 1 on the diagonal, -x on the cyclic band at offset 1
+and -y on the cyclic band at offset q (:class:`CirculantSpec`, whose
+home is :mod:`tricirc.core` with :func:`reduce_theta` and the default
+route ``det_newton``).  Its determinant is a bivariate integer
+polynomial; this module computes it by three more exact routes, each
+independent of Newton's identities, plus an advisory floating-point
 cross-check over complex roots of unity:
 
-* ``det_newton``       -- Newton's identities over closed-form power sums
-                          tr(A^i) of A = xP + yP^q; the default route;
 * ``det_bareiss``      -- fraction-free elimination over the polynomial ring;
 * ``det_cycle_cover``  -- bitmask transfer DP counting cycle covers, with the
                           term sign attached from the gcd parity rule;
@@ -15,6 +15,14 @@ cross-check over complex roots of unity:
                           (p <= 10), the oracle;
 * ``det_float_check``  -- product over complex p-th roots of unity at a
                           fixed sample grid, advisory only.
+
+These routes live apart from the default one so that a ``phi`` or
+``coeff`` job neither compiles them nor loads what they import;
+``phi`` imports this module only when ``--backend`` names one of them,
+while ``permanent``, ``verify`` and ``bench`` import it directly.  They
+stay in this module, under these names, because the benchmark imports
+``cycle_cover_counts`` and the Bareiss and float-check routes from here
+and traces them as ``circulant.*``.
 
 Each exact route has a declared size limit and raises :class:`TooLarge`
 or :class:`StateSpaceTooLarge` beyond it instead of starting a run of
@@ -25,19 +33,14 @@ may run concurrently.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
-from .errors import IrreducibleSpec, NonExactDivision, StateSpaceTooLarge, TooLarge
-from .permclass import PermClassKey
-
-#: largest p accepted by the Newton-identity route (about 0.2 s at
-#: p = 1000 on a 2-CPU host with Python 3.11)
-NEWTON_LIMIT = 1000
+# reduce_theta is not used here: benchmark/make_refs.py imports it from this module
+from .core import CirculantSpec, PermClassKey, _require_canonical, reduce_theta
+from .errors import StateSpaceTooLarge, TooLarge
 
 #: largest p accepted by fraction-free elimination ((96, 48) takes
 #: 20-30 s on a 2-CPU host with Python 3.11)
@@ -50,144 +53,6 @@ DP_BUDGET = 15 * 10**8
 #: (every q at p = 10 takes 7-9 ms, at p = 9 3-5 ms, on a 2-CPU host
 #: with Python 3.11); the CLI's refusals and the goldens rest on it
 BRUTEFORCE_LIMIT = 10
-
-
-@dataclass(frozen=True)
-class CirculantSpec:
-    """Parameters (p, q, t) of the three-band circulant.
-
-    Canonical specs have t=1 and 2 <= q <= p-1; non-canonical specs are
-    accepted only as input to :func:`reduce_theta`, so t or q must be
-    invertible modulo p (:class:`IrreducibleSpec` otherwise, checked
-    before the next rule).  The three band offsets 0, t, q must be
-    pairwise distinct.
-    """
-
-    p: int
-    q: int
-    t: int = 1
-
-    def __post_init__(self):
-        if self.p < 3:
-            raise ValueError(f"p must be at least 3, got {self.p}")
-        if not 1 <= self.q < self.p:
-            raise ValueError(f"q must lie in [1, p-1], got q={self.q}")
-        if not 1 <= self.t < self.p:
-            raise ValueError(f"t must lie in [1, p-1], got t={self.t}")
-        if math.gcd(self.t, self.p) > 1 and math.gcd(self.q, self.p) > 1:
-            raise IrreducibleSpec(
-                f"gcd(t={self.t}, p={self.p}) > 1 and "
-                f"gcd(q={self.q}, p={self.p}) > 1: no canonical form is known"
-            )
-        if self.t == self.q:
-            raise ValueError("band offsets t and q must be distinct")
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.t == 1 and self.q >= 2
-
-
-class ReducedSpec(NamedTuple):
-    """Result of :func:`reduce_theta`."""
-
-    spec: CirculantSpec
-    swapped: bool  # True when the x and y roles were exchanged
-
-
-def reduce_theta(spec: CirculantSpec) -> ReducedSpec:
-    """Rewrite a general (p, q, t) spec in the canonical form t=1.
-
-    When gcd(t, p) = 1 the product over roots of unity can be reindexed
-    so the x band sits at offset 1 and the y band at offset q*t^-1 mod p.
-    Otherwise gcd(q, p) = 1 (a spec with neither offset invertible
-    cannot be built) and the same works with the variable roles
-    exchanged (flagged in the result).
-    """
-    p = spec.p
-    if spec.is_canonical:
-        return ReducedSpec(spec, False)
-    if math.gcd(spec.t, p) == 1:
-        qp = spec.q * pow(spec.t, -1, p) % p
-        return ReducedSpec(CirculantSpec(p, qp, 1), False)
-    qp = spec.t * pow(spec.q, -1, p) % p
-    return ReducedSpec(CirculantSpec(p, qp, 1), True)
-
-
-def _require_canonical(spec: CirculantSpec) -> None:
-    if not spec.is_canonical:
-        raise ValueError(
-            f"{spec} is not canonical; apply reduce_theta first"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Newton's identities over closed-form power sums
-# ---------------------------------------------------------------------------
-
-def power_sums(p: int, q: int) -> dict[int, dict[int, int]]:
-    """The nonzero power sums tr(A^i), 1 <= i <= p, of A = xP + yP^q.
-
-    P is the cyclic shift, so tr(P^k) is p when p divides k and 0
-    otherwise, and the binomial theorem gives
-    tr(A^i) = p * sum C(i, s) x^(i-s) y^s over the s in [0, i] with
-    p | i + s(q-1).  Maps i to {s: coefficient}; the x-exponent is i-s.
-    """
-    g = math.gcd(q - 1, p)
-    m = p // g
-    inv = pow((q - 1) // g, -1, m)
-    sums = {}
-    for i in range(g, p + 1, g):  # the s exist only where g divides i
-        s0 = -(i // g) * inv % m
-        if s0 <= i:
-            sums[i] = {s: p * math.comb(i, s) for s in range(s0, i + 1, m)}
-    return sums
-
-
-def det_newton(spec: CirculantSpec) -> BiPoly:
-    """Exact determinant from Newton's identities.
-
-    det(I - A) = sum (-1)^t e_t, where e_t is the t-th elementary
-    symmetric function of the eigenvalues of A = xP + yP^q and is
-    homogeneous of degree t.  Newton's identities
-    t e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) tr(A^i) give the signed
-    slices c_t = (-1)^t e_t as t c_t = -sum_{i=1..t} c_(t-i) tr(A^i).
-    Every slice is stored by y-exponent alone and has only the few terms
-    the support theorem allows, so the cost is polynomial in p for every
-    q.  Each division by t must be exact (:class:`NonExactDivision`
-    otherwise), and the unit constant term is checked as in Bareiss.
-    """
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
-    if p > NEWTON_LIMIT:
-        raise TooLarge(f"Newton's identities are limited to p <= {NEWTON_LIMIT}")
-    sums = [(i, list(ps.items())) for i, ps in power_sums(p, q).items()]
-    slices: list[dict[int, int]] = [{0: 1}]
-    for t in range(1, p + 1):
-        acc: dict[int, int] = {}
-        for i, ps in sums:
-            if i > t:
-                break
-            for s1, c1 in slices[t - i].items():
-                for s2, c2 in ps:
-                    k = s1 + s2
-                    acc[k] = acc.get(k, 0) + c1 * c2
-        ct = {}
-        for s, v in acc.items():
-            c, rem = divmod(-v, t)
-            if rem:
-                raise NonExactDivision(
-                    f"{t} does not divide the coefficient {-v} of "
-                    f"x^{t - s}*y^{s} in t*c_t for {spec}"
-                )
-            if c:
-                ct[s] = c
-        slices.append(ct)
-    det = BiPoly(
-        {(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()}
-    )
-    if det.constant_term() != 1:
-        raise AssertionError("determinant lost its unit constant term")
-    return det
 
 
 # ---------------------------------------------------------------------------

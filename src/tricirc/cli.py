@@ -19,26 +19,37 @@ output bytes do not depend on the worker count.
 of the determinant polynomial: it admits p = 10, one past the largest p
 at which the ``cycle`` suite compares the class search with brute force.
 
-Each command imports only the modules it uses: ``permanent`` and
-``verify`` are imported inside the commands that call them, so the
-parser, ``phi`` and ``--help`` load neither.  ``verify`` owns its suite
-names and default sizes, and refuses an unknown ``--suite`` (exit 2).
+Each command imports only the modules it uses.  Every command loads
+this module, :mod:`tricirc.phi`, :mod:`tricirc.core` (the spec, Newton's
+identities and the class key), :mod:`tricirc.bipoly` and
+:mod:`tricirc.errors`; ``--help`` and text-format ``phi`` and ``coeff``
+load nothing more, and :mod:`json` only when ``--format json`` is
+given.  Beyond those:
+
+* ``phi`` and ``coeff`` with a ``--backend`` other than ``newton`` load
+  :mod:`tricirc.circulant`, the home of the cross-check routes;
+* ``witness`` and ``enumerate`` load :mod:`tricirc.permclass`;
+* ``permanent`` and ``growth`` load :mod:`tricirc.permanent` and,
+  through it, :mod:`tricirc.circulant`;
+* ``bench`` loads :mod:`tricirc.permanent` and :mod:`tricirc.circulant`;
+* ``verify`` loads :mod:`tricirc.verify` and, through it, every module.
+
+``verify`` owns its suite names and default sizes, and refuses an
+unknown ``--suite`` or a flag that the suite does not read (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from . import phi as phimod
-from .circulant import CirculantSpec, reduce_theta
+from .core import CirculantSpec, PermClassKey, reduce_theta
 from .errors import (
     InternalInconsistency, IrreducibleSpec, StateSpaceTooLarge, TooLarge,
 )
-from .permclass import PermClassKey, construct_witness, enumerate_class, predict_structure
 
 WORKERS_ENV = "TRICIRC_WORKERS"
 
@@ -49,6 +60,7 @@ EXIT_UNSUPPORTED = 3
 
 
 def _emit_json(payload: dict) -> None:
+    import json
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -114,9 +126,10 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import permclass
     key = PermClassKey(args.p, args.q, args.r, args.s)
-    sigma = construct_witness(key)
-    rep = predict_structure(key)
+    sigma = permclass.construct_witness(key)
+    rep = permclass.predict_structure(key)
     if args.format == "json":
         _emit_json(
             {
@@ -138,8 +151,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import permclass
     key = PermClassKey(args.p, args.q, args.r, args.s)
-    members = enumerate_class(key)
+    members = permclass.enumerate_class(key)
     size = abs(phimod.phi_polynomial(args.p, args.q).coefficient(args.r, args.s))
     if len(members) != size:
         raise InternalInconsistency(

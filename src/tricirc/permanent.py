@@ -25,8 +25,8 @@ from math import exp, factorial, log
 
 from .bipoly import BiPoly
 from .circulant import check_dp_budget, cycle_cover_counts
+from .core import PermClassKey
 from .errors import InternalInconsistency, TooLarge
-from .permclass import PermClassKey
 from .phi import phi_polynomial
 
 #: largest p accepted by the Ryser expansion (cost O(2^p * p))

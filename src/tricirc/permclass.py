@@ -11,16 +11,25 @@ walking r/k steps of size 1 and s/k steps of size q, and all members
 share the sign (-1)^(r+s+k).  ``construct_witness`` builds an explicit
 member from a lattice path that hugs the line s*x - r*y = 0.
 
+The class key :class:`PermClassKey`, the one statement of these
+support and sign rules, lives in :mod:`tricirc.core` with the default
+determinant route, because ``phi`` and ``coeff`` need the rules but no
+permutation.  This module holds what only ``witness``, ``enumerate``
+and ``verify`` run: :class:`Permutation`, the class search, cycle
+words, lattice paths and witnesses.  It stays under this name because
+the benchmark traces ``permclass.construct_witness`` and
+``permclass.enumerate_by_profile``.
+
 Residues modulo p are always taken in {1, ..., p}: a reduction that
 would give 0 gives p instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .core import PermClassKey
 from .errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 
 #: largest p accepted by exhaustive class enumeration
@@ -155,82 +164,6 @@ def displacement_profile(
         else:
             return None
     return (r, s, fixed)
-
-
-@dataclass(frozen=True)
-class PermClassKey:
-    """Identifies the class of profile (r, s) inside (p, q).
-
-    Derived quantities: ``ell`` = (r+sq)/p when p divides r+sq (None
-    otherwise, and the class is empty), and ``k`` = gcd(r, s, ell), the
-    number of nontrivial cycles of every member.  The identity-only
-    class (0, 0) has ell = 0 and k = 0 by convention.  These properties
-    are the package's one statement of the support and sign rules, and
-    :meth:`check_pair` its one statement of which (p, q) are canonical.
-    """
-
-    p: int
-    q: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        self.check_pair(self.p, self.q)
-        if self.r < 0 or self.s < 0:
-            raise ValueError("r and s must be nonnegative")
-
-    @staticmethod
-    def check_pair(p: int, q: int) -> None:
-        """Raise ValueError unless (p, q) is canonical: p >= 3, 2 <= q <= p-1."""
-        if p < 3 or not 2 <= q <= p - 1:
-            raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
-
-    @property
-    def divisible(self) -> bool:
-        return (self.r + self.s * self.q) % self.p == 0
-
-    @property
-    def ell(self) -> Optional[int]:
-        if not self.divisible:
-            return None
-        return (self.r + self.s * self.q) // self.p
-
-    @property
-    def k(self) -> Optional[int]:
-        ell = self.ell
-        if ell is None:
-            return None
-        return math.gcd(self.r, self.s, ell)
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether the class is empty, i.e. a(r, s) = 0 (the support theorem)."""
-        return not (self.divisible and self.r + self.s <= self.p)
-
-    @staticmethod
-    def nonempty_profiles(p: int, q: int) -> list[tuple[int, int]]:
-        """Every (r, s) whose class in (p, q) is nonempty, s ascending.
-
-        The profiles that :attr:`is_empty` admits, listed without a key
-        per (r, s): for each s, r runs from (-s*q) mod p in steps of p
-        while r + s <= p.  Raises ValueError unless (p, q) is canonical.
-        """
-        PermClassKey.check_pair(p, q)
-        out = []
-        for s in range(p + 1):
-            r = (-s * q) % p
-            while r + s <= p:
-                out.append((r, s))
-                r += p
-        return out
-
-    @property
-    def term_sign(self) -> Optional[int]:
-        """The sign (-1)^k of a(r, s) in the determinant (None when ell is)."""
-        k = self.k
-        if k is None:
-            return None
-        return -1 if k % 2 else 1
 
 
 @dataclass(frozen=True)

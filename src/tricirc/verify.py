@@ -52,18 +52,11 @@ from typing import Iterator, Optional
 
 from . import phi as phimod
 from .bipoly import Monomial
-from .circulant import (
-    NEWTON_LIMIT,
-    CirculantSpec,
-    det_bareiss,
-    det_bruteforce,
-    det_cycle_cover,
-    det_newton,
-)
+from .circulant import det_bareiss, det_bruteforce, det_cycle_cover
+from .core import NEWTON_LIMIT, CirculantSpec, PermClassKey, det_newton
 from .errors import InternalInconsistency, TooLarge
 from .permanent import bounds_report, permanent_ryser
 from .permclass import (
-    PermClassKey,
     build_path,
     construct_witness,
     cyclic_order,
@@ -442,15 +435,22 @@ def suite_parameters(
     """The effective (fully-defaulted) parameters of a suite run.
 
     Carried into the result so reports are self-describing; the prime
-    suite records the fixed q its congruence check uses.  An unknown
-    suite or a size that would check nothing (cases < 1 for lemmas,
-    p_max < 3 otherwise) is a ValueError, a size past the largest is
-    :class:`TooLarge`.
+    suite records the fixed q its congruence check uses.  The lemmas
+    suite is sized by cases and seed, every other suite by p_max; an
+    unknown suite, a size the suite does not read, or a size that would
+    check nothing (cases < 1 for lemmas, p_max < 3 otherwise) is a
+    ValueError, a size past the largest is :class:`TooLarge`.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if q_policy not in ("all", "coprime"):
         raise ValueError(f"unknown q policy {q_policy!r}")
+    unread = (
+        {"pmax": p_max} if suite == "lemmas" else {"cases": cases, "seed": seed}
+    )
+    for flag, value in unread.items():
+        if value is not None:
+            raise ValueError(f"the {suite} suite does not read {flag}")
     if suite == "lemmas":
         cases = DEFAULT_CASES if cases is None else cases
         if cases < 1:

@@ -18,13 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from tricirc.circulant import (
-    CirculantSpec,
-    det_bareiss,
-    det_bruteforce,
-    det_cycle_cover,
-    det_newton,
-)
+from tricirc.circulant import det_bareiss, det_bruteforce, det_cycle_cover
+from tricirc.core import CirculantSpec, det_newton
 from tricirc.permanent import bounds_report, permanent_generating, permanent_ryser
 from tricirc.permclass import (
     PermClassKey,

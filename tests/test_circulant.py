@@ -1,6 +1,8 @@
 """Determinant backends against each other, hand values and float checks."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import time
@@ -8,24 +10,26 @@ import time
 import pytest
 
 from polytext import parse
-from tricirc import circulant
+from tricirc import circulant, core
 from tricirc.bipoly import ZERO, BiPoly
 from tricirc.circulant import (
     BAREISS_LIMIT,
     BRUTEFORCE_LIMIT,
     DP_BUDGET,
-    NEWTON_LIMIT,
-    CirculantSpec,
     cycle_cover_counts,
     det_bareiss,
     det_bruteforce,
     det_cycle_cover,
     det_float_check,
-    det_newton,
     dp_cost,
+    window_width,
+)
+from tricirc.core import (
+    NEWTON_LIMIT,
+    CirculantSpec,
+    det_newton,
     power_sums,
     reduce_theta,
-    window_width,
 )
 from tricirc.errors import (
     IrreducibleSpec,
@@ -133,6 +137,33 @@ class TestSpec:
         with pytest.raises(ValueError):
             CirculantSpec(5, 3, 3)  # t == q
 
+    def test_validation_order(self):
+        # p, then q, then t, then irreducibility, then distinct offsets
+        for args, exc, text in (
+            ((2, 0, 0), ValueError, "p must be at least 3, got 2"),
+            ((5, 0, 0), ValueError, "q must lie in [1, p-1], got q=0"),
+            ((5, 1, 0), ValueError, "t must lie in [1, p-1], got t=0"),
+            ((6, 3, 3), IrreducibleSpec,
+             "gcd(t=3, p=6) > 1 and gcd(q=3, p=6) > 1: no canonical form is known"),
+            ((5, 3, 3), ValueError, "band offsets t and q must be distinct"),
+        ):
+            with pytest.raises(exc) as info:
+                CirculantSpec(*args)
+            assert type(info.value) is exc and str(info.value) == text
+
+    def test_value_semantics(self):
+        spec = CirculantSpec(30, 7)
+        assert repr(spec) == "CirculantSpec(p=30, q=7, t=1)"
+        assert spec == CirculantSpec(p=30, q=7, t=1) == CirculantSpec(30, q=7)
+        assert hash(spec) == hash((30, 7, 1))
+        assert spec != (30, 7, 1) and spec != CirculantSpec(30, 7, 2)
+        assert copy.copy(spec) == spec == pickle.loads(pickle.dumps(spec))
+        with pytest.raises(AttributeError):
+            spec.p = 31
+        with pytest.raises(AttributeError):
+            del spec.q
+        assert spec == CirculantSpec(30, 7)
+
     def test_canonical_flag(self):
         assert CirculantSpec(8, 3).is_canonical
         assert not CirculantSpec(8, 3, 2).is_canonical
@@ -231,13 +262,21 @@ class TestNewton:
 
     def test_inexact_power_sum_raises(self, monkeypatch):
         # tr(A) = x makes c_2 = x^2/2, which is not an integer polynomial
-        monkeypatch.setattr(circulant, "power_sums", lambda p, q: {1: {0: 1}})
-        with pytest.raises(NonExactDivision):
+        monkeypatch.setattr(core, "power_sums", lambda p, q: {1: {0: 1}})
+        with pytest.raises(NonExactDivision) as info:
             det_newton(CirculantSpec(5, 3))
+        assert str(info.value) == (
+            "2 does not divide the coefficient 1 of x^2*y^0 in t*c_t "
+            "for CirculantSpec(p=5, q=3, t=1)"
+        )
 
     def test_rejects_noncanonical(self):
-        with pytest.raises(ValueError):
-            det_newton(CirculantSpec(5, 3, 2))
+        for route in (det_newton, det_bareiss):
+            with pytest.raises(ValueError) as info:
+                route(CirculantSpec(5, 3, 2))
+            assert str(info.value) == (
+                "CirculantSpec(p=5, q=3, t=2) is not canonical; apply reduce_theta first"
+            )
 
 
 class TestSizeLimits:

@@ -69,6 +69,17 @@ class TestExitCodes:
             res = cli("verify", *argv)
             assert res.returncode == 2 and res.stdout == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--suite", "lemmas", "--pmax", "40"), "pmax"),
+        (("--suite", "prime", "--cases", "5"), "cases"),
+        (("--suite", "sign", "--seed", "3"), "seed"),
+        (("--suite", "witness", "--cases", "5", "--seed", "3"), "cases"),
+    ])
+    def test_verify_size_the_suite_does_not_read_is_usage_error(self, argv, flag):
+        res = cli("verify", *argv)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"error: the {argv[1]} suite does not read {flag}\n"
+
     @pytest.mark.parametrize("argv", [
         ("phi", "--p", "100000", "--q", "3"),
         ("phi", "--p", "97", "--q", "48", "--backend", "bareiss"),
@@ -348,7 +359,69 @@ class TestDeterminism:
         assert res.returncode == 2
 
 
+#: modules that --help and the default route of phi and coeff never load
+DEFAULT_ROUTE_UNUSED = frozenset({
+    "cmath", "dataclasses", "fractions", "json", "tricirc.circulant",
+    "tricirc.permanent", "tricirc.permclass", "tricirc.verify",
+})
+
+
+def loaded_by(*argv):
+    """Exit code, stdout and the modules that ``cli.run(argv)`` adds, in a fresh interpreter.
+
+    The modules loaded before ``from tricirc import cli`` are left out,
+    so what the interpreter's site hooks preload (typing, re, enum, ...)
+    is never counted against the CLI.
+    """
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from tricirc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = cli.run({list(argv)!r})\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    head, _, out = res.stdout.partition("\n")
+    code, *added = head.split()
+    return int(code), out, set(added)
+
+
 class TestImportGate:
+    @pytest.mark.parametrize("argv", [
+        ("phi", "--p", "8", "--q", "3"),
+        ("coeff", "--p", "8", "--q", "3", "--r", "5", "--s", "1"),
+        ("--help",),
+    ])
+    def test_default_route_loads_only_the_core(self, argv):
+        code, out, added = loaded_by(*argv)
+        assert code == 0 and out
+        assert {"tricirc.core", "tricirc.phi"} <= added
+        assert not added & DEFAULT_ROUTE_UNUSED, sorted(added & DEFAULT_ROUTE_UNUSED)
+
+    def test_json_format_adds_json_only(self):
+        code, out, added = loaded_by("phi", "--p", "8", "--q", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["backend"] == "newton"
+        assert added & DEFAULT_ROUTE_UNUSED == {"json"}
+
+    def test_cross_check_backend_loads_circulant_on_demand(self):
+        code, out, added = loaded_by("phi", "--p", "8", "--q", "3", "--backend", "bareiss")
+        assert code == 0
+        assert out == loaded_by("phi", "--p", "8", "--q", "3")[1]
+        assert "tricirc.circulant" in added
+        assert not added & {"tricirc.permclass", "tricirc.permanent", "tricirc.verify"}
+
+    @pytest.mark.parametrize("argv", [
+        ("permanent", "--p", "10", "--q", "3"),
+        ("growth", "--q", "2", "--pmax", "8"),
+    ])
+    def test_counting_commands_load_no_permutation_code(self, argv):
+        code, out, added = loaded_by(*argv)
+        assert code == 0 and out
+        assert "tricirc.permanent" in added and "tricirc.permclass" not in added
+
     def test_phi_and_help_load_only_their_modules(self):
         # each command imports what it uses: verify, permanent and the
         # process pool stay unloaded unless the command needs them

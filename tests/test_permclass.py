@@ -157,6 +157,19 @@ class TestKey:
             PermClassKey(5, 1, 0, 0)
         with pytest.raises(ValueError):
             PermClassKey(5, 3, -1, 0)
+        # the pair is checked before the profile
+        with pytest.raises(ValueError, match="need p >= 3"):
+            PermClassKey(5, 1, -1, 0)
+
+    def test_value_semantics(self):
+        key = PermClassKey(8, 3, 2, 2)
+        assert repr(key) == "PermClassKey(p=8, q=3, r=2, s=2)"
+        assert key == PermClassKey(p=8, q=3, r=2, s=2)
+        assert hash(key) == hash((8, 3, 2, 2))
+        assert key != (8, 3, 2, 2) and key != PermClassKey(8, 3, 5, 1)
+        with pytest.raises(AttributeError):
+            key.r = 5
+        assert key.r == 2
 
     @pytest.mark.parametrize("fn", [
         lambda p, q: PermClassKey(p, q, 0, 0),
@@ -243,6 +256,11 @@ class TestPredictStructure:
         for key in ((5, 3, 1, 1), (5, 3, 5, 5), (8, 3, 2, 10)):
             with pytest.raises(EmptyClass):
                 predict_structure(PermClassKey(*key))
+        with pytest.raises(EmptyClass) as info:
+            predict_structure(PermClassKey(5, 3, 1, 1))
+        assert str(info.value) == (
+            "PermClassKey(p=5, q=3, r=1, s=1) is an empty class: a(r, s) = 0"
+        )
 
     def test_odd_p_sign_shortcut(self):
         # for odd p the sign is -1 exactly when r and s are both odd

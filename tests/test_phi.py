@@ -9,6 +9,7 @@ import pytest
 from polytext import parse
 from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.phi import (
+    CoefficientReport,
     binomial_power,
     coefficient,
     phi_polynomial,
@@ -76,6 +77,25 @@ class TestCoefficient:
             True, 0, 0, 1, 1,
         )
 
+    def test_value_semantics(self):
+        rep = coefficient(8, 3, 2, 2)
+        assert repr(rep) == (
+            "CoefficientReport(p=8, q=3, r=2, s=2, present=True, ell=1, k=1, "
+            "sign=-1, magnitude=12, value=-12)"
+        )
+        fields = (8, 3, 2, 2, True, 1, 1, -1, 12, -12)
+        assert rep == CoefficientReport(*fields) == CoefficientReport(
+            p=8, q=3, r=2, s=2, present=True, ell=1, k=1, sign=-1,
+            magnitude=12, value=-12,
+        )
+        assert hash(rep) == hash(fields) and rep != fields
+        with pytest.raises(AttributeError):
+            rep.value = 12
+        assert repr(coefficient(5, 3, 1, 1)) == (
+            "CoefficientReport(p=5, q=3, r=1, s=1, present=False, ell=None, "
+            "k=None, sign=None, magnitude=0, value=0)"
+        )
+
     def test_json_mirrors_fields(self):
         d = coefficient(8, 3, 5, 1).to_json_dict()
         assert d["value"] == "-8" and d["magnitude"] == "8" and d["sign"] == -1
@@ -102,6 +122,16 @@ class TestPhiPolynomial:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             phi_polynomial(5, 3, "cofactor")
+
+    @pytest.mark.parametrize("backend", ["bareiss", "cycle_cover", "bruteforce"])
+    def test_cross_check_is_looked_up_at_call_time(self, monkeypatch, backend):
+        # a rebinding of the route in its home module (as an outside
+        # tracer does) is what the backend table calls
+        from tricirc import circulant
+
+        marker = parse("1 - x")
+        monkeypatch.setattr(circulant, f"det_{backend}", lambda spec: marker)
+        assert phi_polynomial(5, 3, backend) is marker
 
 
 class TestPrimality:

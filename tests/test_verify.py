@@ -207,6 +207,18 @@ def test_sweeps_need_pmax_at_least_3():
     assert build_cases("sign", p_max=3) == [("sign", 3, 2)]
 
 
+def test_a_size_the_suite_does_not_read_is_refused():
+    # lemmas is sized by cases and seed, every other suite by p_max
+    with pytest.raises(ValueError, match="the lemmas suite does not read pmax"):
+        build_cases("lemmas", p_max=40)
+    for suite in SUITES:
+        if suite != "lemmas":
+            for extra in ({"cases": 5}, {"seed": 3}):
+                with pytest.raises(ValueError, match="does not read") as info:
+                    build_cases(suite, **extra)
+                assert not isinstance(info.value, TooLarge)
+
+
 def test_cycle_suite_guards_pmax():
     with pytest.raises(TooLarge):
         build_cases("cycle", p_max=12)
