@@ -19,8 +19,11 @@ cross-check over complex roots of unity:
 These routes live apart from the default one so that a ``phi`` or
 ``coeff`` job neither compiles them nor loads what they import;
 ``phi`` imports this module only when ``--backend`` names one of them,
-while ``permanent``, ``verify`` and ``bench`` import it directly.  They
-stay in this module, under these names, because the benchmark imports
+:mod:`tricirc.permanent` (for ``permanent``, ``growth`` and ``bench``)
+imports it directly, and ``verify`` only for the suites that run these
+routes (``support``, ``sign``, ``cycle`` and ``permanent``).  :mod:`cmath`
+is imported inside the float check, its only user.  They stay in this
+module, under these names, because the benchmark imports
 ``cycle_cover_counts`` and the Bareiss and float-check routes from here
 and traces them as ``circulant.*``.
 
@@ -32,14 +35,12 @@ may run concurrently.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
 # reduce_theta is not used here: benchmark/make_refs.py imports it from this module
-from .core import CirculantSpec, PermClassKey, _require_canonical, reduce_theta
+from .core import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
 from .errors import StateSpaceTooLarge, TooLarge
 
 #: largest p accepted by fraction-free elimination ((96, 48) takes
@@ -371,14 +372,19 @@ FLOAT_CHECK_GRID = (-1, Fraction(-1, 2), Fraction(1, 2), 1)
 FLOAT_CHECK_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class FloatCheckReport:
+class FloatCheckReport(Record):
     """Outcome of the roots-of-unity product cross-check."""
 
-    passed: bool
-    max_abs_deviation: float
-    worst_point: tuple[float, float]
-    points: int
+    __slots__ = ("passed", "max_abs_deviation", "worst_point", "points")
+
+    def __init__(
+        self,
+        passed: bool,
+        max_abs_deviation: float,
+        worst_point: tuple[float, float],
+        points: int,
+    ):
+        self._init(passed, max_abs_deviation, worst_point, points)
 
 
 def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
@@ -390,6 +396,8 @@ def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
     FLOAT_CHECK_RTOL * (1 + |exact value|).  Advisory only: a failure
     is reported, never raised.
     """
+    import cmath  # only this advisory check uses complex arithmetic
+
     _require_canonical(spec)
     p, q = spec.p, spec.q
     roots = [cmath.exp(2j * cmath.pi * j / p) for j in range(p)]

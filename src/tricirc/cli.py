@@ -32,7 +32,16 @@ given.  Beyond those:
 * ``permanent`` and ``growth`` load :mod:`tricirc.permanent` and,
   through it, :mod:`tricirc.circulant`;
 * ``bench`` loads :mod:`tricirc.permanent` and :mod:`tricirc.circulant`;
-* ``verify`` loads :mod:`tricirc.verify` and, through it, every module.
+* ``verify`` loads :mod:`tricirc.verify` and the routes of its suite:
+  ``support`` and ``sign`` add :mod:`tricirc.circulant`, ``cycle`` adds
+  it and :mod:`tricirc.permclass`, ``permanent`` adds
+  :mod:`tricirc.permanent` (and through it :mod:`tricirc.circulant`),
+  ``witness`` and ``lemmas`` add :mod:`tricirc.permclass` alone, and
+  ``prime`` adds nothing.
+
+No command loads :mod:`dataclasses` (the value classes are
+``core.Record`` subclasses) or :mod:`cmath` (only the advisory float
+check uses it).
 
 ``verify`` owns its suite names and default sizes, and refuses an
 unknown ``--suite`` or a flag that the suite does not read (exit 2).

@@ -19,8 +19,9 @@ cycle-cover DP and the float check) stay in :mod:`tricirc.circulant`,
 and permutations, lattice paths and witnesses in
 :mod:`tricirc.permclass`; both import the spec and the key from here.
 
-The value classes are :class:`Record` subclasses rather than frozen
-dataclasses, because importing :mod:`dataclasses` loads :mod:`inspect`
+:class:`Record` is the package's one idiom for value classes: every
+report, key and path is a ``Record`` subclass rather than a frozen
+dataclass, because importing :mod:`dataclasses` loads :mod:`inspect`
 and costs more than the whole Newton computation of a small job.
 """
 
@@ -38,15 +39,19 @@ NEWTON_LIMIT = 1000
 
 
 class Record:
-    """Base of small immutable value classes, with dataclass value semantics.
+    """Base of the package's immutable value classes, with dataclass value semantics.
 
-    A subclass names its fields in ``__slots__`` and sets them in its
-    ``__init__`` through :meth:`_init`.  From the fields this class
-    derives what ``@dataclass(frozen=True)`` would: the repr
-    ``Name(field=value, ...)``, equality only between instances of the
-    same class (a plain tuple never equals a record), the hash of the
-    field tuple, copying and pickling through the constructor, and
-    AttributeError on assigning or deleting a field.
+    The package defines no frozen dataclass: every value class derives
+    from this one.  A subclass names its fields in ``__slots__`` and
+    sets them in its ``__init__``, in that order, through :meth:`_init`;
+    a constructor that runs once per class or per case sets each field
+    with ``object.__setattr__`` instead, which takes about half the time
+    of :meth:`_init`'s loop.  From the fields this class derives what
+    ``@dataclass(frozen=True)`` would: the repr ``Name(field=value, ...)``,
+    equality only between instances of the same class (a plain tuple
+    never equals a record), the hash of the field tuple, copying and
+    pickling through the positional constructor, and AttributeError on
+    assigning or deleting a field.
     """
 
     __slots__ = ()

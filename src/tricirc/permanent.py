@@ -19,13 +19,12 @@ and checks it against classical two-sided bounds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, log
 
 from .bipoly import BiPoly
 from .circulant import check_dp_budget, cycle_cover_counts
-from .core import PermClassKey
+from .core import PermClassKey, Record
 from .errors import InternalInconsistency, TooLarge
 from .phi import phi_polynomial
 
@@ -95,21 +94,32 @@ def _ceil_cube_root(n: int) -> int:
     return c if c**3 == n else c + 1
 
 
-@dataclass(frozen=True)
-class PermanentReport:
+class PermanentReport(Record):
     """Permanent value, coefficient statistics and exact bound checks."""
 
-    p: int
-    q: int
-    d11: int              # permanent of the 0-1 band circulant
-    abs_sum: int          # sum of |a(r, s)| from the signed polynomial
-    max_coeff: int        # M(p, q)
-    n_monomials: int      # N(p, q)
-    lower_bound: Fraction  # 3^p p! / p^p
-    upper_bound: int       # ceil(6^(p/3))
-    lower_ok: bool         # 3^p p! <= d11 p^p
-    upper_ok: bool         # d11^3 <= 6^p
-    sandwich_ok: bool      # d11/N <= M <= d11
+    __slots__ = (
+        "p", "q", "d11", "abs_sum", "max_coeff", "n_monomials", "lower_bound",
+        "upper_bound", "lower_ok", "upper_ok", "sandwich_ok",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        d11: int,                # permanent of the 0-1 band circulant
+        abs_sum: int,            # sum of |a(r, s)| from the signed polynomial
+        max_coeff: int,          # M(p, q)
+        n_monomials: int,        # N(p, q)
+        lower_bound: Fraction,   # 3^p p! / p^p
+        upper_bound: int,        # ceil(6^(p/3))
+        lower_ok: bool,          # 3^p p! <= d11 p^p
+        upper_ok: bool,          # d11^3 <= 6^p
+        sandwich_ok: bool,       # d11/N <= M <= d11
+    ):
+        self._init(
+            p, q, d11, abs_sum, max_coeff, n_monomials, lower_bound,
+            upper_bound, lower_ok, upper_ok, sandwich_ok,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,17 +195,22 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     )
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(Record):
     """One line of the max-coefficient growth table."""
 
-    p: int
-    q: int
-    max_coeff: int
-    d11: int
-    n_monomials: int
-    root: float           # max_coeff ** (1/p), display only
-    sandwich_ok: bool
+    __slots__ = ("p", "q", "max_coeff", "d11", "n_monomials", "root", "sandwich_ok")
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        max_coeff: int,
+        d11: int,
+        n_monomials: int,
+        root: float,  # max_coeff ** (1/p), display only
+        sandwich_ok: bool,
+    ):
+        self._init(p, q, max_coeff, d11, n_monomials, root, sandwich_ok)
 
     def to_json_dict(self) -> dict:
         return {

@@ -26,11 +26,14 @@ would give 0 gives p instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import PermClassKey
+from .core import PermClassKey, Record
 from .errors import EmptyClass, InvalidKey, NotACycle, TooLarge
+
+#: sets one field of a frozen record directly, for the constructors that
+#: run once per class or witness (faster than ``Record._init``'s loop)
+_set = object.__setattr__
 
 #: largest p accepted by exhaustive class enumeration
 ENUMERATION_LIMIT = 10
@@ -166,13 +169,19 @@ def displacement_profile(
     return (r, s, fixed)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Shared cycle structure of every member of a nonempty class."""
+class StructureReport(Record):
+    """Shared cycle structure of every member of a nonempty class.
 
-    k: int                        # number of nontrivial cycles
-    cycles_each: tuple[int, int]  # (1-steps, q-steps) per cycle
-    sign: int
+    ``k`` is the number of nontrivial cycles, ``cycles_each`` the
+    (1-steps, q-steps) of each cycle.
+    """
+
+    __slots__ = ("k", "cycles_each", "sign")
+
+    def __init__(self, k: int, cycles_each: tuple[int, int], sign: int):
+        _set(self, "k", k)
+        _set(self, "cycles_each", cycles_each)
+        _set(self, "sign", sign)
 
     @property
     def cycle_length(self) -> int:
@@ -238,12 +247,13 @@ def enumerate_by_profile(p: int, q: int) -> dict[tuple[int, int], list[Permutati
 # cycle words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CycleWord:
+class CycleWord(Record):
     """A cycle encoded as a start point and a word of displacements."""
 
-    start: int
-    word: tuple[int, ...]
+    __slots__ = ("start", "word")
+
+    def __init__(self, start: int, word: tuple[int, ...]):
+        self._init(start, word)
 
 
 def _walk_word(start: int, word, p: int) -> list[int]:
@@ -288,18 +298,18 @@ def cycle_from_word(cw: CycleWord, p: int, q: int) -> Permutation:
 # lattice paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Record):
     """A monotone east/north path from (0, 0)."""
 
-    vertices: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices or self.vertices[0] != (0, 0):
+    def __init__(self, vertices: tuple[tuple[int, int], ...]):
+        if not vertices or vertices[0] != (0, 0):
             raise ValueError("path must start at (0, 0)")
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
+        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
             if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
                 raise ValueError("steps must be unit east or north moves")
+        _set(self, "vertices", vertices)
 
     @property
     def end(self) -> tuple[int, int]:

@@ -20,9 +20,15 @@ machine checks against independent oracles:
                    lattice-path bound and the divisibility gap.
 
 A suite is one row of ``_SUITES``: its default and largest pmax, a
-builder that lists the arguments of its cases, and a case function.
-A case function runs the same routes in every case, and the largest
-pmax is the suite's own measured size, inside every route's reach.
+builder that lists the arguments of its cases, a case function and the
+package modules that function imports.  A case function runs the same
+routes in every case, and the largest pmax is the suite's own measured
+size, inside every route's reach.  It imports the home modules of its
+routes when it runs and calls each route on its module, so a suite
+loads only its own routes (``lemmas`` and ``witness`` only
+:mod:`tricirc.permclass`, ``prime`` only :mod:`tricirc.phi`), and a
+route rebound on its module, as a tracer or a fault-injecting test
+does, is the one the suite runs.
 A case function is a generator that yields once per check: ``None``
 when the check passed, the counterexample text when it failed, so a
 message is built only for a failure.  :func:`run_case` keeps the one
@@ -47,25 +53,12 @@ import marshal
 import math
 import os
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import phi as phimod
+from . import core
 from .bipoly import Monomial
-from .circulant import det_bareiss, det_bruteforce, det_cycle_cover
-from .core import NEWTON_LIMIT, CirculantSpec, PermClassKey, det_newton
+from .core import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record
 from .errors import InternalInconsistency, TooLarge
-from .permanent import bounds_report, permanent_ryser
-from .permclass import (
-    build_path,
-    construct_witness,
-    cyclic_order,
-    displacement_profile,
-    enumerate_by_profile,
-    path_bound_check,
-    predict_structure,
-    rotate,
-)
 
 #: largest p swept exhaustively, by brute force (the Leibniz expansion
 #: over the matrix's nonzero entries) and by enumerating every class:
@@ -89,20 +82,36 @@ LEMMA_CHUNKS = 32
 Checks = Iterator[Optional[str]]
 
 
-@dataclass(frozen=True)
-class CaseOutcome:
-    checks: int
-    failures: int
-    first: Optional[str] = None
+#: sets one field of a frozen record directly, for the one outcome per
+#: case (faster than ``Record._init``'s loop)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    suite: str
-    cases: int
-    failures: int
-    first_counterexample: Optional[str]
-    parameters: dict
+class CaseOutcome(Record):
+    """The tally of one case: checks run, checks failed, first counterexample."""
+
+    __slots__ = ("checks", "failures", "first")
+
+    def __init__(self, checks: int, failures: int, first: Optional[str] = None):
+        _set(self, "checks", checks)
+        _set(self, "failures", failures)
+        _set(self, "first", first)
+
+
+class SuiteResult(Record):
+    """The merged outcome of a suite run, with its effective parameters."""
+
+    __slots__ = ("suite", "cases", "failures", "first_counterexample", "parameters")
+
+    def __init__(
+        self,
+        suite: str,
+        cases: int,
+        failures: int,
+        first_counterexample: Optional[str],
+        parameters: dict,
+    ):
+        self._init(suite, cases, failures, first_counterexample, parameters)
 
     @property
     def passed(self) -> bool:
@@ -132,6 +141,8 @@ def _iter_pq(p_lo: int, p_hi: int, q_policy: str):
 # ---------------------------------------------------------------------------
 
 def _support_case(p: int, q: int, backend: str) -> Checks:
+    from . import phi as phimod
+
     poly = phimod.phi_polynomial(p, q, backend)
     for r in range(p + 1):
         for s in range(p + 1):
@@ -156,11 +167,16 @@ def _sign_case(p: int, q: int) -> Checks:
     first of them one monomial at a time, in the same check as that
     monomial's sign, over the union of their terms.
     """
+    from . import circulant
+
     spec = CirculantSpec(p, q)
-    newton = det_newton(spec)
-    polys = {"bareiss": det_bareiss(spec), "cycle_cover": det_cycle_cover(spec)}
+    newton = core.det_newton(spec)
+    polys = {
+        "bareiss": circulant.det_bareiss(spec),
+        "cycle_cover": circulant.det_cycle_cover(spec),
+    }
     if p <= EXHAUSTIVE_PMAX:
-        polys["bruteforce"] = det_bruteforce(spec)
+        polys["bruteforce"] = circulant.det_bruteforce(spec)
     names = sorted(polys)
     for a, b in zip(names, names[1:]):
         yield None if polys[a] == polys[b] else f"(p={p}, q={q}): {a} and {b} disagree"
@@ -184,8 +200,10 @@ def _sign_case(p: int, q: int) -> Checks:
 
 
 def _cycle_case(p: int, q: int) -> Checks:
-    classes = enumerate_by_profile(p, q)
-    poly = det_bruteforce(CirculantSpec(p, q))
+    from . import circulant, permclass
+
+    classes = permclass.enumerate_by_profile(p, q)
+    poly = circulant.det_bruteforce(CirculantSpec(p, q))
 
     # nonemptiness in both directions
     for r in range(p + 1):
@@ -204,7 +222,7 @@ def _cycle_case(p: int, q: int) -> Checks:
         if r == 0 and s == 0:
             continue
         key = PermClassKey(p, q, r, s)
-        rep = predict_structure(key)
+        rep = permclass.predict_structure(key)
         per_cycle = sorted([rep.cycles_each] * rep.k)
         for sigma in members:
             profiles = []
@@ -243,14 +261,16 @@ def _cycle_case(p: int, q: int) -> Checks:
 
 
 def _witness_case(p: int, q: int) -> Checks:
-    classes = enumerate_by_profile(p, q) if p <= EXHAUSTIVE_PMAX else None
+    from . import permclass
+
+    classes = permclass.enumerate_by_profile(p, q) if p <= EXHAUSTIVE_PMAX else None
     for r, s in PermClassKey.nonempty_profiles(p, q):
         key = PermClassKey(p, q, r, s)
-        sigma = construct_witness(key)
-        prof = displacement_profile(sigma, p, q)
+        sigma = permclass.construct_witness(key)
+        prof = permclass.displacement_profile(sigma, p, q)
         ok = prof == (r, s, p - r - s)
         if ok and (r, s) != (0, 0):
-            rep = predict_structure(key)
+            rep = permclass.predict_structure(key)
             cycles = sigma.cycles()
             ok = len(cycles) == rep.k and all(
                 len(c) == rep.cycle_length for c in cycles
@@ -268,9 +288,11 @@ def _permanent_case(p: int, q: int) -> Checks:
     polynomial term by term and raises on a mismatch, which fails the
     case; that comparison is the first check counted.
     """
-    rep = bounds_report(p, q)
+    from . import permanent
+
+    rep = permanent.bounds_report(p, q)
     yield None
-    ry = permanent_ryser(p, q)
+    ry = permanent.permanent_ryser(p, q)
     yield None if ry == rep.d11 else (
         f"(p={p}, q={q}): ryser {ry}, DP and abs-sum {rep.d11}"
     )
@@ -283,6 +305,8 @@ def _permanent_case(p: int, q: int) -> Checks:
 
 
 def _prime_case(p: int) -> Checks:
+    from . import phi as phimod
+
     got = phimod.primality_check(p)
     want = phimod.trial_division(p)
     yield None if got == want else (
@@ -292,7 +316,8 @@ def _prime_case(p: int) -> Checks:
 
 # ---------------------------------------------------------------------------
 # randomized lemma batteries: each draws one instance and returns None if
-# the lemma holds there, else a description of the instance
+# the lemma holds there, else a description of the instance; the routes
+# come from the permclass module that the chunk passes in
 # ---------------------------------------------------------------------------
 
 def _rises_from_least(zs: list) -> bool:
@@ -303,29 +328,29 @@ def _rises_from_least(zs: list) -> bool:
     return all(a < b for a, b in zip(run, run[1:]))
 
 
-def _check_cyclic_order(rng: random.Random) -> Optional[str]:
+def _check_cyclic_order(rng: random.Random, permclass) -> Optional[str]:
     p = rng.randint(3, 60)
     m = rng.randint(3, min(p, 8))
     zs = rng.sample(range(1, p + 1), m)
     q = rng.randint(1, p - 1)
-    ws = [rotate(z, q, p) for z in zs]
-    lhs, rhs = cyclic_order(zs), cyclic_order(ws)
+    ws = [permclass.rotate(z, q, p) for z in zs]
+    lhs, rhs = permclass.cyclic_order(zs), permclass.cyclic_order(ws)
     want = _rises_from_least(zs)
     if lhs != want:
         return f"p={p} zs={zs}: cyclic_order {lhs}, by definition {want}"
     return None if lhs == rhs else f"p={p} q={q} zs={zs}: {lhs} vs rotated {rhs}"
 
 
-def _check_path_bound(rng: random.Random) -> Optional[str]:
+def _check_path_bound(rng: random.Random, permclass) -> Optional[str]:
     r = rng.randint(0, 20)
     s = rng.randint(0, 20)
     if r + s == 0:
         r = 1
-    ok = path_bound_check(build_path(r, s), r, s)
+    ok = permclass.path_bound_check(permclass.build_path(r, s), r, s)
     return None if ok else f"path bound fails for r={r} s={s}"
 
 
-def _check_divisibility_gap(rng: random.Random) -> Optional[str]:
+def _check_divisibility_gap(rng: random.Random, permclass) -> Optional[str]:
     p = rng.randint(3, 50)
     q = rng.randint(2, p - 1)
     b = rng.randint(-20, 20)
@@ -345,10 +370,12 @@ _LEMMA_BATTERIES = {
 
 
 def _lemma_chunk(battery: str, n: int, seed: int) -> Checks:
+    from . import permclass  # once per chunk, not per draw
+
     rng = random.Random(seed)
     check = _LEMMA_BATTERIES[battery]
     for _ in range(n):
-        desc = check(rng)
+        desc = check(rng, permclass)
         yield None if desc is None else f"{battery}: {desc}"
 
 
@@ -388,20 +415,32 @@ def _lemma_args(params):
     return out
 
 
-#: name -> (default pmax, largest pmax or None, argument builder, case
-#: function); the largest pmax is where one worker stays near 10 s or
-#: less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
+class _Suite(NamedTuple):
+    default: Optional[int]  # pmax when none is given
+    largest: Optional[int]  # largest pmax admitted
+    args: Callable[[dict], list]  # the case arguments, from the parameters
+    case: Callable[..., Checks]
+    modules: tuple[str, ...]  # the package modules the case function imports
+
+
+#: name -> its row; the largest pmax is where one worker stays near 10 s
+#: or less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
 #: ``witness`` 60 3.7-4.1 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
 #: ``permanent`` 18 5.7 s (one more 15.8 s); ``prime`` runs to Newton's
 #: limit, 19.3 s at 1000
 _SUITES = {
-    "support": (EXHAUSTIVE_PMAX, 50, _support_args, _support_case),
-    "sign": (EXHAUSTIVE_PMAX, 23, _pairs, _sign_case),
-    "cycle": (EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, _pairs, _cycle_case),
-    "witness": (30, 60, _pairs, _witness_case),
-    "permanent": (12, 18, _pairs, _permanent_case),
-    "prime": (40, NEWTON_LIMIT, _prime_args, _prime_case),
-    "lemmas": (None, None, _lemma_args, _lemma_chunk),
+    "support": _Suite(
+        EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("phi", "circulant")
+    ),
+    "sign": _Suite(EXHAUSTIVE_PMAX, 23, _pairs, _sign_case, ("circulant",)),
+    "cycle": _Suite(
+        EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, _pairs, _cycle_case,
+        ("circulant", "permclass"),
+    ),
+    "witness": _Suite(30, 60, _pairs, _witness_case, ("permclass",)),
+    "permanent": _Suite(12, 18, _pairs, _permanent_case, ("permanent",)),
+    "prime": _Suite(40, NEWTON_LIMIT, _prime_args, _prime_case, ("phi",)),
+    "lemmas": _Suite(None, None, _lemma_args, _lemma_chunk, ("permclass",)),
 }
 
 SUITES = tuple(_SUITES)
@@ -409,7 +448,7 @@ SUITES = tuple(_SUITES)
 
 def run_case(case: tuple) -> CaseOutcome:
     """Run one self-contained case tuple (kind, *args) and tally its checks."""
-    fn = _SUITES[case[0]][3]
+    fn = _SUITES[case[0]].case
     args = case[1:]
     checks = failures = 0
     first = None
@@ -459,13 +498,13 @@ def suite_parameters(
             raise TooLarge(f"the lemmas suite needs cases <= {LEMMA_CASES_LIMIT}")
         seed = DEFAULT_SEED if seed is None else seed
         return {"cases_per_battery": cases, "seed": seed}
-    default, largest = _SUITES[suite][:2]
+    row = _SUITES[suite]
     if p_max is None:
-        p_max = default
+        p_max = row.default
     if p_max < 3:
         raise ValueError(f"pmax must be at least 3, got {p_max}")
-    if largest is not None and p_max > largest:
-        raise TooLarge(f"the {suite} suite needs pmax <= {largest}")
+    if row.largest is not None and p_max > row.largest:
+        raise TooLarge(f"the {suite} suite needs pmax <= {row.largest}")
     if suite == "prime":
         return {"p_max": p_max, "q": 2}
     return {"p_max": p_max, "q_policy": q_policy}
@@ -479,8 +518,11 @@ def build_cases(
     seed: Optional[int] = None,
 ) -> list[tuple]:
     """The deterministic, ordered case list of a suite."""
-    params = suite_parameters(suite, p_max, q_policy, cases, seed)
-    return [(suite, *args) for args in _SUITES[suite][2](params)]
+    return _case_list(suite, suite_parameters(suite, p_max, q_policy, cases, seed))
+
+
+def _case_list(suite: str, params: dict) -> list[tuple]:
+    return [(suite, *args) for args in _SUITES[suite].args(params)]
 
 
 def _run_share(case_list: list, i: int, width: int) -> list[CaseOutcome]:
@@ -586,10 +628,14 @@ def run_suite(
     The cases are split over ``min(workers, cases, CPUs)`` processes
     (see :func:`_fan_out` and :func:`_usable_cpus`), or over one, this
     process, where the platform has no ``os.fork``; the result does not
-    depend on the worker count.
+    depend on the worker count.  The modules of the suite's routes are
+    imported here, before any fork, so that no child compiles them.
     """
-    case_list = build_cases(suite, p_max, q_policy, cases, seed)
     params = suite_parameters(suite, p_max, q_policy, cases, seed)
+    case_list = _case_list(suite, params)
+    for name in _SUITES[suite].modules:
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        __import__(f"{__package__}.{name}")
     width = 1
     if hasattr(os, "fork"):
         width = max(1, min(workers, len(case_list), _usable_cpus()))

@@ -366,6 +366,38 @@ DEFAULT_ROUTE_UNUSED = frozenset({
 })
 
 
+#: modules that no command loads: dataclasses brings in inspect, and the
+#: float check, the only user of cmath, is on no command's path
+NEVER_LOADED = frozenset({"cmath", "dataclasses", "inspect"})
+
+#: the package modules that every command loads
+ALWAYS_LOADED = frozenset({
+    "tricirc.bipoly", "tricirc.cli", "tricirc.core", "tricirc.errors", "tricirc.phi",
+})
+
+#: suite -> a small run's size flags
+SMALL_SUITE_RUNS = {
+    "support": ("--pmax", "6"),
+    "sign": ("--pmax", "6"),
+    "cycle": ("--pmax", "6"),
+    "witness": ("--pmax", "10"),
+    "permanent": ("--pmax", "7"),
+    "prime": ("--pmax", "12"),
+    "lemmas": ("--cases", "64"),
+}
+
+#: suite -> the modules its routes live in, beyond ALWAYS_LOADED and verify
+SUITE_ROUTES = {
+    "support": {"tricirc.circulant"},
+    "sign": {"tricirc.circulant"},
+    "cycle": {"tricirc.circulant", "tricirc.permclass"},
+    "witness": {"tricirc.permclass"},
+    "permanent": {"tricirc.circulant", "tricirc.permanent"},
+    "prime": set(),
+    "lemmas": {"tricirc.permclass"},
+}
+
+
 def loaded_by(*argv):
     """Exit code, stdout and the modules that ``cli.run(argv)`` adds, in a fresh interpreter.
 
@@ -421,6 +453,20 @@ class TestImportGate:
         code, out, added = loaded_by(*argv)
         assert code == 0 and out
         assert "tricirc.permanent" in added and "tricirc.permclass" not in added
+        assert not added & NEVER_LOADED, sorted(added & NEVER_LOADED)
+
+    @pytest.mark.parametrize("suite, size", list(SMALL_SUITE_RUNS.items()))
+    def test_each_suite_loads_only_its_routes(self, suite, size):
+        code, out, added = loaded_by("verify", "--suite", suite, *size)
+        assert code == 0 and out.endswith(" failures=0\n")
+        assert not added & NEVER_LOADED, sorted(added & NEVER_LOADED)
+        package = {m for m in added if m.startswith("tricirc.")}
+        assert package == ALWAYS_LOADED | {"tricirc.verify"} | SUITE_ROUTES[suite]
+
+    def test_no_module_imports_dataclasses(self):
+        pattern = re.compile(r"^\s*(from|import)\s+dataclasses\b", re.M)
+        for path in (REPO / "src" / "tricirc").glob("*.py"):
+            assert not pattern.search(path.read_text()), path.name
 
     def test_phi_and_help_load_only_their_modules(self):
         # each command imports what it uses: verify, permanent and the

@@ -1,0 +1,136 @@
+"""Value semantics of the record classes that were frozen dataclasses.
+
+Each keeps what ``@dataclass(frozen=True)`` gave it: field order, the
+positional and keyword constructor, the repr, equality only within its
+class, the hash of the field tuple, frozen fields, copying and pickling.
+"""
+
+import copy
+import itertools
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from tricirc.circulant import FloatCheckReport
+from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
+from tricirc.core import PermClassKey
+from tricirc.permclass import (
+    CycleWord, LatticePath, StructureReport, build_path, predict_structure,
+)
+from tricirc.verify import CaseOutcome, SuiteResult, run_suite
+
+#: (class, field values, the repr the frozen dataclass gave)
+RECORDS = [
+    (StructureReport, (2, (1, 2), -1),
+     "StructureReport(k=2, cycles_each=(1, 2), sign=-1)"),
+    (CycleWord, (1, (1, 3, 3)), "CycleWord(start=1, word=(1, 3, 3))"),
+    (LatticePath, (((0, 0), (1, 0), (1, 1), (2, 1)),),
+     "LatticePath(vertices=((0, 0), (1, 0), (1, 1), (2, 1)))"),
+    (FloatCheckReport, (True, 0.5, (1.0, -1.0), 16),
+     "FloatCheckReport(passed=True, max_abs_deviation=0.5, "
+     "worst_point=(1.0, -1.0), points=16)"),
+    (PermanentReport, (5, 3, 13, 13, 5, 5, Fraction(5832, 625), 20, True, True, True),
+     "PermanentReport(p=5, q=3, d11=13, abs_sum=13, max_coeff=5, n_monomials=5, "
+     "lower_bound=Fraction(5832, 625), upper_bound=20, lower_ok=True, "
+     "upper_ok=True, sandwich_ok=True)"),
+    (GrowthRow, (3, 2, 3, 6, 4, 1.25, True),
+     "GrowthRow(p=3, q=2, max_coeff=3, d11=6, n_monomials=4, root=1.25, "
+     "sandwich_ok=True)"),
+    (CaseOutcome, (3, 1, "p=9: bad"),
+     "CaseOutcome(checks=3, failures=1, first='p=9: bad')"),
+    (SuiteResult, ("prime", 4, 0, None, {"p_max": 6, "q": 2}),
+     "SuiteResult(suite='prime', cases=4, failures=0, "
+     "first_counterexample=None, parameters={'p_max': 6, 'q': 2})"),
+]
+
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
+def test_repr_and_constructors(cls, fields, text):
+    rec = cls(*fields)
+    assert repr(rec) == text
+    assert cls(**dict(zip(cls.__slots__, fields))) == rec
+    assert tuple(getattr(rec, name) for name in cls.__slots__) == fields
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
+def test_equality_and_hash(cls, fields, text):
+    rec = cls(*fields)
+    assert rec == cls(*fields) and not rec != cls(*fields)
+    assert rec != fields
+    if cls is SuiteResult:  # its parameters are a dict, as with the dataclass
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(fields)
+
+
+def test_equality_holds_only_within_a_class():
+    recs = [cls(*fields) for cls, fields, _ in RECORDS]
+    for a, b in itertools.combinations(recs, 2):
+        assert a != b and b != a
+    # same field values, other class
+    assert CaseOutcome(1, 2, None) != (1, 2, None)
+    assert StructureReport(1, (1, 0), 1) != CycleWord(1, (1, 0))
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
+def test_fields_are_frozen(cls, fields, text):
+    rec = cls(*fields)
+    first = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, first, fields[0])
+    with pytest.raises(AttributeError):
+        delattr(rec, first)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert getattr(rec, first) == fields[0]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
+def test_copy_and_pickle_round_trip(cls, fields, text):
+    rec = cls(*fields)
+    for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(clone) is cls and clone == rec and repr(clone) == text
+
+
+def test_lattice_path_keeps_its_validation():
+    for bad in ((), ((1, 0), (1, 1)), ((0, 0), (1, 1)), ((0, 0), (0, 2)),
+                ((0, 0), (1, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            LatticePath(bad)
+    with pytest.raises(ValueError, match="start at"):
+        LatticePath(((1, 0),))
+    with pytest.raises(ValueError, match="unit east or north"):
+        LatticePath(((0, 0), (2, 0)))
+    assert build_path(2, 1) == LatticePath(((0, 0), (1, 0), (1, 1), (2, 1)))
+
+
+def test_hot_constructors_build_the_same_values():
+    rep = predict_structure(PermClassKey(8, 3, 2, 2))
+    assert rep == StructureReport(1, (2, 2), -1) and rep.cycle_length == 4
+    assert CaseOutcome(1, 0).first is None
+    assert CaseOutcome(1, 0) == CaseOutcome(checks=1, failures=0, first=None)
+
+
+def test_suite_result_reads_as_before():
+    res = run_suite("prime", p_max=6)
+    assert res == SuiteResult("prime", 4, 0, None, {"p_max": 6, "q": 2})
+    assert res.passed and not SuiteResult("prime", 4, 1, "x", {}).passed
+    assert res.to_json_dict() == {
+        "suite": "prime",
+        "cases": 4,
+        "failures": 0,
+        "passed": True,
+        "first_counterexample": None,
+        "parameters": {"p_max": 6, "q": 2},
+    }
+
+
+def test_permanent_report_from_the_route():
+    rep = bounds_report(5, 3)
+    assert rep == PermanentReport(*RECORDS[4][1])
+    bound = rep.to_json_dict()["lower_bound"]
+    assert bound == {"numerator": "5832", "denominator": "625"}

@@ -2,12 +2,17 @@
 
 import marshal
 import os
+import subprocess
+import sys
 
 import pytest
 
+from tricirc import permanent as permmod
+from tricirc import permclass
 from tricirc import phi as phimod
 from tricirc import verify as verifymod
 from tricirc.circulant import BAREISS_LIMIT, check_dp_budget
+from tricirc.core import PermClassKey
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import RYSER_LIMIT
 from tricirc.verify import SUITES, build_cases, run_case, run_suite
@@ -49,7 +54,8 @@ def _patch_suite(monkeypatch, case_fn, cpus=2):
     # that reports ``cpus`` CPUs; with two workers the parent runs the odd
     # p (share 0) and a forked child the even p (share 1)
     monkeypatch.setitem(
-        verifymod._SUITES, "flaky", (12, None, verifymod._prime_args, case_fn)
+        verifymod._SUITES, "flaky",
+        verifymod._Suite(12, None, verifymod._prime_args, case_fn, ()),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
@@ -170,10 +176,64 @@ def test_lemmas_check_cyclic_order_against_its_definition(monkeypatch):
 
     good = run_suite("lemmas", cases=200)
     assert good.passed
-    monkeypatch.setattr(verifymod, "cyclic_order", ascent_order)
+    monkeypatch.setattr(permclass, "cyclic_order", ascent_order)
     bad = run_suite("lemmas", cases=200)
     assert not bad.passed and bad.cases == good.cases
     assert bad.first_counterexample.startswith("cyclic_order: ")
+
+
+def test_witness_suite_runs_the_construct_witness_of_its_module(monkeypatch):
+    # the benchmark's tracer rebinds a route on its home module: the suite
+    # must call what the module holds when it runs, not a copy taken earlier
+    real = permclass.construct_witness
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return real(key)
+
+    monkeypatch.setattr(permclass, "construct_witness", counted)
+    good = run_suite("witness", p_max=8)
+    assert good.passed
+    cases = build_cases("witness", p_max=8)
+    assert len(calls) == sum(len(PermClassKey.nonempty_profiles(p, q)) for _, p, q in cases)
+    monkeypatch.setattr(
+        permclass, "construct_witness", lambda key: permclass.Permutation.identity(key.p)
+    )
+    bad = run_suite("witness", p_max=8)
+    assert not bad.passed and bad.cases == good.cases
+    assert bad.first_counterexample == "witness for (p=3, q=2, r=3, s=0) invalid"
+
+
+@pytest.mark.parametrize("suite, size", [
+    ("support", {"p_max": 5}),
+    ("sign", {"p_max": 5}),
+    ("cycle", {"p_max": 5}),
+    ("witness", {"p_max": 8}),
+    ("permanent", {"p_max": 6}),
+    ("prime", {"p_max": 10}),
+    ("lemmas", {"cases": 64}),
+])
+def test_a_suite_imports_its_routes_before_it_forks(suite, size):
+    # run_suite imports the suite's modules in the parent, so the forked
+    # children find them loaded and compile nothing
+    script = (
+        "import sys\n"
+        "from tricirc import verify\n"
+        "real, seen = verify._fan_out, []\n"
+        "def fan_out(case_list, width):\n"
+        "    seen.append(set(sys.modules))\n"
+        "    return real(case_list, width)\n"
+        "verify._fan_out = fan_out\n"
+        f"res = verify.run_suite({suite!r}, workers=2, **{size!r})\n"
+        "late = sorted(set(sys.modules) - seen[0])\n"
+        f"routes = [m for m in verify._SUITES[{suite!r}].modules\n"
+        "          if 'tricirc.' + m not in seen[0]]\n"
+        "print(res.passed, late, routes)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True [] []\n"
 
 
 def test_results_record_their_parameters():
@@ -247,7 +307,7 @@ def test_crashed_case_is_one_failed_check(monkeypatch, name):
     def crash(p, q):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(verifymod, name, crash)
+    monkeypatch.setattr(permmod, name, crash)
     out = run_case(("permanent", 5, 2))
     assert (out.checks, out.failures) == (1, 1)
     assert out.first == "_permanent_case(5, 2): RuntimeError('boom')"
