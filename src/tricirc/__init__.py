@@ -26,10 +26,6 @@ _HOMES = {
         "cycle_cover_counts det_bareiss det_bruteforce det_cycle_cover "
         "det_float_check dp_cost window_width"
     ),
-    "core": (
-        "NEWTON_LIMIT CirculantSpec PermClassKey ReducedSpec det_newton "
-        "reduce_theta"
-    ),
     "errors": (
         "EmptyClass InternalInconsistency InvalidKey IrreducibleSpec "
         "NonExactDivision NotACycle StateSpaceTooLarge TooLarge"
@@ -46,9 +42,9 @@ _HOMES = {
         "rotate"
     ),
     "phi": (
-        "BACKENDS CoefficientReport binomial_power coefficient "
-        "default_backend phi_polynomial primality_check support "
-        "trial_division"
+        "BACKENDS NEWTON_LIMIT CirculantSpec CoefficientReport PermClassKey "
+        "ReducedSpec binomial_power coefficient default_backend det_newton "
+        "phi_polynomial primality_check reduce_theta support trial_division"
     ),
     "verify": "SUITES SuiteResult run_suite",
 }

@@ -2,7 +2,7 @@
 
 The matrix has 1 on the diagonal, -x on the cyclic band at offset 1
 and -y on the cyclic band at offset q (:class:`CirculantSpec`, whose
-home is :mod:`tricirc.core` with :func:`reduce_theta` and the default
+home is :mod:`tricirc.phi` with :func:`reduce_theta` and the default
 route ``det_newton``).  Its determinant is a bivariate integer
 polynomial; this module computes it by three more exact routes, each
 independent of Newton's identities, plus an advisory floating-point
@@ -22,8 +22,9 @@ These routes live apart from the default one so that a ``phi`` or
 :mod:`tricirc.permanent` (for ``permanent``, ``growth`` and ``bench``)
 imports it directly, and ``verify`` only for the suites that run these
 routes (``support``, ``sign``, ``cycle`` and ``permanent``).  :mod:`cmath`
-is imported inside the float check, its only user.  They stay in this
-module, under these names, because the benchmark imports
+and :mod:`fractions` (which loads :mod:`decimal` and :mod:`numbers`)
+are imported inside the float check, their only user here.  The routes
+stay in this module, under these names, because the benchmark imports
 ``cycle_cover_counts`` and the Bareiss and float-check routes from here
 and traces them as ``circulant.*``.
 
@@ -35,13 +36,12 @@ may run concurrently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
-# reduce_theta is not used here: benchmark/make_refs.py imports it from this module
-from .core import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
 from .errors import StateSpaceTooLarge, TooLarge
+# reduce_theta is not used here: benchmark/make_refs.py imports it from this module
+from .phi import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
 
 #: largest p accepted by fraction-free elimination ((96, 48) takes
 #: 20-30 s on a 2-CPU host with Python 3.11)
@@ -365,9 +365,6 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
 # floating-point cross-check
 # ---------------------------------------------------------------------------
 
-#: sample grid for the float check
-FLOAT_CHECK_GRID = (-1, Fraction(-1, 2), Fraction(1, 2), 1)
-
 #: relative tolerance of the float check
 FLOAT_CHECK_RTOL = 1e-6
 
@@ -391,12 +388,13 @@ def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
     """Compare a candidate determinant against the eigenvalue product.
 
     Evaluates prod_j (1 - x w^j - y w^(qj)) over the complex p-th roots
-    of unity at every grid point and compares with the candidate
-    evaluated exactly.  Passes iff each deviation stays below
-    FLOAT_CHECK_RTOL * (1 + |exact value|).  Advisory only: a failure
-    is reported, never raised.
+    of unity at every point of the grid x, y in {-1, -1/2, 1/2, 1} and
+    compares with the candidate evaluated exactly.  Passes iff each
+    deviation stays below FLOAT_CHECK_RTOL * (1 + |exact value|).
+    Advisory only: a failure is reported, never raised.
     """
     import cmath  # only this advisory check uses complex arithmetic
+    from fractions import Fraction  # only its sample grid uses fractions
 
     _require_canonical(spec)
     p, q = spec.p, spec.q
@@ -405,8 +403,9 @@ def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
     worst_pt = (0.0, 0.0)
     ok = True
     n_pts = 0
-    for x0 in FLOAT_CHECK_GRID:
-        for y0 in FLOAT_CHECK_GRID:
+    grid = (-1, Fraction(-1, 2), Fraction(1, 2), 1)
+    for x0 in grid:
+        for y0 in grid:
             n_pts += 1
             prod = complex(1.0)
             xf, yf = float(x0), float(y0)

@@ -20,8 +20,8 @@ of the determinant polynomial: it admits p = 10, one past the largest p
 at which the ``cycle`` suite compares the class search with brute force.
 
 Each command imports only the modules it uses.  Every command loads
-this module, :mod:`tricirc.phi`, :mod:`tricirc.core` (the spec, Newton's
-identities and the class key), :mod:`tricirc.bipoly` and
+this module, :mod:`tricirc.phi` (the spec, Newton's identities, the
+class key and the coefficient report), :mod:`tricirc.bipoly` and
 :mod:`tricirc.errors`; ``--help`` and text-format ``phi`` and ``coeff``
 load nothing more, and :mod:`json` only when ``--format json`` is
 given.  Beyond those:
@@ -40,8 +40,9 @@ given.  Beyond those:
   ``prime`` adds nothing.
 
 No command loads :mod:`dataclasses` (the value classes are
-``core.Record`` subclasses) or :mod:`cmath` (only the advisory float
-check uses it).
+``phi.Record`` subclasses) or :mod:`cmath` (only the advisory float
+check uses it), and only those that load :mod:`tricirc.permanent`
+load :mod:`fractions`, for its lower bound.
 
 ``verify`` owns its suite names and default sizes, and refuses an
 unknown ``--suite`` or a flag that the suite does not read (exit 2).
@@ -55,10 +56,10 @@ import sys
 import time
 
 from . import phi as phimod
-from .core import CirculantSpec, PermClassKey, reduce_theta
 from .errors import (
     InternalInconsistency, IrreducibleSpec, StateSpaceTooLarge, TooLarge,
 )
+from .phi import CirculantSpec, PermClassKey, reduce_theta
 
 WORKERS_ENV = "TRICIRC_WORKERS"
 

@@ -24,9 +24,8 @@ from math import exp, factorial, log
 
 from .bipoly import BiPoly
 from .circulant import check_dp_budget, cycle_cover_counts
-from .core import PermClassKey, Record
 from .errors import InternalInconsistency, TooLarge
-from .phi import phi_polynomial
+from .phi import PermClassKey, Record, phi_polynomial
 
 #: largest p accepted by the Ryser expansion (cost O(2^p * p))
 RYSER_LIMIT = 24

@@ -12,7 +12,7 @@ share the sign (-1)^(r+s+k).  ``construct_witness`` builds an explicit
 member from a lattice path that hugs the line s*x - r*y = 0.
 
 The class key :class:`PermClassKey`, the one statement of these
-support and sign rules, lives in :mod:`tricirc.core` with the default
+support and sign rules, lives in :mod:`tricirc.phi` with the default
 determinant route, because ``phi`` and ``coeff`` need the rules but no
 permutation.  This module holds what only ``witness``, ``enumerate``
 and ``verify`` run: :class:`Permutation`, the class search, cycle
@@ -28,12 +28,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import PermClassKey, Record
 from .errors import EmptyClass, InvalidKey, NotACycle, TooLarge
-
-#: sets one field of a frozen record directly, for the constructors that
-#: run once per class or witness (faster than ``Record._init``'s loop)
-_set = object.__setattr__
+from .phi import PermClassKey, Record, _set
 
 #: largest p accepted by exhaustive class enumeration
 ENUMERATION_LIMIT = 10

@@ -1,8 +1,10 @@
-"""The determinant polynomial assembled through its structure theorems.
+"""The circulant spec, its determinant by Newton's identities, and the class rules.
 
-For canonical (p, q) the determinant of the three-band circulant is a
-polynomial sum(a(r, s) x^r y^s) whose support, signs and magnitudes are
-pinned down combinatorially:
+The p-by-p circulant has 1 on the diagonal, -x on the cyclic band at
+offset t and -y on the cyclic band at offset q (:class:`CirculantSpec`);
+:func:`reduce_theta` rewrites it to the canonical t = 1.  For canonical
+(p, q) its determinant is a polynomial sum(a(r, s) x^r y^s) whose
+support, signs and magnitudes are pinned down combinatorially:
 
 * a monomial is present iff r+s <= p and p divides r+sq (for s = 0 that
   forces r to be 0 or p);
@@ -10,24 +12,316 @@ pinned down combinatorially:
 * its magnitude counts the permutations of the matching displacement
   class.
 
-``coefficient`` always recomputes the sign from the gcd rule and
-cross-checks it against the selected determinant backend, so the sign
-theorem doubles as a permanent regression test.
+:class:`PermClassKey` is the package's one statement of these support
+and sign rules and of which (p, q) are canonical.  The default route,
+:func:`det_newton`, computes the polynomial from Newton's identities
+over the closed-form power sums of :func:`power_sums`.  ``coefficient``
+always recomputes the sign from the gcd rule and cross-checks it
+against the selected determinant backend, so the sign theorem doubles
+as a permanent regression test.
 
-This module imports only :mod:`tricirc.core` of the routes: the default
-backend, Newton's identities, lives there.  The cross-check backends of
-:data:`BACKENDS` import :mod:`tricirc.circulant` on their first call.
+Everything that a ``phi`` or ``coeff`` job runs lives here, so such a
+job compiles, besides the CLI, only this module, :mod:`tricirc.bipoly`
+and :mod:`tricirc.errors`.  From the standard library this module takes
+only :mod:`math` and :mod:`typing` (which ``bipoly`` loads anyway).
+The cross-check backends of :data:`BACKENDS` (Bareiss, the cycle-cover
+DP and brute force) live in :mod:`tricirc.circulant`, which is imported
+on their first call; permutations, lattice paths and witnesses live in
+:mod:`tricirc.permclass`.
+
+:class:`Record` is the package's one idiom for value classes: every
+report, key and path is a ``Record`` subclass rather than a frozen
+dataclass, because importing :mod:`dataclasses` loads :mod:`inspect`
+and costs more than the whole Newton computation of a small job.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bipoly import ONE, BiPoly
-from .core import CirculantSpec, PermClassKey, Record, det_newton
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, IrreducibleSpec, NonExactDivision, TooLarge
 
+#: largest p accepted by the Newton-identity route (about 0.2 s at
+#: p = 1000 on a 2-CPU host with Python 3.11)
+NEWTON_LIMIT = 1000
+
+#: sets one field of a frozen record directly, for the constructors that
+#: run once per class, witness or case (faster than ``Record._init``'s loop)
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value classes, with dataclass value semantics.
+
+    The package defines no frozen dataclass: every value class derives
+    from this one.  A subclass names its fields in ``__slots__`` and
+    sets them in its ``__init__``, in that order, through :meth:`_init`;
+    a constructor that runs once per class or per case sets each field
+    with ``_set`` (``object.__setattr__``) instead, which takes about half
+    the time of :meth:`_init`'s loop.  From the fields this class derives what
+    ``@dataclass(frozen=True)`` would: the repr ``Name(field=value, ...)``,
+    equality only between instances of the same class (a plain tuple
+    never equals a record), the hash of the field tuple, copying and
+    pickling through the positional constructor, and AttributeError on
+    assigning or deleting a field.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# the circulant and its canonical form
+# ---------------------------------------------------------------------------
+
+class CirculantSpec(Record):
+    """Parameters (p, q, t) of the three-band circulant.
+
+    Canonical specs have t=1 and 2 <= q <= p-1; non-canonical specs are
+    accepted only as input to :func:`reduce_theta`, so t or q must be
+    invertible modulo p (:class:`IrreducibleSpec` otherwise, checked
+    before the next rule).  The three band offsets 0, t, q must be
+    pairwise distinct.
+    """
+
+    __slots__ = ("p", "q", "t")
+
+    def __init__(self, p: int, q: int, t: int = 1):
+        if p < 3:
+            raise ValueError(f"p must be at least 3, got {p}")
+        if not 1 <= q < p:
+            raise ValueError(f"q must lie in [1, p-1], got q={q}")
+        if not 1 <= t < p:
+            raise ValueError(f"t must lie in [1, p-1], got t={t}")
+        if math.gcd(t, p) > 1 and math.gcd(q, p) > 1:
+            raise IrreducibleSpec(
+                f"gcd(t={t}, p={p}) > 1 and "
+                f"gcd(q={q}, p={p}) > 1: no canonical form is known"
+            )
+        if t == q:
+            raise ValueError("band offsets t and q must be distinct")
+        self._init(p, q, t)
+
+    @property
+    def is_canonical(self) -> bool:
+        return self.t == 1 and self.q >= 2
+
+
+class ReducedSpec(NamedTuple):
+    """Result of :func:`reduce_theta`."""
+
+    spec: CirculantSpec
+    swapped: bool  # True when the x and y roles were exchanged
+
+
+def reduce_theta(spec: CirculantSpec) -> ReducedSpec:
+    """Rewrite a general (p, q, t) spec in the canonical form t=1.
+
+    When gcd(t, p) = 1 the product over roots of unity can be reindexed
+    so the x band sits at offset 1 and the y band at offset q*t^-1 mod p.
+    Otherwise gcd(q, p) = 1 (a spec with neither offset invertible
+    cannot be built) and the same works with the variable roles
+    exchanged (flagged in the result).
+    """
+    p = spec.p
+    if spec.is_canonical:
+        return ReducedSpec(spec, False)
+    if math.gcd(spec.t, p) == 1:
+        qp = spec.q * pow(spec.t, -1, p) % p
+        return ReducedSpec(CirculantSpec(p, qp, 1), False)
+    qp = spec.t * pow(spec.q, -1, p) % p
+    return ReducedSpec(CirculantSpec(p, qp, 1), True)
+
+
+def _require_canonical(spec: CirculantSpec) -> None:
+    if not spec.is_canonical:
+        raise ValueError(
+            f"{spec} is not canonical; apply reduce_theta first"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Newton's identities over closed-form power sums
+# ---------------------------------------------------------------------------
+
+def power_sums(p: int, q: int) -> dict[int, dict[int, int]]:
+    """The nonzero power sums tr(A^i), 1 <= i <= p, of A = xP + yP^q.
+
+    P is the cyclic shift, so tr(P^k) is p when p divides k and 0
+    otherwise, and the binomial theorem gives
+    tr(A^i) = p * sum C(i, s) x^(i-s) y^s over the s in [0, i] with
+    p | i + s(q-1).  Maps i to {s: coefficient}; the x-exponent is i-s.
+    """
+    g = math.gcd(q - 1, p)
+    m = p // g
+    inv = pow((q - 1) // g, -1, m)
+    sums = {}
+    for i in range(g, p + 1, g):  # the s exist only where g divides i
+        s0 = -(i // g) * inv % m
+        if s0 <= i:
+            sums[i] = {s: p * math.comb(i, s) for s in range(s0, i + 1, m)}
+    return sums
+
+
+def det_newton(spec: CirculantSpec) -> BiPoly:
+    """Exact determinant from Newton's identities.
+
+    det(I - A) = sum (-1)^t e_t, where e_t is the t-th elementary
+    symmetric function of the eigenvalues of A = xP + yP^q and is
+    homogeneous of degree t.  Newton's identities
+    t e_t = sum_{i=1..t} (-1)^(i-1) e_(t-i) tr(A^i) give the signed
+    slices c_t = (-1)^t e_t as t c_t = -sum_{i=1..t} c_(t-i) tr(A^i).
+    Every slice is stored by y-exponent alone and has only the few terms
+    the support theorem allows, so the cost is polynomial in p for every
+    q.  Each division by t must be exact (:class:`NonExactDivision`
+    otherwise), and the unit constant term is checked as in Bareiss.
+    """
+    _require_canonical(spec)
+    p, q = spec.p, spec.q
+    if p > NEWTON_LIMIT:
+        raise TooLarge(f"Newton's identities are limited to p <= {NEWTON_LIMIT}")
+    sums = [(i, list(ps.items())) for i, ps in power_sums(p, q).items()]
+    slices: list[dict[int, int]] = [{0: 1}]
+    for t in range(1, p + 1):
+        acc: dict[int, int] = {}
+        for i, ps in sums:
+            if i > t:
+                break
+            for s1, c1 in slices[t - i].items():
+                for s2, c2 in ps:
+                    k = s1 + s2
+                    acc[k] = acc.get(k, 0) + c1 * c2
+        ct = {}
+        for s, v in acc.items():
+            c, rem = divmod(-v, t)
+            if rem:
+                raise NonExactDivision(
+                    f"{t} does not divide the coefficient {-v} of "
+                    f"x^{t - s}*y^{s} in t*c_t for {spec}"
+                )
+            if c:
+                ct[s] = c
+        slices.append(ct)
+    det = BiPoly(
+        {(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()}
+    )
+    if det.constant_term() != 1:
+        raise AssertionError("determinant lost its unit constant term")
+    return det
+
+
+# ---------------------------------------------------------------------------
+# the class key: support and sign rules
+# ---------------------------------------------------------------------------
+
+class PermClassKey(Record):
+    """Identifies the class of profile (r, s) inside (p, q).
+
+    The class collects the permutations of {1, ..., p} whose cyclic
+    displacements take the value 1 exactly r times, q exactly s times
+    and 0 elsewhere (see :mod:`tricirc.permclass`).  Derived
+    quantities: ``ell`` = (r+sq)/p when p divides r+sq (None
+    otherwise, and the class is empty), and ``k`` = gcd(r, s, ell), the
+    number of nontrivial cycles of every member.  The identity-only
+    class (0, 0) has ell = 0 and k = 0 by convention.  These properties
+    are the package's one statement of the support and sign rules, and
+    :meth:`check_pair` its one statement of which (p, q) are canonical.
+    """
+
+    __slots__ = ("p", "q", "r", "s")
+
+    def __init__(self, p: int, q: int, r: int, s: int):
+        self.check_pair(p, q)
+        if r < 0 or s < 0:
+            raise ValueError("r and s must be nonnegative")
+        self._init(p, q, r, s)
+
+    @staticmethod
+    def check_pair(p: int, q: int) -> None:
+        """Raise ValueError unless (p, q) is canonical: p >= 3, 2 <= q <= p-1."""
+        if p < 3 or not 2 <= q <= p - 1:
+            raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
+
+    @property
+    def divisible(self) -> bool:
+        return (self.r + self.s * self.q) % self.p == 0
+
+    @property
+    def ell(self) -> Optional[int]:
+        if not self.divisible:
+            return None
+        return (self.r + self.s * self.q) // self.p
+
+    @property
+    def k(self) -> Optional[int]:
+        ell = self.ell
+        if ell is None:
+            return None
+        return math.gcd(self.r, self.s, ell)
+
+    @property
+    def is_empty(self) -> bool:
+        """Whether the class is empty, i.e. a(r, s) = 0 (the support theorem)."""
+        return not (self.divisible and self.r + self.s <= self.p)
+
+    @staticmethod
+    def nonempty_profiles(p: int, q: int) -> list[tuple[int, int]]:
+        """Every (r, s) whose class in (p, q) is nonempty, s ascending.
+
+        The profiles that :attr:`is_empty` admits, listed without a key
+        per (r, s): for each s, r runs from (-s*q) mod p in steps of p
+        while r + s <= p.  Raises ValueError unless (p, q) is canonical.
+        """
+        PermClassKey.check_pair(p, q)
+        out = []
+        for s in range(p + 1):
+            r = (-s * q) % p
+            while r + s <= p:
+                out.append((r, s))
+                r += p
+        return out
+
+    @property
+    def term_sign(self) -> Optional[int]:
+        """The sign (-1)^k of a(r, s) in the determinant (None when ell is)."""
+        k = self.k
+        if k is None:
+            return None
+        return -1 if k % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# the determinant polynomial and its coefficients
+# ---------------------------------------------------------------------------
 
 def _cross_check(name: str) -> Callable[[CirculantSpec], BiPoly]:
     """The route ``name`` of :mod:`tricirc.circulant`, imported on first call.

@@ -26,9 +26,9 @@ routes in every case, and the largest pmax is the suite's own measured
 size, inside every route's reach.  It imports the home modules of its
 routes when it runs and calls each route on its module, so a suite
 loads only its own routes (``lemmas`` and ``witness`` only
-:mod:`tricirc.permclass`, ``prime`` only :mod:`tricirc.phi`), and a
-route rebound on its module, as a tracer or a fault-injecting test
-does, is the one the suite runs.
+:mod:`tricirc.permclass`, ``prime`` nothing beyond :mod:`tricirc.phi`,
+which this module imports), and a route rebound on its module, as a
+tracer or a fault-injecting test does, is the one the suite runs.
 A case function is a generator that yields once per check: ``None``
 when the check passed, the counterexample text when it failed, so a
 message is built only for a failure.  :func:`run_case` keeps the one
@@ -55,10 +55,10 @@ import os
 import random
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import core
+from . import phi as phimod
 from .bipoly import Monomial
-from .core import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record
 from .errors import InternalInconsistency, TooLarge
+from .phi import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record, _set
 
 #: largest p swept exhaustively, by brute force (the Leibniz expansion
 #: over the matrix's nonzero entries) and by enumerating every class:
@@ -80,11 +80,6 @@ LEMMA_CHUNKS = 32
 
 #: what a case function yields per check: None, or the counterexample
 Checks = Iterator[Optional[str]]
-
-
-#: sets one field of a frozen record directly, for the one outcome per
-#: case (faster than ``Record._init``'s loop)
-_set = object.__setattr__
 
 
 class CaseOutcome(Record):
@@ -141,8 +136,6 @@ def _iter_pq(p_lo: int, p_hi: int, q_policy: str):
 # ---------------------------------------------------------------------------
 
 def _support_case(p: int, q: int, backend: str) -> Checks:
-    from . import phi as phimod
-
     poly = phimod.phi_polynomial(p, q, backend)
     for r in range(p + 1):
         for s in range(p + 1):
@@ -170,7 +163,7 @@ def _sign_case(p: int, q: int) -> Checks:
     from . import circulant
 
     spec = CirculantSpec(p, q)
-    newton = core.det_newton(spec)
+    newton = phimod.det_newton(spec)
     polys = {
         "bareiss": circulant.det_bareiss(spec),
         "cycle_cover": circulant.det_cycle_cover(spec),
@@ -305,8 +298,6 @@ def _permanent_case(p: int, q: int) -> Checks:
 
 
 def _prime_case(p: int) -> Checks:
-    from . import phi as phimod
-
     got = phimod.primality_check(p)
     want = phimod.trial_division(p)
     yield None if got == want else (
@@ -430,7 +421,7 @@ class _Suite(NamedTuple):
 #: limit, 19.3 s at 1000
 _SUITES = {
     "support": _Suite(
-        EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("phi", "circulant")
+        EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)
     ),
     "sign": _Suite(EXHAUSTIVE_PMAX, 23, _pairs, _sign_case, ("circulant",)),
     "cycle": _Suite(
@@ -439,7 +430,7 @@ _SUITES = {
     ),
     "witness": _Suite(30, 60, _pairs, _witness_case, ("permclass",)),
     "permanent": _Suite(12, 18, _pairs, _permanent_case, ("permanent",)),
-    "prime": _Suite(40, NEWTON_LIMIT, _prime_args, _prime_case, ("phi",)),
+    "prime": _Suite(40, NEWTON_LIMIT, _prime_args, _prime_case, ()),
     "lemmas": _Suite(None, None, _lemma_args, _lemma_chunk, ("permclass",)),
 }
 
@@ -508,17 +499,6 @@ def suite_parameters(
     if suite == "prime":
         return {"p_max": p_max, "q": 2}
     return {"p_max": p_max, "q_policy": q_policy}
-
-
-def build_cases(
-    suite: str,
-    p_max: Optional[int] = None,
-    q_policy: str = "all",
-    cases: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> list[tuple]:
-    """The deterministic, ordered case list of a suite."""
-    return _case_list(suite, suite_parameters(suite, p_max, q_policy, cases, seed))
 
 
 def _case_list(suite: str, params: dict) -> list[tuple]:

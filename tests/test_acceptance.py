@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from tricirc.circulant import det_bareiss, det_bruteforce, det_cycle_cover
-from tricirc.core import CirculantSpec, det_newton
+from tricirc.phi import CirculantSpec, det_newton
 from tricirc.permanent import bounds_report, permanent_generating, permanent_ryser
 from tricirc.permclass import (
     PermClassKey,

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from polytext import parse
-from tricirc import circulant, core
+from tricirc import circulant, phi
 from tricirc.bipoly import ZERO, BiPoly
 from tricirc.circulant import (
     BAREISS_LIMIT,
@@ -24,7 +24,7 @@ from tricirc.circulant import (
     dp_cost,
     window_width,
 )
-from tricirc.core import (
+from tricirc.phi import (
     NEWTON_LIMIT,
     CirculantSpec,
     det_newton,
@@ -262,7 +262,7 @@ class TestNewton:
 
     def test_inexact_power_sum_raises(self, monkeypatch):
         # tr(A) = x makes c_2 = x^2/2, which is not an integer polynomial
-        monkeypatch.setattr(core, "power_sums", lambda p, q: {1: {0: 1}})
+        monkeypatch.setattr(phi, "power_sums", lambda p, q: {1: {0: 1}})
         with pytest.raises(NonExactDivision) as info:
             det_newton(CirculantSpec(5, 3))
         assert str(info.value) == (

@@ -372,7 +372,7 @@ NEVER_LOADED = frozenset({"cmath", "dataclasses", "inspect"})
 
 #: the package modules that every command loads
 ALWAYS_LOADED = frozenset({
-    "tricirc.bipoly", "tricirc.cli", "tricirc.core", "tricirc.errors", "tricirc.phi",
+    "tricirc.bipoly", "tricirc.cli", "tricirc.errors", "tricirc.phi",
 })
 
 #: suite -> a small run's size flags
@@ -430,8 +430,22 @@ class TestImportGate:
     def test_default_route_loads_only_the_core(self, argv):
         code, out, added = loaded_by(*argv)
         assert code == 0 and out
-        assert {"tricirc.core", "tricirc.phi"} <= added
+        assert {"tricirc.phi"} <= added
         assert not added & DEFAULT_ROUTE_UNUSED, sorted(added & DEFAULT_ROUTE_UNUSED)
+
+    @pytest.mark.parametrize("argv", [
+        ("phi", "--p", "8", "--q", "3", "--backend", "bareiss"),
+        ("verify", "--suite", "support", "--pmax", "6"),
+        ("verify", "--suite", "sign", "--pmax", "6"),
+        ("verify", "--suite", "cycle", "--pmax", "6"),
+    ])
+    def test_exact_cross_checks_load_no_fractions(self, argv):
+        # only the float check's sample grid and the permanent's lower
+        # bound are fractions; the exact routes load neither
+        code, out, added = loaded_by(*argv)
+        assert code == 0 and out
+        fractions = {"fractions", "decimal", "numbers"}
+        assert not added & fractions, sorted(added & fractions)
 
     def test_json_format_adds_json_only(self):
         code, out, added = loaded_by("phi", "--p", "8", "--q", "3", "--format", "json")

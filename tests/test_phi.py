@@ -1,8 +1,10 @@
 """Support predicate, coefficient reports and the primality congruence."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +163,23 @@ class TestPrimality:
     def test_trial_division_basics(self):
         primes = [n for n in range(2, 60) if trial_division(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_benchmark_tracer_sees_the_default_route(capsys):
+    # the benchmark's per-layer trace wraps the public functions of phi,
+    # the home of Newton's identities, so the default route has spans
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from tricirc import cli
+
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        code = cli.run(["phi", "--p", "12", "--q", "5"])
+    finally:
+        tracing.uninstall(undo)
+    assert code == 0 and capsys.readouterr().out
+    names = {span[1] for span in tracer.spans}
+    assert {"phi.phi_polynomial", "phi.det_newton", "phi.power_sums"} <= names

@@ -14,7 +14,7 @@ import pytest
 
 from tricirc.circulant import FloatCheckReport
 from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
-from tricirc.core import PermClassKey
+from tricirc.phi import PermClassKey
 from tricirc.permclass import (
     CycleWord, LatticePath, StructureReport, build_path, predict_structure,
 )

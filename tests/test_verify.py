@@ -12,10 +12,16 @@ from tricirc import permclass
 from tricirc import phi as phimod
 from tricirc import verify as verifymod
 from tricirc.circulant import BAREISS_LIMIT, check_dp_budget
-from tricirc.core import PermClassKey
+from tricirc.phi import PermClassKey
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import RYSER_LIMIT
-from tricirc.verify import SUITES, build_cases, run_case, run_suite
+from tricirc.verify import SUITES, run_case, run_suite
+
+
+def build_cases(suite, p_max=None, q_policy="all", cases=None, seed=None):
+    """The deterministic, ordered case list of a suite, as run_suite builds it."""
+    params = verifymod.suite_parameters(suite, p_max, q_policy, cases, seed)
+    return verifymod._case_list(suite, params)
 
 
 def test_all_suites_pass_at_small_sizes():
