@@ -374,15 +374,6 @@ class FloatCheckReport(Record):
 
     __slots__ = ("passed", "max_abs_deviation", "worst_point", "points")
 
-    def __init__(
-        self,
-        passed: bool,
-        max_abs_deviation: float,
-        worst_point: tuple[float, float],
-        points: int,
-    ):
-        self._init(passed, max_abs_deviation, worst_point, points)
-
 
 def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
     """Compare a candidate determinant against the eigenvalue product.

@@ -94,31 +94,20 @@ def _ceil_cube_root(n: int) -> int:
 
 
 class PermanentReport(Record):
-    """Permanent value, coefficient statistics and exact bound checks."""
+    """Permanent value, coefficient statistics and exact bound checks.
+
+    ``d11`` is the permanent of the 0-1 band circulant and ``abs_sum``
+    the sum of |a(r, s)| over the signed polynomial; ``max_coeff`` is
+    M(p, q) and ``n_monomials`` N(p, q).  ``lower_bound`` is the
+    Fraction 3^p p! / p^p and ``upper_bound`` the integer ceil(6^(p/3)).
+    ``lower_ok`` holds 3^p p! <= d11 p^p, ``upper_ok`` d11^3 <= 6^p and
+    ``sandwich_ok`` d11/N <= M <= d11.
+    """
 
     __slots__ = (
         "p", "q", "d11", "abs_sum", "max_coeff", "n_monomials", "lower_bound",
         "upper_bound", "lower_ok", "upper_ok", "sandwich_ok",
     )
-
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        d11: int,                # permanent of the 0-1 band circulant
-        abs_sum: int,            # sum of |a(r, s)| from the signed polynomial
-        max_coeff: int,          # M(p, q)
-        n_monomials: int,        # N(p, q)
-        lower_bound: Fraction,   # 3^p p! / p^p
-        upper_bound: int,        # ceil(6^(p/3))
-        lower_ok: bool,          # 3^p p! <= d11 p^p
-        upper_ok: bool,          # d11^3 <= 6^p
-        sandwich_ok: bool,       # d11/N <= M <= d11
-    ):
-        self._init(
-            p, q, d11, abs_sum, max_coeff, n_monomials, lower_bound,
-            upper_bound, lower_ok, upper_ok, sandwich_ok,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,21 +184,12 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
 
 
 class GrowthRow(Record):
-    """One line of the max-coefficient growth table."""
+    """One line of the max-coefficient growth table.
+
+    ``root`` is the float max_coeff ** (1/p), for display only.
+    """
 
     __slots__ = ("p", "q", "max_coeff", "d11", "n_monomials", "root", "sandwich_ok")
-
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        max_coeff: int,
-        d11: int,
-        n_monomials: int,
-        root: float,  # max_coeff ** (1/p), display only
-        sandwich_ok: bool,
-    ):
-        self._init(p, q, max_coeff, d11, n_monomials, root, sandwich_ok)
 
     def to_json_dict(self) -> dict:
         return {

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import EmptyClass, InvalidKey, NotACycle, TooLarge
-from .phi import PermClassKey, Record, _set
+from .phi import PermClassKey, Record
 
 #: largest p accepted by exhaustive class enumeration
 ENUMERATION_LIMIT = 10
@@ -174,11 +174,6 @@ class StructureReport(Record):
 
     __slots__ = ("k", "cycles_each", "sign")
 
-    def __init__(self, k: int, cycles_each: tuple[int, int], sign: int):
-        _set(self, "k", k)
-        _set(self, "cycles_each", cycles_each)
-        _set(self, "sign", sign)
-
     @property
     def cycle_length(self) -> int:
         return self.cycles_each[0] + self.cycles_each[1]
@@ -248,9 +243,6 @@ class CycleWord(Record):
 
     __slots__ = ("start", "word")
 
-    def __init__(self, start: int, word: tuple[int, ...]):
-        self._init(start, word)
-
 
 def _walk_word(start: int, word, p: int) -> list[int]:
     # points visited by the word; NotACycle on early repeats or an open end
@@ -305,7 +297,7 @@ class LatticePath(Record):
         for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
             if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
                 raise ValueError("steps must be unit east or north moves")
-        _set(self, "vertices", vertices)
+        Record.__init__(self, vertices)
 
     @property
     def end(self) -> tuple[int, int]:

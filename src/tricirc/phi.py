@@ -29,9 +29,9 @@ DP and brute force) live in :mod:`tricirc.circulant`, which is imported
 on their first call; permutations, lattice paths and witnesses live in
 :mod:`tricirc.permclass`.
 
-:class:`Record` is the package's one idiom for value classes: every
-report, key and path is a ``Record`` subclass rather than a frozen
-dataclass, because importing :mod:`dataclasses` loads :mod:`inspect`
+:class:`Record` is the base of every report, key and path: one
+constructor binds the fields a subclass names in ``__slots__``, so no
+module imports :mod:`dataclasses`, whose import loads :mod:`inspect`
 and costs more than the whole Newton computation of a small job.
 """
 
@@ -47,31 +47,44 @@ from .errors import InternalInconsistency, IrreducibleSpec, NonExactDivision, To
 #: p = 1000 on a 2-CPU host with Python 3.11)
 NEWTON_LIMIT = 1000
 
-#: sets one field of a frozen record directly, for the constructors that
-#: run once per class, witness or case (faster than ``Record._init``'s loop)
-_set = object.__setattr__
-
 
 class Record:
     """Base of the package's immutable value classes, with dataclass value semantics.
 
-    The package defines no frozen dataclass: every value class derives
-    from this one.  A subclass names its fields in ``__slots__`` and
-    sets them in its ``__init__``, in that order, through :meth:`_init`;
-    a constructor that runs once per class or per case sets each field
-    with ``_set`` (``object.__setattr__``) instead, which takes about half
-    the time of :meth:`_init`'s loop.  From the fields this class derives what
-    ``@dataclass(frozen=True)`` would: the repr ``Name(field=value, ...)``,
-    equality only between instances of the same class (a plain tuple
-    never equals a record), the hash of the field tuple, copying and
-    pickling through the positional constructor, and AttributeError on
-    assigning or deleting a field.
+    A subclass names its fields in ``__slots__`` and inherits one
+    constructor: it takes the fields in ``__slots__`` order, by position
+    or by keyword, and raises TypeError when a field is missing, unknown
+    or given twice.  A subclass that validates or defaults its input
+    defines an ``__init__`` that does so and then calls this one.  From
+    the fields this class derives what ``@dataclass(frozen=True)``
+    would: the repr ``Name(field=value, ...)``, equality only between
+    instances of the same class (a plain tuple never equals a record),
+    the hash of the field tuple, copying and pickling through the
+    positional constructor, and AttributeError on assigning or deleting
+    a field.
     """
 
     __slots__ = ()
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args))
+            error = None
+            if len(args) > len(names):
+                error = f"takes {len(names)} fields but {len(args)} were given"
+            for name, value in kwargs.items():
+                if name in values:
+                    error = f"got field {name!r} twice"
+                elif name not in names:
+                    error = f"has no field {name!r}"
+                values[name] = value
+            if error is None and len(values) < len(names):
+                error = f"is missing fields {[n for n in names if n not in values]}"
+            if error is not None:
+                raise TypeError(f"{self.__class__.__qualname__}() {error}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -129,7 +142,7 @@ class CirculantSpec(Record):
             )
         if t == q:
             raise ValueError("band offsets t and q must be distinct")
-        self._init(p, q, t)
+        Record.__init__(self, p, q, t)
 
     @property
     def is_canonical(self) -> bool:
@@ -263,7 +276,7 @@ class PermClassKey(Record):
         self.check_pair(p, q)
         if r < 0 or s < 0:
             raise ValueError("r and s must be nonnegative")
-        self._init(p, q, r, s)
+        Record.__init__(self, p, q, r, s)
 
     @staticmethod
     def check_pair(p: int, q: int) -> None:
@@ -388,21 +401,6 @@ class CoefficientReport(Record):
     __slots__ = (
         "p", "q", "r", "s", "present", "ell", "k", "sign", "magnitude", "value",
     )
-
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        r: int,
-        s: int,
-        present: bool,
-        ell: Optional[int],
-        k: Optional[int],
-        sign: Optional[int],
-        magnitude: int,
-        value: int,
-    ):
-        self._init(p, q, r, s, present, ell, k, sign, magnitude, value)
 
     def to_json_dict(self) -> dict:
         return {

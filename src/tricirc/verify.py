@@ -11,7 +11,9 @@ machine checks against independent oracles:
 * ``cycle``     -- class members share one cycle type and one sign, and
                    class sizes match coefficient magnitudes;
 * ``witness``   -- the constructed member lands in its class with the
-                   predicted cycle structure;
+                   predicted cycle structure, and up to
+                   ``EXHAUSTIVE_PMAX`` the profiles walked are the
+                   classes that the search finds;
 * ``permanent`` -- Ryser, the unsigned DP and the signed polynomial
                    agree in every case, and the two-sided bounds hold;
 * ``prime``     -- the binomial congruence matches trial division;
@@ -58,7 +60,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from . import phi as phimod
 from .bipoly import Monomial
 from .errors import InternalInconsistency, TooLarge
-from .phi import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record, _set
+from .phi import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record
 
 #: largest p swept exhaustively, by brute force (the Leibniz expansion
 #: over the matrix's nonzero entries) and by enumerating every class:
@@ -88,25 +90,13 @@ class CaseOutcome(Record):
     __slots__ = ("checks", "failures", "first")
 
     def __init__(self, checks: int, failures: int, first: Optional[str] = None):
-        _set(self, "checks", checks)
-        _set(self, "failures", failures)
-        _set(self, "first", first)
+        Record.__init__(self, checks, failures, first)
 
 
 class SuiteResult(Record):
     """The merged outcome of a suite run, with its effective parameters."""
 
     __slots__ = ("suite", "cases", "failures", "first_counterexample", "parameters")
-
-    def __init__(
-        self,
-        suite: str,
-        cases: int,
-        failures: int,
-        first_counterexample: Optional[str],
-        parameters: dict,
-    ):
-        self._init(suite, cases, failures, first_counterexample, parameters)
 
     @property
     def passed(self) -> bool:
@@ -256,8 +246,20 @@ def _cycle_case(p: int, q: int) -> Checks:
 def _witness_case(p: int, q: int) -> Checks:
     from . import permclass
 
-    classes = permclass.enumerate_by_profile(p, q) if p <= EXHAUSTIVE_PMAX else None
-    for r, s in PermClassKey.nonempty_profiles(p, q):
+    profiles = PermClassKey.nonempty_profiles(p, q)
+    classes = None
+    mismatch = None  # folded into the first check, so the count stays put
+    if p <= EXHAUSTIVE_PMAX:
+        classes = permclass.enumerate_by_profile(p, q)
+        walked = set(profiles)
+        missing = sorted(classes.keys() - walked)
+        extra = sorted(walked - classes.keys())
+        if missing or extra:
+            mismatch = (
+                f"(p={p}, q={q}): the profiles walked miss the classes "
+                f"{missing} and add the empty ones {extra}"
+            )
+    for r, s in profiles:
         key = PermClassKey(p, q, r, s)
         sigma = permclass.construct_witness(key)
         prof = permclass.displacement_profile(sigma, p, q)
@@ -271,7 +273,10 @@ def _witness_case(p: int, q: int) -> Checks:
             ok = ok and sigma.sign() == rep.sign
         if ok and classes is not None:
             ok = sigma in classes.get((r, s), ())
-        yield None if ok else f"witness for (p={p}, q={q}, r={r}, s={s}) invalid"
+        yield mismatch or (
+            None if ok else f"witness for (p={p}, q={q}, r={r}, s={s}) invalid"
+        )
+        mismatch = None
 
 
 def _permanent_case(p: int, q: int) -> Checks:
@@ -466,10 +471,12 @@ def suite_parameters(
 
     Carried into the result so reports are self-describing; the prime
     suite records the fixed q its congruence check uses.  The lemmas
-    suite is sized by cases and seed, every other suite by p_max; an
-    unknown suite, a size the suite does not read, or a size that would
-    check nothing (cases < 1 for lemmas, p_max < 3 otherwise) is a
-    ValueError, a size past the largest is :class:`TooLarge`.
+    suite is sized by cases and seed, every other suite by p_max, and
+    only the suites that sweep (p, q) pairs read a q policy other than
+    ``all``.  An unknown suite, a flag the suite does not read, or a
+    size that would check nothing (cases < 1 for lemmas, p_max < 3
+    otherwise) is a ValueError, a size past the largest is
+    :class:`TooLarge`.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -478,6 +485,8 @@ def suite_parameters(
     unread = (
         {"pmax": p_max} if suite == "lemmas" else {"cases": cases, "seed": seed}
     )
+    if suite in ("prime", "lemmas"):  # neither sweeps (p, q) pairs
+        unread["q-policy"] = None if q_policy == "all" else q_policy
     for flag, value in unread.items():
         if value is not None:
             raise ValueError(f"the {suite} suite does not read {flag}")

@@ -74,6 +74,7 @@ class TestExitCodes:
         (("--suite", "prime", "--cases", "5"), "cases"),
         (("--suite", "sign", "--seed", "3"), "seed"),
         (("--suite", "witness", "--cases", "5", "--seed", "3"), "cases"),
+        (("--suite", "prime", "--q-policy", "coprime"), "q-policy"),
     ])
     def test_verify_size_the_suite_does_not_read_is_usage_error(self, argv, flag):
         res = cli("verify", *argv)

@@ -1,27 +1,37 @@
-"""Value semantics of the record classes that were frozen dataclasses.
+"""Value semantics of the record classes, every subclass of ``phi.Record``.
 
-Each keeps what ``@dataclass(frozen=True)`` gave it: field order, the
-positional and keyword constructor, the repr, equality only within its
-class, the hash of the field tuple, frozen fields, copying and pickling.
+Each keeps what ``@dataclass(frozen=True)`` would give it: field order,
+the positional and keyword constructor, the repr, equality only within
+its class, the hash of the field tuple, frozen fields, copying and
+pickling.
 """
 
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
 from fractions import Fraction
+
+import tricirc
 
 import pytest
 
 from tricirc.circulant import FloatCheckReport
 from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
-from tricirc.phi import PermClassKey
+from tricirc.phi import CirculantSpec, CoefficientReport, PermClassKey, Record, coefficient
 from tricirc.permclass import (
     CycleWord, LatticePath, StructureReport, build_path, predict_structure,
 )
 from tricirc.verify import CaseOutcome, SuiteResult, run_suite
 
-#: (class, field values, the repr the frozen dataclass gave)
+#: (class, field values, repr): one row for every Record subclass
 RECORDS = [
+    (CirculantSpec, (7, 3, 2), "CirculantSpec(p=7, q=3, t=2)"),
+    (PermClassKey, (5, 3, 2, 1), "PermClassKey(p=5, q=3, r=2, s=1)"),
+    (CoefficientReport, (5, 3, 2, 1, True, 1, 1, -1, 5, -5),
+     "CoefficientReport(p=5, q=3, r=2, s=1, present=True, ell=1, k=1, "
+     "sign=-1, magnitude=5, value=-5)"),
     (StructureReport, (2, (1, 2), -1),
      "StructureReport(k=2, cycles_each=(1, 2), sign=-1)"),
     (CycleWord, (1, (1, 3, 3)), "CycleWord(start=1, word=(1, 3, 3))"),
@@ -45,6 +55,7 @@ RECORDS = [
 ]
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+FIELDS = {cls: fields for cls, fields, _ in RECORDS}
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
@@ -131,6 +142,73 @@ def test_suite_result_reads_as_before():
 
 def test_permanent_report_from_the_route():
     rep = bounds_report(5, 3)
-    assert rep == PermanentReport(*RECORDS[4][1])
+    assert rep == PermanentReport(*FIELDS[PermanentReport])
     bound = rep.to_json_dict()["lower_bound"]
     assert bound == {"numerator": "5832", "denominator": "625"}
+
+
+def _record_classes(base=Record):
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("tricirc."):
+            yield cls
+        yield from _record_classes(cls)
+
+
+def test_every_record_class_is_listed():
+    # a new record cannot skip the tests above
+    for mod in pkgutil.iter_modules(tricirc.__path__):
+        if mod.name != "__main__":  # importing it runs the CLI
+            importlib.import_module(f"tricirc.{mod.name}")
+    assert set(_record_classes()) == {cls for cls, _, _ in RECORDS}
+
+
+def test_only_the_records_that_validate_or_default_define_init():
+    own_init = {cls for cls in _record_classes() if "__init__" in vars(cls)}
+    assert own_init == {CirculantSpec, PermClassKey, LatticePath, CaseOutcome}
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
+def test_constructor_refuses_a_bad_field_list(cls, fields, text):
+    names = cls.__slots__
+    # CirculantSpec's t and CaseOutcome's first have defaults
+    short = 2 if cls in (CirculantSpec, CaseOutcome) else 1
+    bad_calls = [
+        (fields[:-short], {}),  # too few
+        (fields + (0,), {}),  # too many
+        ((), {**dict(zip(names, fields)), "no_such_field": 0}),  # unknown
+        (fields, {names[-1]: fields[-1]}),  # given twice
+    ]
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_generic_constructor_names_the_fault():
+    with pytest.raises(TypeError, match=r"StructureReport\(\) takes 3 fields but 4"):
+        StructureReport(1, (1, 0), 1, 0)
+    with pytest.raises(TypeError, match=r"is missing fields \['sign'\]"):
+        StructureReport(1, (1, 0))
+    with pytest.raises(TypeError, match="has no field 'size'"):
+        StructureReport(1, (1, 0), 1, size=2)
+    with pytest.raises(TypeError, match="got field 'k' twice"):
+        StructureReport(1, (1, 0), 1, k=1)
+    mixed = CycleWord(1, word=(1, 3, 3))
+    assert mixed == CycleWord(word=(1, 3, 3), start=1) == CycleWord(1, (1, 3, 3))
+
+
+def test_keyword_construction_still_validates():
+    with pytest.raises(ValueError, match="distinct"):
+        CirculantSpec(p=5, q=2, t=2)
+    with pytest.raises(ValueError, match="2 <= q <= p-1"):
+        PermClassKey(p=3, q=3, r=0, s=0)
+    with pytest.raises(ValueError, match="start at"):
+        LatticePath(vertices=((1, 0),))
+    assert CirculantSpec(p=7, q=3) == CirculantSpec(7, 3, 1)
+
+
+def test_coefficient_report_from_the_route():
+    rep = coefficient(5, 3, 2, 1)
+    assert rep == CoefficientReport(*FIELDS[CoefficientReport])
+    assert rep.to_json_dict()["magnitude"] == "5"
+    absent = coefficient(5, 3, 1, 1)
+    assert absent == CoefficientReport(5, 3, 1, 1, False, None, None, None, 0, 0)

@@ -188,6 +188,27 @@ def test_lemmas_check_cyclic_order_against_its_definition(monkeypatch):
     assert bad.first_counterexample.startswith("cyclic_order: ")
 
 
+def test_witness_checks_the_profiles_it_walks_against_the_classes(monkeypatch):
+    # a nonempty_profiles that drops the classes with r + s = p leaves
+    # every walked witness valid, so only the comparison with the
+    # class search catches it
+    real = PermClassKey.nonempty_profiles
+
+    def short(p, q):
+        return [(r, s) for r, s in real(p, q) if r + s < p]
+
+    good = run_suite("witness", p_max=9)
+    assert good.passed and good.cases == 182
+    monkeypatch.setattr(PermClassKey, "nonempty_profiles", staticmethod(short))
+    bad = run_suite("witness", p_max=9)
+    # one failed check for each of the 28 pairs, and no check added
+    assert bad.cases == 112 and bad.failures == 28
+    assert bad.first_counterexample == (
+        "(p=3, q=2): the profiles walked miss the classes [(0, 3), (3, 0)] "
+        "and add the empty ones []"
+    )
+
+
 def test_witness_suite_runs_the_construct_witness_of_its_module(monkeypatch):
     # the benchmark's tracer rebinds a route on its home module: the suite
     # must call what the module holds when it runs, not a copy taken earlier
@@ -283,6 +304,12 @@ def test_a_size_the_suite_does_not_read_is_refused():
                 with pytest.raises(ValueError, match="does not read") as info:
                     build_cases(suite, **extra)
                 assert not isinstance(info.value, TooLarge)
+    # prime and lemmas sweep no (p, q) pairs, so they refuse a q policy
+    # other than the default
+    for suite in ("prime", "lemmas"):
+        with pytest.raises(ValueError, match=f"the {suite} suite does not read q-policy"):
+            build_cases(suite, q_policy="coprime")
+        assert build_cases(suite, q_policy="all") == build_cases(suite)
 
 
 def test_cycle_suite_guards_pmax():
