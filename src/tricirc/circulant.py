@@ -19,8 +19,8 @@ cross-check over complex roots of unity:
 These routes live apart from the default one so that a ``phi`` or
 ``coeff`` job neither compiles them nor loads what they import;
 ``phi`` imports this module only when ``--backend`` names one of them,
-:mod:`tricirc.permanent` (for ``permanent``, ``growth`` and ``bench``)
-imports it directly, and ``verify`` only for the suites that run these
+:mod:`tricirc.permanent` (for ``permanent`` and ``growth``) imports it
+directly, and ``verify`` only for the suites that run these
 routes (``support``, ``sign``, ``cycle`` and ``permanent``).  :mod:`cmath`
 and :mod:`fractions` (which loads :mod:`decimal` and :mod:`numbers`)
 are imported inside the float check, their only user here.  The routes
@@ -210,9 +210,13 @@ def dp_cost(p: int, q: int) -> float:
     additions grow faster than their length once they pass a few
     hundred kilobits (p in the thousands).  Fitted to 42 timed runs of
     0.2 s or more (p = 24..4000, w = 3..15) on a 2-CPU host with
-    Python 3.11, where one unit took 2.0-6.4 ns.
+    Python 3.11, where one unit took 2.0-6.4 ns.  An estimate past the
+    float range (a window of about 667 bits or more) is infinite.
     """
-    return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
+    try:
+        return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
+    except OverflowError:
+        return float("inf")
 
 
 def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:

@@ -3,7 +3,8 @@
 Subcommands expose the library operations one-to-one with deterministic
 machine-readable output: identical inputs produce byte-identical
 text/json/csv (data goes to stdout, diagnostics to stderr).  Exit
-codes: 0 success, 1 verification failure or backend mismatch, 2 usage
+codes: 0 success, 1 a failed ``verify`` suite or a failed internal
+check (two routes disagreed: :class:`InternalInconsistency`), 2 usage
 error, 3 unsupported parameter regime.
 
 ``verify`` is the only command that may start worker processes; set the
@@ -18,6 +19,8 @@ output bytes do not depend on the worker count.
 ``enumerate`` checks the size of the class it prints against |a(r, s)|
 of the determinant polynomial: it admits p = 10, one past the largest p
 at which the ``cycle`` suite compares the class search with brute force.
+``witness`` checks the ``k`` and ``sign`` it reports against the cycle
+count and sign of the member it prints.
 
 Each command imports only the modules it uses.  Every command loads
 this module, :mod:`tricirc.phi` (the spec, Newton's identities, the
@@ -31,7 +34,6 @@ given.  Beyond those:
 * ``witness`` and ``enumerate`` load :mod:`tricirc.permclass`;
 * ``permanent`` and ``growth`` load :mod:`tricirc.permanent` and,
   through it, :mod:`tricirc.circulant`;
-* ``bench`` loads :mod:`tricirc.permanent` and :mod:`tricirc.circulant`;
 * ``verify`` loads :mod:`tricirc.verify` and the routes of its suite:
   ``support`` and ``sign`` add :mod:`tricirc.circulant`, ``cycle`` adds
   it and :mod:`tricirc.permclass`, ``permanent`` adds
@@ -53,7 +55,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from . import phi as phimod
 from .errors import (
@@ -140,6 +141,12 @@ def _cmd_witness(args) -> int:
     key = PermClassKey(args.p, args.q, args.r, args.s)
     sigma = permclass.construct_witness(key)
     rep = permclass.predict_structure(key)
+    cycles, sign = sigma.cycles(), sigma.sign()
+    if (len(cycles), sign) != (rep.k, rep.sign):
+        raise InternalInconsistency(
+            f"the witness for {key} has {len(cycles)} cycles and sign {sign:+d}, "
+            f"but its class has k = {rep.k} and sign {rep.sign:+d}"
+        )
     if args.format == "json":
         _emit_json(
             {
@@ -151,12 +158,12 @@ def _cmd_witness(args) -> int:
                 "k": rep.k,
                 "sign": rep.sign,
                 "one_line": list(sigma.images),
-                "cycles": [list(c) for c in sigma.cycles()],
+                "cycles": [list(c) for c in cycles],
             }
         )
     else:
         print(sigma.one_line())
-        print(sigma.cycle_notation())
+        print(permclass.cycle_notation(cycles))
     return EXIT_OK
 
 
@@ -241,55 +248,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if res.passed else EXIT_FAILED
 
 
-def _cmd_bench(args) -> int:
-    from . import permanent as permmod
-    choices = (*phimod.BACKENDS, "ryser")
-    backends = args.backends.split(",")
-    for b in backends:
-        if b not in choices:
-            raise ValueError(
-                f"unknown backend {b!r}; choose from {','.join(choices)}"
-            )
-    p_list = [int(v) for v in args.p.split(",")]
-    q_list = [int(v) for v in args.q.split(",")]
-    mismatch = False
-    print("backend,p,q,seconds,status")
-    for p in p_list:
-        for q in q_list:
-            try:
-                PermClassKey.check_pair(p, q)
-            except ValueError:  # not canonical: no backend applies
-                for backend in backends:
-                    print(f"{backend},{p},{q},,SKIPPED")
-                continue
-            polys = {}
-            perms = {}
-            for backend in backends:
-                t0 = time.perf_counter()
-                try:
-                    if backend == "ryser":
-                        perms[backend] = permmod.permanent_ryser(p, q)
-                    else:
-                        polys[backend] = phimod.BACKENDS[backend](CirculantSpec(p, q))
-                except (TooLarge, StateSpaceTooLarge):
-                    print(f"{backend},{p},{q},,SKIPPED")
-                    continue
-                dt = time.perf_counter() - t0
-                print(f"{backend},{p},{q},{dt:.6f},ok")
-            values = list(polys.values())
-            bad = any(v != values[0] for v in values[1:])
-            if perms and values:
-                bad = bad or any(
-                    v != values[0].abs_coefficient_sum() for v in perms.values()
-                )
-            if bad:
-                mismatch = True
-                print(
-                    f"mismatch among backends at p={p} q={q}", file=sys.stderr
-                )
-    return EXIT_FAILED if mismatch else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -365,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     _add_format(sp)
     sp.set_defaults(func=_cmd_verify)
-
-    sp = subs.add_parser("bench", help="time the backends, CSV output")
-    sp.add_argument("--backends", required=True)
-    sp.add_argument("--p", required=True, help="comma-separated p values")
-    sp.add_argument("--q", required=True, help="comma-separated q values")
-    sp.set_defaults(func=_cmd_bench)
 
     return parser
 

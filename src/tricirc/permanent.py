@@ -11,7 +11,7 @@ and checks it against classical two-sided bounds:
 * the unsigned cycle-cover DP shared with the determinant backends, the
   route :func:`bounds_report` and :func:`growth_table` take;
 * Ryser inclusion-exclusion with Gray-code updates (exact, p <= 24), an
-  independent route for the ``permanent`` verify suite, ``bench`` and
+  independent route for the ``permanent`` verify suite and for
   :func:`bounds_report` when its signed polynomial is the DP's own;
 * lower bound 3^p p!/p^p (doubly stochastic scaling), upper bound
   6^(p/3) (row-sum bound), both compared in exact integer arithmetic.
@@ -138,12 +138,18 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     With the ``cycle_cover`` backend the signed polynomial is the DP's
     own, so d11 comes from Ryser instead and only the sums can be
     compared; past RYSER_LIMIT the report is refused
-    (:class:`TooLarge`) rather than compare the DP with itself.  Any
+    (:class:`TooLarge`) rather than compare the DP with itself.  On
+    every other backend the DP's budget is checked before the signed
+    polynomial is computed, so an over-budget DP is refused before a
+    slow route runs (Bareiss takes about 30 s at p = 96).  Any
     disagreement raises :class:`InternalInconsistency`.  Bound checks
     avoid floats entirely: the lower bound by cross-multiplication, the
     upper bound after cubing.
     """
-    if backend == "cycle_cover" and p > RYSER_LIMIT:
+    PermClassKey.check_pair(p, q)
+    if backend != "cycle_cover":
+        check_dp_budget(p, q)
+    elif p > RYSER_LIMIT:
         raise TooLarge(
             f"with the cycle_cover backend d11 must come from Ryser's "
             f"expansion, which is limited to p <= {RYSER_LIMIT}"

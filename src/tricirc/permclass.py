@@ -135,10 +135,14 @@ class Permutation:
         return "{" + ",".join(str(v) for v in self.images) + "}"
 
     def cycle_notation(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+        return cycle_notation(self.cycles())
+
+
+def cycle_notation(cycles) -> str:
+    """Cycles written as (a,b,...)(c,...), or () for none."""
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
 def displacement_profile(

@@ -14,7 +14,6 @@ import pytest
 from tricirc import cli as climod
 from tricirc import permclass
 from tricirc import phi as phimod
-from tricirc.bipoly import ONE
 from tricirc.errors import InternalInconsistency
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,6 +91,10 @@ class TestExitCodes:
         ("verify", "--suite", "witness", "--pmax", "120"),
         ("verify", "--suite", "support", "--pmax", "80"),
         ("verify", "--suite", "lemmas", "--cases", "100000000"),
+        # the DP's budget is checked before Bareiss (about 30 s here) runs
+        ("permanent", "--p", "96", "--q", "48", "--backend", "bareiss"),
+        # a window so wide that the DP's cost estimate passes the float range
+        ("growth", "--q", "1000001", "--pmax", "1500000001"),
     ])
     def test_over_budget_request_is_refused_fast(self, argv):
         t0 = time.perf_counter()
@@ -261,6 +264,25 @@ class TestTextFormats:
             climod.run(argv)
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("field", ["k", "sign"])
+    def test_witness_checks_the_structure_it_prints(self, field, capsys, monkeypatch):
+        # a class rule that miscounts the cycles or flips the sign fails
+        # before anything is printed
+        real = permclass.predict_structure
+
+        def wrong(key):
+            rep = real(key)
+            if field == "k":
+                return permclass.StructureReport(rep.k + 1, rep.cycles_each, rep.sign)
+            return permclass.StructureReport(rep.k, rep.cycles_each, -rep.sign)
+
+        monkeypatch.setattr(permclass, "predict_structure", wrong)
+        argv = ["witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9",
+                "--format", "json"]
+        with pytest.raises(InternalInconsistency, match=r"has 3 cycles and sign \+1"):
+            climod.run(argv)
+        assert capsys.readouterr().out == ""
+
     def test_enumerate_empty_class_prints_nothing(self):
         res = cli("enumerate", "--p", "5", "--q", "3", "--r", "1", "--s", "1")
         assert res.returncode == 0 and res.stdout == ""
@@ -281,61 +303,6 @@ class TestTextFormats:
         res = cli("phi", "--p", "5", "--q", "3", "--t", "2")
         assert "reduced" in res.stderr
         assert res.stdout.startswith("1 - x^5")
-
-
-class TestBench:
-    def test_csv_and_skip_guard(self):
-        res = cli("bench", "--backends", "bruteforce", "--p", "12", "--q", "3")
-        lines = res.stdout.splitlines()
-        assert lines[0] == "backend,p,q,seconds,status"
-        assert lines[1] == "bruteforce,12,3,,SKIPPED"
-        assert res.returncode == 0
-
-    def test_cross_checked_run(self):
-        res = cli(
-            "bench", "--backends", "bareiss,cycle_cover,ryser",
-            "--p", "8,10", "--q", "3,4",
-        )
-        assert res.returncode == 0
-        lines = res.stdout.splitlines()
-        assert len(lines) == 1 + 3 * 4
-        for line in lines[1:]:
-            backend, p, q, secs, status = line.split(",")
-            assert status == "ok" and float(secs) >= 0
-
-    def test_unknown_backend(self):
-        res = cli("bench", "--backends", "cofactor", "--p", "5", "--q", "3")
-        assert res.returncode == 2
-
-    def test_newton_and_bareiss_reported(self, capsys):
-        argv = ["bench", "--backends", "newton,bareiss", "--p", "8", "--q", "3"]
-        assert climod.run(argv) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [r.split(",")[0] for r in rows] == ["newton", "bareiss"]
-        assert all(r.endswith(",ok") for r in rows)
-
-    def test_newton_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(phimod.BACKENDS, "newton", lambda spec: ONE)
-        argv = ["bench", "--backends", "newton,bareiss", "--p", "8", "--q", "3"]
-        assert climod.run(argv) == 1
-        out = capsys.readouterr()
-        assert len(out.out.splitlines()) == 3
-        assert "mismatch among backends at p=8 q=3" in out.err
-
-    def test_dp_window_over_16_bits_is_skipped(self):
-        res = cli("bench", "--backends", "cycle_cover,bareiss",
-                  "--p", "40", "--q", "20")
-        lines = res.stdout.splitlines()
-        assert lines[1] == "cycle_cover,40,20,,SKIPPED"
-        assert lines[2].startswith("bareiss,40,20,") and lines[2].endswith(",ok")
-        assert res.returncode == 0
-
-    def test_invalid_pair_is_skipped(self):
-        res = cli("bench", "--backends", "bareiss,ryser", "--p", "8", "--q", "1")
-        assert res.stdout.splitlines()[1:] == [
-            "bareiss,8,1,,SKIPPED", "ryser,8,1,,SKIPPED",
-        ]
-        assert res.returncode == 0
 
 
 class TestDeterminism:
