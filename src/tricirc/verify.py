@@ -266,11 +266,11 @@ def _witness_case(p: int, q: int) -> Checks:
         ok = prof == (r, s, p - r - s)
         if ok and (r, s) != (0, 0):
             rep = permclass.predict_structure(key)
-            cycles = sigma.cycles()
-            ok = len(cycles) == rep.k and all(
-                len(c) == rep.cycle_length for c in cycles
-            )
-            ok = ok and sigma.sign() == rep.sign
+            # k cycles of one length, and the rule of Permutation.sign
+            # read off them: (-1)^(moved points - nontrivial cycles)
+            lengths = list(map(len, sigma.cycles()))
+            sign = -1 if (sum(lengths) - len(lengths)) % 2 else 1
+            ok = lengths == [rep.cycle_length] * rep.k and sign == rep.sign
         if ok and classes is not None:
             ok = sigma in classes.get((r, s), ())
         yield mismatch or (
@@ -421,7 +421,7 @@ class _Suite(NamedTuple):
 
 #: name -> its row; the largest pmax is where one worker stays near 10 s
 #: or less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
-#: ``witness`` 60 3.7-4.1 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
+#: ``witness`` 60 1.8-2.5 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
 #: ``permanent`` 18 5.7 s (one more 15.8 s); ``prime`` runs to Newton's
 #: limit, 19.3 s at 1000
 _SUITES = {

@@ -8,8 +8,10 @@ import pytest
 
 from polytext import path_from_word
 from tricirc.circulant import CirculantSpec, cycle_cover_counts, det_bruteforce
+from tricirc import permclass
 from tricirc.errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 from tricirc.permclass import (
+    WITNESS_LIMIT,
     CycleWord,
     LatticePath,
     PermClassKey,
@@ -78,6 +80,61 @@ def inversion_parity_sign(images) -> int:
     return -1 if inversions % 2 else 1
 
 
+def witness_reference(key: PermClassKey) -> Permutation:
+    """The class member as ``construct_witness`` built it, one cycle at a time.
+
+    Its own statement of the path rule (east when s*x <= r*y), its own
+    walk of the word from each of the k start points 1 + (j-1)(q-1)
+    with a set per cycle, a dict of images and a branch loop over the
+    displacements; ``construct_witness`` must return the same member
+    and raise the same refusals.
+    """
+    p, q, r, s = key.p, key.q, key.r, key.s
+    if p > WITNESS_LIMIT:
+        raise TooLarge(f"witness construction is limited to p <= {WITNESS_LIMIT}")
+    if not key.divisible:
+        raise EmptyClass(f"{p} does not divide {r}+{s}*{q}")
+    if r == 0 and s == 0:
+        return Permutation.identity(p)
+    if r + s > p:
+        raise InvalidKey(f"r+s = {r + s} exceeds p = {p}")
+    k = key.k
+    a, b = r // k, s // k
+    if a == 0:
+        word = [q] * b
+    else:
+        word, x, y = [], 0, 0
+        for _ in range(a + b):
+            if b * x <= a * y:
+                word.append(1)
+                x += 1
+            else:
+                word.append(q)
+                y += 1
+        assert (x, y) == (a, b)
+    taken = {}
+    for j in range(1, k + 1):
+        start = (j - 1) * (q - 1) % p + 1
+        points, seen, v = [start], {start}, start
+        for i, step in enumerate(word):
+            v = (v + step - 1) % p + 1
+            if i == len(word) - 1:
+                assert v == start, "the word does not close"
+                break
+            assert v not in seen, "the word revisits a point"
+            seen.add(v)
+            points.append(v)
+        for a_, b_ in zip(points, points[1:] + points[:1]):
+            assert a_ not in taken, "the cycles are not disjoint"
+            taken[a_] = b_
+    sigma = Permutation([taken.get(i, i) for i in range(1, p + 1)])
+    counts = {0: 0, 1: 0, q: 0}
+    for j, image in enumerate(sigma.images, 1):
+        counts[(image - j) % p] += 1  # a KeyError leaves the class
+    assert (counts[1], counts[q], counts[0]) == (r, s, p - r - s)
+    return sigma
+
+
 class TestPermutation:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
@@ -133,6 +190,38 @@ class TestDisplacementProfile:
         # 1 -> 3 has displacement 2, not in {0, 1, 3}
         sigma = Permutation([3, 2, 1, 4, 5])
         assert displacement_profile(sigma, 5, 3) is None
+
+    # (1 2)(4 5) on six points: displacements 1, 5, 0, 1, 5, 0
+    MIXED = Permutation([2, 1, 3, 5, 4, 6])
+
+    @pytest.mark.parametrize("q, want", [
+        # q = 1: a displacement of 1 counts in r, never in s
+        (1, {(2, 3, 4, 5, 1): (5, 0, 0), (1, 2, 3, 4, 5): (0, 0, 5)}),
+        # q = p, p + 1 and p + 3: no displacement mod p equals q, so s = 0
+        # and any displacement outside {0, 1} leaves every class
+        (5, {(2, 3, 4, 5, 1): (5, 0, 0), (1, 2, 4, 5, 3): None}),
+        (6, {(2, 3, 4, 5, 1): (5, 0, 0), (4, 2, 3, 5, 1): None}),
+        (8, {(2, 3, 4, 5, 1): (5, 0, 0), (1, 2, 4, 5, 3): None}),
+    ])
+    def test_q_outside_two_to_p_minus_one(self, q, want):
+        for images, profile in want.items():
+            assert displacement_profile(Permutation(images), 5, q) == profile
+
+    def test_q_zero_counts_fixed_points(self):
+        assert displacement_profile(Permutation.identity(4), 4, 0) == (0, 0, 4)
+        assert displacement_profile(Permutation([2, 3, 4, 1]), 4, 0) == (4, 0, 0)
+        assert displacement_profile(Permutation([2, 1, 3, 4]), 4, 0) is None
+
+    def test_every_q_and_mixed_member(self):
+        # q = 5 takes both displacements of 5; every other q leaves a
+        # displacement outside {0, 1, q}
+        for q in range(-7, 14):
+            want = (2, 2, 2) if q == 5 else None
+            assert displacement_profile(self.MIXED, 6, q) == want, q
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="acts on 5 points, not 6"):
+            displacement_profile(Permutation.identity(5), 6, 2)
 
 
 class TestKey:
@@ -422,6 +511,57 @@ class TestWitness:
                     sigma = construct_witness(PermClassKey(p, q, r, s))
                     assert sigma in members
 
+    def test_matches_reference_at_every_profile_to_40(self):
+        for p in range(3, 41):
+            for q in range(2, p):
+                for r, s in PermClassKey.nonempty_profiles(p, q):
+                    key = PermClassKey(p, q, r, s)
+                    assert construct_witness(key) == witness_reference(key), key
+
+    def test_matches_reference_at_seeded_profiles_to_5000(self):
+        rng = random.Random(17_5000)
+        sizes = set()
+        for _ in range(60):
+            p = rng.randint(41, 5000)
+            q = rng.randint(2, p - 1)
+            r, s = rng.choice(PermClassKey.nonempty_profiles(p, q))
+            key = PermClassKey(p, q, r, s)
+            assert construct_witness(key) == witness_reference(key), key
+            sizes.add(key.k)
+        assert len(sizes) > 1  # both one cycle and several
+
+    @pytest.mark.parametrize("args, exc", [
+        ((5, 3, 1, 1), EmptyClass),
+        ((7, 2, 2, 2), EmptyClass),
+        ((5, 3, 4, 2), InvalidKey),
+        ((9, 4, 10, 2), InvalidKey),
+        ((WITNESS_LIMIT + 1, 2, 0, 0), TooLarge),
+        ((WITNESS_LIMIT + 1, 2, 1, 1), TooLarge),
+    ])
+    def test_refuses_as_the_reference_does(self, args, exc):
+        key = PermClassKey(*args)
+        with pytest.raises(exc) as want:
+            witness_reference(key)
+        with pytest.raises(exc) as got:
+            construct_witness(key)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("key, rule, fault", [
+        # the word of (6, 9)/3 made all east: it ends at 6, not at 1
+        (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * (r + s),
+         "word from 1 ends at 6, not back at the start"),
+        # three east steps, then q: 1, 2, 3, 4, then 4 + 3 = 2 again
+        (PermClassKey(5, 3, 5, 0), lambda r, s, e, n: [e] * 3 + [n] * 2,
+         "point 2 revisited before the word ended"),
+        # a word that closes only after visiting every point, so the
+        # cycles from 5 and 9 cross the one from 1
+        (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * 17,
+         "not disjoint at point 5"),
+    ])
+    def test_a_faulty_step_rule_raises(self, monkeypatch, key, rule, fault):
+        monkeypatch.setattr(permclass, "_path_steps", rule)
+        with pytest.raises((NotACycle, AssertionError), match=fault):
+            construct_witness(key)
 
 class TestCyclicOrder:
     def test_examples(self):

@@ -232,6 +232,58 @@ def test_witness_suite_runs_the_construct_witness_of_its_module(monkeypatch):
     assert bad.first_counterexample == "witness for (p=3, q=2, r=3, s=0) invalid"
 
 
+
+def _wrong_cycle_count(real):
+    def predict(key):
+        rep = real(key)
+        return permclass.StructureReport(rep.k + 1, rep.cycles_each, rep.sign)
+    return predict
+
+
+def _flipped_sign(real):
+    def predict(key):
+        rep = real(key)
+        return permclass.StructureReport(rep.k, rep.cycles_each, -rep.sign)
+    return predict
+
+
+def _neighbouring_member(real):
+    # the member of the next nonempty class of (p, q), in walk order
+    def construct(key):
+        profiles = PermClassKey.nonempty_profiles(key.p, key.q)
+        i = profiles.index((key.r, key.s))
+        r, s = profiles[(i + 1) % len(profiles)]
+        return real(PermClassKey(key.p, key.q, r, s))
+    return construct
+
+
+@pytest.mark.parametrize("route, mutant, identity_fails", [
+    ("predict_structure", _wrong_cycle_count, False),
+    ("predict_structure", _flipped_sign, False),
+    ("construct_witness", _neighbouring_member, True),
+])
+def test_witness_suite_catches_each_fault_without_the_class_search(
+    monkeypatch, route, mutant, identity_fails
+):
+    # above EXHAUSTIVE_PMAX no class is searched, so the profile, cycle
+    # and sign checks alone must fail every witness the fault touches;
+    # the identity class has no structure to predict
+    good = run_suite("witness", p_max=12)
+    assert good.passed
+    monkeypatch.setattr(permclass, route, mutant(getattr(permclass, route)))
+    bad = run_suite("witness", p_max=12)
+    assert not bad.passed and bad.cases == good.cases
+    above = [c for c in build_cases("witness", p_max=12)
+             if c[1] > verifymod.EXHAUSTIVE_PMAX]
+    assert len(above) == 8 + 9 + 10
+    for _, p, q in above:
+        oc = run_case(("witness", p, q))
+        assert oc.failures == oc.checks - (0 if identity_fails else 1), (p, q)
+        # the walk starts at (0, 0), then (p, 0)
+        r = 0 if identity_fails else p
+        assert oc.first == f"witness for (p={p}, q={q}, r={r}, s=0) invalid"
+
+
 @pytest.mark.parametrize("suite, size", [
     ("support", {"p_max": 5}),
     ("sign", {"p_max": 5}),
