@@ -12,7 +12,6 @@ from tricirc import (
     build_path,
     construct_witness,
     cycle_from_word,
-    CycleWord,
     displacement_profile,
     path_bound_check,
     predict_structure,
@@ -25,10 +24,10 @@ print(f"  stays within the band -r < s*x - r*y <= s: {path.within_band()}")
 print(f"  all-pairs bound |a*s - b*r| <= r+s-1: {path_bound_check(path, 7, 5)}")
 
 print("\ncycle words directly (p=10, q=3):")
-sigma = cycle_from_word(CycleWord(4, (3, 1, 1, 3, 1, 1)), 10, 3)
+sigma = cycle_from_word(4, (3, 1, 1, 3, 1, 1), 10, 3)
 print(f"  (4; 3,1,1,3,1,1) -> {sigma.cycle_notation()}")
 print(f"  (8; 1,3,1,1,3,1) -> same cycle: "
-      f"{cycle_from_word(CycleWord(8, (1, 3, 1, 1, 3, 1)), 10, 3) == sigma}")
+      f"{cycle_from_word(8, (1, 3, 1, 1, 3, 1), 10, 3) == sigma}")
 
 print("\na three-cycle witness (p=17, q=5, r=6, s=9):")
 key = PermClassKey(17, 5, 6, 9)

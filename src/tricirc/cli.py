@@ -19,8 +19,9 @@ output bytes do not depend on the worker count.
 ``enumerate`` checks the size of the class it prints against |a(r, s)|
 of the determinant polynomial: it admits p = 10, one past the largest p
 at which the ``cycle`` suite compares the class search with brute force.
-``witness`` checks the ``k`` and ``sign`` it reports against the cycle
-count and sign of the member it prints.
+``witness`` checks the member it prints against the structure it
+reports: the member has ``k`` cycles, each takes the class's numbers of
+1-steps and q-steps and no other step, and its sign is ``sign``.
 
 Each command imports only the modules it uses.  Every command loads
 this module, :mod:`tricirc.phi` (the spec, Newton's identities, the
@@ -141,11 +142,13 @@ def _cmd_witness(args) -> int:
     key = PermClassKey(args.p, args.q, args.r, args.s)
     sigma = permclass.construct_witness(key)
     rep = permclass.predict_structure(key)
-    cycles, sign = sigma.cycles(), sigma.sign()
-    if (len(cycles), sign) != (rep.k, rep.sign):
+    cycles = sigma.cycles()
+    if not rep.fits(cycles, args.p, args.q):
+        ones, qs = rep.cycles_each
         raise InternalInconsistency(
-            f"the witness for {key} has {len(cycles)} cycles and sign {sign:+d}, "
-            f"but its class has k = {rep.k} and sign {rep.sign:+d}"
+            f"the witness for {key} has {len(cycles)} cycles and sign "
+            f"{sigma.sign():+d}, but its class has k = {rep.k} cycles of "
+            f"{ones} 1-steps and {qs} q-steps and sign {rep.sign:+d}"
         )
     if args.format == "json":
         _emit_json(

@@ -8,7 +8,8 @@ exactly s times and 0 on the remaining p-r-s fixed points.
 The class is nonempty iff p divides r+sq and r+s <= p; every member
 then decomposes into k = gcd(r, s, (r+sq)/p) nontrivial cycles, each
 walking r/k steps of size 1 and s/k steps of size q, and all members
-share the sign (-1)^(r+s+k).  ``construct_witness`` builds an explicit
+share the sign (-1)^(r+s+k); ``StructureReport.fits`` checks a member
+against that structure.  ``construct_witness`` builds an explicit
 member from a lattice path that hugs the line s*x - r*y = 0.
 
 The class key :class:`PermClassKey`, the one statement of these
@@ -108,31 +109,20 @@ class Permutation:
         return out
 
     def sign(self) -> int:
-        """(-1)^(p - c) for c cycles, fixed points included.
-
-        p - c is the sum of len - 1 over the nontrivial cycles, counted
-        in one walk over the points without building the cycles.
-        """
-        images = self.images
-        p = len(images)
-        seen = [False] * (p + 1)
-        steps = 0
-        for start in range(1, p + 1):
-            if seen[start]:
-                continue
-            seen[start] = True
-            j = images[start - 1]
-            while j != start:
-                seen[j] = True
-                steps += 1
-                j = images[j - 1]
-        return -1 if steps % 2 else 1
+        """(-1)^(p - c) for c cycles, fixed points included."""
+        return _cycle_sign(self.cycles())
 
     def one_line(self) -> str:
         return "{" + ",".join(str(v) for v in self.images) + "}"
 
     def cycle_notation(self) -> str:
         return cycle_notation(self.cycles())
+
+
+def _cycle_sign(cycles) -> int:
+    # the sign rule (-1)^(moved points - nontrivial cycles), which is
+    # (-1)^(p - c) for c cycles counting the fixed points
+    return -1 if (sum(map(len, cycles)) - len(cycles)) % 2 else 1
 
 
 def cycle_notation(cycles) -> str:
@@ -169,9 +159,24 @@ class StructureReport(Record):
 
     __slots__ = ("k", "cycles_each", "sign")
 
-    @property
-    def cycle_length(self) -> int:
-        return self.cycles_each[0] + self.cycles_each[1]
+    def fits(self, cycles, p: int, q: int) -> bool:
+        """Whether a member with these nontrivial cycles has this structure.
+
+        True when there are ``k`` cycles, each cycle takes exactly
+        ``cycles_each`` steps of 1 and of q (mod p) and no other step,
+        and the sign read off the cycles is ``sign``.  The package's
+        one check of a member against its class's structure.
+        """
+        if len(cycles) != self.k:
+            return False
+        ones, qs = self.cycles_each
+        for cyc in cycles:
+            if len(cyc) != ones + qs:
+                return False
+            steps = [(b - a) % p for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+            if steps.count(1) != ones or steps.count(q) != qs:
+                return False
+        return _cycle_sign(cycles) == self.sign
 
 
 def predict_structure(key: PermClassKey) -> StructureReport:
@@ -233,12 +238,6 @@ def enumerate_by_profile(p: int, q: int) -> dict[tuple[int, int], list[Permutati
 # cycle words
 # ---------------------------------------------------------------------------
 
-class CycleWord(Record):
-    """A cycle encoded as a start point and a word of displacements."""
-
-    __slots__ = ("start", "word")
-
-
 def _walk_word(start: int, word, p: int) -> list[int]:
     # points visited by the word; NotACycle on early repeats or an open end
     points = [start]
@@ -256,22 +255,21 @@ def _walk_word(start: int, word, p: int) -> list[int]:
     return points
 
 
-def cycle_from_word(cw: CycleWord, p: int, q: int) -> Permutation:
-    """The permutation that is one cycle given by (start; word).
+def cycle_from_word(start: int, word, p: int, q: int) -> Permutation:
+    """The permutation that is one cycle, walked by ``word`` from ``start``.
 
     The word must consist of steps 1 and q; successive partial sums
     from the start (residues in {1, ..., p}) must visit distinct points
     and return to the start exactly when the word is exhausted.
     """
-    if not cw.word:
+    if not word:
         raise ValueError("empty cycle word")
-    if not 1 <= cw.start <= p:
-        raise ValueError(f"start {cw.start} outside {{1, ..., {p}}}")
-    bad = set(cw.word) - {1, q}
+    if not 1 <= start <= p:
+        raise ValueError(f"start {start} outside {{1, ..., {p}}}")
+    bad = set(word) - {1, q}
     if bad:
         raise ValueError(f"word steps {sorted(bad)} not in {{1, {q}}}")
-    points = _walk_word(cw.start, cw.word, p)
-    return Permutation.from_cycles(p, [points])
+    return Permutation.from_cycles(p, [_walk_word(start, word, p)])
 
 
 # ---------------------------------------------------------------------------

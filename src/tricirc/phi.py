@@ -456,18 +456,20 @@ def binomial_power(p: int) -> BiPoly:
     return BiPoly({(r, p - r): math.comb(p, r) for r in range(p + 1)})
 
 
-def primality_check(p: int, q: int = 2) -> bool:
+#: the q of the primality congruence, recorded by the ``prime`` suite:
+#: with q = 2 the congruence holds iff p is prime on the whole verified
+#: range, while some composite p pass it for other q (p = 9 with q = 4)
+PRIMALITY_Q = 2
+
+
+def primality_check(p: int) -> bool:
     """Whether 1 minus the determinant polynomial is (x+y)^p mod p.
 
-    With the fixed default q = 2 (reported by the CLI) the congruence
-    holds iff p is prime on the whole verified range.  The choice of q
-    matters: some composite p pass the congruence for other q (p = 9
-    with q = 4, for instance), so callers overriding q lose the
-    equivalence.  The polynomial comes from the default route.
+    The polynomial is the default route's at q = ``PRIMALITY_Q``.
     """
     if p < 3:
         raise ValueError("p must be at least 3")
-    f = ONE - phi_polynomial(p, q)
+    f = ONE - phi_polynomial(p, PRIMALITY_Q)
     diff = f - binomial_power(p)
     return diff.reduce_mod(p).is_zero()
 

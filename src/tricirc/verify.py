@@ -204,27 +204,16 @@ def _cycle_case(p: int, q: int) -> Checks:
         )
         if r == 0 and s == 0:
             continue
-        key = PermClassKey(p, q, r, s)
-        rep = permclass.predict_structure(key)
-        per_cycle = sorted([rep.cycles_each] * rep.k)
+        rep = permclass.predict_structure(PermClassKey(p, q, r, s))
+        # a member that fits has every cycle of this profile
+        gcd_one = PermClassKey(p, q, *rep.cycles_each).k == 1
         for sigma in members:
-            profiles = []
-            for cyc in sigma.cycles():
-                ones = sum(
-                    1
-                    for a, b in zip(cyc, cyc[1:] + cyc[:1])
-                    if (b - a) % p == 1
-                )
-                qs = len(cyc) - ones
-                profiles.append((ones, qs))
-            yield None if (
-                sorted(profiles) == per_cycle and sigma.sign() == rep.sign
-            ) else (
+            ok = rep.fits(sigma.cycles(), p, q)
+            yield None if ok else (
                 f"(p={p}, q={q}, r={r}, s={s}): member "
                 f"{sigma.one_line()} deviates from {rep}"
             )
-            gcd_one = all(PermClassKey(p, q, a, b).k == 1 for a, b in profiles)
-            yield None if gcd_one else (
+            yield None if ok and gcd_one else (
                 f"(p={p}, q={q}, r={r}, s={s}): cycle profile with "
                 f"gcd > 1 in {sigma.one_line()}"
             )
@@ -262,15 +251,12 @@ def _witness_case(p: int, q: int) -> Checks:
     for r, s in profiles:
         key = PermClassKey(p, q, r, s)
         sigma = permclass.construct_witness(key)
-        prof = permclass.displacement_profile(sigma, p, q)
-        ok = prof == (r, s, p - r - s)
-        if ok and (r, s) != (0, 0):
-            rep = permclass.predict_structure(key)
-            # k cycles of one length, and the rule of Permutation.sign
-            # read off them: (-1)^(moved points - nontrivial cycles)
-            lengths = list(map(len, sigma.cycles()))
-            sign = -1 if (sum(lengths) - len(lengths)) % 2 else 1
-            ok = lengths == [rep.cycle_length] * rep.k and sign == rep.sign
+        cycles = sigma.cycles()
+        if (r, s) == (0, 0):
+            ok = not cycles
+        else:
+            # k cycles of r/k 1-steps and s/k q-steps imply the profile
+            ok = permclass.predict_structure(key).fits(cycles, p, q)
         if ok and classes is not None:
             ok = sigma in classes.get((r, s), ())
         yield mismatch or (
@@ -506,7 +492,7 @@ def suite_parameters(
     if row.largest is not None and p_max > row.largest:
         raise TooLarge(f"the {suite} suite needs pmax <= {row.largest}")
     if suite == "prime":
-        return {"p_max": p_max, "q": 2}
+        return {"p_max": p_max, "q": phimod.PRIMALITY_Q}
     return {"p_max": p_max, "q_policy": q_policy}
 
 

@@ -177,7 +177,7 @@ def test_criterion_05_counts_and_cycle_type(oracle_sweep):
             if (r, s) == (0, 0):
                 continue
             rep = predict_structure(PermClassKey(p, q, r, s))
-            want_type = sorted([rep.cycle_length] * rep.k)
+            want_type = [sum(rep.cycles_each)] * rep.k
             for sigma in members:
                 cycle_type = sorted(len(c) for c in sigma.cycles())
                 if cycle_type != want_type or sigma.sign() != rep.sign:

@@ -283,6 +283,53 @@ class TestTextFormats:
             climod.run(argv)
         assert capsys.readouterr().out == ""
 
+    def test_witness_checks_the_steps_of_each_cycle(self):
+        # a class rule that keeps k and the sign but swaps the steps of
+        # each cycle, (2, 3) -> (3, 2), exits 1 before anything is printed
+        patched = (
+            "import sys\n"
+            "from tricirc import cli, permclass\n"
+            "real = permclass.predict_structure\n"
+            "def swapped(key):\n"
+            "    rep = real(key)\n"
+            "    return permclass.StructureReport(rep.k, rep.cycles_each[::-1], rep.sign)\n"
+            "permclass.predict_structure = swapped\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n"
+        )
+        argv = ["witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"]
+        res = subprocess.run(
+            [sys.executable, "-c", patched, *argv], capture_output=True, text=True
+        )
+        assert res.returncode == 1 and res.stdout == ""
+        assert (
+            "has 3 cycles and sign +1, but its class has k = 3 cycles of "
+            "3 1-steps and 2 q-steps and sign +1"
+        ) in res.stderr
+        assert cli(*argv).returncode == 0
+
+    def test_witness_walks_its_member_once(self, capsys, monkeypatch):
+        # one walk serves the check and the printout; the sign is read
+        # off the cycles already walked
+        calls = {"cycles": 0, "sign": 0}
+        real_cycles = permclass.Permutation.cycles
+        real_sign = permclass.Permutation.sign
+
+        def counted(name, real):
+            def method(self):
+                calls[name] += 1
+                return real(self)
+            return method
+
+        monkeypatch.setattr(permclass.Permutation, "cycles", counted("cycles", real_cycles))
+        monkeypatch.setattr(permclass.Permutation, "sign", counted("sign", real_sign))
+        argv = ["witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"]
+        assert climod.run(argv) == 0
+        assert calls == {"cycles": 1, "sign": 0}
+        assert capsys.readouterr().out == (
+            "{2,7,4,9,6,11,12,8,10,15,16,13,1,14,3,17,5}\n"
+            "(1,2,7,12,13)(3,4,9,10,15)(5,6,11,16,17)\n"
+        )
+
     def test_enumerate_empty_class_prints_nothing(self):
         res = cli("enumerate", "--p", "5", "--q", "3", "--r", "1", "--s", "1")
         assert res.returncode == 0 and res.stdout == ""

@@ -25,7 +25,7 @@ PUBLIC = {
         "growth_table_csv permanent_generating permanent_ryser"
     ),
     "permclass": (
-        "ENUMERATION_LIMIT CycleWord LatticePath Permutation "
+        "ENUMERATION_LIMIT LatticePath Permutation "
         "StructureReport build_path construct_witness cycle_from_word "
         "cyclic_order displacement_profile enumerate_by_profile "
         "enumerate_class path_bound_check predict_structure reduce_1p rotate"

@@ -12,10 +12,10 @@ from tricirc import permclass
 from tricirc.errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 from tricirc.permclass import (
     WITNESS_LIMIT,
-    CycleWord,
     LatticePath,
     PermClassKey,
     Permutation,
+    StructureReport,
     build_path,
     construct_witness,
     cycle_from_word,
@@ -133,6 +133,22 @@ def witness_reference(key: PermClassKey) -> Permutation:
         counts[(image - j) % p] += 1  # a KeyError leaves the class
     assert (counts[1], counts[q], counts[0]) == (r, s, p - r - s)
     return sigma
+
+
+def fits_reference(rep, sigma: Permutation, p: int) -> bool:
+    """Whether sigma has the structure of rep, by the loop ``fits`` replaced.
+
+    Per cycle, the steps of 1 (mod p) are counted and every other step
+    is taken to be a q-step; the sorted per-cycle profiles must be k
+    copies of ``cycles_each``, and ``Permutation.sign`` must be the
+    sign.  It does not look at the size of the other steps, so it
+    agrees with ``fits`` only on permutations whose steps are 1 or q.
+    """
+    profiles = []
+    for cyc in sigma.cycles():
+        ones = sum(1 for a, b in zip(cyc, cyc[1:] + cyc[:1]) if (b - a) % p == 1)
+        profiles.append((ones, len(cyc) - ones))
+    return sorted(profiles) == [rep.cycles_each] * rep.k and sigma.sign() == rep.sign
 
 
 class TestPermutation:
@@ -330,7 +346,7 @@ class TestPredictStructure:
     def test_three_cycle_class(self):
         rep = predict_structure(PermClassKey(5, 3, 2, 1))
         assert (rep.k, rep.cycles_each, rep.sign) == (1, (2, 1), 1)
-        assert rep.cycle_length == 3
+        assert sum(rep.cycles_each) == 3
 
     def test_three_cycles_of_five(self):
         rep = predict_structure(PermClassKey(17, 5, 6, 9))
@@ -364,31 +380,78 @@ class TestPredictStructure:
                         assert (rep.sign == -1) == (r % 2 == 1 and s % 2 == 1)
 
 
+class TestFits:
+    def test_agrees_with_the_per_cycle_loop_on_every_small_class(self):
+        # every member of every class at p <= 9 fits its own structure
+        # and not that of the next nonempty class in walk order
+        checked = 0
+        for p in range(3, 10):
+            for q in range(2, p):
+                classes = enumerate_by_profile(p, q)
+                profiles = PermClassKey.nonempty_profiles(p, q)
+                for i, (r, s) in enumerate(profiles):
+                    rep = predict_structure(PermClassKey(p, q, r, s))
+                    other = profiles[(i + 1) % len(profiles)]
+                    for members, want in ((classes[(r, s)], True), (classes[other], False)):
+                        for sigma in members:
+                            got = rep.fits(sigma.cycles(), p, q)
+                            assert got == fits_reference(rep, sigma, p) == want, (
+                                p, q, r, s, sigma
+                            )
+                            checked += 1
+        assert checked == 2 * sum(
+            len(m) for p in range(3, 10) for q in range(2, p)
+            for m in enumerate_by_profile(p, q).values()
+        )
+
+    def test_every_step_must_be_1_or_q(self):
+        # (1,2,6) in p = 7 has one 1-step, like the members of (1, 2),
+        # but its other steps are 4 and 2, not q = 3
+        rep = predict_structure(PermClassKey(7, 3, 1, 2))
+        assert (rep.k, rep.cycles_each, rep.sign) == (1, (1, 2), 1)
+        sigma = Permutation.from_cycles(7, [(1, 2, 6)])
+        assert fits_reference(rep, sigma, 7)
+        assert not rep.fits(sigma.cycles(), 7, 3)
+        assert rep.fits(Permutation.from_cycles(7, [(1, 2, 5)]).cycles(), 7, 3)
+
+    def test_each_part_of_the_structure_is_checked(self):
+        p, q = 17, 5
+        rep = predict_structure(PermClassKey(p, q, 6, 9))
+        cycles = construct_witness(PermClassKey(p, q, 6, 9)).cycles()
+        assert rep.fits(cycles, p, q)
+        assert not rep.fits(cycles[:2], p, q)
+        assert not StructureReport(3, (3, 2), rep.sign).fits(cycles, p, q)
+        assert not StructureReport(3, (2, 3), -rep.sign).fits(cycles, p, q)
+        # the identity fits the identity class's report alone
+        assert predict_structure(PermClassKey(p, q, 0, 0)).fits([], p, q)
+        assert not rep.fits([], p, q)
+
+
 class TestCycleWord:
     def test_published_pair(self):
-        sigma = cycle_from_word(CycleWord(4, (3, 1, 1, 3, 1, 1)), 10, 3)
+        sigma = cycle_from_word(4, (3, 1, 1, 3, 1, 1), 10, 3)
         assert sigma.cycles() == [(2, 3, 4, 7, 8, 9)]
 
     def test_same_cycle_other_start(self):
-        a = cycle_from_word(CycleWord(4, (3, 1, 1, 3, 1, 1)), 10, 3)
-        b = cycle_from_word(CycleWord(8, (1, 3, 1, 1, 3, 1)), 10, 3)
+        a = cycle_from_word(4, (3, 1, 1, 3, 1, 1), 10, 3)
+        b = cycle_from_word(8, (1, 3, 1, 1, 3, 1), 10, 3)
         assert a == b
 
     def test_all_ones_word(self):
-        sigma = cycle_from_word(CycleWord(1, (1, 1, 1)), 3, 2)
+        sigma = cycle_from_word(1, (1, 1, 1), 3, 2)
         assert sigma.cycles() == [(1, 2, 3)]
 
     def test_early_revisit_raises(self):
         with pytest.raises(NotACycle):
-            cycle_from_word(CycleWord(1, (1, 3, 3, 1)), 4, 3)
+            cycle_from_word(1, (1, 3, 3, 1), 4, 3)
 
     def test_open_walk_raises(self):
         with pytest.raises(NotACycle):
-            cycle_from_word(CycleWord(1, (1, 1)), 4, 3)
+            cycle_from_word(1, (1, 1), 4, 3)
 
     def test_word_alphabet_checked(self):
         with pytest.raises(ValueError):
-            cycle_from_word(CycleWord(1, (1, 2)), 5, 3)
+            cycle_from_word(1, (1, 2), 5, 3)
 
 
 class TestBuildPath:

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from polytext import parse
+from tricirc.bipoly import ONE
 from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.phi import (
+    PRIMALITY_Q,
     CoefficientReport,
     binomial_power,
     coefficient,
@@ -151,14 +153,20 @@ class TestPrimality:
         for p in range(3, 26):
             assert primality_check(p) == trial_division(p)
 
+    @staticmethod
+    def congruence(p, q):
+        # the congruence of primality_check, at any q
+        return (ONE - phi_polynomial(p, q) - binomial_power(p)).reduce_mod(p).is_zero()
+
     def test_primes_pass_for_other_q_too(self):
-        assert primality_check(7, q=2) and primality_check(7, q=5)
+        assert PRIMALITY_Q == 2 and primality_check(7)
+        assert self.congruence(7, 2) and self.congruence(7, 5)
 
     def test_congruence_is_q_sensitive_for_composites(self):
         # p=9 fails the congruence at the fixed q=2, as it must, but
-        # passes it at q=4; this is why the default q is pinned
-        assert not primality_check(9, q=2)
-        assert primality_check(9, q=4)
+        # passes it at q=4; this is why the q is pinned
+        assert not primality_check(9) and not self.congruence(9, 2)
+        assert self.congruence(9, 4)
 
     def test_trial_division_basics(self):
         primes = [n for n in range(2, 60) if trial_division(n)]

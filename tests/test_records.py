@@ -21,7 +21,7 @@ from tricirc.circulant import FloatCheckReport
 from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
 from tricirc.phi import CirculantSpec, CoefficientReport, PermClassKey, Record, coefficient
 from tricirc.permclass import (
-    CycleWord, LatticePath, StructureReport, build_path, predict_structure,
+    LatticePath, StructureReport, build_path, predict_structure,
 )
 from tricirc.verify import CaseOutcome, SuiteResult, run_suite
 
@@ -34,7 +34,6 @@ RECORDS = [
      "sign=-1, magnitude=5, value=-5)"),
     (StructureReport, (2, (1, 2), -1),
      "StructureReport(k=2, cycles_each=(1, 2), sign=-1)"),
-    (CycleWord, (1, (1, 3, 3)), "CycleWord(start=1, word=(1, 3, 3))"),
     (LatticePath, (((0, 0), (1, 0), (1, 1), (2, 1)),),
      "LatticePath(vertices=((0, 0), (1, 0), (1, 1), (2, 1)))"),
     (FloatCheckReport, (True, 0.5, (1.0, -1.0), 16),
@@ -84,7 +83,7 @@ def test_equality_holds_only_within_a_class():
         assert a != b and b != a
     # same field values, other class
     assert CaseOutcome(1, 2, None) != (1, 2, None)
-    assert StructureReport(1, (1, 0), 1) != CycleWord(1, (1, 0))
+    assert StructureReport(1, (1, 0), 1) != CaseOutcome(1, (1, 0), 1)
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
@@ -121,7 +120,7 @@ def test_lattice_path_keeps_its_validation():
 
 def test_hot_constructors_build_the_same_values():
     rep = predict_structure(PermClassKey(8, 3, 2, 2))
-    assert rep == StructureReport(1, (2, 2), -1) and rep.cycle_length == 4
+    assert rep == StructureReport(1, (2, 2), -1) and sum(rep.cycles_each) == 4
     assert CaseOutcome(1, 0).first is None
     assert CaseOutcome(1, 0) == CaseOutcome(checks=1, failures=0, first=None)
 
@@ -192,8 +191,9 @@ def test_generic_constructor_names_the_fault():
         StructureReport(1, (1, 0), 1, size=2)
     with pytest.raises(TypeError, match="got field 'k' twice"):
         StructureReport(1, (1, 0), 1, k=1)
-    mixed = CycleWord(1, word=(1, 3, 3))
-    assert mixed == CycleWord(word=(1, 3, 3), start=1) == CycleWord(1, (1, 3, 3))
+    mixed = StructureReport(1, sign=-1, cycles_each=(1, 3))
+    assert mixed == StructureReport(sign=-1, k=1, cycles_each=(1, 3))
+    assert mixed == StructureReport(1, (1, 3), -1)
 
 
 def test_keyword_construction_still_validates():
