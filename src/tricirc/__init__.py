@@ -36,10 +36,9 @@ _HOMES = {
     ),
     "permclass": (
         "ENUMERATION_LIMIT LatticePath Permutation "
-        "StructureReport build_path construct_witness cycle_from_word "
-        "cyclic_order displacement_profile enumerate_by_profile "
-        "enumerate_class path_bound_check predict_structure reduce_1p "
-        "rotate"
+        "StructureReport build_path construct_witness cyclic_order "
+        "displacement_profile enumerate_by_profile enumerate_class "
+        "path_bound_check predict_structure reduce_1p rotate"
     ),
     "phi": (
         "BACKENDS NEWTON_LIMIT CirculantSpec CoefficientReport PermClassKey "

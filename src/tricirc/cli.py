@@ -5,7 +5,8 @@ machine-readable output: identical inputs produce byte-identical
 text/json/csv (data goes to stdout, diagnostics to stderr).  Exit
 codes: 0 success, 1 a failed ``verify`` suite or a failed internal
 check (two routes disagreed: :class:`InternalInconsistency`), 2 usage
-error, 3 unsupported parameter regime.
+error, 3 unsupported parameter regime, 141 stdout closed by its reader
+(the code a shell reports for a tool ended by SIGPIPE).
 
 ``verify`` is the only command that may start worker processes; set the
 environment variable TRICIRC_WORKERS to a positive integer to enable
@@ -69,6 +70,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_PIPE = 141
 
 
 def _emit_json(payload: dict) -> None:
@@ -349,7 +351,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at the null device so that
+        # the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ The class key :class:`PermClassKey`, the one statement of these
 support and sign rules, lives in :mod:`tricirc.phi` with the default
 determinant route, because ``phi`` and ``coeff`` need the rules but no
 permutation.  This module holds what only ``witness``, ``enumerate``
-and ``verify`` run: :class:`Permutation`, the class search, cycle
-words, lattice paths and witnesses.  It stays under this name because
-the benchmark traces ``permclass.construct_witness`` and
+and ``verify`` run: :class:`Permutation`, the class search, lattice
+paths and witnesses.  It stays under this name because the benchmark
+traces ``permclass.construct_witness`` and
 ``permclass.enumerate_by_profile``.
 
 Residues modulo p are always taken in {1, ..., p}: a reduction that
@@ -65,19 +65,6 @@ class Permutation:
     @classmethod
     def identity(cls, p: int) -> "Permutation":
         return cls(range(1, p + 1))
-
-    @classmethod
-    def from_cycles(cls, p: int, cycles) -> "Permutation":
-        """Build from disjoint cycles given as point sequences."""
-        images = list(range(1, p + 1))
-        seen = set()
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if a in seen:
-                    raise ValueError(f"point {a} appears in two cycles")
-                seen.add(a)
-                images[a - 1] = b
-        return cls(images)
 
     @property
     def p(self) -> int:
@@ -235,44 +222,6 @@ def enumerate_by_profile(p: int, q: int) -> dict[tuple[int, int], list[Permutati
 
 
 # ---------------------------------------------------------------------------
-# cycle words
-# ---------------------------------------------------------------------------
-
-def _walk_word(start: int, word, p: int) -> list[int]:
-    # points visited by the word; NotACycle on early repeats or an open end
-    points = [start]
-    seen = {start}
-    v = start
-    for step in word[:-1]:
-        v = (v + step - 1) % p + 1  # reduce_1p, inline
-        if v in seen:
-            raise NotACycle(f"point {v} revisited before the word ended")
-        seen.add(v)
-        points.append(v)
-    v = (v + word[-1] - 1) % p + 1
-    if v != start:
-        raise NotACycle(f"word from {start} ends at {v}, not back at the start")
-    return points
-
-
-def cycle_from_word(start: int, word, p: int, q: int) -> Permutation:
-    """The permutation that is one cycle, walked by ``word`` from ``start``.
-
-    The word must consist of steps 1 and q; successive partial sums
-    from the start (residues in {1, ..., p}) must visit distinct points
-    and return to the start exactly when the word is exhausted.
-    """
-    if not word:
-        raise ValueError("empty cycle word")
-    if not 1 <= start <= p:
-        raise ValueError(f"start {start} outside {{1, ..., {p}}}")
-    bad = set(word) - {1, q}
-    if bad:
-        raise ValueError(f"word steps {sorted(bad)} not in {{1, {q}}}")
-    return Permutation.from_cycles(p, [_walk_word(start, word, p)])
-
-
-# ---------------------------------------------------------------------------
 # lattice paths
 # ---------------------------------------------------------------------------
 
@@ -288,29 +237,6 @@ class LatticePath(Record):
             if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
                 raise ValueError("steps must be unit east or north moves")
         Record.__init__(self, vertices)
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return self.vertices[-1]
-
-    def step_word(self) -> str:
-        out = []
-        for (x0, _), (x1, _) in zip(self.vertices, self.vertices[1:]):
-            out.append("E" if x1 > x0 else "N")
-        return "".join(out)
-
-    def displacement_word(self, q: int) -> tuple[int, ...]:
-        """East -> 1, north -> q."""
-        return tuple(1 if ch == "E" else q for ch in self.step_word())
-
-    def within_band(self) -> bool:
-        """Whether -r < s*x - r*y <= s holds at every vertex.
-
-        True for every path built by :func:`build_path` with r >= 1;
-        meaningless (and False at the origin) when r = 0.
-        """
-        r, s = self.end
-        return all(-r < s * x - r * y <= s for x, y in self.vertices)
 
 
 def _path_steps(r: int, s: int, east, north) -> list:
@@ -378,6 +304,23 @@ def path_bound_check(path: LatticePath, r: int, s: int) -> bool:
 # ---------------------------------------------------------------------------
 # witness construction
 # ---------------------------------------------------------------------------
+
+def _walk_word(start: int, word, p: int) -> list[int]:
+    # points visited by the word; NotACycle on early repeats or an open end
+    points = [start]
+    seen = {start}
+    v = start
+    for step in word[:-1]:
+        v = (v + step - 1) % p + 1  # reduce_1p, inline
+        if v in seen:
+            raise NotACycle(f"point {v} revisited before the word ended")
+        seen.add(v)
+        points.append(v)
+    v = (v + word[-1] - 1) % p + 1
+    if v != start:
+        raise NotACycle(f"word from {start} ends at {v}, not back at the start")
+    return points
+
 
 def construct_witness(key: PermClassKey) -> Permutation:
     """An explicit member of the class, built from the lattice path.

@@ -251,12 +251,9 @@ def _witness_case(p: int, q: int) -> Checks:
     for r, s in profiles:
         key = PermClassKey(p, q, r, s)
         sigma = permclass.construct_witness(key)
-        cycles = sigma.cycles()
-        if (r, s) == (0, 0):
-            ok = not cycles
-        else:
-            # k cycles of r/k 1-steps and s/k q-steps imply the profile
-            ok = permclass.predict_structure(key).fits(cycles, p, q)
+        # k cycles of r/k 1-steps and s/k q-steps imply the profile; the
+        # identity class's report (k = 0) fits only the empty cycle list
+        ok = permclass.predict_structure(key).fits(sigma.cycles(), p, q)
         if ok and classes is not None:
             ok = sigma in classes.get((r, s), ())
         yield mismatch or (

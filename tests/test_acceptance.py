@@ -23,7 +23,6 @@ from tricirc.phi import CirculantSpec, det_newton
 from tricirc.permanent import bounds_report, permanent_generating, permanent_ryser
 from tricirc.permclass import (
     PermClassKey,
-    build_path,
     construct_witness,
     displacement_profile,
     enumerate_by_profile,
@@ -201,9 +200,9 @@ def test_criterion_05_counts_and_cycle_type(oracle_sweep):
 
 def test_criterion_06_witness_construction():
     res = run_suite("witness", p_max=30)
-    # the worked instance: three cycles walked from 1, 5 and 9
+    # the worked instance: three cycles walked from 1, 5 and 9, each by
+    # the word of the path to (2, 3), east -> 1 and north -> q = 5
     sigma = construct_witness(PermClassKey(17, 5, 6, 9))
-    word = build_path(2, 3).displacement_word(5)
     example_ok = (
         displacement_profile(sigma, 17, 5) == (6, 9, 2)
         and len(sigma.cycles()) == 3
@@ -213,7 +212,7 @@ def test_criterion_06_witness_construction():
         for _ in range(5):
             walk.append(sigma.images[walk[-1] - 1])
         steps = tuple((b - a) % 17 for a, b in zip(walk, walk[1:]))
-        example_ok = example_ok and walk[-1] == start and steps == word
+        example_ok = example_ok and walk[-1] == start and steps == (1, 5, 5, 1, 5)
     ok = res.passed and example_ok
     _report(
         6,

@@ -144,6 +144,21 @@ class TestExitCodes:
         res = cli("verify", "--suite", "prime", "--pmax", "10")
         assert res.returncode == 0
 
+    def test_closed_stdout_is_exit_141_without_a_traceback(self):
+        # the reader stops after one byte of the 82 KB polynomial, as
+        # `tricirc phi --p 1000 --q 2 | head -c 1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tricirc", "phi", "--p", "1000", "--q", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"1"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == climod.EXIT_PIPE == 141
+        assert "Traceback" not in err, err
+
     def test_verify_failure_is_exit_1(self, capsys, monkeypatch):
         real = phimod.trial_division
         monkeypatch.setattr(phimod, "trial_division", lambda n: n == 9 or real(n))

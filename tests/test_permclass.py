@@ -18,7 +18,6 @@ from tricirc.permclass import (
     StructureReport,
     build_path,
     construct_witness,
-    cycle_from_word,
     cyclic_order,
     displacement_profile,
     enumerate_by_profile,
@@ -181,12 +180,6 @@ class TestPermutation:
         assert sigma.one_line() == "{1,2,4,5,3}"
         assert sigma.cycle_notation() == "(3,4,5)"
         assert Permutation.identity(3).cycle_notation() == "()"
-
-    def test_from_cycles_roundtrip(self):
-        sigma = Permutation.from_cycles(6, [(1, 4), (2, 5)])
-        assert sigma.images == (4, 5, 3, 1, 2, 6)
-        with pytest.raises(ValueError):
-            Permutation.from_cycles(5, [(1, 2), (2, 3)])
 
 
 class TestDisplacementProfile:
@@ -409,10 +402,13 @@ class TestFits:
         # but its other steps are 4 and 2, not q = 3
         rep = predict_structure(PermClassKey(7, 3, 1, 2))
         assert (rep.k, rep.cycles_each, rep.sign) == (1, (1, 2), 1)
-        sigma = Permutation.from_cycles(7, [(1, 2, 6)])
+        sigma = Permutation([2, 6, 3, 4, 5, 1, 7])
+        assert sigma.cycles() == [(1, 2, 6)]
         assert fits_reference(rep, sigma, 7)
         assert not rep.fits(sigma.cycles(), 7, 3)
-        assert rep.fits(Permutation.from_cycles(7, [(1, 2, 5)]).cycles(), 7, 3)
+        member = Permutation([2, 5, 3, 4, 1, 6, 7])
+        assert member.cycles() == [(1, 2, 5)]
+        assert rep.fits(member.cycles(), 7, 3)
 
     def test_each_part_of_the_structure_is_checked(self):
         p, q = 17, 5
@@ -428,52 +424,60 @@ class TestFits:
 
 
 class TestCycleWord:
+    # the walker that construct_witness runs on the path's word
     def test_published_pair(self):
-        sigma = cycle_from_word(4, (3, 1, 1, 3, 1, 1), 10, 3)
-        assert sigma.cycles() == [(2, 3, 4, 7, 8, 9)]
+        points = permclass._walk_word(4, (3, 1, 1, 3, 1, 1), 10)
+        assert points == [4, 7, 8, 9, 2, 3]
 
     def test_same_cycle_other_start(self):
-        a = cycle_from_word(4, (3, 1, 1, 3, 1, 1), 10, 3)
-        b = cycle_from_word(8, (1, 3, 1, 1, 3, 1), 10, 3)
-        assert a == b
+        a = permclass._walk_word(4, (3, 1, 1, 3, 1, 1), 10)
+        b = permclass._walk_word(8, (1, 3, 1, 1, 3, 1), 10)
+        assert b == a[2:] + a[:2]
 
     def test_all_ones_word(self):
-        sigma = cycle_from_word(1, (1, 1, 1), 3, 2)
-        assert sigma.cycles() == [(1, 2, 3)]
+        assert permclass._walk_word(1, (1, 1, 1), 3) == [1, 2, 3]
 
     def test_early_revisit_raises(self):
-        with pytest.raises(NotACycle):
-            cycle_from_word(1, (1, 3, 3, 1), 4, 3)
+        with pytest.raises(NotACycle, match="point 1 revisited"):
+            permclass._walk_word(1, (1, 3, 3, 1), 4)
 
     def test_open_walk_raises(self):
-        with pytest.raises(NotACycle):
-            cycle_from_word(1, (1, 1), 4, 3)
+        with pytest.raises(NotACycle, match="ends at 3"):
+            permclass._walk_word(1, (1, 1), 4)
 
-    def test_word_alphabet_checked(self):
-        with pytest.raises(ValueError):
-            cycle_from_word(1, (1, 2), 5, 3)
+
+def step_letters(path: LatticePath) -> str:
+    """The path's E/N step letters, read off its vertices."""
+    verts = path.vertices
+    return "".join("E" if b[0] > a[0] else "N" for a, b in zip(verts, verts[1:]))
+
+
+def within_band(path: LatticePath) -> bool:
+    """Whether -r < s*x - r*y <= s at every vertex, (r, s) the path's end."""
+    r, s = path.vertices[-1]
+    return all(-r < s * x - r * y <= s for x, y in path.vertices)
 
 
 class TestBuildPath:
     def test_flat_path(self):
-        assert build_path(3, 0).step_word() == "EEE"
+        assert step_letters(build_path(3, 0)) == "EEE"
 
     def test_diagonal_alternates_starting_east(self):
-        assert build_path(2, 2).step_word() == "ENEN"
+        assert step_letters(build_path(2, 2)) == "ENEN"
 
     def test_vertical_path(self):
-        assert build_path(0, 3).step_word() == "NNN"
+        assert step_letters(build_path(0, 3)) == "NNN"
 
     def test_figure_case_7_5(self):
         path = build_path(7, 5)
-        assert path.end == (7, 5)
-        assert path.step_word().count("E") == 7
-        assert path.within_band()
+        assert path.vertices[-1] == (7, 5)
+        assert step_letters(path).count("E") == 7
+        assert within_band(path)
 
     def test_band_invariant_holds_generally(self):
         for r in range(1, 15):
             for s in range(0, 15):
-                assert build_path(r, s).within_band()
+                assert within_band(build_path(r, s)), (r, s)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -512,7 +516,7 @@ class TestPathBound:
             word = "".join(rng.choice("EN") for _ in range(rng.randint(0, 14)))
             path = path_from_word(word)
             # the path's own end, or a profile it was not built for
-            r, s = path.end if rng.random() < 0.5 else (
+            r, s = path.vertices[-1] if rng.random() < 0.5 else (
                 rng.randint(0, 8), rng.randint(0, 8)
             )
             want = pairwise_path_bound(path, r, s)
@@ -532,14 +536,13 @@ class TestWitness:
         sigma = construct_witness(PermClassKey(17, 5, 6, 9))
         cycles = sigma.cycles()
         assert len(cycles) == 3
-        word = build_path(2, 3).displacement_word(5)
         for start in (1, 5, 9):
             walk = [start]
             for _ in range(5):
                 walk.append(sigma.images[walk[-1] - 1])
             assert walk[-1] == start
             steps = tuple((b - a) % 17 for a, b in zip(walk, walk[1:]))
-            assert steps == word
+            assert steps == (1, 5, 5, 1, 5)
 
     def test_full_cycle_class(self):
         sigma = construct_witness(PermClassKey(5, 3, 5, 0))

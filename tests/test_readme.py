@@ -1,4 +1,4 @@
-"""The README agrees with the code: its commands and its limits table."""
+"""The README agrees with the code: its commands, limits table and library example."""
 
 import argparse
 import re
@@ -71,3 +71,13 @@ def test_command_line_block_lists_exactly_the_parser_commands():
 
 def test_limits_table_values_match_the_code():
     assert limits_table() == declared_limits()
+
+
+def test_library_block_runs_and_its_stated_results_hold():
+    block = section("Library").split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    spec = scope["spec"]
+    assert scope["det_newton"](spec) == scope["det_bareiss"](spec)
+    assert scope["det_bareiss"](spec) == scope["det_cycle_cover"](spec)
+    assert scope["bounds_report"](8, 3).d11 == 33

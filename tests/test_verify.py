@@ -257,17 +257,17 @@ def _neighbouring_member(real):
     return construct
 
 
-@pytest.mark.parametrize("route, mutant, identity_fails", [
-    ("predict_structure", _wrong_cycle_count, False),
-    ("predict_structure", _flipped_sign, False),
-    ("construct_witness", _neighbouring_member, True),
+@pytest.mark.parametrize("route, mutant", [
+    ("predict_structure", _wrong_cycle_count),
+    ("predict_structure", _flipped_sign),
+    ("construct_witness", _neighbouring_member),
 ])
 def test_witness_suite_catches_each_fault_without_the_class_search(
-    monkeypatch, route, mutant, identity_fails
+    monkeypatch, route, mutant
 ):
     # above EXHAUSTIVE_PMAX no class is searched, so the profile, cycle
-    # and sign checks alone must fail every witness the fault touches;
-    # the identity class has no structure to predict
+    # and sign checks alone must fail every witness the fault touches,
+    # the identity's included
     good = run_suite("witness", p_max=12)
     assert good.passed
     monkeypatch.setattr(permclass, route, mutant(getattr(permclass, route)))
@@ -278,10 +278,9 @@ def test_witness_suite_catches_each_fault_without_the_class_search(
     assert len(above) == 8 + 9 + 10
     for _, p, q in above:
         oc = run_case(("witness", p, q))
-        assert oc.failures == oc.checks - (0 if identity_fails else 1), (p, q)
-        # the walk starts at (0, 0), then (p, 0)
-        r = 0 if identity_fails else p
-        assert oc.first == f"witness for (p={p}, q={q}, r={r}, s=0) invalid"
+        assert oc.failures == oc.checks, (p, q)
+        # the walk starts at (0, 0)
+        assert oc.first == f"witness for (p={p}, q={q}, r=0, s=0) invalid"
 
 
 @pytest.mark.parametrize("suite, size", [
