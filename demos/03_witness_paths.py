@@ -18,13 +18,13 @@ from tricirc import (
 
 
 def word_of(path, q):
-    """The path's displacement word: east -> 1, north -> q."""
-    verts = path.vertices
-    return tuple(1 if b[0] > a[0] else q for a, b in zip(verts, verts[1:]))
+    """The path's displacement word: E (east) -> 1, N (north) -> q."""
+    return tuple(1 if step == "E" else q for step in path)
 
 
 print("the path to (7, 5):")
 path = build_path(7, 5)
+print(f"  steps: {path}")
 print(f"  word at q = 3: {word_of(path, 3)}")
 print(f"  all-pairs bound |a*s - b*r| <= r+s-1: {path_bound_check(path, 7, 5)}")
 

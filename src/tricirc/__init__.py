@@ -35,7 +35,7 @@ _HOMES = {
         "growth_table_csv permanent_generating permanent_ryser"
     ),
     "permclass": (
-        "ENUMERATION_LIMIT LatticePath Permutation "
+        "ENUMERATION_LIMIT Permutation "
         "StructureReport build_path construct_witness cyclic_order "
         "displacement_profile enumerate_by_profile enumerate_class "
         "path_bound_check predict_structure reduce_1p rotate"

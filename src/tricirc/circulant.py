@@ -308,8 +308,8 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
                         nxt[key] += add
                     else:
                         nxt[key] = add
-            if not nxt:
-                break
+            # nxt is never empty: if cell 0 is claimed, the move onto the top
+            # cell (in no mask) is open, else the offset-0 or q-p move claims it
             states = nxt
         total += states.get(boundary, 0)
     return _unpack_counts(total, p, q, wbits)

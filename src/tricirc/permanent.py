@@ -142,9 +142,9 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     every other backend the DP's budget is checked before the signed
     polynomial is computed, so an over-budget DP is refused before a
     slow route runs (Bareiss takes about 30 s at p = 96).  Any
-    disagreement raises :class:`InternalInconsistency`.  Bound checks
-    avoid floats entirely: the lower bound by cross-multiplication, the
-    upper bound after cubing.
+    disagreement raises :class:`InternalInconsistency`, as does a printed
+    ``upper_bound`` c without (c-1)^3 < 6^p <= c^3.  No bound check uses
+    a float: the lower one cross-multiplies, the upper ones cube.
     """
     PermClassKey.check_pair(p, q)
     if backend != "cycle_cover":
@@ -174,6 +174,9 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     max_coeff = signed.max_abs_coefficient()
     n_monomials = len(signed)
     lower = Fraction(3**p * factorial(p), p**p)
+    upper = _ceil_cube_root(6**p)
+    if not (upper - 1) ** 3 < 6**p <= upper**3:
+        raise InternalInconsistency(f"upper bound {upper} is not ceil(6^({p}/3))")
     return PermanentReport(
         p=p,
         q=q,
@@ -182,7 +185,7 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
         max_coeff=max_coeff,
         n_monomials=n_monomials,
         lower_bound=lower,
-        upper_bound=_ceil_cube_root(6**p),
+        upper_bound=upper,
         lower_ok=3**p * factorial(p) <= d11 * p**p,
         upper_ok=d11**3 <= 6**p,
         sandwich_ok=d11 <= max_coeff * n_monomials and max_coeff <= d11,

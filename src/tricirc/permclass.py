@@ -17,9 +17,9 @@ support and sign rules, lives in :mod:`tricirc.phi` with the default
 determinant route, because ``phi`` and ``coeff`` need the rules but no
 permutation.  This module holds what only ``witness``, ``enumerate``
 and ``verify`` run: :class:`Permutation`, the class search, lattice
-paths and witnesses.  It stays under this name because the benchmark
-traces ``permclass.construct_witness`` and
-``permclass.enumerate_by_profile``.
+paths (each its word of E and N steps from (0, 0)) and witnesses.  It
+stays under this name because the benchmark traces
+``permclass.construct_witness`` and ``permclass.enumerate_by_profile``.
 
 Residues modulo p are always taken in {1, ..., p}: a reduction that
 would give 0 gives p instead.
@@ -225,20 +225,6 @@ def enumerate_by_profile(p: int, q: int) -> dict[tuple[int, int], list[Permutati
 # lattice paths
 # ---------------------------------------------------------------------------
 
-class LatticePath(Record):
-    """A monotone east/north path from (0, 0)."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple[tuple[int, int], ...]):
-        if not vertices or vertices[0] != (0, 0):
-            raise ValueError("path must start at (0, 0)")
-        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-            if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
-                raise ValueError("steps must be unit east or north moves")
-        Record.__init__(self, vertices)
-
-
 def _path_steps(r: int, s: int, east, north) -> list:
     """The steps of the path from (0, 0) to (r, s), each ``east`` or ``north``.
 
@@ -264,41 +250,40 @@ def _path_steps(r: int, s: int, east, north) -> list:
     return out
 
 
-def build_path(r: int, s: int) -> LatticePath:
-    """The east/north path from (0, 0) to (r, s) hugging s*x - r*y = 0.
+def build_path(r: int, s: int) -> str:
+    """The E/N step word of the path from (0, 0) to (r, s) hugging s*x - r*y = 0.
 
     Its steps follow the rule stated in :func:`_path_steps`; for r = 0
-    it is the all-north path.
+    it is the all-north word.
     """
     if r < 0 or s < 0 or r + s < 1:
         raise ValueError("need r, s >= 0 with r + s >= 1")
-    x = y = 0
-    verts = [(0, 0)]
-    for east in _path_steps(r, s, True, False):
-        if east:
-            x += 1
-        else:
-            y += 1
-        verts.append((x, y))
-    if verts[-1] != (r, s):
+    word = "".join(_path_steps(r, s, "E", "N"))
+    if word.count("E") != r or word.count("N") != s:
         raise AssertionError(f"path construction missed ({r}, {s})")
-    return LatticePath(tuple(verts))
+    return word
 
 
-def path_bound_check(path: LatticePath, r: int, s: int) -> bool:
+def path_bound_check(word: str, r: int, s: int) -> bool:
     """Whether |a*s - b*r| <= r+s-1 for every vertex pair of the path.
 
-    Here (a, b) is the coordinate difference of the pair.  Holds for
-    every constructed path; a hand-made path can fail.  With
-    f = s*x - r*y at each vertex, a*s - b*r is the difference of two
-    values of f, so the largest pair gap is max(f) - min(f), read in
-    one pass.  A path of one vertex has no pair and always passes.
+    The path takes the E (east) and N (north) steps of ``word`` from
+    (0, 0); any other letter raises ValueError.  With (a, b) the pair's
+    coordinate difference and f = s*x - r*y at each vertex, a*s - b*r
+    is a difference of two values of f, so the largest pair gap is
+    max(f) - min(f), read in one pass.  Holds for every constructed
+    path; the empty word has no pair and always passes.
     """
-    verts = path.vertices
-    if len(verts) < 2:
-        return True
-    f = [s * x - r * y for x, y in verts]
-    return max(f) - min(f) <= r + s - 1
+    f = lo = hi = 0
+    for ch in word:
+        if ch not in "EN":
+            raise ValueError(f"step letter {ch!r} is not E or N")
+        f += s if ch == "E" else -r
+        if f > hi:
+            hi = f
+        elif f < lo:
+            lo = f
+    return not word or hi - lo <= r + s - 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ machine checks against independent oracles:
 * ``prime``     -- the binomial congruence matches trial division;
 * ``lemmas``    -- randomized checks of cyclic order (against its
                    definition, and preserved by rotation), the
-                   lattice-path bound and the divisibility gap.
+                   lattice-path bound and the paper's divisibility-gap
+                   lemma, restated in integer arithmetic (no route).
 
 A suite is one row of ``_SUITES``: its default and largest pmax, a
 builder that lists the arguments of its cases, a case function and the
@@ -330,6 +331,7 @@ def _check_path_bound(rng: random.Random, permclass) -> Optional[str]:
 
 
 def _check_divisibility_gap(rng: random.Random, permclass) -> Optional[str]:
+    """The paper's divisibility-gap lemma restated in integer arithmetic."""
     p = rng.randint(3, 50)
     q = rng.randint(2, p - 1)
     b = rng.randint(-20, 20)

@@ -1,14 +1,12 @@
-"""Test helpers that read the text forms the tests write literals in.
+"""Test helper that reads the text form the tests write literals in.
 
 ``parse`` reads polynomial text, the inverse of ``BiPoly.render``, so
-goldens and expected values can be written as they print.  ``path_from_word``
-builds a lattice path from its E/N step letters.
+goldens and expected values can be written as they print.
 """
 
 import re
 
 from tricirc.bipoly import ZERO, BiPoly
-from tricirc.permclass import LatticePath
 
 # one factor of a term, e.g. "12", "x", "x^5", "y^2"
 _FACTOR_RE = re.compile(r"^(?:(\d+)|([xy])(?:\^(\d+))?)$")
@@ -51,18 +49,3 @@ def parse(text: str) -> BiPoly:
         out[key] = out.get(key, 0) + sign * coeff
         sign = 1
     return BiPoly(out)
-
-
-def path_from_word(word: str) -> LatticePath:
-    """The path from (0, 0) that takes the steps of a string of E/N letters."""
-    x = y = 0
-    verts = [(0, 0)]
-    for ch in word:
-        if ch == "E":
-            x += 1
-        elif ch == "N":
-            y += 1
-        else:
-            raise ValueError(f"step letter {ch!r} is not E or N")
-        verts.append((x, y))
-    return LatticePath(tuple(verts))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polytext import parse
+from tricirc import cli
 from tricirc import permanent as permmod
 from tricirc.bipoly import BiPoly
 from tricirc.errors import InternalInconsistency, TooLarge
@@ -117,6 +118,16 @@ class TestBounds:
         monkeypatch.setattr(permmod, "permanent_ryser", lambda p, q: 34)
         with pytest.raises(InternalInconsistency):
             bounds_report(8, 3, "cycle_cover")
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_printed_upper_bound_is_checked(self, monkeypatch, off):
+        ceil_cube_root = permmod._ceil_cube_root
+        assert ceil_cube_root(6**10) == 393
+        monkeypatch.setattr(
+            permmod, "_ceil_cube_root", lambda n: ceil_cube_root(n) + off
+        )
+        with pytest.raises(InternalInconsistency, match="upper bound"):
+            cli.run(["permanent", "--p", "10", "--q", "3"])
 
 
 class TestGrowth:

@@ -6,13 +6,11 @@ import random
 
 import pytest
 
-from polytext import path_from_word
 from tricirc.circulant import CirculantSpec, cycle_cover_counts, det_bruteforce
 from tricirc import permclass
 from tricirc.errors import EmptyClass, InvalidKey, NotACycle, TooLarge
 from tricirc.permclass import (
     WITNESS_LIMIT,
-    LatticePath,
     PermClassKey,
     Permutation,
     StructureReport,
@@ -30,12 +28,21 @@ from tricirc.permanent import permanent_ryser
 from tricirc.phi import phi_polynomial
 
 
-def pairwise_path_bound(path: LatticePath, r: int, s: int) -> bool:
+def vertices(word: str) -> list[tuple[int, int]]:
+    """The vertices of the path from (0, 0) that takes the E/N steps of word."""
+    verts = [(0, 0)]
+    for ch in word:
+        x, y = verts[-1]
+        verts.append((x + 1, y) if ch == "E" else (x, y + 1))
+    return verts
+
+
+def pairwise_path_bound(word: str, r: int, s: int) -> bool:
     """|a*s - b*r| <= r+s-1 over every vertex pair, one pair at a time.
 
     The lemma as stated; ``path_bound_check`` must agree with it.
     """
-    verts = path.vertices
+    verts = vertices(word)
     bound = r + s - 1
     n = len(verts)
     for i in range(n):
@@ -446,33 +453,26 @@ class TestCycleWord:
             permclass._walk_word(1, (1, 1), 4)
 
 
-def step_letters(path: LatticePath) -> str:
-    """The path's E/N step letters, read off its vertices."""
-    verts = path.vertices
-    return "".join("E" if b[0] > a[0] else "N" for a, b in zip(verts, verts[1:]))
-
-
-def within_band(path: LatticePath) -> bool:
+def within_band(word: str) -> bool:
     """Whether -r < s*x - r*y <= s at every vertex, (r, s) the path's end."""
-    r, s = path.vertices[-1]
-    return all(-r < s * x - r * y <= s for x, y in path.vertices)
+    r, s = word.count("E"), word.count("N")
+    return all(-r < s * x - r * y <= s for x, y in vertices(word))
 
 
 class TestBuildPath:
     def test_flat_path(self):
-        assert step_letters(build_path(3, 0)) == "EEE"
+        assert build_path(3, 0) == "EEE"
 
     def test_diagonal_alternates_starting_east(self):
-        assert step_letters(build_path(2, 2)) == "ENEN"
+        assert build_path(2, 2) == "ENEN"
 
     def test_vertical_path(self):
-        assert step_letters(build_path(0, 3)) == "NNN"
+        assert build_path(0, 3) == "NNN"
 
     def test_figure_case_7_5(self):
-        path = build_path(7, 5)
-        assert path.vertices[-1] == (7, 5)
-        assert step_letters(path).count("E") == 7
-        assert within_band(path)
+        word = build_path(7, 5)
+        assert vertices(word)[-1] == (7, 5)
+        assert within_band(word)
 
     def test_band_invariant_holds_generally(self):
         for r in range(1, 15):
@@ -483,6 +483,11 @@ class TestBuildPath:
         with pytest.raises(ValueError):
             build_path(0, 0)
 
+    def test_a_word_that_misses_the_end_raises(self, monkeypatch):
+        monkeypatch.setattr(permclass, "_path_steps", lambda r, s, e, n: [e] * (r + s))
+        with pytest.raises(AssertionError, match=r"missed \(2, 1\)"):
+            build_path(2, 1)
+
 
 class TestPathBound:
     def test_constructed_paths_pass(self):
@@ -491,44 +496,40 @@ class TestPathBound:
 
     def test_handmade_path_fails(self):
         # (0,0) -> (3,0) gives |3*3 - 0*3| = 9 > 5
-        bad = path_from_word("EEENNN")
-        assert not path_bound_check(bad, 3, 3)
+        assert not path_bound_check("EEENNN", 3, 3)
 
     def test_one_vertex_path_passes(self):
-        # no pair to check, even though the bound r+s-1 is -1
-        origin = LatticePath(((0, 0),))
-        assert path_bound_check(origin, 0, 0)
-        assert pairwise_path_bound(origin, 0, 0)
+        # the empty word: no pair to check, even though r+s-1 is -1
+        assert path_bound_check("", 0, 0)
+        assert pairwise_path_bound("", 0, 0)
 
     def test_matches_pairwise_on_constructed_paths(self):
         for r in range(0, 13):
             for s in range(0, 13):
                 if r + s == 0:
                     continue
-                path = build_path(r, s)
-                assert path_bound_check(path, r, s), (r, s)
-                assert pairwise_path_bound(path, r, s), (r, s)
+                word = build_path(r, s)
+                assert path_bound_check(word, r, s), (r, s)
+                assert pairwise_path_bound(word, r, s), (r, s)
 
     def test_matches_pairwise_on_random_words(self):
         rng = random.Random(4091)
         outcomes = set()
         for _ in range(400):
             word = "".join(rng.choice("EN") for _ in range(rng.randint(0, 14)))
-            path = path_from_word(word)
             # the path's own end, or a profile it was not built for
-            r, s = path.vertices[-1] if rng.random() < 0.5 else (
-                rng.randint(0, 8), rng.randint(0, 8)
-            )
-            want = pairwise_path_bound(path, r, s)
-            assert path_bound_check(path, r, s) == want, (word, r, s)
+            if rng.random() < 0.5:
+                r, s = word.count("E"), word.count("N")
+            else:
+                r, s = rng.randint(0, 8), rng.randint(0, 8)
+            want = pairwise_path_bound(word, r, s)
+            assert path_bound_check(word, r, s) == want, (word, r, s)
             outcomes.add(want)
         assert outcomes == {True, False}
 
     def test_path_validation(self):
-        with pytest.raises(ValueError):
-            LatticePath(((0, 0), (1, 1)))
-        with pytest.raises(ValueError):
-            path_from_word("EX")
+        with pytest.raises(ValueError, match="'X' is not E or N"):
+            path_bound_check("EX", 1, 1)
 
 
 class TestWitness:

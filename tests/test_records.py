@@ -20,9 +20,7 @@ import pytest
 from tricirc.circulant import FloatCheckReport
 from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
 from tricirc.phi import CirculantSpec, CoefficientReport, PermClassKey, Record, coefficient
-from tricirc.permclass import (
-    LatticePath, StructureReport, build_path, predict_structure,
-)
+from tricirc.permclass import StructureReport, predict_structure
 from tricirc.verify import CaseOutcome, SuiteResult, run_suite
 
 #: (class, field values, repr): one row for every Record subclass
@@ -34,8 +32,6 @@ RECORDS = [
      "sign=-1, magnitude=5, value=-5)"),
     (StructureReport, (2, (1, 2), -1),
      "StructureReport(k=2, cycles_each=(1, 2), sign=-1)"),
-    (LatticePath, (((0, 0), (1, 0), (1, 1), (2, 1)),),
-     "LatticePath(vertices=((0, 0), (1, 0), (1, 1), (2, 1)))"),
     (FloatCheckReport, (True, 0.5, (1.0, -1.0), 16),
      "FloatCheckReport(passed=True, max_abs_deviation=0.5, "
      "worst_point=(1.0, -1.0), points=16)"),
@@ -106,18 +102,6 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
         assert type(clone) is cls and clone == rec and repr(clone) == text
 
 
-def test_lattice_path_keeps_its_validation():
-    for bad in ((), ((1, 0), (1, 1)), ((0, 0), (1, 1)), ((0, 0), (0, 2)),
-                ((0, 0), (1, 0), (0, 0))):
-        with pytest.raises(ValueError):
-            LatticePath(bad)
-    with pytest.raises(ValueError, match="start at"):
-        LatticePath(((1, 0),))
-    with pytest.raises(ValueError, match="unit east or north"):
-        LatticePath(((0, 0), (2, 0)))
-    assert build_path(2, 1) == LatticePath(((0, 0), (1, 0), (1, 1), (2, 1)))
-
-
 def test_hot_constructors_build_the_same_values():
     rep = predict_structure(PermClassKey(8, 3, 2, 2))
     assert rep == StructureReport(1, (2, 2), -1) and sum(rep.cycles_each) == 4
@@ -163,7 +147,7 @@ def test_every_record_class_is_listed():
 
 def test_only_the_records_that_validate_or_default_define_init():
     own_init = {cls for cls in _record_classes() if "__init__" in vars(cls)}
-    assert own_init == {CirculantSpec, PermClassKey, LatticePath, CaseOutcome}
+    assert own_init == {CirculantSpec, PermClassKey, CaseOutcome}
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
@@ -201,8 +185,6 @@ def test_keyword_construction_still_validates():
         CirculantSpec(p=5, q=2, t=2)
     with pytest.raises(ValueError, match="2 <= q <= p-1"):
         PermClassKey(p=3, q=3, r=0, s=0)
-    with pytest.raises(ValueError, match="start at"):
-        LatticePath(vertices=((1, 0),))
     assert CirculantSpec(p=7, q=3) == CirculantSpec(7, 3, 1)
 
 
