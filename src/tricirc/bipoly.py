@@ -9,8 +9,8 @@ shared across threads or processes without coordination.
 Two term orders matter:
 
 * the canonical order -- (total degree, x-exponent, y-exponent) -- is a
-  proper monomial order and drives hashing, JSON serialization and
-  exact division;
+  proper monomial order and drives :meth:`BiPoly.items` and JSON
+  serialization;
 * the display order -- (y-exponent, x-exponent) -- groups terms the way
   the text renderer prints them, constant first, pure-x terms next.
 """
@@ -88,13 +88,6 @@ class BiPoly:
 
     def constant_term(self) -> int:
         return self._terms.get(Monomial(0, 0), 0)
-
-    def leading_term(self) -> tuple[Monomial, int]:
-        """Largest term in the canonical order; errors on zero."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self._terms, key=Monomial.sort_key)
-        return m, self._terms[m]
 
     # -- ring operations ----------------------------------------------
 
@@ -221,38 +214,35 @@ Y = BiPoly.monomial(1, 0, 1)
 
 
 def exact_div(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Quotient q with q*b == a, or raise.
+    """Quotient q with q*b == a, for a divisor b with constant term 1.
 
-    Monomial-ordered long division.  Raises :class:`NonExactDivision`
-    as soon as a leading term fails to divide; a wrong-but-silent
-    quotient would corrupt every determinant built on top of it.
+    Power-series division: with b = 1 + b', the dividend is taken by
+    increasing total degree; what is left at degree d is the quotient's
+    degree-d part, and subtracting it times b' touches only higher
+    degrees.  Anything left past deg(a) - deg(b) raises
+    :class:`NonExactDivision`, since a wrong-but-silent quotient would
+    corrupt every determinant built on it; any other nonzero divisor
+    raises ValueError.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return ZERO
-    if b == ONE:
+    if b.constant_term() != 1:
+        raise ValueError(f"divisor {b.render()} does not have constant term 1")
+    if b == ONE or a.is_zero():
         return a
-    bm, bc = b.leading_term()
-    bterms = list(b.terms.items())
-    rem = dict(a.terms)
-    quot: dict[tuple[int, int], int] = {}
-    while rem:
-        lm = max(rem, key=Monomial.sort_key)
-        lc = rem[lm]
-        dr, ds = lm.r - bm.r, lm.s - bm.s
-        if dr < 0 or ds < 0 or lc % bc != 0:
-            raise NonExactDivision(
-                f"leading term {lc}*x^{lm.r}*y^{lm.s} not divisible by "
-                f"{bc}*x^{bm.r}*y^{bm.s}"
-            )
-        qc = lc // bc
-        quot[(dr, ds)] = qc
-        for m2, c2 in bterms:
-            k = Monomial(m2.r + dr, m2.s + ds)
-            v = rem.get(k, 0) - qc * c2
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
+    rest = [(r, s, c) for (r, s), c in b._terms.items() if r or s]
+    top = max(r + s for r, s in a._terms)
+    last = top - max(r + s for r, s, _ in rest)
+    rem = [{} for _ in range(top + 1)]
+    for (r, s), c in a._terms.items():
+        rem[r + s][r, s] = c
+    quot = {}
+    for d in range(last + 1):
+        for (r, s), c in rem[d].items():
+            quot[r, s] = c
+            for br, bs, bc in rest:
+                layer, k = rem[d + br + bs], (r + br, s + bs)
+                layer[k] = layer.get(k, 0) - c * bc
+    if any(any(layer.values()) for layer in rem[max(last + 1, 0):]):
+        raise NonExactDivision(f"remainder left past the quotient's degree {last}")
     return BiPoly(quot)

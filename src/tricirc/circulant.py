@@ -44,7 +44,7 @@ from .errors import StateSpaceTooLarge, TooLarge
 from .phi import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
 
 #: largest p accepted by fraction-free elimination ((96, 48) takes
-#: 20-30 s on a 2-CPU host with Python 3.11)
+#: 12.7-13.9 s on a 2-CPU host with Python 3.11)
 BAREISS_LIMIT = 96
 
 #: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
@@ -66,9 +66,11 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     No row permutations are ever needed: every leading principal minor
     of this matrix has constant term 1 (set x=y=0 and the matrix is the
     identity), so the diagonal pivot is never zero.  That fact is
-    checked at runtime.  Rows are kept as sparse column maps; while the
-    pivot equals the previous pivot the generic row rescale is the
-    identity and is skipped, which makes the banded phase cheap.
+    checked at runtime; so every divisor (ONE, then the previous pivot)
+    has the constant term 1 that :func:`exact_div` needs.  Rows are
+    kept as sparse column maps; while the pivot equals the previous
+    pivot the generic row rescale is the identity and is skipped, which
+    makes the banded phase cheap.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q

@@ -10,7 +10,7 @@ and checks it against classical two-sided bounds:
 
 * the unsigned cycle-cover DP shared with the determinant backends, the
   route :func:`bounds_report` and :func:`growth_table` take;
-* Ryser inclusion-exclusion with Gray-code updates (exact, p <= 24), an
+* Ryser inclusion-exclusion over column bitmasks (exact, p <= 24), an
   independent route for the ``permanent`` verify suite and for
   :func:`bounds_report` when its signed polynomial is the DP's own;
 * lower bound 3^p p!/p^p (doubly stochastic scaling), upper bound
@@ -27,7 +27,7 @@ from .circulant import check_dp_budget, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
 from .phi import PermClassKey, Record, phi_polynomial
 
-#: largest p accepted by the Ryser expansion (cost O(2^p * p))
+#: largest p accepted by the Ryser expansion (cost 2^p bitmask steps)
 RYSER_LIMIT = 24
 
 
@@ -39,41 +39,30 @@ def permanent_generating(p: int, q: int) -> BiPoly:
 def permanent_ryser(p: int, q: int) -> int:
     """Permanent of the 0-1 circulant with 1s in columns 1, 2, q+1.
 
-    Inclusion-exclusion over column subsets in Gray-code order.  The
-    matrix is never materialized: toggling column j changes the sums of
-    exactly the three rows j, j-1 and j-q (mod p), and the running
-    product of nonzero row sums is patched by one exact division and
-    one multiplication.
+    Ryser's inclusion-exclusion over every column set m, as bitmasks:
+    row i holds columns i, i+1 and i+q, so with b and c the rotations
+    of m by 1 and by q its sum counts bit i of m, b and c.  A term is
+    nonzero only when ``m | b | c`` is full, and is then +-2^a 3^t with
+    the rows summing to 3 in ``m & b & c``; the loop only tallies
+    (a, t, |m| mod 2), so no big integer is built per column set.
     """
     PermClassKey.check_pair(p, q)
     if p > RYSER_LIMIT:
         raise TooLarge(f"Ryser expansion is limited to p <= {RYSER_LIMIT}")
-    rows_of_col = [(j, (j - 1) % p, (j - q) % p) for j in range(p)]
-    sums = [0] * p
-    prod = 1       # product of the nonzero row sums
-    zeros = p      # number of zero row sums
-    sign = 1       # (-1)^{|subset|}
-    total = 0
+    full = (1 << p) - 1
+    low = (1 << q) - 1
+    tally: dict[tuple[int, int, int], int] = {}
     for m in range(1, 1 << p):
-        col = (m & -m).bit_length() - 1
-        gray = m ^ (m >> 1)
-        delta = 1 if gray >> col & 1 else -1
-        for i in rows_of_col[col]:
-            old = sums[i]
-            new = old + delta
-            sums[i] = new
-            if old == 0:
-                zeros -= 1
-                prod *= new
-            elif new == 0:
-                zeros += 1
-                prod //= old
-            else:
-                prod = prod // old * new
-        sign = -sign
-        if zeros == 0:
-            total += sign * prod
-    return total if p % 2 == 0 else -total
+        b = m >> 1 | (m & 1) << (p - 1)
+        c = m >> q | (m & low) << (p - q)
+        if m | b | c != full:
+            continue
+        three = (m & b & c).bit_count()
+        two = (m & b | m & c | b & c).bit_count() - three
+        key = (two, three, m.bit_count() & 1)
+        tally[key] = tally.get(key, 0) + 1
+    # Ryser's sign is (-1)^(p - |m|)
+    return sum(n * 2**a * 3**t * (-1) ** (p + i) for (a, t, i), n in tally.items())
 
 
 def _ceil_cube_root(n: int) -> int:

@@ -326,8 +326,12 @@ def _check_path_bound(rng: random.Random, permclass) -> Optional[str]:
     s = rng.randint(0, 20)
     if r + s == 0:
         r = 1
-    ok = permclass.path_bound_check(permclass.build_path(r, s), r, s)
-    return None if ok else f"path bound fails for r={r} s={s}"
+    built = permclass.path_bound_check(permclass.build_path(r, s), r, s)
+    # the staircase E^r N^s has largest gap r*s, within r+s-1 only when
+    # r < 2 or s < 2, so a check that passes every word fails on it
+    stair = permclass.path_bound_check("E" * r + "N" * s, r, s)
+    ok = built and stair == (r < 2 or s < 2)
+    return None if ok else f"r={r} s={s}: built path {built}, staircase {stair}"
 
 
 def _check_divisibility_gap(rng: random.Random, permclass) -> Optional[str]:
@@ -406,9 +410,9 @@ class _Suite(NamedTuple):
 
 #: name -> its row; the largest pmax is where one worker stays near 10 s
 #: or less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
-#: ``witness`` 60 1.8-2.5 s, ``sign`` 23 7.1-8.7 s (one more takes 16.6 s) and
-#: ``permanent`` 18 5.7 s (one more 15.8 s); ``prime`` runs to Newton's
-#: limit, 19.3 s at 1000
+#: ``witness`` 60 1.8-2.5 s, ``sign`` 23 6.6-7.0 s (24 takes 11.6-12.5 s),
+#: ``permanent`` 18 3.2-3.5 s (19 takes 6.5-6.7 s; left to the common
+#: refit of every limit); ``prime`` runs to Newton's limit, 19.3 s at 1000
 _SUITES = {
     "support": _Suite(
         EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)

@@ -5,8 +5,38 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytext import parse as P
+from tricirc import circulant
 from tricirc.bipoly import ONE, X, Y, ZERO, BiPoly, Monomial, exact_div
 from tricirc.errors import NonExactDivision
+from tricirc.phi import CirculantSpec
+
+
+def long_division(a, b):
+    """Quotient of a by any nonzero b by monomial-ordered long division.
+
+    Each step divides the remainder's largest term in the canonical
+    order by b's; raises NonExactDivision when that fails.
+    """
+    bm = max(b.terms, key=Monomial.sort_key)
+    bc = b.terms[bm]
+    rem = dict(a.terms)
+    quot = {}
+    while rem:
+        lm = max(rem, key=Monomial.sort_key)
+        lc = rem[lm]
+        dr, ds = lm.r - bm.r, lm.s - bm.s
+        if dr < 0 or ds < 0 or lc % bc != 0:
+            raise NonExactDivision(f"{lc}*x^{lm.r}*y^{lm.s} is not divisible")
+        qc = lc // bc
+        quot[(dr, ds)] = qc
+        for m2, c2 in b.terms.items():
+            k = Monomial(m2.r + dr, m2.s + ds)
+            v = rem.get(k, 0) - qc * c2
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return BiPoly(quot)
 
 
 class TestBasics:
@@ -62,24 +92,41 @@ class TestMul:
 
 class TestExactDiv:
     def test_difference_of_squares(self):
-        assert exact_div(P("x^2 - y^2"), P("x - y")) == P("x + y")
+        assert exact_div(P("1 - x^2"), P("1 - x")) == P("1 + x")
 
     def test_unit_divisor(self):
         p = P("1 - x^8 - 8*x^5*y")
         assert exact_div(p, ONE) == p
 
     def test_constant_divisor(self):
-        assert exact_div(P("2*x^2 + 2*x*y"), BiPoly.constant(2)) == P("x^2 + x*y")
+        with pytest.raises(ValueError, match="constant term 1"):
+            exact_div(P("2*x^2 + 2*x*y"), BiPoly.constant(2))
 
     def test_nonexact_raises(self):
         with pytest.raises(NonExactDivision):
             exact_div(P("x^2 + 1"), P("x + 1"))
-        with pytest.raises(NonExactDivision):
+        with pytest.raises(ValueError, match="constant term 1"):
             exact_div(P("3*x"), BiPoly.constant(2))
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(X, ZERO)
+
+    def test_matches_long_division_on_every_bareiss_step(self, monkeypatch):
+        divisions = 0  # by a divisor other than ONE
+
+        def both(a, b):
+            nonlocal divisions
+            quot = exact_div(a, b)
+            assert quot == long_division(a, b), (a, b)
+            divisions += b != ONE
+            return quot
+
+        monkeypatch.setattr(circulant, "exact_div", both)
+        for p in range(3, 21):
+            for q in range(2, p):
+                circulant.det_bareiss(CirculantSpec(p, q))
+        assert divisions > 0
 
 
 class TestEval:
@@ -139,8 +186,7 @@ class TestRingAxioms:
 
     @given(polys, polys)
     def test_exact_div_inverts_mul(self, a, b):
-        if b.is_zero():
-            b = ONE
+        b = ONE + BiPoly({m: c for m, c in b.terms.items() if m != (0, 0)})
         assert exact_div(a * b, b) == a
 
     @given(polys, polys, points, points)

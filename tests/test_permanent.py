@@ -38,7 +38,47 @@ class TestGenerating:
             assert permanent_generating(p, q) == phi_polynomial(p, q).termwise_abs()
 
 
+def gray_code_ryser(p, q):
+    """Ryser's formula in Gray-code order, patching a running product.
+
+    Toggling column j changes the sums of exactly the three rows j,
+    j-1 and j-q (mod p); the product of the nonzero row sums is updated
+    by one exact division and one multiplication.
+    """
+    rows_of_col = [(j, (j - 1) % p, (j - q) % p) for j in range(p)]
+    sums = [0] * p
+    prod = 1       # product of the nonzero row sums
+    zeros = p      # number of zero row sums
+    sign = 1       # (-1)^{|subset|}
+    total = 0
+    for m in range(1, 1 << p):
+        col = (m & -m).bit_length() - 1
+        gray = m ^ (m >> 1)
+        delta = 1 if gray >> col & 1 else -1
+        for i in rows_of_col[col]:
+            old = sums[i]
+            new = old + delta
+            sums[i] = new
+            if old == 0:
+                zeros -= 1
+                prod *= new
+            elif new == 0:
+                zeros += 1
+                prod //= old
+            else:
+                prod = prod // old * new
+        sign = -sign
+        if zeros == 0:
+            total += sign * prod
+    return total if p % 2 == 0 else -total
+
+
 class TestRyser:
+    def test_matches_gray_code_reference(self):
+        for p in range(3, 17):
+            for q in range(2, p):
+                assert permanent_ryser(p, q) == gray_code_ryser(p, q), (p, q)
+
     def test_abs_sums_of_published_polynomials(self):
         assert permanent_ryser(5, 3) == 13
         assert permanent_ryser(8, 3) == 33

@@ -188,6 +188,14 @@ def test_lemmas_check_cyclic_order_against_its_definition(monkeypatch):
     assert bad.first_counterexample.startswith("cyclic_order: ")
 
 
+def test_lemmas_catch_a_path_bound_check_that_passes_every_word(monkeypatch):
+    monkeypatch.setattr(permclass, "path_bound_check", lambda word, r, s: True)
+    bad = run_suite("lemmas", cases=2000, workers=1)
+    assert bad.cases == 6000 and bad.failures >= 1
+    assert bad.first_counterexample.startswith("path_bound: ")
+    assert bad.first_counterexample.endswith("built path True, staircase True")
+
+
 def test_witness_checks_the_profiles_it_walks_against_the_classes(monkeypatch):
     # a nonempty_profiles that drops the classes with r + s = p leaves
     # every walked witness valid, so only the comparison with the
