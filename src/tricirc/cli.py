@@ -8,6 +8,15 @@ check (two routes disagreed: :class:`InternalInconsistency`), 2 usage
 error, 3 unsupported parameter regime, 141 stdout closed by its reader
 (the code a shell reports for a tool ended by SIGPIPE).
 
+Every command has one output path.  Its handler computes and checks,
+then returns its JSON payload (without ``"command"``) and its text or
+CSV lines; only then does :func:`run` print, so a check that raises
+leaves stdout empty.  ``--format json`` prints the payload with
+``"command"`` added as one sorted-key object, and only that branch
+imports :mod:`json`; any other format prints the lines, one ``print``
+each.  A payload with ``"passed": false`` (a failed ``verify`` suite)
+exits 1.
+
 ``verify`` is the only command that may start worker processes; set the
 environment variable TRICIRC_WORKERS to a positive integer to enable
 that.  ``verify.run_suite`` forks at most min(TRICIRC_WORKERS, cases,
@@ -28,8 +37,7 @@ Each command imports only the modules it uses.  Every command loads
 this module, :mod:`tricirc.phi` (the spec, Newton's identities, the
 class key and the coefficient report), :mod:`tricirc.bipoly` and
 :mod:`tricirc.errors`; ``--help`` and text-format ``phi`` and ``coeff``
-load nothing more, and :mod:`json` only when ``--format json`` is
-given.  Beyond those:
+load nothing more.  Beyond those:
 
 * ``phi`` and ``coeff`` with a ``--backend`` other than ``newton`` load
   :mod:`tricirc.circulant`, the home of the cross-check routes;
@@ -73,11 +81,6 @@ EXIT_UNSUPPORTED = 3
 EXIT_PIPE = 141
 
 
-def _emit_json(payload: dict) -> None:
-    import json
-    print(json.dumps(payload, sort_keys=True))
-
-
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -90,10 +93,10 @@ def _worker_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (JSON payload without "command", text lines)
 # ---------------------------------------------------------------------------
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> tuple[dict, list[str]]:
     spec = CirculantSpec(args.p, args.q, args.t)
     reduced = reduce_theta(spec)
     canon = reduced.spec
@@ -105,41 +108,31 @@ def _cmd_phi(args) -> int:
     poly = phimod.phi_polynomial(canon.p, canon.q, args.backend)
     if reduced.swapped:
         poly = poly.swap_xy()
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "phi",
-                "p": spec.p,
-                "q": spec.q,
-                "t": spec.t,
-                "canonical_q": canon.q,
-                "swapped": reduced.swapped,
-                "backend": args.backend or phimod.default_backend(canon.p, canon.q),
-                "polynomial": poly.to_json_dict(),
-            }
-        )
-    else:
-        print(poly.render())
-    return EXIT_OK
+    payload = {
+        "p": spec.p,
+        "q": spec.q,
+        "t": spec.t,
+        "canonical_q": canon.q,
+        "swapped": reduced.swapped,
+        "backend": args.backend or phimod.default_backend(canon.p, canon.q),
+        "polynomial": poly.to_json_dict(),
+    }
+    return payload, [poly.render()]
 
 
-def _cmd_coeff(args) -> int:
+def _cmd_coeff(args) -> tuple[dict, list[str]]:
     rep = phimod.coefficient(args.p, args.q, args.r, args.s, args.backend)
-    if args.format == "json":
-        payload = rep.to_json_dict()
-        payload["command"] = "coeff"
-        _emit_json(payload)
-    elif rep.present:
-        print(
+    if rep.present:
+        line = (
             f"a({rep.r},{rep.s}) = {rep.value} "
             f"[ell={rep.ell} k={rep.k} sign={rep.sign:+d} magnitude={rep.magnitude}]"
         )
     else:
-        print(f"a({rep.r},{rep.s}) = 0 [absent]")
-    return EXIT_OK
+        line = f"a({rep.r},{rep.s}) = 0 [absent]"
+    return rep.to_json_dict(), [line]
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[dict, list[str]]:
     from . import permclass
     key = PermClassKey(args.p, args.q, args.r, args.s)
     sigma = permclass.construct_witness(key)
@@ -152,27 +145,14 @@ def _cmd_witness(args) -> int:
             f"{sigma.sign():+d}, but its class has k = {rep.k} cycles of "
             f"{ones} 1-steps and {qs} q-steps and sign {rep.sign:+d}"
         )
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "witness",
-                "p": args.p,
-                "q": args.q,
-                "r": args.r,
-                "s": args.s,
-                "k": rep.k,
-                "sign": rep.sign,
-                "one_line": list(sigma.images),
-                "cycles": [list(c) for c in cycles],
-            }
-        )
-    else:
-        print(sigma.one_line())
-        print(permclass.cycle_notation(cycles))
-    return EXIT_OK
+    payload = {
+        "p": args.p, "q": args.q, "r": args.r, "s": args.s, "k": rep.k,
+        "sign": rep.sign, "one_line": sigma.images, "cycles": cycles,
+    }
+    return payload, [sigma.one_line(), permclass.cycle_notation(cycles)]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[dict, list[str]]:
     from . import permclass
     key = PermClassKey(args.p, args.q, args.r, args.s)
     members = permclass.enumerate_class(key)
@@ -181,57 +161,31 @@ def _cmd_enumerate(args) -> int:
         raise InternalInconsistency(
             f"{len(members)} members enumerated for {key}, but |a(r, s)| = {size}"
         )
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "enumerate",
-                "p": args.p,
-                "q": args.q,
-                "r": args.r,
-                "s": args.s,
-                "count": len(members),
-                "members": [list(m.images) for m in members],
-            }
-        )
-    else:
-        for m in members:
-            print(m.one_line())
-    return EXIT_OK
+    payload = {
+        "p": args.p, "q": args.q, "r": args.r, "s": args.s,
+        "count": len(members), "members": [m.images for m in members],
+    }
+    return payload, [m.one_line() for m in members]
 
 
-def _cmd_permanent(args) -> int:
+def _cmd_permanent(args) -> tuple[dict, list[str]]:
     from . import permanent as permmod
     rep = permmod.bounds_report(args.p, args.q, args.backend)
-    if args.format == "json":
-        payload = rep.to_json_dict()
-        payload["command"] = "permanent"
-        _emit_json(payload)
-    else:
-        print(f"d11 = {rep.d11}")
-        print(f"abs_sum = {rep.abs_sum}")
-        print(f"max_coeff = {rep.max_coeff}")
-        print(f"n_monomials = {rep.n_monomials}")
-        print(f"lower_bound = {rep.lower_bound}")
-        print(f"upper_bound = {rep.upper_bound}")
-        print(f"lower_ok = {str(rep.lower_ok).lower()}")
-        print(f"upper_ok = {str(rep.upper_ok).lower()}")
-        print(f"sandwich_ok = {str(rep.sandwich_ok).lower()}")
-    return EXIT_OK
+    lines = []
+    for name in rep.__slots__[2:]:  # every field after p and q
+        value = getattr(rep, name)
+        lines.append(f"{name} = {str(value).lower() if isinstance(value, bool) else value}")
+    return rep.to_json_dict(), lines
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args) -> tuple[dict, list[str]]:
     from . import permanent as permmod
     rows = permmod.growth_table(args.q, args.pmax)
-    if args.format == "json":
-        _emit_json(
-            {"command": "growth", "rows": [r.to_json_dict() for r in rows]}
-        )
-    else:
-        sys.stdout.write(permmod.growth_table_csv(rows))
-    return EXIT_OK
+    payload = {"rows": [r.to_json_dict() for r in rows]}
+    return payload, permmod.growth_table_csv(rows).splitlines()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, list[str]]:
     from . import verify as verifymod
     res = verifymod.run_suite(
         args.suite,
@@ -241,24 +195,28 @@ def _cmd_verify(args) -> int:
         args.seed,
         workers=_worker_count(),
     )
-    if args.format == "json":
-        payload = res.to_json_dict()
-        payload["command"] = "verify"
-        _emit_json(payload)
-    else:
-        shown = " ".join(f"{k}={v}" for k, v in sorted(res.parameters.items()))
-        print(f"suite={res.suite} {shown} cases={res.cases} failures={res.failures}")
-        if res.first_counterexample:
-            print(f"first_counterexample: {res.first_counterexample}")
-    return EXIT_OK if res.passed else EXIT_FAILED
+    shown = " ".join(f"{k}={v}" for k, v in sorted(res.parameters.items()))
+    lines = [f"suite={res.suite} {shown} cases={res.cases} failures={res.failures}"]
+    if res.first_counterexample:
+        lines.append(f"first_counterexample: {res.first_counterexample}")
+    return res.to_json_dict(), lines
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_format(sub, choices=("text", "json"), default="text"):
-    sub.add_argument("--format", choices=choices, default=default)
+#: command -> (help, integer flags, takes --backend, handler) for every
+#: command but ``verify``; each integer flag is required except --t,
+#: which defaults to 1
+_COMMANDS = {
+    "phi": ("print the determinant polynomial", "p q t", True, _cmd_phi),
+    "coeff": ("report one coefficient a(r, s)", "p q r s", True, _cmd_coeff),
+    "witness": ("construct one class member", "p q r s", False, _cmd_witness),
+    "enumerate": ("list a whole class (p <= 10)", "p q r s", False, _cmd_enumerate),
+    "permanent": ("permanent value and bounds", "p q", True, _cmd_permanent),
+    "growth": ("max-coefficient growth table", "q pmax", False, _cmd_growth),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,51 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     backend_choices = tuple(sorted(phimod.BACKENDS))
 
-    sp = subs.add_parser("phi", help="print the determinant polynomial")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--backend", choices=backend_choices, default=None)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_phi)
-
-    sp = subs.add_parser("coeff", help="report one coefficient a(r, s)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--backend", choices=backend_choices, default=None)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_coeff)
-
-    sp = subs.add_parser("witness", help="construct one class member")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_witness)
-
-    sp = subs.add_parser("enumerate", help="list a whole class (p <= 10)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_enumerate)
-
-    sp = subs.add_parser("permanent", help="permanent value and bounds")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--backend", choices=backend_choices, default=None)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_permanent)
-
-    sp = subs.add_parser("growth", help="max-coefficient growth table")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--pmax", type=int, required=True)
-    _add_format(sp, choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_growth)
+    for name, (help_text, flags, backend, handler) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        for flag in flags.split():
+            if flag == "t":
+                sp.add_argument("--t", type=int, default=1)
+            else:
+                sp.add_argument(f"--{flag}", type=int, required=True)
+        if backend:
+            sp.add_argument("--backend", choices=backend_choices, default=None)
+        text = "csv" if name == "growth" else "text"
+        sp.add_argument("--format", choices=(text, "json"), default=text)
+        sp.set_defaults(func=handler)
 
     sp = subs.add_parser("verify", help="run a named verification suite")
     sp.add_argument("--suite", required=True)
@@ -326,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--cases", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    _add_format(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse, compute, then print the command's JSON or its lines; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -341,13 +266,20 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except (IrreducibleSpec, StateSpaceTooLarge, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        import json
+        print(json.dumps({**payload, "command": args.command}, sort_keys=True))
+    else:
+        for line in lines:  # one print each, so a reader that closed stdout
+            print(line)  # early is seen at the next line's write
+    return EXIT_OK if payload.get("passed", True) else EXIT_FAILED
 
 
 def main() -> None:

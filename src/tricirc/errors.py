@@ -31,9 +31,5 @@ class InvalidKey(ValueError):
     """Class parameters are structurally impossible (e.g. r+s > p)."""
 
 
-class NotACycle(ValueError):
-    """A start/word pair revisits a point before the word is exhausted."""
-
-
 class InternalInconsistency(RuntimeError):
     """Two independent computation routes disagreed; indicates a bug."""

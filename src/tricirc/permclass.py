@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import EmptyClass, InvalidKey, NotACycle, TooLarge
+from .errors import EmptyClass, InternalInconsistency, InvalidKey, TooLarge
 from .phi import PermClassKey, Record
 
 #: largest p accepted by exhaustive class enumeration
@@ -291,19 +291,20 @@ def path_bound_check(word: str, r: int, s: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _walk_word(start: int, word, p: int) -> list[int]:
-    # points visited by the word; NotACycle on early repeats or an open end
+    # points visited by the word; construct_witness builds every word it
+    # walks, so an early repeat or an open end is InternalInconsistency
     points = [start]
     seen = {start}
     v = start
     for step in word[:-1]:
         v = (v + step - 1) % p + 1  # reduce_1p, inline
         if v in seen:
-            raise NotACycle(f"point {v} revisited before the word ended")
+            raise InternalInconsistency(f"point {v} revisited before the word ended")
         seen.add(v)
         points.append(v)
     v = (v + word[-1] - 1) % p + 1
     if v != start:
-        raise NotACycle(f"word from {start} ends at {v}, not back at the start")
+        raise InternalInconsistency(f"word from {start} ends at {v}, not back at the start")
     return points
 
 

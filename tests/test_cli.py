@@ -12,8 +12,10 @@ import jsonschema
 import pytest
 
 from tricirc import cli as climod
+from tricirc import permanent as permmod
 from tricirc import permclass
 from tricirc import phi as phimod
+from tricirc.bipoly import BiPoly
 from tricirc.errors import InternalInconsistency
 
 REPO = Path(__file__).resolve().parent.parent
@@ -170,6 +172,18 @@ class TestExitCodes:
         )
 
 
+#: golden file stem -> the call whose text (.txt) and JSON (.json) bytes it pins
+GOLDEN_RUNS = {
+    "coeff_8_3_2_2": ("coeff", "--p", "8", "--q", "3", "--r", "2", "--s", "2"),
+    "coeff_5_3_1_1": ("coeff", "--p", "5", "--q", "3", "--r", "1", "--s", "1"),
+    "witness_17_5_6_9": ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"),
+    "enumerate_5_3_2_1": ("enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1"),
+    "permanent_5_3": ("permanent", "--p", "5", "--q", "3"),
+    "growth_3_8": ("growth", "--q", "3", "--pmax", "8"),
+    "verify_prime_10": ("verify", "--suite", "prime", "--pmax", "10"),
+}
+
+
 class TestGolden:
     def test_phi_8_3_text_bytes(self):
         res = cli("phi", "--p", "8", "--q", "3")
@@ -184,6 +198,13 @@ class TestGolden:
         assert res.stdout == (GOLDEN / "phi_5_3.json").read_text()
         res = cli("phi", "--p", "8", "--q", "3", "--format", "json")
         assert res.stdout == (GOLDEN / "phi_8_3.json").read_text()
+
+    @pytest.mark.parametrize("suffix, fmt", [("txt", ()), ("json", ("--format", "json"))])
+    @pytest.mark.parametrize("stem", list(GOLDEN_RUNS))
+    def test_command_output_bytes(self, stem, suffix, fmt, capsys, monkeypatch):
+        monkeypatch.setenv(climod.WORKERS_ENV, "1")
+        assert climod.run([*GOLDEN_RUNS[stem], *fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{stem}.{suffix}").read_text()
 
 
 class TestJsonSchema:
@@ -556,3 +577,93 @@ class TestImportGate:
         res = cli("verify", "--suite", "everything")
         assert res.returncode == 2 and res.stdout == ""
         assert "unknown suite 'everything'; choose from ('support'," in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# corruption table: one faulty route, one small call, which check catches it
+# ---------------------------------------------------------------------------
+
+def newton_plus_one(monkeypatch):
+    # +1 on a(2, 1) of Newton's (5, 3) polynomial, -5 -> -4
+    real = phimod.BACKENDS["newton"]
+
+    def corrupt(spec):
+        poly = real(spec)
+        return poly + BiPoly({(2, 1): 1}) if (spec.p, spec.q) == (5, 3) else poly
+
+    monkeypatch.setitem(phimod.BACKENDS, "newton", corrupt)
+
+
+def term_sign_flipped(monkeypatch):
+    real = phimod.PermClassKey.term_sign.fget
+    flipped = property(lambda key: None if real(key) is None else -real(key))
+    monkeypatch.setattr(phimod.PermClassKey, "term_sign", flipped)
+
+
+def dp_count_plus_one(monkeypatch):
+    # +1 on the first count; the cached tuple itself is left alone
+    real = permmod.cycle_cover_counts
+
+    def corrupt(p, q):
+        (r, s, n), *rest = real(p, q)
+        return ((r, s, n + 1), *rest)
+
+    monkeypatch.setattr(permmod, "cycle_cover_counts", corrupt)
+
+
+def last_step_flipped(monkeypatch):
+    real = permclass._path_steps
+
+    def corrupt(r, s, east, north):
+        steps = real(r, s, east, north)
+        steps[-1] = north if steps[-1] == east else east
+        return steps
+
+    monkeypatch.setattr(permclass, "_path_steps", corrupt)
+
+
+ENUMERATE_5_3 = ("enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
+COEFF_5_3 = ("coeff", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
+PERMANENT_5_3 = ("permanent", "--p", "5", "--q", "3")
+
+#: (corruption, call, InternalInconsistency text) for every fault that a
+#: check in the call's own run catches
+CAUGHT = [
+    (newton_plus_one, ENUMERATE_5_3, r"5 members enumerated .* = 4"),
+    (newton_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
+    (term_sign_flipped, COEFF_5_3, "contradicts the gcd rule"),
+    (dp_count_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
+    (last_step_flipped, ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"),
+     "word from 1 ends at 14, not back at the start"),
+]
+
+#: (corruption, call, the ROADMAP item whose check would catch it): each
+#: call still prints the corrupted number and exits 0; a row moves to
+#: CAUGHT when its check lands, so this list can only shrink
+UNDETECTED = [
+    (newton_plus_one, ("phi", "--p", "5", "--q", "3"), 1),
+    (newton_plus_one, COEFF_5_3, 1),
+    (term_sign_flipped, ("phi", "--p", "5", "--q", "3", "--backend", "cycle_cover"), 1),
+    (dp_count_plus_one, ("growth", "--q", "3", "--pmax", "5"), 2),
+]
+
+
+def _row_id(row):
+    return f"{row[0].__name__}-{row[1][0]}"
+
+
+@pytest.mark.parametrize("corrupt, argv, text", CAUGHT, ids=map(_row_id, CAUGHT))
+def test_corruption_is_caught_before_printing(corrupt, argv, text, capsys, monkeypatch):
+    corrupt(monkeypatch)
+    with pytest.raises(InternalInconsistency, match=text):
+        climod.run(list(argv))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("corrupt, argv, item", UNDETECTED, ids=map(_row_id, UNDETECTED))
+def test_corruption_not_yet_caught(corrupt, argv, item, capsys, monkeypatch):
+    assert climod.run(list(argv)) == 0
+    clean = capsys.readouterr().out
+    corrupt(monkeypatch)
+    assert climod.run(list(argv)) == 0
+    assert capsys.readouterr().out != clean

@@ -18,7 +18,7 @@ PUBLIC = {
     ),
     "errors": (
         "EmptyClass InternalInconsistency InvalidKey IrreducibleSpec "
-        "NonExactDivision NotACycle StateSpaceTooLarge TooLarge"
+        "NonExactDivision StateSpaceTooLarge TooLarge"
     ),
     "permanent": (
         "RYSER_LIMIT GrowthRow PermanentReport bounds_report growth_table "

@@ -8,7 +8,7 @@ import pytest
 
 from tricirc.circulant import CirculantSpec, cycle_cover_counts, det_bruteforce
 from tricirc import permclass
-from tricirc.errors import EmptyClass, InvalidKey, NotACycle, TooLarge
+from tricirc.errors import EmptyClass, InternalInconsistency, InvalidKey, TooLarge
 from tricirc.permclass import (
     WITNESS_LIMIT,
     PermClassKey,
@@ -445,11 +445,11 @@ class TestCycleWord:
         assert permclass._walk_word(1, (1, 1, 1), 3) == [1, 2, 3]
 
     def test_early_revisit_raises(self):
-        with pytest.raises(NotACycle, match="point 1 revisited"):
+        with pytest.raises(InternalInconsistency, match="point 1 revisited"):
             permclass._walk_word(1, (1, 3, 3, 1), 4)
 
     def test_open_walk_raises(self):
-        with pytest.raises(NotACycle, match="ends at 3"):
+        with pytest.raises(InternalInconsistency, match="ends at 3"):
             permclass._walk_word(1, (1, 1), 4)
 
 
@@ -627,7 +627,7 @@ class TestWitness:
     ])
     def test_a_faulty_step_rule_raises(self, monkeypatch, key, rule, fault):
         monkeypatch.setattr(permclass, "_path_steps", rule)
-        with pytest.raises((NotACycle, AssertionError), match=fault):
+        with pytest.raises((InternalInconsistency, AssertionError), match=fault):
             construct_witness(key)
 
 class TestCyclicOrder:
