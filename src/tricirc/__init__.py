@@ -26,10 +26,7 @@ _HOMES = {
         "cycle_cover_counts det_bareiss det_bruteforce det_cycle_cover "
         "det_float_check dp_cost window_width"
     ),
-    "errors": (
-        "EmptyClass InternalInconsistency InvalidKey IrreducibleSpec "
-        "NonExactDivision StateSpaceTooLarge TooLarge"
-    ),
+    "errors": "InternalInconsistency IrreducibleSpec NonExactDivision TooLarge",
     "permanent": (
         "RYSER_LIMIT GrowthRow PermanentReport bounds_report growth_table "
         "growth_table_csv permanent_generating permanent_ryser"

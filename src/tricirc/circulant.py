@@ -28,8 +28,8 @@ stay in this module, under these names, because the benchmark imports
 ``cycle_cover_counts`` and the Bareiss and float-check routes from here
 and traces them as ``circulant.*``.
 
-Each exact route has a declared size limit and raises :class:`TooLarge`
-or :class:`StateSpaceTooLarge` beyond it instead of starting a run of
+Each exact route has a declared size limit (the DP a work budget) and
+raises :class:`TooLarge` beyond it instead of starting a run of
 unbounded length.  All functions are pure; different specs or backends
 may run concurrently.
 """
@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
-from .errors import StateSpaceTooLarge, TooLarge
+from .errors import InternalInconsistency, TooLarge
 # reduce_theta is not used here: benchmark/make_refs.py imports it from this module
 from .phi import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
 
@@ -86,7 +86,7 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     for k in range(p - 1):
         piv = rows[k].get(k, ZERO)
         if piv.constant_term() != 1:
-            raise AssertionError(
+            raise InternalInconsistency(
                 f"pivot at step {k} lost its unit constant term: {piv!r}"
             )
         scale_is_identity = piv == prev
@@ -126,7 +126,7 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
         prev = piv
     det = rows[p - 1].get(p - 1, ZERO)
     if det.constant_term() != 1:
-        raise AssertionError("determinant lost its unit constant term")
+        raise InternalInconsistency("determinant lost its unit constant term")
     return det
 
 
@@ -222,7 +222,7 @@ def dp_cost(p: int, q: int) -> float:
 
 
 def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
-    """Raise :class:`StateSpaceTooLarge` if the DP for (p, q) is over budget.
+    """Raise :class:`TooLarge` if the DP for (p, q) is over budget.
 
     With ``p_min`` the estimate is the sum of one DP for every p from
     p_min to p, as a table with one row per p runs them; the dearest
@@ -245,7 +245,7 @@ def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
         digits = next(
             d for d in range(2, 18) if f"{cost:.{d}g}" != f"{DP_BUDGET:.{d}g}"
         )
-        raise StateSpaceTooLarge(
+        raise TooLarge(
             f"the cycle-cover DP for {what} is estimated at "
             f"{cost:.{digits}g} work units, over the budget of "
             f"{DP_BUDGET:.{digits}g}"
@@ -266,7 +266,7 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     r + s <= p, which fixes r for every s > 0, while s = 0 has exactly
     two covers, the identity (r = 0) and the full shift (r = p).  So
     each DP value packs p+1 count slots, one per s.  Both facts are
-    checked on the result (AssertionError otherwise).
+    checked on the result (:class:`InternalInconsistency` otherwise).
 
     Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
     treat it as immutable).
@@ -324,7 +324,7 @@ def _unpack_counts(
 
     s = 0 must hold exactly the identity and the full shift, and every
     other nonzero slot must leave r = -sq mod p with r + s <= p;
-    AssertionError otherwise.  wbits is a multiple of 8.
+    :class:`InternalInconsistency` otherwise.  wbits is a multiple of 8.
     """
     size = wbits // 8
     data = total.to_bytes(size * (p + 1), "little")
@@ -333,7 +333,7 @@ def _unpack_counts(
         for i in range(0, len(data), size)
     ]
     if counts[0] != 2:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"s = 0 holds {counts[0]} covers for p={p}, q={q}, not 2"
         )
     out = [(0, 0, 1), (p, 0, 1)]
@@ -341,7 +341,7 @@ def _unpack_counts(
         if c:
             r = -s * q % p
             if r + s > p:
-                raise AssertionError(
+                raise InternalInconsistency(
                     f"{c} covers with s={s} need r={r}, so r+s > p={p}"
                 )
             out.append((r, s, c))

@@ -5,8 +5,11 @@ machine-readable output: identical inputs produce byte-identical
 text/json/csv (data goes to stdout, diagnostics to stderr).  Exit
 codes: 0 success, 1 a failed ``verify`` suite or a failed internal
 check (two routes disagreed: :class:`InternalInconsistency`), 2 usage
-error, 3 unsupported parameter regime, 141 stdout closed by its reader
-(the code a shell reports for a tool ended by SIGPIPE).
+error (:class:`ValueError`), 3 unsupported parameter regime
+(:class:`TooLarge`, :class:`IrreducibleSpec`), 141 stdout closed by its
+reader (the code a shell reports for a tool ended by SIGPIPE).  A failed
+internal check prints one ``error:`` line to stderr, as a refusal does,
+and no traceback.
 
 Every command has one output path.  Its handler computes and checks,
 then returns its JSON payload (without ``"command"``) and its text or
@@ -67,9 +70,7 @@ import os
 import sys
 
 from . import phi as phimod
-from .errors import (
-    InternalInconsistency, IrreducibleSpec, StateSpaceTooLarge, TooLarge,
-)
+from .errors import InternalInconsistency, IrreducibleSpec, TooLarge
 from .phi import CirculantSpec, PermClassKey, reduce_theta
 
 WORKERS_ENV = "TRICIRC_WORKERS"
@@ -267,12 +268,11 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         payload, lines = args.func(args)
-    except (IrreducibleSpec, StateSpaceTooLarge, TooLarge) as exc:
+    except (ValueError, InternalInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, (IrreducibleSpec, TooLarge)):
+            return EXIT_UNSUPPORTED
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_FAILED
     if args.format == "json":
         import json
         print(json.dumps({**payload, "command": args.command}, sort_keys=True))

@@ -1,35 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every failure is one of three kinds, each with its own CLI exit code:
+
+* a :class:`ValueError` is a usage error (exit 2);
+* :class:`TooLarge` or :class:`IrreducibleSpec` refuses an unsupported
+  regime (exit 3);
+* :class:`InternalInconsistency` is a failed internal check (exit 1).
+"""
 
 
-class NonExactDivision(ArithmeticError):
-    """Polynomial division left a nonzero remainder.
+class InternalInconsistency(RuntimeError):
+    """An internal check failed (two routes disagreed); indicates a bug."""
 
-    Raised by exact division when the divisor does not divide the
-    dividend in the integer polynomial ring.  Inside fraction-free
-    elimination this always signals a bug, never bad input, so callers
-    must not swallow it.
-    """
+
+class NonExactDivision(InternalInconsistency):
+    """An exact division left a nonzero remainder, which signals a bug."""
 
 
 class IrreducibleSpec(ValueError):
     """Neither band offset of a circulant spec is invertible modulo p."""
 
 
-class StateSpaceTooLarge(ValueError):
-    """The estimated work of the counting DP exceeds its budget."""
-
-
 class TooLarge(ValueError):
-    """Input size exceeds a factorial/exponential-cost guard."""
-
-
-class EmptyClass(ValueError):
-    """The requested permutation class is empty (p does not divide r+sq)."""
-
-
-class InvalidKey(ValueError):
-    """Class parameters are structurally impossible (e.g. r+s > p)."""
-
-
-class InternalInconsistency(RuntimeError):
-    """Two independent computation routes disagreed; indicates a bug."""
+    """Input size exceeds a factorial/exponential-cost or work guard."""

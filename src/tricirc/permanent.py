@@ -130,7 +130,7 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     (:class:`TooLarge`) rather than compare the DP with itself.  On
     every other backend the DP's budget is checked before the signed
     polynomial is computed, so an over-budget DP is refused before a
-    slow route runs (Bareiss takes about 30 s at p = 96).  Any
+    slow route runs (Bareiss takes 12.7-13.9 s at p = 96).  Any
     disagreement raises :class:`InternalInconsistency`, as does a printed
     ``upper_bound`` c without (c-1)^3 < 6^p <= c^3.  No bound check uses
     a float: the lower one cross-multiplies, the upper ones cube.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import EmptyClass, InternalInconsistency, InvalidKey, TooLarge
+from .errors import InternalInconsistency, TooLarge
 from .phi import PermClassKey, Record
 
 #: largest p accepted by exhaustive class enumeration
@@ -172,10 +172,10 @@ def predict_structure(key: PermClassKey) -> StructureReport:
     k = gcd(r, s, ell) nontrivial cycles, each with r/k 1-steps and s/k
     q-steps, common sign (-1)^(r+s+k).  The identity class (0, 0) gets
     the degenerate report k=0, sign +1.  An empty class raises
-    :class:`EmptyClass`.
+    ValueError.
     """
     if key.is_empty:
-        raise EmptyClass(f"{key} is an empty class: a(r, s) = 0")
+        raise ValueError(f"{key} is an empty class: a(r, s) = 0")
     if key.r == 0 and key.s == 0:
         return StructureReport(0, (0, 0), 1)
     k = key.k
@@ -260,7 +260,7 @@ def build_path(r: int, s: int) -> str:
         raise ValueError("need r, s >= 0 with r + s >= 1")
     word = "".join(_path_steps(r, s, "E", "N"))
     if word.count("E") != r or word.count("N") != s:
-        raise AssertionError(f"path construction missed ({r}, {s})")
+        raise InternalInconsistency(f"path construction missed ({r}, {s})")
     return word
 
 
@@ -325,11 +325,11 @@ def construct_witness(key: PermClassKey) -> Permutation:
     if p > WITNESS_LIMIT:
         raise TooLarge(f"witness construction is limited to p <= {WITNESS_LIMIT}")
     if not key.divisible:
-        raise EmptyClass(f"{p} does not divide {r}+{s}*{q}")
+        raise ValueError(f"{p} does not divide {r}+{s}*{q}")
     if r == 0 and s == 0:
         return Permutation.identity(p)
     if r + s > p:
-        raise InvalidKey(f"r+s = {r + s} exceeds p = {p}")
+        raise ValueError(f"r+s = {r + s} exceeds p = {p}")
     k = key.k
     walk = _walk_word(1, _path_steps(r // k, s // k, 1, q), p)
     images = list(range(p + 1))  # images[a] is the image of a; 0 is unused
@@ -339,7 +339,7 @@ def construct_witness(key: PermClassKey) -> Permutation:
         cycle = [(v + shift - 1) % p + 1 for v in walk] if j else walk
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if owner[a]:
-                raise AssertionError(
+                raise InternalInconsistency(
                     f"witness cycles for {key} are not disjoint at point {a}"
                 )
             owner[a] = 1
@@ -347,7 +347,7 @@ def construct_witness(key: PermClassKey) -> Permutation:
     del images[0]
     sigma = Permutation(images)
     if displacement_profile(sigma, p, q) != (r, s, p - r - s):
-        raise AssertionError(f"witness for {key} has the wrong profile")
+        raise InternalInconsistency(f"witness for {key} has the wrong profile")
     return sigma
 
 

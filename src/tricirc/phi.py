@@ -248,7 +248,7 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
         {(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()}
     )
     if det.constant_term() != 1:
-        raise AssertionError("determinant lost its unit constant term")
+        raise InternalInconsistency("determinant lost its unit constant term")
     return det
 
 

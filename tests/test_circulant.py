@@ -32,9 +32,9 @@ from tricirc.phi import (
     reduce_theta,
 )
 from tricirc.errors import (
+    InternalInconsistency,
     IrreducibleSpec,
     NonExactDivision,
-    StateSpaceTooLarge,
     TooLarge,
 )
 
@@ -302,12 +302,12 @@ class TestSizeLimits:
         # its window is one bit wider than that of (28, 14) at 16 s
         for p, q in ((30, 15), (32, 13), (28, 14), (3000, 3), (4000, 2)):
             assert dp_cost(p, q) > DP_BUDGET, (p, q)
-            with pytest.raises(StateSpaceTooLarge):
+            with pytest.raises(TooLarge):
                 cycle_cover_counts(p, q)
 
     def test_refusal_tells_estimate_and_budget_apart(self):
         # (284, 8) is just over the budget: both read 1.5e+09 at 2 digits
-        with pytest.raises(StateSpaceTooLarge) as exc:
+        with pytest.raises(TooLarge) as exc:
             cycle_cover_counts(284, 8)
         words = str(exc.value).split()
         estimate = words[words.index("at") + 1]
@@ -362,7 +362,7 @@ class TestCycleCover:
 
     def test_window_guard(self):
         assert window_width(40, 20) == 21
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(TooLarge):
             cycle_cover_counts(40, 20)
 
     def test_counts_are_cached_tuples(self):
@@ -391,10 +391,10 @@ class TestCycleCover:
         assert circulant._unpack_counts(2 + (5 << 64), 5, 3, 64) == (
             (0, 0, 1), (2, 1, 5), (5, 0, 1)
         )
-        with pytest.raises(AssertionError, match="s = 0 holds 1"):
+        with pytest.raises(InternalInconsistency, match="s = 0 holds 1"):
             circulant._unpack_counts(1 + (5 << 64), 5, 3, 64)
         # s = 4 needs r = -12 mod 5 = 3, and 3 + 4 > 5
-        with pytest.raises(AssertionError, match="r\\+s > p"):
+        with pytest.raises(InternalInconsistency, match="r\\+s > p"):
             circulant._unpack_counts(2 + (1 << 256), 5, 3, 64)
 
 

@@ -11,12 +11,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from tricirc import circulant
 from tricirc import cli as climod
 from tricirc import permanent as permmod
 from tricirc import permclass
 from tricirc import phi as phimod
 from tricirc.bipoly import BiPoly
-from tricirc.errors import InternalInconsistency
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -36,6 +36,15 @@ def cli(*argv, env_extra=None):
 
 def check_schema(doc):
     jsonschema.validate(doc, SCHEMA)
+
+
+def assert_failed_check(argv, text, capsys):
+    """``run`` exits 1 with stdout empty and one stderr line, ``error: `` then text."""
+    assert climod.run(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and re.search(text, line[len("error: "):]), line
 
 
 class TestExitCodes:
@@ -160,6 +169,23 @@ class TestExitCodes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == climod.EXIT_PIPE == 141
         assert "Traceback" not in err, err
+
+    def test_failed_check_through_main_is_one_error_line(self):
+        # the DP's packed total +1 puts 3 covers in slot s = 0
+        patched = (
+            "from tricirc import circulant, cli\n"
+            "real = circulant._unpack_counts\n"
+            "circulant._unpack_counts = lambda total, *rest: real(total + 1, *rest)\n"
+            "cli.main()\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", patched, "permanent", "--p", "5", "--q", "3"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == climod.EXIT_FAILED == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr, res.stderr
+        assert res.stderr.splitlines() == ["error: s = 0 holds 3 covers for p=5, q=3, not 2"]
 
     def test_verify_failure_is_exit_1(self, capsys, monkeypatch):
         real = phimod.trial_division
@@ -296,9 +322,7 @@ class TestTextFormats:
 
         monkeypatch.setattr(permclass, "enumerate_by_profile", drops_one)
         argv = ["enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1"]
-        with pytest.raises(InternalInconsistency, match=r"4 members .* = 5"):
-            climod.run(argv)
-        assert capsys.readouterr().out == ""
+        assert_failed_check(argv, r"4 members .* = 5", capsys)
 
     @pytest.mark.parametrize("field", ["k", "sign"])
     def test_witness_checks_the_structure_it_prints(self, field, capsys, monkeypatch):
@@ -315,9 +339,7 @@ class TestTextFormats:
         monkeypatch.setattr(permclass, "predict_structure", wrong)
         argv = ["witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9",
                 "--format", "json"]
-        with pytest.raises(InternalInconsistency, match=r"has 3 cycles and sign \+1"):
-            climod.run(argv)
-        assert capsys.readouterr().out == ""
+        assert_failed_check(argv, r"has 3 cycles and sign \+1", capsys)
 
     def test_witness_checks_the_steps_of_each_cycle(self):
         # a class rule that keeps k and the sign but swaps the steps of
@@ -337,10 +359,12 @@ class TestTextFormats:
             [sys.executable, "-c", patched, *argv], capture_output=True, text=True
         )
         assert res.returncode == 1 and res.stdout == ""
+        assert "Traceback" not in res.stderr, res.stderr
+        [line] = res.stderr.splitlines()
         assert (
             "has 3 cycles and sign +1, but its class has k = 3 cycles of "
             "3 1-steps and 2 q-steps and sign +1"
-        ) in res.stderr
+        ) in line
         assert cli(*argv).returncode == 0
 
     def test_witness_walks_its_member_once(self, capsys, monkeypatch):
@@ -622,12 +646,36 @@ def last_step_flipped(monkeypatch):
     monkeypatch.setattr(permclass, "_path_steps", corrupt)
 
 
+def unpack_total_plus_one(monkeypatch):
+    # +1 on the DP's packed total puts 3 covers in slot s = 0; the cache is
+    # cleared first, or a clean result from an earlier call hides the fault
+    real = circulant._unpack_counts
+    circulant.cycle_cover_counts.cache_clear()
+    monkeypatch.setattr(
+        circulant, "_unpack_counts", lambda total, *rest: real(total + 1, *rest)
+    )
+
+
+def power_sum_plus_one(monkeypatch):
+    # +1 on the x^5 term of tr(A^5) for (5, 3), which Newton divides by 5
+    real = phimod.power_sums
+
+    def corrupt(p, q):
+        sums = real(p, q)
+        if (p, q) == (5, 3):
+            sums[5][0] += 1
+        return sums
+
+    monkeypatch.setattr(phimod, "power_sums", corrupt)
+
+
 ENUMERATE_5_3 = ("enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 COEFF_5_3 = ("coeff", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 PERMANENT_5_3 = ("permanent", "--p", "5", "--q", "3")
 
 #: (corruption, call, InternalInconsistency text) for every fault that a
-#: check in the call's own run catches
+#: check in the call's own run catches; the call exits 1 with the text
+#: on one stderr line
 CAUGHT = [
     (newton_plus_one, ENUMERATE_5_3, r"5 members enumerated .* = 4"),
     (newton_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
@@ -635,6 +683,8 @@ CAUGHT = [
     (dp_count_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
     (last_step_flipped, ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"),
      "word from 1 ends at 14, not back at the start"),
+    (unpack_total_plus_one, PERMANENT_5_3, "s = 0 holds 3 covers"),
+    (power_sum_plus_one, ("phi", "--p", "5", "--q", "3"), "5 does not divide the coefficient -6"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each
@@ -655,9 +705,7 @@ def _row_id(row):
 @pytest.mark.parametrize("corrupt, argv, text", CAUGHT, ids=map(_row_id, CAUGHT))
 def test_corruption_is_caught_before_printing(corrupt, argv, text, capsys, monkeypatch):
     corrupt(monkeypatch)
-    with pytest.raises(InternalInconsistency, match=text):
-        climod.run(list(argv))
-    assert capsys.readouterr().out == ""
+    assert_failed_check(argv, text, capsys)
 
 
 @pytest.mark.parametrize("corrupt, argv, item", UNDETECTED, ids=map(_row_id, UNDETECTED))

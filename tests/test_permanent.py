@@ -132,7 +132,7 @@ class TestBounds:
 
     def test_d11_comes_from_the_dp_without_ryser(self, monkeypatch):
         def no_ryser(p, q):
-            raise AssertionError("Ryser must not run")
+            pytest.fail("Ryser must not run")
 
         monkeypatch.setattr(permmod, "permanent_ryser", no_ryser)
         rep = bounds_report(20, 19)
@@ -150,7 +150,7 @@ class TestBounds:
 
     def test_dp_backend_takes_d11_from_ryser(self, monkeypatch):
         def no_dp(p, q):
-            raise AssertionError("the unsigned DP must not give d11")
+            pytest.fail("the unsigned DP must not give d11")
 
         monkeypatch.setattr(permmod, "permanent_generating", no_dp)
         assert bounds_report(8, 3, "cycle_cover").d11 == 33
@@ -160,14 +160,16 @@ class TestBounds:
             bounds_report(8, 3, "cycle_cover")
 
     @pytest.mark.parametrize("off", [1, -1])
-    def test_printed_upper_bound_is_checked(self, monkeypatch, off):
+    def test_printed_upper_bound_is_checked(self, monkeypatch, capsys, off):
         ceil_cube_root = permmod._ceil_cube_root
         assert ceil_cube_root(6**10) == 393
         monkeypatch.setattr(
             permmod, "_ceil_cube_root", lambda n: ceil_cube_root(n) + off
         )
-        with pytest.raises(InternalInconsistency, match="upper bound"):
-            cli.run(["permanent", "--p", "10", "--q", "3"])
+        assert cli.run(["permanent", "--p", "10", "--q", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: upper bound {393 + off} is not ceil(6^(10/3))"]
 
 
 class TestGrowth:
