@@ -40,7 +40,7 @@ def _display_key(m: Monomial) -> tuple[int, int]:
 class BiPoly:
     """A sparse bivariate polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         canon: dict[Monomial, int] = {}
@@ -53,7 +53,6 @@ class BiPoly:
                     raise ValueError(f"negative exponent in monomial {key!r}")
                 canon[Monomial(r, s)] = c
         self._terms = canon
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -129,9 +128,7 @@ class BiPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"BiPoly({self.render()!r})"
@@ -203,7 +200,6 @@ def _wrap(canon: dict) -> BiPoly:
     # internal: keys are already Monomial instances and values nonzero
     p = BiPoly.__new__(BiPoly)
     p._terms = canon
-    p._hash = None
     return p
 
 

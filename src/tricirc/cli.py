@@ -101,14 +101,14 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     spec = CirculantSpec(args.p, args.q, args.t)
     reduced = reduce_theta(spec)
     canon = reduced.spec
-    if canon != spec:
+    poly = phimod.phi_polynomial(canon.p, canon.q, args.backend)
+    if reduced.swapped:
+        poly = poly.swap_xy()
+    if canon != spec:  # only once computed, so a failure prints one line
         note = f"note: reduced to q' = {canon.q}"
         if reduced.swapped:
             note += " with x and y exchanged"
         print(note, file=sys.stderr)
-    poly = phimod.phi_polynomial(canon.p, canon.q, args.backend)
-    if reduced.swapped:
-        poly = poly.swap_xy()
     payload = {
         "p": spec.p,
         "q": spec.q,

@@ -9,7 +9,7 @@ the absolute coefficient values.  This module computes that permanent
 and checks it against classical two-sided bounds:
 
 * the unsigned cycle-cover DP shared with the determinant backends, the
-  route :func:`bounds_report` and :func:`growth_table` take;
+  route :func:`bounds_report` (and so :func:`growth_table`) takes;
 * Ryser inclusion-exclusion over column bitmasks (exact, p <= 24), an
   independent route for the ``permanent`` verify suite and for
   :func:`bounds_report` when its signed polynomial is the DP's own;
@@ -204,11 +204,11 @@ class GrowthRow(Record):
 def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     """Max-coefficient growth for fixed q, p from q+1 (at least 3) up.
 
-    Values come from the unsigned DP; the p-th root column is float and
-    purely presentational, taken through the logarithm so that no M is
-    too large for it.  sandwich_ok records whether d11/N <= M <= d11
-    held (checked exactly).  A table whose DPs together are over budget
-    is refused up front.
+    Each row is read off :func:`bounds_report`, so its DP counts are
+    checked against |Newton| term by term; only the display column, the
+    float p-th root of M, is computed here, through the logarithm so
+    that no M is too large for it.  A table whose DPs together are over
+    budget is refused up front.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got q={q}")
@@ -218,19 +218,16 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     check_dp_budget(p_max, q, p_min)
     rows = []
     for p in range(p_min, p_max + 1):
-        gen = permanent_generating(p, q)
-        d11 = gen.evaluate(1, 1)
-        m = gen.max_abs_coefficient()
-        n = len(gen)
+        rep = bounds_report(p, q)
         rows.append(
             GrowthRow(
                 p=p,
                 q=q,
-                max_coeff=m,
-                d11=d11,
-                n_monomials=n,
-                root=exp(log(m) / p),
-                sandwich_ok=d11 <= m * n and m <= d11,
+                max_coeff=rep.max_coeff,
+                d11=rep.d11,
+                n_monomials=rep.n_monomials,
+                root=exp(log(rep.max_coeff) / p),
+                sandwich_ok=rep.sandwich_ok,
             )
         )
     return rows

@@ -51,6 +51,8 @@ class TestBasics:
         assert BiPoly({(1, 1): 2}) == BiPoly({(1, 1): 2})
         assert BiPoly({(1, 1): 2}) != BiPoly({(1, 1): 3})
         assert ZERO == BiPoly() and ONE == BiPoly.constant(1)
+        # equal polynomials hash alike, built by a product or from terms
+        assert hash(X * Y + ONE) == hash(BiPoly({(0, 0): 1, (1, 1): 1}))
 
     def test_only_polynomial_operands(self):
         for op in (lambda: X + 1, lambda: 1 + X, lambda: X - 1, lambda: 2 * X):

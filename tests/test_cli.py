@@ -411,6 +411,13 @@ class TestTextFormats:
         assert "reduced" in res.stderr
         assert res.stdout.startswith("1 - x^5")
 
+    def test_refused_reduced_spec_prints_only_the_error(self, capsys):
+        # canonical (1001, 2) is past NEWTON_LIMIT: no note before the error
+        assert climod.run(["phi", "--p", "1001", "--q", "2", "--t", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: Newton's identities are limited to p <= 1000"]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
@@ -685,6 +692,10 @@ CAUGHT = [
      "word from 1 ends at 14, not back at the start"),
     (unpack_total_plus_one, PERMANENT_5_3, "s = 0 holds 3 covers"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "3"), "5 does not divide the coefficient -6"),
+    (power_sum_plus_one, ("phi", "--p", "5", "--q", "4", "--t", "3"),
+     "5 does not divide the coefficient -6"),
+    (dp_count_plus_one, ("growth", "--q", "3", "--pmax", "5"),
+     "differs from the absolute determinant"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each
@@ -694,12 +705,14 @@ UNDETECTED = [
     (newton_plus_one, ("phi", "--p", "5", "--q", "3"), 1),
     (newton_plus_one, COEFF_5_3, 1),
     (term_sign_flipped, ("phi", "--p", "5", "--q", "3", "--backend", "cycle_cover"), 1),
-    (dp_count_plus_one, ("growth", "--q", "3", "--pmax", "5"), 2),
 ]
 
 
 def _row_id(row):
-    return f"{row[0].__name__}-{row[1][0]}"
+    corrupt, argv = row[:2]
+    # a reduced spec is a second row for the same corruption and command
+    reduced = f"-t{argv[argv.index('--t') + 1]}" if "--t" in argv else ""
+    return f"{corrupt.__name__}-{argv[0]}{reduced}"
 
 
 @pytest.mark.parametrize("corrupt, argv, text", CAUGHT, ids=map(_row_id, CAUGHT))

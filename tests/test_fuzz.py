@@ -6,7 +6,8 @@ suites and every integer flag an edge value (-1, 0, each declared limit
 plus one, 10^6 or 10^18).  Required flags are always given, optional
 ones half the time.  Each argv runs in process through ``cli.run``.
 A refusal must come within ``REFUSAL_S`` with exit 2 or 3, empty
-stdout and one ``error:`` line on stderr; no argv may raise.
+stdout and exactly one stderr line, the ``error:`` line (no ``note:``
+before it); no argv may raise.
 
 Admitted argvs (exit 0) are not the subject.  Some run for seconds
 (``permanent --p 61 --q 11`` is inside the DP's budget), so a run still
@@ -112,7 +113,7 @@ def test_refused_input_fails_fast_and_cleanly(capsys, monkeypatch):
             assert elapsed < REFUSAL_S, (shown, elapsed)
             assert out == "", shown
             assert "Traceback" not in err, shown
-            assert sum("error:" in line for line in err.splitlines()) == 1, (shown, err)
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (shown, err)
     finally:
         signal.signal(signal.SIGALRM, previous)
     # edge values are mostly out of range: most of the argvs are refusals

@@ -1,22 +1,46 @@
 """Permanent values, Ryser agreement and the exact two-sided bounds."""
 
+import importlib.util
 from fractions import Fraction
+from math import exp, log
+from pathlib import Path
 
 import pytest
 
 from polytext import parse
 from tricirc import cli
 from tricirc import permanent as permmod
-from tricirc.bipoly import BiPoly
+from tricirc.circulant import check_dp_budget
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import (
+    GrowthRow,
+    PermanentReport,
     bounds_report,
     growth_table,
     growth_table_csv,
     permanent_generating,
     permanent_ryser,
 )
-from tricirc.phi import phi_polynomial
+from tricirc.phi import NEWTON_LIMIT, phi_polynomial
+
+
+def benchmark_growth_pmax() -> dict:
+    """q -> largest growth-table pmax in the benchmark's catalogue."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.GROWTH_PMAX
+
+
+def dp_growth_rows(q, p_max):
+    """Reference rows from the unsigned DP alone, the sandwich rule restated."""
+    rows = []
+    for p in range(max(3, q + 1), p_max + 1):
+        gen = permanent_generating(p, q)
+        d11, m, n = gen.evaluate(1, 1), gen.max_abs_coefficient(), len(gen)
+        rows.append(GrowthRow(p, q, m, d11, n, exp(log(m) / p), d11 <= m * n and m <= d11))
+    return rows
 
 
 class TestGenerating:
@@ -195,14 +219,30 @@ class TestGrowth:
 
     def test_root_of_a_coefficient_past_float_range(self, monkeypatch):
         big = 10**401
-        monkeypatch.setattr(
-            permmod,
-            "permanent_generating",
-            lambda p, q: BiPoly({(0, 0): 1, (p, 0): 1, (1, 1): big}),
-        )
+
+        def stub(p, q):
+            rep = bounds_report(p, q)
+            fields = {name: getattr(rep, name) for name in rep.__slots__}
+            fields.update(d11=big + 2, abs_sum=big + 2, max_coeff=big)
+            return PermanentReport(**fields)
+
+        monkeypatch.setattr(permmod, "bounds_report", stub)
         (row,) = growth_table(2, 3)
-        assert row.max_coeff == big
+        assert row.max_coeff == big and row.d11 == big + 2
         assert row.root == pytest.approx(10 ** (401 / 3))
+
+    @pytest.mark.parametrize(
+        "q, p_max", [*benchmark_growth_pmax().items(), (8, 30)]
+    )
+    def test_rows_match_the_dp_alone(self, q, p_max):
+        assert growth_table(q, p_max) == dp_growth_rows(q, p_max)
+
+    def test_every_row_of_an_admitted_table_is_inside_newtons_limit(self):
+        # q = 2 has the narrowest DP window, so the longest admitted table
+        check_dp_budget(510, 2, 3)
+        with pytest.raises(TooLarge):
+            check_dp_budget(511, 2, 3)
+        assert 510 < NEWTON_LIMIT
 
     def test_pmax_validation(self):
         with pytest.raises(ValueError):
