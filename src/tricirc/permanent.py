@@ -25,7 +25,7 @@ from math import exp, factorial, log
 from .bipoly import BiPoly
 from .circulant import check_dp_budget, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
-from .phi import PermClassKey, Record, phi_polynomial
+from .phi import NEWTON_LIMIT, PermClassKey, Record, phi_polynomial
 
 #: largest p accepted by the Ryser expansion (cost 2^p bitmask steps)
 RYSER_LIMIT = 24
@@ -207,8 +207,9 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     Each row is read off :func:`bounds_report`, so its DP counts are
     checked against |Newton| term by term; only the display column, the
     float p-th root of M, is computed here, through the logarithm so
-    that no M is too large for it.  A table whose DPs together are over
-    budget is refused up front.
+    that no M is too large for it.  A table is refused up front if its
+    DPs together are over budget or if p_max passes NEWTON_LIMIT, which
+    the budget alone admits when q is next to p (a 3-5 bit DP window).
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got q={q}")
@@ -216,6 +217,10 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     if p_max < p_min:
         raise ValueError(f"p_max must be at least {p_min} for q={q}")
     check_dp_budget(p_max, q, p_min)
+    if p_max > NEWTON_LIMIT:
+        raise TooLarge(
+            f"each growth row runs Newton's identities, limited to p <= {NEWTON_LIMIT}"
+        )
     rows = []
     for p in range(p_min, p_max + 1):
         rep = bounds_report(p, q)

@@ -131,6 +131,16 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 2.0
         assert res.returncode == 0 and "upper_ok = true" in res.stdout
 
+    def test_growth_past_newtons_limit_is_refused_up_front(self):
+        # within the DP budget, but every row is checked against Newton
+        t0 = time.perf_counter()
+        res = cli("growth", "--q", "1000", "--pmax", "1001")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr == (
+            "error: each growth row runs Newton's identities, limited to p <= 1000\n"
+        )
+
     def test_permanent_on_dp_backend_past_ryser_limit_names_reason(self):
         res = cli("permanent", "--p", "25", "--q", "3", "--backend", "cycle_cover")
         assert res.returncode == 3 and res.stdout == ""

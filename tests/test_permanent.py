@@ -4,6 +4,7 @@ import importlib.util
 from fractions import Fraction
 from math import exp, log
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -237,12 +238,28 @@ class TestGrowth:
     def test_rows_match_the_dp_alone(self, q, p_max):
         assert growth_table(q, p_max) == dp_growth_rows(q, p_max)
 
-    def test_every_row_of_an_admitted_table_is_inside_newtons_limit(self):
-        # q = 2 has the narrowest DP window, so the longest admitted table
-        check_dp_budget(510, 2, 3)
-        with pytest.raises(TooLarge):
-            check_dp_budget(511, 2, 3)
-        assert 510 < NEWTON_LIMIT
+    def test_table_past_newtons_limit_is_refused_before_any_row(self, monkeypatch):
+        # the DP window min(q+1, p-q+2) is 3 bits here, so the budget admits it
+        q, p_max = NEWTON_LIMIT, NEWTON_LIMIT + 1
+        check_dp_budget(p_max, q, q + 1)
+
+        def no_row(p, q):
+            pytest.fail(f"row p={p} computed before the refusal")
+
+        monkeypatch.setattr(permmod, "bounds_report", no_row)
+        with pytest.raises(TooLarge, match=f"limited to p <= {NEWTON_LIMIT}"):
+            growth_table(q, p_max)
+
+    def test_table_up_to_newtons_limit_is_admitted(self, monkeypatch):
+        seen = []
+
+        def stub(p, q):
+            seen.append(p)
+            return SimpleNamespace(max_coeff=1, d11=1, n_monomials=1, sandwich_ok=True)
+
+        monkeypatch.setattr(permmod, "bounds_report", stub)
+        growth_table(NEWTON_LIMIT - 2, NEWTON_LIMIT)
+        assert seen == [NEWTON_LIMIT - 1, NEWTON_LIMIT]
 
     def test_pmax_validation(self):
         with pytest.raises(ValueError):
