@@ -83,10 +83,11 @@ class BiPoly:
         return len(self._terms)
 
     def coefficient(self, r: int, s: int) -> int:
-        return self._terms.get(Monomial(r, s), 0)
+        # a Monomial hashes and compares as its plain tuple
+        return self._terms.get((r, s), 0)
 
     def constant_term(self) -> int:
-        return self._terms.get(Monomial(0, 0), 0)
+        return self._terms.get((0, 0), 0)
 
     # -- ring operations ----------------------------------------------
 

@@ -28,23 +28,32 @@ stay in this module, under these names, because the benchmark imports
 ``cycle_cover_counts`` and the Bareiss and float-check routes from here
 and traces them as ``circulant.*``.
 
-Each exact route has a declared size limit (the DP a work budget) and
-raises :class:`TooLarge` beyond it instead of starting a run of
-unbounded length.  All functions are pure; different specs or backends
-may run concurrently.
+Elimination and the DP need not run at q itself.  Re-indexing Z_p
+maps the determinant at q exactly onto the one at 1/q, 1-q and their
+compositions (:func:`symmetric_images`), so each runs at its cheapest
+image and maps the result back: elimination at the smallest image
+other than p/2, the DP at the one with the narrowest window.  Newton
+and brute force stay at q, so the ``sign`` suite compares routes that
+ran at up to three different offsets.
+
+Each exact route has a declared size limit (the DP a work budget),
+judged on the (p, q) that was asked for, and raises :class:`TooLarge`
+beyond it instead of starting a run of unbounded length.  All
+functions are pure; different specs or backends may run concurrently.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
 from .errors import InternalInconsistency, TooLarge
 # reduce_theta is not used here: benchmark/make_refs.py imports it from this module
 from .phi import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
 
-#: largest p accepted by fraction-free elimination ((96, 48) takes
-#: 12.7-13.9 s on a 2-CPU host with Python 3.11)
+#: largest p accepted by fraction-free elimination ((96, 48), run at
+#: its image 49, takes 1.8-2.4 s on a 2-CPU host with Python 3.11)
 BAREISS_LIMIT = 96
 
 #: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
@@ -57,11 +66,89 @@ BRUTEFORCE_LIMIT = 10
 
 
 # ---------------------------------------------------------------------------
+# symmetric images of q
+# ---------------------------------------------------------------------------
+
+def symmetric_images(p: int, q: int) -> dict[int, str]:
+    """Every offset q' whose determinant gives that of (p, q), with the way back.
+
+    Re-indexing Z_p by an affine map leaves the product
+    prod_j (1 - x w^j - y w^(qj)) unchanged up to two exact rewrites,
+    S and T, each its own inverse:
+
+    * S: q -> 1/q mod p, only when gcd(q, p) = 1.  Re-indexing j by qj
+      gives phi_q(x, y) = phi_(1/q)(y, x), so a_q(r, s) = a_(1/q)(s, r).
+    * T: q -> 1 - q mod p.  Taking w^j out of every factor and
+      re-indexing j by -j gives a_q(r, s) = -(-1)^s a_(1-q)(p-r-s, s).
+
+    Maps each image q' (q included) to the word of steps, ``"S"`` and
+    ``"T"``, that leads from q to q', shortest first; undone last step
+    first (:func:`_from_image`), a word maps q''s coefficients back to
+    q's with exact signs.  The steps generate the anharmonic group
+    (q, 1/q, 1-q, 1/(1-q), q/(q-1), (q-1)/q), so there are at most six
+    images, reached by words of length 0 to 3.
+    """
+    PermClassKey.check_pair(p, q)
+    words = {q: ""}
+    frontier = [q]  # grows while it is walked: breadth first
+    for g in frontier:
+        steps = [("T", (1 - g) % p)]
+        if gcd(g, p) == 1:
+            steps.insert(0, ("S", pow(g, -1, p)))
+        for step, image in steps:
+            if image not in words:
+                words[image] = words[g] + step
+                frontier.append(image)
+    return words
+
+
+def _from_image(
+    triples, p: int, word: str, signed: bool
+) -> list[tuple[int, int, int]]:
+    """The (r, s, c) of q from those of the image that ``word`` leads to.
+
+    The word's steps are undone last first: S swaps r and s, T sends r
+    to p-r-s and, for signed coefficients, c to -(-1)^s c.  Unsigned
+    counts (``signed`` false) keep their value.
+    """
+    triples = list(triples)
+    for step in reversed(word):
+        if step == "S":
+            triples = [(s, r, c) for r, s, c in triples]
+        else:
+            triples = [
+                (p - r - s, s, c if s % 2 or not signed else -c)
+                for r, s, c in triples
+            ]
+    return triples
+
+
+# ---------------------------------------------------------------------------
 # Bareiss fraction-free elimination
 # ---------------------------------------------------------------------------
 
 def det_bareiss(spec: CirculantSpec) -> BiPoly:
-    """Exact determinant by fraction-free elimination.
+    """Exact determinant by fraction-free elimination, at the cheapest image of q.
+
+    The elimination runs at the smallest of :func:`symmetric_images`
+    other than p/2 and is mapped back.  Small offsets eliminate fastest,
+    except p/2: (48, 24) took 0.38 s and its image (48, 25) 0.15 s.  On
+    every pair with p <= 24 this rule took 0.50 s against 1.34 s at q
+    itself (2-CPU host, Python 3.11).  p/2 is never the only image,
+    since 1 - p/2 = p/2 + 1 mod p.
+    """
+    _require_canonical(spec)
+    p, q = spec.p, spec.q
+    if p > BAREISS_LIMIT:
+        raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
+    words = symmetric_images(p, q)
+    image = min(g for g in words if 2 * g != p)
+    terms = [(m.r, m.s, c) for m, c in _bareiss(p, image).terms.items()]
+    return BiPoly({(r, s): c for r, s, c in _from_image(terms, p, words[image], True)})
+
+
+def _bareiss(p: int, q: int) -> BiPoly:
+    """Fraction-free elimination of the (p, q) matrix itself.
 
     No row permutations are ever needed: every leading principal minor
     of this matrix has constant term 1 (set x=y=0 and the matrix is the
@@ -72,10 +159,6 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     pivot the generic row rescale is the identity and is skipped, which
     makes the banded phase cheap.
     """
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
-    if p > BAREISS_LIMIT:
-        raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
     mx = BiPoly.monomial(-1, 1, 0)
     my = BiPoly.monomial(-1, 0, 1)
     rows: list[dict[int, BiPoly]] = []
@@ -204,7 +287,7 @@ def window_width(p: int, q: int) -> int:
 
 
 def dp_cost(p: int, q: int) -> float:
-    """Estimated work of :func:`cycle_cover_counts` (p, q), p^2 (1 + p/1000) 2.9^w.
+    """Estimated work of the DP at (p, q) itself, p^2 (1 + p/1000) 2.9^w.
 
     w is the window width.  Each window bit doubles the seam boundaries
     and adds live states, about 2.9x in all; p enters through the p
@@ -213,7 +296,9 @@ def dp_cost(p: int, q: int) -> float:
     hundred kilobits (p in the thousands).  Fitted to 42 timed runs of
     0.2 s or more (p = 24..4000, w = 3..15) on a 2-CPU host with
     Python 3.11, where one unit took 2.0-6.4 ns.  An estimate past the
-    float range (a window of about 667 bits or more) is infinite.
+    float range (a window of about 667 bits or more) is infinite.  The
+    budget is judged on this estimate, though :func:`cycle_cover_counts`
+    may run at an image with a narrower window.
     """
     try:
         return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
@@ -257,8 +342,29 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """Number of cycle covers N(r, s) for every displacement profile.
 
     N(r, s) counts bijections of Z_p whose displacements take the value
-    1 exactly r times, q exactly s times and 0 elsewhere.  Computed by
-    a transfer DP over positions 0..p-1 with a bitmask of claimed
+    1 exactly r times, q exactly s times and 0 elsewhere; it is |a(r, s)|,
+    so the maps of :func:`symmetric_images` carry it over without their
+    signs.  The DP runs at the image with the narrowest
+    :func:`window_width` (ties keep q) and its counts are mapped back;
+    the budget judges (p, q) as asked, and so do the messages of the
+    checks on the result.
+
+    Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
+    treat it as immutable).
+    """
+    PermClassKey.check_pair(p, q)
+    check_dp_budget(p, q)
+    words = symmetric_images(p, q)
+    image = min(words, key=lambda g: (window_width(p, g), len(words[g]), g))
+    return tuple(sorted(_from_image(_cover_counts(p, image, q), p, words[image], False)))
+
+
+def _cover_counts(
+    p: int, q: int, asked: int | None = None
+) -> tuple[tuple[int, int, int], ...]:
+    """The cycle covers of (p, q) itself, by the transfer DP.
+
+    A transfer DP over positions 0..p-1 with a bitmask of claimed
     images inside a sliding window; the cyclic seam is closed by
     enumerating the boundary mask and requiring the run to reproduce it.
 
@@ -266,13 +372,9 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     r + s <= p, which fixes r for every s > 0, while s = 0 has exactly
     two covers, the identity (r = 0) and the full shift (r = p).  So
     each DP value packs p+1 count slots, one per s.  Both facts are
-    checked on the result (:class:`InternalInconsistency` otherwise).
-
-    Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
-    treat it as immutable).
+    checked on the result (:class:`InternalInconsistency` otherwise,
+    naming ``asked`` as q when given, the q that this q is an image of).
     """
-    PermClassKey.check_pair(p, q)
-    check_dp_budget(p, q)
     width = window_width(p, q)
     # the q band walked as displacement q or q-p, whichever fits that window
     qe = q if width == q + 1 else q - p
@@ -314,17 +416,18 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
             # cell (in no mask) is open, else the offset-0 or q-p move claims it
             states = nxt
         total += states.get(boundary, 0)
-    return _unpack_counts(total, p, q, wbits)
+    return _unpack_counts(total, p, q, wbits, asked)
 
 
 def _unpack_counts(
-    total: int, p: int, q: int, wbits: int
+    total: int, p: int, q: int, wbits: int, asked: int | None = None
 ) -> tuple[tuple[int, int, int], ...]:
     """Split the DP's packed total (slot s at bit wbits*s) into (r, s, N).
 
     s = 0 must hold exactly the identity and the full shift, and every
     other nonzero slot must leave r = -sq mod p with r + s <= p;
-    :class:`InternalInconsistency` otherwise.  wbits is a multiple of 8.
+    :class:`InternalInconsistency` otherwise, naming ``asked`` as q when
+    given.  wbits is a multiple of 8.
     """
     size = wbits // 8
     data = total.to_bytes(size * (p + 1), "little")
@@ -334,7 +437,7 @@ def _unpack_counts(
     ]
     if counts[0] != 2:
         raise InternalInconsistency(
-            f"s = 0 holds {counts[0]} covers for p={p}, q={q}, not 2"
+            f"s = 0 holds {counts[0]} covers for p={p}, q={asked or q}, not 2"
         )
     out = [(0, 0, 1), (p, 0, 1)]
     for s, c in enumerate(counts[1:], 1):
@@ -354,8 +457,9 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
     Every permutation contributing to x^r y^s has sign
     (-1)^(r+s+gcd(r,s,l)) with l = (r+sq)/p, so the monomial's signed
     coefficient is (-1)^gcd(r,s,l) times the plain count
-    (:attr:`PermClassKey.term_sign`).  p divides r+sq by construction,
-    since :func:`cycle_cover_counts` derives r from s.
+    (:attr:`PermClassKey.term_sign`).  p divides r+sq by construction:
+    the DP derives r from s at the image of q it runs at, and the maps
+    back from an image keep that divisibility.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q

@@ -301,10 +301,19 @@ class PermClassKey(Record):
             return None
         return math.gcd(self.r, self.s, ell)
 
+    @staticmethod
+    def present(p: int, q: int, r: int, s: int) -> bool:
+        """The support theorem: a(r, s) != 0 iff r+s <= p and p divides r+sq.
+
+        For s = 0 that leaves r = 0 and r = p.  It validates none of its
+        arguments, so a loop over every (r, s) need not build a key.
+        """
+        return r + s <= p and (r + s * q) % p == 0
+
     @property
     def is_empty(self) -> bool:
-        """Whether the class is empty, i.e. a(r, s) = 0 (the support theorem)."""
-        return not (self.divisible and self.r + self.s <= self.p)
+        """Whether the class is empty, i.e. a(r, s) = 0 (:meth:`present`)."""
+        return not self.present(self.p, self.q, self.r, self.s)
 
     @staticmethod
     def nonempty_profiles(p: int, q: int) -> list[tuple[int, int]]:
@@ -385,9 +394,13 @@ def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:
 def support(p: int, q: int, r: int, s: int) -> bool:
     """Whether the monomial x^r y^s has a nonzero coefficient.
 
-    True iff r+s <= p and p divides r+sq (:attr:`PermClassKey.is_empty`).
+    True iff r+s <= p and p divides r+sq (:meth:`PermClassKey.present`).
+    ValueError unless (p, q) is canonical and r, s >= 0, as for a key.
     """
-    return not PermClassKey(p, q, r, s).is_empty
+    PermClassKey.check_pair(p, q)
+    if r < 0 or s < 0:
+        raise ValueError("r and s must be nonnegative")
+    return PermClassKey.present(p, q, r, s)
 
 
 class CoefficientReport(Record):

@@ -149,7 +149,10 @@ def _sign_case(p: int, q: int) -> Checks:
     p <= EXHAUSTIVE_PMAX.  These routes are compared in a chain, one
     check per adjacent pair.  Newton's polynomial is compared with the
     first of them one monomial at a time, in the same check as that
-    monomial's sign, over the union of their terms.
+    monomial's sign, over the union of their terms.  Newton and brute
+    force run at q, Bareiss and the DP at their own images of q
+    (:func:`tricirc.circulant.symmetric_images`), so up to three
+    different offsets are compared.
     """
     from . import circulant
 
@@ -192,7 +195,7 @@ def _cycle_case(p: int, q: int) -> Checks:
     # nonemptiness in both directions
     for r in range(p + 1):
         for s in range(p + 1 - r):
-            nonempty = not PermClassKey(p, q, r, s).is_empty
+            nonempty = PermClassKey.present(p, q, r, s)
             yield None if ((r, s) in classes) == nonempty else (
                 f"(p={p}, q={q}, r={r}, s={s}): emptiness mismatch"
             )
@@ -408,11 +411,13 @@ class _Suite(NamedTuple):
     modules: tuple[str, ...]  # the package modules the case function imports
 
 
-#: name -> its row; the largest pmax is where one worker stays near 10 s
-#: or less (2-CPU host, Python 3.11): ``support`` 50 takes 4.6-5.6 s,
-#: ``witness`` 60 1.8-2.5 s, ``sign`` 23 6.6-7.0 s (24 takes 11.6-12.5 s),
-#: ``permanent`` 18 3.2-3.5 s (19 takes 6.5-6.7 s; left to the common
-#: refit of every limit); ``prime`` runs to Newton's limit, 19.3 s at 1000
+#: name -> its row; the largest pmax was set where one worker stayed near
+#: 10 s or less (2-CPU host, Python 3.11, fresh process): ``support`` 50
+#: now takes 1.9-2.0 s, ``witness`` 60 1.8-2.5 s, ``sign`` 23 1.2-1.6 s
+#: (24 takes 3.4-4.6 s), ``permanent`` 18 0.37-0.51 s (19 takes
+#: 0.59-0.84 s), since Bareiss and the DP run at a cheaper image of q and
+#: Ryser sums over necklaces; the caps are left to the common refit of
+#: every limit; ``prime`` runs to Newton's limit, 19.3 s at 1000
 _SUITES = {
     "support": _Suite(
         EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)

@@ -22,6 +22,7 @@ from tricirc.circulant import (
     det_cycle_cover,
     det_float_check,
     dp_cost,
+    symmetric_images,
     window_width,
 )
 from tricirc.phi import (
@@ -396,6 +397,118 @@ class TestCycleCover:
         # s = 4 needs r = -12 mod 5 = 3, and 3 + 4 > 5
         with pytest.raises(InternalInconsistency, match="r\\+s > p"):
             circulant._unpack_counts(2 + (1 << 256), 5, 3, 64)
+
+
+def canonical_pairs(p_max, p_min=3):
+    return [(p, q) for p in range(p_min, p_max + 1) for q in range(2, p)]
+
+
+def as_triples(poly):
+    return [(m.r, m.s, c) for m, c in poly.terms.items()]
+
+
+class TestSymmetricImages:
+    def test_images_are_the_anharmonic_orbit(self):
+        # q, 1/q, 1-q, then 1/(1-q), 1-1/q and q/(q-1) mod 11
+        assert symmetric_images(11, 3) == {
+            3: "", 4: "S", 9: "T", 8: "ST", 5: "TS", 7: "STS",
+        }
+        # no 1/q while gcd(q, p) > 1, and 1 - p/2 = p/2 + 1
+        assert symmetric_images(10, 4) == {4: "", 7: "T", 3: "TS", 8: "TST"}
+        assert symmetric_images(40, 20) == {20: "", 21: "T"}
+        assert symmetric_images(96, 48) == {48: "", 49: "T"}
+        with pytest.raises(ValueError):
+            symmetric_images(5, 1)
+
+    def test_every_image_maps_newton_back_exactly(self):
+        # each word, undone last step first, turns its image's polynomial
+        # into q's with exact signs
+        lengths = set()
+        for p, q in canonical_pairs(30):
+            want = det_newton(CirculantSpec(p, q))
+            for image, word in symmetric_images(p, q).items():
+                got = circulant._from_image(
+                    as_triples(det_newton(CirculantSpec(p, image))), p, word, True
+                )
+                assert BiPoly({(r, s): c for r, s, c in got}) == want, (p, q, image)
+                lengths.add(len(word))
+        assert lengths == {0, 1, 2, 3}
+
+    def test_unsigned_counts_map_back_from_every_image(self):
+        for p, q in canonical_pairs(12):
+            want = sorted(circulant._cover_counts(p, q))
+            for image, word in symmetric_images(p, q).items():
+                got = circulant._from_image(
+                    circulant._cover_counts(p, image), p, word, False
+                )
+                assert sorted(got) == want, (p, q, image)
+
+    def test_routed_dp_equals_the_unrouted_kernel(self):
+        for p, q in canonical_pairs(16):
+            want = tuple(sorted(circulant._cover_counts(p, q)))
+            assert cycle_cover_counts(p, q) == want, (p, q)
+
+    def test_routed_bareiss_equals_newton(self):
+        for p, q in canonical_pairs(24) + [(40, 20), (48, 24)]:
+            spec = CirculantSpec(p, q)
+            assert det_bareiss(spec) == det_newton(spec), (p, q)
+
+    def test_dp_runs_at_the_narrowest_window_and_ties_keep_q(self, monkeypatch):
+        ran = []
+        real = circulant._cover_counts
+
+        def record(p, q, asked=None):
+            ran.append(q)
+            return real(p, q, asked)
+
+        monkeypatch.setattr(circulant, "_cover_counts", record)
+        moved = 0
+        for p, q in canonical_pairs(20):
+            cycle_cover_counts.cache_clear()
+            ran.clear()
+            cycle_cover_counts(p, q)
+            [image] = ran
+            widths = {g: window_width(p, g) for g in symmetric_images(p, q)}
+            assert widths[image] == min(widths.values()), (p, q)
+            assert image == q or widths[image] < widths[q], (p, q)
+            moved += image != q
+        cycle_cover_counts.cache_clear()
+        assert moved > 0
+
+    def test_bareiss_never_runs_at_half_p(self, monkeypatch):
+        # the elimination is stubbed: only the choice of image runs
+        ran = []
+
+        def record(p, q):
+            ran.append(q)
+            return BiPoly({(0, 0): 1})
+
+        monkeypatch.setattr(circulant, "_bareiss", record)
+        for p, q in canonical_pairs(BAREISS_LIMIT):
+            ran.clear()
+            det_bareiss(CirculantSpec(p, q))
+            [image] = ran
+            assert 2 * image != p, (p, q)
+            assert image == min(g for g in symmetric_images(p, q) if 2 * g != p)
+        ran.clear()
+        det_bareiss(CirculantSpec(96, 48))
+        assert ran == [49]
+
+    def test_one_cache_entry_per_requested_pair(self):
+        # (11, 5) runs at its image 1/5 = 9 (a 4-bit window, not 6)
+        assert symmetric_images(11, 5)[9] == "S"
+        assert (window_width(11, 5), window_width(11, 9)) == (6, 4)
+        cycle_cover_counts.cache_clear()
+        cycle_cover_counts(11, 5)
+        cycle_cover_counts(11, 5)
+        info = cycle_cover_counts.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+    def test_budget_judges_the_requested_pair(self):
+        # (32, 13) has a 14-bit window; its image 1/13 = 5 has a 6-bit one
+        assert 5 in symmetric_images(32, 13) and window_width(32, 5) == 6
+        with pytest.raises(TooLarge, match="p=32, q=13 \\(14-bit window\\)"):
+            cycle_cover_counts(32, 13)
 
 
 class TestStructuralInvariants:

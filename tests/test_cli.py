@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, formats, schema validity, determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -206,6 +207,38 @@ class TestExitCodes:
             "suite=prime p_max=10 q=2 cases=8 failures=1\n"
             "first_counterexample: p=9: congruence check False, trial division True\n"
         )
+
+
+def benchmark_must_refuse() -> tuple:
+    """The requests that the benchmark's workloads require to exit 3."""
+    path = REPO / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.MUST_REFUSE
+
+
+class TestRefusalsJudgeTheRequestedPair:
+    """The routes run at a cheaper image of q, but refuse what (p, q) asks."""
+
+    @pytest.mark.parametrize("argv", benchmark_must_refuse(), ids=" ".join)
+    def test_benchmark_refusals_exit_3(self, argv):
+        res = subprocess.run(
+            [sys.executable, "-m", "tricirc", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 3 and res.stdout == "", res.stderr
+
+    def test_dp_over_budget_although_its_image_is_narrow(self):
+        # 1/13 = 5 mod 32 has a 6-bit window, q = 13 a 14-bit one
+        res = cli("phi", "--p", "32", "--q", "13", "--backend", "cycle_cover")
+        assert res.returncode == 3 and res.stdout == ""
+        assert "p=32, q=13 (14-bit window)" in res.stderr
+
+    def test_bareiss_past_its_limit(self):
+        res = cli("phi", "--p", "97", "--q", "3", "--backend", "bareiss")
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr == "error: elimination is limited to p <= 96\n"
 
 
 #: golden file stem -> the call whose text (.txt) and JSON (.json) bytes it pins

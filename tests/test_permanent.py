@@ -98,6 +98,40 @@ def gray_code_ryser(p, q):
     return total if p % 2 == 0 else -total
 
 
+def bitmask_ryser(p, q):
+    """Ryser's formula over every column bitmask, tallying each term.
+
+    With b and c the rotations of m by 1 and by q, row i's sum counts
+    bit i of m, b and c; a term with every row sum nonzero is
+    +-2^a 3^t, a rows summing to 2 and t to 3.
+    """
+    full = (1 << p) - 1
+    low = (1 << q) - 1
+    tally = {}
+    for m in range(1, 1 << p):
+        b = m >> 1 | (m & 1) << (p - 1)
+        c = m >> q | (m & low) << (p - q)
+        if m | b | c != full:
+            continue
+        three = (m & b & c).bit_count()
+        two = (m & b | m & c | b & c).bit_count() - three
+        key = (two, three, m.bit_count() & 1)
+        tally[key] = tally.get(key, 0) + 1
+    return sum(n * 2**a * 3**t * (-1) ** (p + i) for (a, t, i), n in tally.items())
+
+
+class TestNecklaceRyser:
+    def test_matches_the_bitmask_reference(self):
+        # TestRyser checks the same range against the Gray-code reference
+        for p in range(3, 17):
+            for q in range(2, p):
+                assert permanent_ryser(p, q) == bitmask_ryser(p, q), (p, q)
+
+    @pytest.mark.parametrize("p, q", [(20, 7), (24, 12)])
+    def test_matches_the_dp_at_large_p(self, p, q):
+        assert permanent_ryser(p, q) == permanent_generating(p, q).evaluate(1, 1)
+
+
 class TestRyser:
     def test_matches_gray_code_reference(self):
         for p in range(3, 17):

@@ -626,6 +626,10 @@ class TestWitness:
         # cycles from 5 and 9 cross the one from 1
         (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * 17,
          "not disjoint at point 5"),
+        # the step counts swapped: five q-steps close 1, 4, 2, 5, 3 into
+        # one cycle, whose profile is (0, 5), not (5, 0)
+        (PermClassKey(5, 3, 5, 0), lambda r, s, e, n: [n] * r + [e] * s,
+         "has the wrong profile"),
     ])
     def test_a_faulty_step_rule_raises(self, monkeypatch, key, rule, fault):
         monkeypatch.setattr(permclass, "_path_steps", rule)
