@@ -32,9 +32,12 @@ Elimination and the DP need not run at q itself.  Re-indexing Z_p
 maps the determinant at q exactly onto the one at 1/q, 1-q and their
 compositions (:func:`symmetric_images`), so each runs at its cheapest
 image and maps the result back: elimination at the smallest image
-other than p/2, the DP at the one with the narrowest window.  Newton
-and brute force stay at q, so the ``sign`` suite compares routes that
-ran at up to three different offsets.
+other than p/2, the DP at the smallest image of all, since it walks
+the offsets 0, 1 and q forward in a window of q + 1 cells.  The two
+differ only at q = p/2 and p/2 + 1, where the DP runs at p/2 and
+elimination at p/2 + 1.  Newton and brute force stay at q, so the
+``sign`` suite compares routes that ran at two different offsets
+wherever q is not its own smallest image.
 
 Each exact route has a declared size limit (the DP a work budget),
 judged on the (p, q) that was asked for, and raises :class:`TooLarge`
@@ -279,26 +282,28 @@ def det_bruteforce(spec: CirculantSpec) -> BiPoly:
 def window_width(p: int, q: int) -> int:
     """Occupancy-window width of the DP for a canonical (p, q).
 
-    The q band may be walked as displacement q or as displacement q-p;
-    the narrower of the two windows is used, so q near p costs the same
-    as q near 0.
+    The DP walks the offsets 0, 1 and q forward in a window of q + 1
+    cells.  The width is that window at the narrower of q and its image
+    1 - q mod p (:func:`symmetric_images`), min(q, 1 - q) + 1, so q near
+    p costs the same as q near 0.
     """
-    return min(q + 1, p - q + 2)
+    return min(q, (1 - q) % p) + 1
 
 
 def dp_cost(p: int, q: int) -> float:
-    """Estimated work of the DP at (p, q) itself, p^2 (1 + p/1000) 2.9^w.
+    """Estimated work of the DP for (p, q), p^2 (1 + p/1000) 2.9^w.
 
-    w is the window width.  Each window bit doubles the seam boundaries
-    and adds live states, about 2.9x in all; p enters through the p
-    steps per boundary and the packed integers of up to 2p^2 bits, whose
+    w is :func:`window_width`, the forward window of the narrower of q
+    and 1 - q.  Each window bit doubles the seam boundaries and adds
+    live states, about 2.9x in all; p enters through the p steps per
+    boundary and the packed integers of up to 2p^2 bits, whose
     additions grow faster than their length once they pass a few
     hundred kilobits (p in the thousands).  Fitted to 42 timed runs of
     0.2 s or more (p = 24..4000, w = 3..15) on a 2-CPU host with
     Python 3.11, where one unit took 2.0-6.4 ns.  An estimate past the
     float range (a window of about 667 bits or more) is infinite.  The
     budget is judged on this estimate, though :func:`cycle_cover_counts`
-    may run at an image with a narrower window.
+    runs at the smallest image of q, whose window may be narrower still.
     """
     try:
         return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
@@ -344,10 +349,10 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     N(r, s) counts bijections of Z_p whose displacements take the value
     1 exactly r times, q exactly s times and 0 elsewhere; it is |a(r, s)|,
     so the maps of :func:`symmetric_images` carry it over without their
-    signs.  The DP runs at the image with the narrowest
-    :func:`window_width` (ties keep q) and its counts are mapped back;
-    the budget judges (p, q) as asked, and so do the messages of the
-    checks on the result.
+    signs.  The DP runs at the smallest image, whose forward window is
+    the narrowest, and its counts are mapped back.  The budget judges
+    (p, q) as asked; the checks on the DP's result name the pair it ran
+    at.
 
     Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
     treat it as immutable).
@@ -355,39 +360,30 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     PermClassKey.check_pair(p, q)
     check_dp_budget(p, q)
     words = symmetric_images(p, q)
-    image = min(words, key=lambda g: (window_width(p, g), len(words[g]), g))
-    return tuple(sorted(_from_image(_cover_counts(p, image, q), p, words[image], False)))
+    image = min(words)
+    return tuple(sorted(_from_image(_cover_counts(p, image), p, words[image], False)))
 
 
-def _cover_counts(
-    p: int, q: int, asked: int | None = None
-) -> tuple[tuple[int, int, int], ...]:
+def _cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """The cycle covers of (p, q) itself, by the transfer DP.
 
     A transfer DP over positions 0..p-1 with a bitmask of claimed
-    images inside a sliding window; the cyclic seam is closed by
-    enumerating the boundary mask and requiring the run to reproduce it.
+    images inside a sliding window of q + 1 cells: position i claims
+    i, i + 1 or i + q.  The cyclic seam is closed by enumerating the
+    boundary mask and requiring the run to reproduce it.
 
     The DP tracks s alone: a complete cover has r + sq = 0 (mod p) and
     r + s <= p, which fixes r for every s > 0, while s = 0 has exactly
     two covers, the identity (r = 0) and the full shift (r = p).  So
     each DP value packs p+1 count slots, one per s.  Both facts are
-    checked on the result (:class:`InternalInconsistency` otherwise,
-    naming ``asked`` as q when given, the q that this q is an image of).
+    checked on the result (:class:`InternalInconsistency` otherwise).
     """
-    width = window_width(p, q)
-    # the q band walked as displacement q or q-p, whichever fits that window
-    qe = q if width == q + 1 else q - p
-    omin = min(0, qe)
-
     # Each DP value is one big integer packing the p+1 slots by s; a slot
     # holds the count of partial assignments, which is < 3^p < 2^wbits
     # (whole bytes, so the total unpacks in one pass).
     wbits = 8 * max(8, -(-p // 4))
-    moves = tuple(
-        (1 << (off - omin), shift)
-        for off, shift in ((0, 0), (1, 0), (qe, wbits))
-    )
+    # (window bit, y shift) of the moves to offsets 0, 1 and q
+    moves = ((1, 0), (2, 0), (1 << q, wbits))
     # Every step applies the same transfer, so the successors of each
     # mask (with the y shift of the move) are tabulated once.
     succ = [
@@ -396,12 +392,12 @@ def _cover_counts(
             for bit, shift in moves
             if not mask & bit and (mask | bit) & 1
         )
-        for mask in range(1 << (width - 1))
+        for mask in range(1 << q)
     ]
 
     total = 0
     # the top window cell can never be claimed from across the seam
-    for boundary in range(1 << (width - 1)):
+    for boundary in range(1 << q):
         states = {boundary: 1}
         for _ in range(p):
             nxt: dict[int, int] = {}
@@ -413,21 +409,20 @@ def _cover_counts(
                     else:
                         nxt[key] = add
             # nxt is never empty: if cell 0 is claimed, the move onto the top
-            # cell (in no mask) is open, else the offset-0 or q-p move claims it
+            # cell (in no mask) is open, else the offset-0 move claims it
             states = nxt
         total += states.get(boundary, 0)
-    return _unpack_counts(total, p, q, wbits, asked)
+    return _unpack_counts(total, p, q, wbits)
 
 
 def _unpack_counts(
-    total: int, p: int, q: int, wbits: int, asked: int | None = None
+    total: int, p: int, q: int, wbits: int
 ) -> tuple[tuple[int, int, int], ...]:
     """Split the DP's packed total (slot s at bit wbits*s) into (r, s, N).
 
     s = 0 must hold exactly the identity and the full shift, and every
     other nonzero slot must leave r = -sq mod p with r + s <= p;
-    :class:`InternalInconsistency` otherwise, naming ``asked`` as q when
-    given.  wbits is a multiple of 8.
+    :class:`InternalInconsistency` otherwise.  wbits is a multiple of 8.
     """
     size = wbits // 8
     data = total.to_bytes(size * (p + 1), "little")
@@ -437,7 +432,7 @@ def _unpack_counts(
     ]
     if counts[0] != 2:
         raise InternalInconsistency(
-            f"s = 0 holds {counts[0]} covers for p={p}, q={asked or q}, not 2"
+            f"s = 0 holds {counts[0]} covers for p={p}, q={q}, not 2"
         )
     out = [(0, 0, 1), (p, 0, 1)]
     for s, c in enumerate(counts[1:], 1):

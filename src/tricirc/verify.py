@@ -150,9 +150,11 @@ def _sign_case(p: int, q: int) -> Checks:
     check per adjacent pair.  Newton's polynomial is compared with the
     first of them one monomial at a time, in the same check as that
     monomial's sign, over the union of their terms.  Newton and brute
-    force run at q, Bareiss and the DP at their own images of q
-    (:func:`tricirc.circulant.symmetric_images`), so up to three
-    different offsets are compared.
+    force run at q, Bareiss and the DP at the smallest image of q
+    (:func:`tricirc.circulant.symmetric_images`), except that at
+    q = p/2 and p/2 + 1 the DP runs at p/2 and Bareiss at p/2 + 1.  So
+    two different offsets are compared wherever q is not its own
+    smallest image.
     """
     from . import circulant
 

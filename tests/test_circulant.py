@@ -355,8 +355,9 @@ class TestCycleCover:
         )
 
     def test_large_q_uses_narrow_window(self):
-        # q = p-1 walks as displacement -1; must stay cheap and correct
-        assert window_width(9, 8) == 3
+        # q = p-1 runs at its T image 1 - q = 2; must stay cheap and correct
+        assert symmetric_images(9, 8)[2] == "T"
+        assert window_width(9, 8) == window_width(9, 2) == 3
         assert det_cycle_cover(CirculantSpec(9, 8)) == det_bruteforce(
             CirculantSpec(9, 8)
         )
@@ -435,31 +436,35 @@ class TestSymmetricImages:
         assert lengths == {0, 1, 2, 3}
 
     def test_unsigned_counts_map_back_from_every_image(self):
+        # the kernel runs once per pair, though each is an image of its orbit
+        kernel = {pq: circulant._cover_counts(*pq) for pq in canonical_pairs(12)}
         for p, q in canonical_pairs(12):
-            want = sorted(circulant._cover_counts(p, q))
+            want = sorted(kernel[p, q])
             for image, word in symmetric_images(p, q).items():
-                got = circulant._from_image(
-                    circulant._cover_counts(p, image), p, word, False
-                )
+                got = circulant._from_image(kernel[p, image], p, word, False)
                 assert sorted(got) == want, (p, q, image)
 
     def test_routed_dp_equals_the_unrouted_kernel(self):
+        # the kernel at q itself only where its (q + 1)-bit window is cheap
         for p, q in canonical_pairs(16):
-            want = tuple(sorted(circulant._cover_counts(p, q)))
-            assert cycle_cover_counts(p, q) == want, (p, q)
+            got = cycle_cover_counts(p, q)
+            want = det_newton(CirculantSpec(p, q)).termwise_abs()
+            assert BiPoly({(r, s): n for r, s, n in got}) == want, (p, q)
+            if q + 1 <= 10:
+                assert got == tuple(sorted(circulant._cover_counts(p, q))), (p, q)
 
     def test_routed_bareiss_equals_newton(self):
         for p, q in canonical_pairs(24) + [(40, 20), (48, 24)]:
             spec = CirculantSpec(p, q)
             assert det_bareiss(spec) == det_newton(spec), (p, q)
 
-    def test_dp_runs_at_the_narrowest_window_and_ties_keep_q(self, monkeypatch):
+    def test_dp_runs_at_the_smallest_image(self, monkeypatch):
         ran = []
         real = circulant._cover_counts
 
-        def record(p, q, asked=None):
+        def record(p, q):
             ran.append(q)
-            return real(p, q, asked)
+            return real(p, q)
 
         monkeypatch.setattr(circulant, "_cover_counts", record)
         moved = 0
@@ -467,13 +472,17 @@ class TestSymmetricImages:
             cycle_cover_counts.cache_clear()
             ran.clear()
             cycle_cover_counts(p, q)
-            [image] = ran
-            widths = {g: window_width(p, g) for g in symmetric_images(p, q)}
-            assert widths[image] == min(widths.values()), (p, q)
-            assert image == q or widths[image] < widths[q], (p, q)
-            moved += image != q
+            assert ran == [min(symmetric_images(p, q))], (p, q)
+            moved += ran != [q]
         cycle_cover_counts.cache_clear()
         assert moved > 0
+
+    def test_routed_window_is_never_wider_than_window_width(self):
+        # arithmetic only: T(q) = 1 - q is always an image, so the routed
+        # window min(images) + 1 fits inside window_width, which dp_cost reads
+        for p, q in canonical_pairs(300):
+            routed = min(symmetric_images(p, q)) + 1
+            assert routed <= window_width(p, q) == min(q, (1 - q) % p) + 1, (p, q)
 
     def test_bareiss_never_runs_at_half_p(self, monkeypatch):
         # the elimination is stubbed: only the choice of image runs
@@ -495,9 +504,9 @@ class TestSymmetricImages:
         assert ran == [49]
 
     def test_one_cache_entry_per_requested_pair(self):
-        # (11, 5) runs at its image 1/5 = 9 (a 4-bit window, not 6)
-        assert symmetric_images(11, 5)[9] == "S"
-        assert (window_width(11, 5), window_width(11, 9)) == (6, 4)
+        # (11, 5) runs at its image 1 - 1/5 = 3 (a 4-bit window, not 6)
+        assert symmetric_images(11, 5)[3] == "ST"
+        assert (window_width(11, 5), window_width(11, 3)) == (6, 4)
         cycle_cover_counts.cache_clear()
         cycle_cover_counts(11, 5)
         cycle_cover_counts(11, 5)

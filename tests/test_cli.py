@@ -182,7 +182,8 @@ class TestExitCodes:
         assert "Traceback" not in err, err
 
     def test_failed_check_through_main_is_one_error_line(self):
-        # the DP's packed total +1 puts 3 covers in slot s = 0
+        # the DP's packed total +1 puts 3 covers in slot s = 0; (5, 3) runs
+        # at its smallest image 2, which the message names
         patched = (
             "from tricirc import circulant, cli\n"
             "real = circulant._unpack_counts\n"
@@ -196,7 +197,7 @@ class TestExitCodes:
         assert res.returncode == climod.EXIT_FAILED == 1
         assert res.stdout == ""
         assert "Traceback" not in res.stderr, res.stderr
-        assert res.stderr.splitlines() == ["error: s = 0 holds 3 covers for p=5, q=3, not 2"]
+        assert res.stderr.splitlines() == ["error: s = 0 holds 3 covers for p=5, q=2, not 2"]
 
     def test_verify_failure_is_exit_1(self, capsys, monkeypatch):
         real = phimod.trial_division
@@ -733,7 +734,7 @@ CAUGHT = [
     (dp_count_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
     (last_step_flipped, ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"),
      "word from 1 ends at 14, not back at the start"),
-    (unpack_total_plus_one, PERMANENT_5_3, "s = 0 holds 3 covers"),
+    (unpack_total_plus_one, PERMANENT_5_3, "s = 0 holds 3 covers for p=5, q=2"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "3"), "5 does not divide the coefficient -6"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "4", "--t", "3"),
      "5 does not divide the coefficient -6"),
