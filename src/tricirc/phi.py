@@ -296,10 +296,11 @@ class PermClassKey(Record):
 
     @property
     def k(self) -> Optional[int]:
-        ell = self.ell
-        if ell is None:
-            return None
-        return math.gcd(self.r, self.s, ell)
+        # gcd(r, s, ell), with r+sq formed once rather than once for
+        # ``divisible`` and again for ``ell``
+        r, s, p = self.r, self.s, self.p
+        total = r + s * self.q
+        return None if total % p else math.gcd(r, s, total // p)
 
     @staticmethod
     def present(p: int, q: int, r: int, s: int) -> bool:

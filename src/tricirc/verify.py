@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import marshal
 import math
+import operator
 import os
 import random
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -74,7 +75,7 @@ DEFAULT_CASES = 10000
 DEFAULT_SEED = 90437
 
 #: largest cases per battery of the ``lemmas`` suite: 100000 take about
-#: 3 s with one worker (2-CPU host, Python 3.11)
+#: 1.0 s with one worker (2-CPU host, Python 3.11)
 LEMMA_CASES_LIMIT = 100000
 
 #: lemma batteries are split into this many fixed chunks so results do
@@ -305,21 +306,35 @@ def _prime_case(p: int) -> Checks:
 # come from the permclass module that the chunk passes in
 # ---------------------------------------------------------------------------
 
+def _randint(bits, a: int, b: int) -> int:
+    # rng.randint(a, b) from bits = rng.getrandbits: the rejection loop
+    # of Random._randbelow, so the same value from the same state, at
+    # under half the cost of randint's path through randrange
+    n = b - a + 1
+    k = n.bit_length()
+    v = bits(k)
+    while v >= n:
+        v = bits(k)
+    return a + v
+
+
 def _rises_from_least(zs: list) -> bool:
     # cyclic order by its definition, apart from the descent count:
     # started at its least point, the sequence strictly increases
     i = zs.index(min(zs))
     run = zs[i:] + zs[:i]
-    return all(a < b for a, b in zip(run, run[1:]))
+    return all(map(operator.lt, run, run[1:]))
 
 
 def _check_cyclic_order(rng: random.Random, permclass) -> Optional[str]:
-    p = rng.randint(3, 60)
-    m = rng.randint(3, min(p, 8))
+    bits = rng.getrandbits
+    p = _randint(bits, 3, 60)
+    m = _randint(bits, 3, min(p, 8))
     zs = rng.sample(range(1, p + 1), m)
-    q = rng.randint(1, p - 1)
-    ws = [permclass.rotate(z, q, p) for z in zs]
-    lhs, rhs = permclass.cyclic_order(zs), permclass.cyclic_order(ws)
+    q = _randint(bits, 1, p - 1)
+    rotate, cyclic_order = permclass.rotate, permclass.cyclic_order
+    ws = [rotate(z, q, p) for z in zs]
+    lhs, rhs = cyclic_order(zs), cyclic_order(ws)
     want = _rises_from_least(zs)
     if lhs != want:
         return f"p={p} zs={zs}: cyclic_order {lhs}, by definition {want}"
@@ -327,8 +342,9 @@ def _check_cyclic_order(rng: random.Random, permclass) -> Optional[str]:
 
 
 def _check_path_bound(rng: random.Random, permclass) -> Optional[str]:
-    r = rng.randint(0, 20)
-    s = rng.randint(0, 20)
+    bits = rng.getrandbits
+    r = _randint(bits, 0, 20)
+    s = _randint(bits, 0, 20)
     if r + s == 0:
         r = 1
     built = permclass.path_bound_check(permclass.build_path(r, s), r, s)
@@ -341,12 +357,13 @@ def _check_path_bound(rng: random.Random, permclass) -> Optional[str]:
 
 def _check_divisibility_gap(rng: random.Random, permclass) -> Optional[str]:
     """The paper's divisibility-gap lemma restated in integer arithmetic."""
-    p = rng.randint(3, 50)
-    q = rng.randint(2, p - 1)
-    b = rng.randint(-20, 20)
-    s = rng.randint(-20, 20)
-    a = -b * q + p * rng.randint(-3, 3)
-    r = -s * q + p * rng.randint(-3, 3)
+    bits = rng.getrandbits
+    p = _randint(bits, 3, 50)
+    q = _randint(bits, 2, p - 1)
+    b = _randint(bits, -20, 20)
+    s = _randint(bits, -20, 20)
+    a = -b * q + p * _randint(bits, -3, 3)
+    r = -s * q + p * _randint(bits, -3, 3)
     v = s * a - r * b
     ok = v == 0 or abs(v) >= p
     return None if ok else f"p={p} q={q} a={a} b={b} r={r} s={s}: sa-rb={v}"
@@ -415,7 +432,7 @@ class _Suite(NamedTuple):
 
 #: name -> its row; the largest pmax was set where one worker stayed near
 #: 10 s or less (2-CPU host, Python 3.11, fresh process): ``support`` 50
-#: now takes 1.9-2.0 s, ``witness`` 60 1.8-2.5 s, ``sign`` 23 1.2-1.6 s
+#: now takes 1.9-2.0 s, ``witness`` 60 0.81-0.85 s, ``sign`` 23 1.2-1.6 s
 #: (24 takes 3.4-4.6 s), ``permanent`` 18 0.37-0.51 s (19 takes
 #: 0.59-0.84 s), since Bareiss and the DP run at a cheaper image of q and
 #: Ryser sums over necklaces; the caps are left to the common refit of

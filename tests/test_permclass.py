@@ -157,6 +157,56 @@ def fits_reference(rep, sigma: Permutation, p: int) -> bool:
     return sorted(profiles) == [rep.cycles_each] * rep.k and sigma.sign() == rep.sign
 
 
+# The kernels as they were before each was rewritten for speed, kept as
+# references that the rewritten kernels must match.
+
+def walk_word_reference(start: int, word, p: int) -> list[int]:
+    """``_walk_word`` by a set of seen points, checked at every step."""
+    points = [start]
+    seen = {start}
+    v = start
+    for step in word[:-1]:
+        v = (v + step - 1) % p + 1
+        if v in seen:
+            raise InternalInconsistency(f"point {v} revisited before the word ended")
+        seen.add(v)
+        points.append(v)
+    v = (v + word[-1] - 1) % p + 1
+    if v != start:
+        raise InternalInconsistency(f"word from {start} ends at {v}, not back at the start")
+    return points
+
+
+def cyclic_order_reference(points) -> bool:
+    """``cyclic_order`` by one descent test per index, the next taken mod m."""
+    zs = list(points)
+    m = len(zs)
+    if m <= 1:
+        return True
+    if len(set(zs)) != m:
+        return False
+    return sum(1 for i in range(m) if zs[i] > zs[(i + 1) % m]) == 1
+
+
+def rotate_reference(z: int, q: int, p: int) -> int:
+    """``rotate`` through ``reduce_1p``."""
+    return permclass.reduce_1p(z + q, p)
+
+
+def k_reference(key: PermClassKey):
+    """``PermClassKey.k`` through ``ell``."""
+    ell = key.ell
+    return None if ell is None else math.gcd(key.r, key.s, ell)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestPermutation:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
@@ -636,6 +686,20 @@ class TestWitness:
         with pytest.raises(InternalInconsistency, match=fault):
             construct_witness(key)
 
+    @pytest.mark.parametrize("key, walk, fault", [
+        # a walk that comes back to 2 before it ends
+        (PermClassKey(5, 3, 5, 0), [1, 2, 3, 2, 5], "not disjoint at point 2"),
+        # a walk whose translate by q - 1 = 4 starts on its last point
+        (PermClassKey(17, 5, 6, 9), [1, 2, 3, 4, 5], "not disjoint at point 5"),
+    ])
+    def test_a_faulty_walk_raises(self, monkeypatch, key, walk, fault):
+        # the member is built without the Permutation constructor's sort,
+        # so the owner list alone must stop a walk that is not a bijection
+        monkeypatch.setattr(permclass, "_walk_word", lambda start, word, p: walk)
+        with pytest.raises(InternalInconsistency, match=fault):
+            construct_witness(key)
+
+
 class TestCyclicOrder:
     def test_examples(self):
         assert cyclic_order([4, 7, 8, 9, 2, 3])
@@ -678,3 +742,79 @@ class TestCyclicOrder:
                         qs = len(cyc) - ones
                         ell_i = (ones + qs * q) // p
                         assert math.gcd(ones, qs, ell_i) == 1
+
+
+class TestKernelReferences:
+    """Each rewritten kernel against its reference: every class to p = 40,
+    every enumerated member to p = 9, and every short sequence for cyclic
+    order."""
+
+    def test_every_key_to_40(self):
+        for p in range(3, 41):
+            for q in range(2, p):
+                for r in range(p + 1):
+                    for s in range(p + 1 - r):
+                        key = PermClassKey(p, q, r, s)
+                        assert key.k == k_reference(key), key
+
+    def test_every_rotation_to_40(self):
+        # q from 1, as the lemmas battery draws it
+        for p in range(3, 41):
+            for q in range(1, p):
+                for z in range(1, p + 1):
+                    assert rotate(z, q, p) == rotate_reference(z, q, p), (z, q, p)
+
+    def test_every_class_to_40(self):
+        for p in range(3, 41):
+            for q in range(2, p):
+                for r, s in PermClassKey.nonempty_profiles(p, q):
+                    if r == 0 and s == 0:
+                        continue
+                    k = math.gcd(r, s, (r + s * q) // p)
+                    word = permclass._path_steps(r // k, s // k, 1, q)
+                    for j in range(k):
+                        start = j * (q - 1) % p + 1
+                        assert permclass._walk_word(start, word, p) == (
+                            walk_word_reference(start, word, p)
+                        ), (p, q, r, s, j)
+                    for cyc in construct_witness(PermClassKey(p, q, r, s)).cycles():
+                        for pts in (cyc, cyc[::-1], [rotate(z, q, p) for z in cyc]):
+                            assert cyclic_order(pts) == cyclic_order_reference(pts)
+
+    def test_broken_words_fail_as_the_reference_does(self):
+        # cut short, doubled, and one step repeated: each walk raises, or
+        # not, with the reference's text, which names the first repeat
+        raised = set()
+        for p in range(3, 21):
+            for q in range(2, p):
+                for r, s in PermClassKey.nonempty_profiles(p, q):
+                    if r == 0 and s == 0:
+                        continue
+                    word = permclass._path_steps(r, s, 1, q)
+                    for bad in (word[:-1] or word, word * 2, word[:1] * len(word)):
+                        want = outcome(walk_word_reference, 1, bad, p)
+                        assert outcome(permclass._walk_word, 1, bad, p) == want
+                        if isinstance(want, tuple):
+                            raised.add(want[1].split()[-1])
+        assert raised == {"ended", "start"}  # both faults were met
+
+    def test_every_enumerated_member_to_9(self):
+        for p in range(3, 10):
+            for q in range(2, p):
+                for (r, s), members in enumerate_by_profile(p, q).items():
+                    key = PermClassKey(p, q, r, s)
+                    assert key.k == k_reference(key)
+                    for sigma in members:
+                        for cyc in sigma.cycles():
+                            word = [(b - a) % p for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+                            walk = permclass._walk_word(cyc[0], word, p)
+                            assert walk == walk_word_reference(cyc[0], word, p)
+                            assert walk == list(cyc)
+                            assert cyclic_order(cyc) == cyclic_order_reference(cyc)
+                            ws = [rotate(z, q, p) for z in cyc]
+                            assert ws == [rotate_reference(z, q, p) for z in cyc]
+
+    def test_cyclic_order_on_every_short_sequence(self):
+        for m in range(6):
+            for zs in itertools.product(range(1, 8), repeat=m):
+                assert cyclic_order(zs) == cyclic_order_reference(zs), zs

@@ -1,7 +1,9 @@
 """The verification harness itself: suite plumbing and small sweeps."""
 
+import itertools
 import marshal
 import os
+import random
 import subprocess
 import sys
 
@@ -186,6 +188,106 @@ def test_lemmas_check_cyclic_order_against_its_definition(monkeypatch):
     bad = run_suite("lemmas", cases=200)
     assert not bad.passed and bad.cases == good.cases
     assert bad.first_counterexample.startswith("cyclic_order: ")
+
+
+
+def rises_from_least_reference(zs) -> bool:
+    """``_rises_from_least`` by a generator of pairwise comparisons."""
+    i = zs.index(min(zs))
+    run = zs[i:] + zs[:i]
+    return all(a < b for a, b in zip(run, run[1:]))
+
+
+def test_rises_from_least_matches_its_reference():
+    for m in range(1, 6):
+        for zs in itertools.product(range(1, 8), repeat=m):
+            zs = list(zs)
+            assert verifymod._rises_from_least(zs) == rises_from_least_reference(zs)
+    # the cycles of every member found to p = 9 and of every witness to 40
+    members = [
+        sigma
+        for p in range(3, 10)
+        for q in range(2, p)
+        for group in permclass.enumerate_by_profile(p, q).values()
+        for sigma in group
+    ] + [
+        permclass.construct_witness(PermClassKey(p, q, r, s))
+        for p in range(3, 41)
+        for q in range(2, p)
+        for r, s in PermClassKey.nonempty_profiles(p, q)
+    ]
+    for sigma in members:
+        for cyc in sigma.cycles():
+            for zs in (list(cyc), list(cyc[::-1])):
+                assert verifymod._rises_from_least(zs) == rises_from_least_reference(zs)
+
+
+#: every (a, b) that a lemma battery draws from
+BATTERY_RANGES = sorted(
+    {(3, 60), (0, 20), (3, 50), (-20, 20), (-3, 3)}
+    | {(3, min(p, 8)) for p in range(3, 61)}
+    | {(1, p - 1) for p in range(3, 61)}
+    | {(2, p - 1) for p in range(3, 51)}
+)
+
+
+def test_the_draw_helper_is_randint():
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for a, b in BATTERY_RANGES:
+            for _ in range(3):
+                assert verifymod._randint(ours.getrandbits, a, b) == theirs.randint(a, b)
+        assert ours.getstate() == theirs.getstate()
+
+
+#: each battery's draws of one instance, in order, through rng.randint and
+#: rng.sample, as the batteries drew them before the draw helper
+RANDINT_DRAWS = {
+    "cyclic_order": lambda rng: [
+        p := rng.randint(3, 60),
+        m := rng.randint(3, min(p, 8)),
+        rng.sample(range(1, p + 1), m),
+        rng.randint(1, p - 1),
+    ],
+    "path_bound": lambda rng: [rng.randint(0, 20), rng.randint(0, 20)],
+    "divisibility_gap": lambda rng: [
+        p := rng.randint(3, 50),
+        rng.randint(2, p - 1),
+        rng.randint(-20, 20),
+        rng.randint(-20, 20),
+        rng.randint(-3, 3),
+        rng.randint(-3, 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("battery", sorted(RANDINT_DRAWS))
+def test_the_batteries_draw_the_randint_instances(monkeypatch, battery):
+    # an instance is a fixed function of its draws, so equal draws (and
+    # an equal generator state after them) mean equal instances
+    drawn = []
+    real_randint = verifymod._randint
+
+    def randint(bits, a, b):
+        drawn.append(real_randint(bits, a, b))
+        return drawn[-1]
+
+    monkeypatch.setattr(verifymod, "_randint", randint)
+    rng = random.Random(verifymod.DEFAULT_SEED)
+    real_sample = rng.sample
+
+    def sample(population, k):
+        drawn.append(real_sample(population, k))
+        return drawn[-1]
+
+    rng.sample = sample
+    check = verifymod._LEMMA_BATTERIES[battery]
+    ref = random.Random(verifymod.DEFAULT_SEED)
+    for i in range(1000):
+        del drawn[:]
+        assert check(rng, permclass) is None
+        assert drawn == RANDINT_DRAWS[battery](ref), (battery, i)
+    assert rng.getstate() == ref.getstate()
 
 
 def test_lemmas_catch_a_path_bound_check_that_passes_every_word(monkeypatch):
