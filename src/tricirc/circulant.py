@@ -35,7 +35,9 @@ image and maps the result back: elimination at the smallest image
 other than p/2, the DP at the smallest image of all, since it walks
 the offsets 0, 1 and q forward in a window of q + 1 cells.  The two
 differ only at q = p/2 and p/2 + 1, where the DP runs at p/2 and
-elimination at p/2 + 1.  Newton and brute force stay at q, so the
+elimination at p/2 + 1.  A growth table's rows from p = 2q - 1 up may
+instead share one walk at q itself (:func:`cover_count_rows`), routed
+by the DP's fitted cost.  Newton and brute force stay at q, so the
 ``sign`` suite compares routes that ran at two different offsets
 wherever q is not its own smallest image.
 
@@ -305,8 +307,13 @@ def dp_cost(p: int, q: int) -> float:
     budget is judged on this estimate, though :func:`cycle_cover_counts`
     runs at the smallest image of q, whose window may be narrower still.
     """
+    return _fitted_cost(p, window_width(p, q))
+
+
+def _fitted_cost(p: int, w: int) -> float:
+    """:func:`dp_cost`'s fitted form for p steps in a w-bit window."""
     try:
-        return p * p * (1 + p / 1000) * 2.9 ** window_width(p, q)
+        return p * p * (1 + p / 1000) * 2.9**w
     except OverflowError:
         return float("inf")
 
@@ -317,6 +324,9 @@ def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
     With ``p_min`` the estimate is the sum of one DP for every p from
     p_min to p, as a table with one row per p runs them; the dearest
     DP, at p, is checked alone first, which bounds the length of the sum.
+    A table whose rows share one walk (:func:`cover_count_rows`) costs
+    no more than that sum: every walked row has the (q + 1)-bit window
+    of the walk, so the walk's p-step estimate is the last row's own.
 
     DP_BUDGET admits (24, 12) at 13 bits (about 1.5-3.3 s on the host
     above) and (3000, 2) (about 4.5 s), and refuses (32, 13) at 14 bits
@@ -364,24 +374,59 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(_from_image(_cover_counts(p, image), p, words[image], False)))
 
 
-def _cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
-    """The cycle covers of (p, q) itself, by the transfer DP.
+def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, tuple]:
+    """Cycle-cover counts of the rows p_min..p_max that one walk makes cheaper.
 
-    A transfer DP over positions 0..p-1 with a bitmask of claimed
-    images inside a sliding window of q + 1 cells: position i claims
-    i, i + 1 or i + q.  The cyclic seam is closed by enumerating the
-    boundary mask and requiring the run to reproduce it.
+    For p >= 2q - 1 the window of q is no wider than that of its image
+    1 - q mod p = p + 1 - q, so one walk at q reads the counts of every
+    row p from 2q - 1 up off its step p (:func:`_cover_count_rows`).
+    A row whose image 1/q is small has a far narrower window of its
+    own, though: (23, 12) runs at 2.  So the rows from max(p_min,
+    2q - 1) to p_max are walked only when :func:`dp_cost`'s fitted form
+    gives the walk, p_max steps in a (q + 1)-bit window, less work than
+    their per-row DPs at their smallest images; otherwise, and when no
+    row reaches 2q - 1, this returns no rows.  Maps p to the sorted
+    (r, s, N) triples that :func:`cycle_cover_counts` gives for (p, q).
+    """
+    first = max(p_min, 2 * q - 1)
+    per_row = sum(
+        _fitted_cost(p, min(symmetric_images(p, q)) + 1)
+        for p in range(first, p_max + 1)
+    )
+    if _fitted_cost(p_max, q + 1) >= per_row:  # as always with no rows
+        return {}
+    return dict(zip(range(first, p_max + 1), _cover_count_rows(q, first, p_max)))
+
+
+def _cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """The cycle covers of (p, q) itself: the one-row walk."""
+    return _cover_count_rows(q, p, p)[0]
+
+
+def _cover_count_rows(
+    q: int, p_lo: int, p_hi: int
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """The cycle covers of (p, q) itself for every p in p_lo..p_hi, q < p_lo.
+
+    A transfer DP over positions with a bitmask of claimed images
+    inside a sliding window of q + 1 cells: position i claims i, i + 1
+    or i + q.  The cyclic seam of Z_p is closed by enumerating the
+    boundary mask and requiring the run to reproduce it after p steps.
+    The transfer depends on q alone, so the count for p is the trace of
+    its p-th power (Stanley, EC1 section 4.7), and one walk of p_hi
+    steps per boundary reads every row's trace on its way.
 
     The DP tracks s alone: a complete cover has r + sq = 0 (mod p) and
     r + s <= p, which fixes r for every s > 0, while s = 0 has exactly
     two covers, the identity (r = 0) and the full shift (r = p).  So
-    each DP value packs p+1 count slots, one per s.  Both facts are
-    checked on the result (:class:`InternalInconsistency` otherwise).
+    each DP value packs p_hi + 1 count slots, one per s.  Both facts
+    are checked on every row (:class:`InternalInconsistency` otherwise).
+    Returns one sorted tuple of (r, s, N) triples per row.
     """
-    # Each DP value is one big integer packing the p+1 slots by s; a slot
-    # holds the count of partial assignments, which is < 3^p < 2^wbits
-    # (whole bytes, so the total unpacks in one pass).
-    wbits = 8 * max(8, -(-p // 4))
+    # Each DP value is one big integer packing the slots by s; a slot holds
+    # the count of partial assignments, which is < 3^p_hi < 2^wbits (whole
+    # bytes, so each row's total unpacks in one pass).
+    wbits = 8 * max(8, -(-p_hi // 4))
     # (window bit, y shift) of the moves to offsets 0, 1 and q
     moves = ((1, 0), (2, 0), (1 << q, wbits))
     # Every step applies the same transfer, so the successors of each
@@ -395,24 +440,27 @@ def _cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
         for mask in range(1 << q)
     ]
 
-    total = 0
+    # the steps before each row's trace: p_lo, then one per row
+    legs = [p_lo] + [1] * (p_hi - p_lo)
+    totals = [0] * len(legs)
     # the top window cell can never be claimed from across the seam
     for boundary in range(1 << q):
         states = {boundary: 1}
-        for _ in range(p):
-            nxt: dict[int, int] = {}
-            for mask, val in states.items():
-                for key, shift in succ[mask]:
-                    add = val << shift if shift else val
-                    if key in nxt:
-                        nxt[key] += add
-                    else:
-                        nxt[key] = add
-            # nxt is never empty: if cell 0 is claimed, the move onto the top
-            # cell (in no mask) is open, else the offset-0 move claims it
-            states = nxt
-        total += states.get(boundary, 0)
-    return _unpack_counts(total, p, q, wbits)
+        for row, leg in enumerate(legs):
+            for _ in range(leg):
+                nxt: dict[int, int] = {}
+                for mask, val in states.items():
+                    for key, shift in succ[mask]:
+                        add = val << shift if shift else val
+                        if key in nxt:
+                            nxt[key] += add
+                        else:
+                            nxt[key] = add
+                # nxt is never empty: if cell 0 is claimed, the move onto the
+                # top cell (in no mask) is open, else the offset-0 move claims it
+                states = nxt
+            totals[row] += states.get(boundary, 0)
+    return [_unpack_counts(t, p, q, wbits) for p, t in enumerate(totals, p_lo)]
 
 
 def _unpack_counts(

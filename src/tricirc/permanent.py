@@ -9,7 +9,8 @@ the absolute coefficient values.  This module computes that permanent
 and checks it against classical two-sided bounds:
 
 * the unsigned cycle-cover DP shared with the determinant backends, the
-  route :func:`bounds_report` (and so :func:`growth_table`) takes;
+  route :func:`bounds_report` takes, and :func:`growth_table` too, whose
+  rows from 2q - 1 up can share one transfer-matrix walk;
 * Ryser inclusion-exclusion over necklaces of columns (exact, p <= 24), an
   independent route for the ``permanent`` verify suite and for
   :func:`bounds_report` when its signed polynomial is the DP's own;
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import exp, factorial, log
 
 from .bipoly import BiPoly
-from .circulant import check_dp_budget, cycle_cover_counts
+from .circulant import check_dp_budget, cover_count_rows, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
 from .phi import NEWTON_LIMIT, PermClassKey, Record, phi_polynomial
 
@@ -143,18 +144,14 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
 
     d11 comes from the unsigned DP and abs_sum from the signed
     determinant polynomial of the selected backend (Newton's identities
-    by default).  Since no monomial mixes signs, the DP must equal that
-    polynomial with every coefficient made absolute, term by term.
+    by default), and :func:`_report` checks the one against the other.
     With the ``cycle_cover`` backend the signed polynomial is the DP's
     own, so d11 comes from Ryser instead and only the sums can be
     compared; past RYSER_LIMIT the report is refused
     (:class:`TooLarge`) rather than compare the DP with itself.  On
     every other backend the DP's budget is checked before the signed
     polynomial is computed, so an over-budget DP is refused before a
-    slow route runs (Bareiss takes 1.8-2.4 s at (96, 48)).  Any
-    disagreement raises :class:`InternalInconsistency`, as does a printed
-    ``upper_bound`` c without (c-1)^3 < 6^p <= c^3.  No bound check uses
-    a float: the lower one cross-multiplies, the upper ones cube.
+    slow route runs (Bareiss takes 1.8-2.4 s at (96, 48)).
     """
     PermClassKey.check_pair(p, q)
     if backend != "cycle_cover":
@@ -165,11 +162,26 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
             f"expansion, which is limited to p <= {RYSER_LIMIT}"
         )
     signed = phi_polynomial(p, q, backend)
+    unsigned = None if backend == "cycle_cover" else permanent_generating(p, q)
+    return _report(p, q, signed, unsigned)
+
+
+def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> PermanentReport:
+    """The report of (p, q) from its signed and its unsigned polynomial.
+
+    Since no monomial mixes signs, the unsigned DP must equal the signed
+    polynomial with every coefficient made absolute, term by term, and
+    its value at x = y = 1, d11, must equal abs_sum.  With no unsigned
+    polynomial (the signed one is the DP's own) d11 comes from Ryser.
+    Any disagreement raises :class:`InternalInconsistency`, as does a
+    printed ``upper_bound`` c without (c-1)^3 < 6^p <= c^3.  No bound
+    check uses a float: the lower one cross-multiplies, the upper ones
+    cube.
+    """
     abs_sum = signed.abs_coefficient_sum()
-    if backend == "cycle_cover":
+    if unsigned is None:
         d11 = permanent_ryser(p, q)
     else:
-        unsigned = permanent_generating(p, q)
         if unsigned != signed.termwise_abs():
             raise InternalInconsistency(
                 f"the unsigned DP differs from the absolute determinant "
@@ -205,7 +217,7 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
 class GrowthRow(Record):
     """One line of the max-coefficient growth table.
 
-    ``root`` is the float max_coeff ** (1/p), for display only.
+    ``root`` is the float max_coeff ** (1/p), printed to 4 decimals.
     """
 
     __slots__ = ("p", "q", "max_coeff", "d11", "n_monomials", "root", "sandwich_ok")
@@ -222,15 +234,26 @@ class GrowthRow(Record):
         }
 
 
+def _root(m: int, p: int) -> float:
+    """m ** (1/p), through the logarithm so that no m is too large for it."""
+    return exp(log(m) / p)
+
+
 def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     """Max-coefficient growth for fixed q, p from q+1 (at least 3) up.
 
-    Each row is read off :func:`bounds_report`, so its DP counts are
-    checked against |Newton| term by term; only the display column, the
-    float p-th root of M, is computed here, through the logarithm so
-    that no M is too large for it.  A table is refused up front if its
-    DPs together are over budget or if p_max passes NEWTON_LIMIT, which
-    the budget alone admits when q is next to p (a 3-5 bit DP window).
+    A table is refused up front if its DPs together are over budget or
+    if p_max passes NEWTON_LIMIT, which the budget alone admits when q
+    is next to p (a 3-5 bit DP window).  Then the rows that one
+    transfer-matrix walk makes cheaper take their counts from it
+    (:func:`cover_count_rows`), and the others from the DP routed per
+    p.  Every row is checked against |Newton| term by term, as
+    :func:`bounds_report` checks it (:func:`_report`).  The display
+    column, the float p-th root of M, is read back from its 4 printed
+    decimals as N / 10^4 and checked in integers:
+    (N (10^4 - 1))^p <= M 10^(8p) <= (N (10^4 + 1))^p, a relative
+    tolerance of 10^-4 that the rounding to 4 decimals (at most
+    5 10^-5, since the root is at least 1) cannot trip.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got q={q}")
@@ -242,9 +265,18 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
         raise TooLarge(
             f"each growth row runs Newton's identities, limited to p <= {NEWTON_LIMIT}"
         )
+    walked = cover_count_rows(q, p_min, p_max)
     rows = []
     for p in range(p_min, p_max + 1):
-        rep = bounds_report(p, q)
+        counts = walked.get(p) or cycle_cover_counts(p, q)
+        unsigned = BiPoly({(r, s): n for r, s, n in counts})
+        rep = _report(p, q, phi_polynomial(p, q), unsigned)
+        root = _root(rep.max_coeff, p)
+        n = int(f"{root:.4f}".replace(".", ""))
+        if not (n * 9999) ** p <= rep.max_coeff * 10 ** (8 * p) <= (n * 10001) ** p:
+            raise InternalInconsistency(
+                f"printed root {root:.4f} is not M^(1/{p}) to 1e-4 for (p={p}, q={q})"
+            )
         rows.append(
             GrowthRow(
                 p=p,
@@ -252,7 +284,7 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
                 max_coeff=rep.max_coeff,
                 d11=rep.d11,
                 n_monomials=rep.n_monomials,
-                root=exp(log(rep.max_coeff) / p),
+                root=root,
                 sandwich_ok=rep.sandwich_ok,
             )
         )

@@ -41,14 +41,9 @@ ENUMERATION_LIMIT = 10
 WITNESS_LIMIT = 10**6
 
 
-def reduce_1p(value: int, p: int) -> int:
-    """Reduce into the residue system {1, ..., p}."""
-    return (value - 1) % p + 1
-
-
 def rotate(z: int, q: int, p: int) -> int:
     """The circle rotation z -> z + q in residues {1, ..., p}."""
-    return (z + q - 1) % p + 1  # reduce_1p(z + q, p), inline
+    return (z + q - 1) % p + 1
 
 
 class Permutation:
@@ -310,7 +305,7 @@ def _walk_word(start: int, word, p: int) -> list[int]:
     points = [start]
     v = start
     for step in word:
-        v = (v + step - 1) % p + 1  # reduce_1p, inline
+        v = (v + step - 1) % p + 1  # rotate(v, step, p), inline
         points.append(v)
     end = points.pop()
     if len(set(points)) != len(points):

@@ -400,6 +400,17 @@ class TestCycleCover:
             circulant._unpack_counts(2 + (1 << 256), 5, 3, 64)
 
 
+class TestWalk:
+    @pytest.mark.parametrize("q", range(2, 11))
+    def test_each_row_of_the_walk_is_the_one_row_kernel(self, q):
+        # rows below 2q - 1 too, and slots as wide as the last row's
+        p_hi = 2 * q + 1
+        rows = circulant._cover_count_rows(q, q + 1, p_hi)
+        assert len(rows) == p_hi - q
+        for p, row in zip(range(q + 1, p_hi + 1), rows):
+            assert row == circulant._cover_counts(p, q), (p, q)
+
+
 def canonical_pairs(p_max, p_min=3):
     return [(p, q) for p in range(p_min, p_max + 1) for q in range(2, p)]
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -707,6 +708,22 @@ def unpack_total_plus_one(monkeypatch):
     )
 
 
+def walked_total_plus_one(monkeypatch):
+    # +1 on the packed total of row p = 5 of the walk at q = 3; the per-p
+    # DP would run (5, 3) at its image 2
+    real = circulant._unpack_counts
+    monkeypatch.setattr(
+        circulant,
+        "_unpack_counts",
+        lambda total, p, q, wbits: real(total + ((p, q) == (5, 3)), p, q, wbits),
+    )
+
+
+def root_over_p_plus_one(monkeypatch):
+    # the growth root as M^(1/(p+1)) instead of M^(1/p)
+    monkeypatch.setattr(permmod, "_root", lambda m, p: math.exp(math.log(m) / (p + 1)))
+
+
 def power_sum_plus_one(monkeypatch):
     # +1 on the x^5 term of tr(A^5) for (5, 3), which Newton divides by 5
     real = phimod.power_sums
@@ -740,6 +757,10 @@ CAUGHT = [
      "5 does not divide the coefficient -6"),
     (dp_count_plus_one, ("growth", "--q", "3", "--pmax", "5"),
      "differs from the absolute determinant"),
+    (walked_total_plus_one, ("growth", "--q", "3", "--pmax", "8"),
+     "s = 0 holds 3 covers for p=5, q=3"),
+    (root_over_p_plus_one, ("growth", "--q", "3", "--pmax", "5"),
+     r"printed root 1\.3195 is not M\^\(1/4\) to 1e-4 for \(p=4, q=3\)"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each

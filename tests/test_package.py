@@ -27,7 +27,7 @@ PUBLIC = {
         "ENUMERATION_LIMIT Permutation "
         "StructureReport build_path construct_witness cyclic_order "
         "displacement_profile enumerate_by_profile enumerate_class "
-        "path_bound_check predict_structure reduce_1p rotate"
+        "path_bound_check predict_structure rotate"
     ),
     "phi": (
         "BACKENDS NEWTON_LIMIT CirculantSpec CoefficientReport PermClassKey "

@@ -9,9 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from polytext import parse
-from tricirc import cli
+from tricirc import circulant, cli
 from tricirc import permanent as permmod
-from tricirc.circulant import check_dp_budget
+from tricirc.circulant import check_dp_budget, cycle_cover_counts
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import (
     GrowthRow,
@@ -255,43 +255,78 @@ class TestGrowth:
     def test_root_of_a_coefficient_past_float_range(self, monkeypatch):
         big = 10**401
 
-        def stub(p, q):
-            rep = bounds_report(p, q)
+        report = permmod._report
+
+        def stub(p, q, signed, unsigned):
+            rep = report(p, q, signed, unsigned)
             fields = {name: getattr(rep, name) for name in rep.__slots__}
             fields.update(d11=big + 2, abs_sum=big + 2, max_coeff=big)
             return PermanentReport(**fields)
 
-        monkeypatch.setattr(permmod, "bounds_report", stub)
+        monkeypatch.setattr(permmod, "_report", stub)
         (row,) = growth_table(2, 3)
         assert row.max_coeff == big and row.d11 == big + 2
         assert row.root == pytest.approx(10 ** (401 / 3))
 
     @pytest.mark.parametrize(
-        "q, p_max", [*benchmark_growth_pmax().items(), (8, 30)]
+        "q, p_max",
+        [*benchmark_growth_pmax().items(), (8, 30), (9, 20), (11, 26), (12, 23)],
     )
     def test_rows_match_the_dp_alone(self, q, p_max):
         assert growth_table(q, p_max) == dp_growth_rows(q, p_max)
+
+    # (23, 12) runs at its image 1/12 = 2, a 3-bit window, not 13 bits; no
+    # row of (8, 14) reaches 2q - 1
+    @pytest.mark.parametrize(
+        "q, p_max, walk", [(12, 23, None), (8, 66, (8, 15, 66)), (8, 14, None)]
+    )
+    def test_table_walks_only_where_it_is_cheaper(self, monkeypatch, q, p_max, walk):
+        kernel = circulant._cover_count_rows
+        walks = []
+
+        def record(q, p_lo, p_hi):
+            if p_lo < p_hi:
+                walks.append((q, p_lo, p_hi))
+            return kernel(q, p_lo, p_hi)
+
+        monkeypatch.setattr(circulant, "_cover_count_rows", record)
+        cycle_cover_counts.cache_clear()
+        growth_table(q, p_max)
+        assert walks == ([walk] if walk else [])
+
+    def test_walk_starts_after_both_refusals(self, monkeypatch):
+        def no_walk(q, p_lo, p_hi):
+            pytest.fail(f"walk of p={p_lo}..{p_hi} started before the refusal")
+
+        # both tables would walk if admitted
+        assert circulant.cover_count_rows(2, 3, 30) and circulant.cover_count_rows(3, 4, 21)
+        monkeypatch.setattr(circulant, "_cover_count_rows", no_walk)
+        with pytest.raises(TooLarge, match="over the budget"):
+            growth_table(2, 1000)
+        monkeypatch.setattr(permmod, "NEWTON_LIMIT", 20)
+        with pytest.raises(TooLarge, match="limited to p <= 20"):
+            growth_table(3, 21)
 
     def test_table_past_newtons_limit_is_refused_before_any_row(self, monkeypatch):
         # the DP window min(q+1, p-q+2) is 3 bits here, so the budget admits it
         q, p_max = NEWTON_LIMIT, NEWTON_LIMIT + 1
         check_dp_budget(p_max, q, q + 1)
 
-        def no_row(p, q):
+        def no_row(p, q, signed, unsigned):
             pytest.fail(f"row p={p} computed before the refusal")
 
-        monkeypatch.setattr(permmod, "bounds_report", no_row)
+        monkeypatch.setattr(permmod, "_report", no_row)
         with pytest.raises(TooLarge, match=f"limited to p <= {NEWTON_LIMIT}"):
             growth_table(q, p_max)
 
     def test_table_up_to_newtons_limit_is_admitted(self, monkeypatch):
         seen = []
 
-        def stub(p, q):
+        def stub(p, q, signed, unsigned):
             seen.append(p)
             return SimpleNamespace(max_coeff=1, d11=1, n_monomials=1, sandwich_ok=True)
 
-        monkeypatch.setattr(permmod, "bounds_report", stub)
+        monkeypatch.setattr(permmod, "_report", stub)
         growth_table(NEWTON_LIMIT - 2, NEWTON_LIMIT)
         assert seen == [NEWTON_LIMIT - 1, NEWTON_LIMIT]
 

@@ -188,9 +188,14 @@ def cyclic_order_reference(points) -> bool:
     return sum(1 for i in range(m) if zs[i] > zs[(i + 1) % m]) == 1
 
 
+def reduce_1p(value: int, p: int) -> int:
+    """Reduce into the residue system {1, ..., p}."""
+    return (value - 1) % p + 1
+
+
 def rotate_reference(z: int, q: int, p: int) -> int:
     """``rotate`` through ``reduce_1p``."""
-    return permclass.reduce_1p(z + q, p)
+    return reduce_1p(z + q, p)
 
 
 def k_reference(key: PermClassKey):
