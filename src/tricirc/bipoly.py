@@ -149,10 +149,6 @@ class BiPoly:
             raise ValueError("modulus must be at least 2")
         return BiPoly({k: c % m for k, c in self._terms.items()})
 
-    def swap_xy(self) -> "BiPoly":
-        """The polynomial with the roles of x and y exchanged."""
-        return _wrap({Monomial(m.s, m.r): c for m, c in self._terms.items()})
-
     def termwise_abs(self) -> "BiPoly":
         return _wrap({m: abs(c) for m, c in self._terms.items()})
 

@@ -30,8 +30,9 @@ and traces them as ``circulant.*``.
 
 Elimination and the DP need not run at q itself.  Re-indexing Z_p
 maps the determinant at q exactly onto the one at 1/q, 1-q and their
-compositions (:func:`symmetric_images`), so each runs at its cheapest
-image and maps the result back: elimination at the smallest image
+compositions, whose one table is :func:`tricirc.phi.canonical_images`,
+so each runs at its cheapest image and maps the result back through
+:func:`tricirc.phi.from_image`: elimination at the smallest image
 other than p/2, the DP at the smallest image of all, since it walks
 the offsets 0, 1 and q forward in a window of q + 1 cells.  The two
 differ only at q = p/2 and p/2 + 1, where the DP runs at p/2 and
@@ -50,12 +51,14 @@ functions are pure; different specs or backends may run concurrently.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div
 from .errors import InternalInconsistency, TooLarge
 # reduce_theta is not used here: benchmark/make_refs.py imports it from this module
-from .phi import CirculantSpec, PermClassKey, Record, _require_canonical, reduce_theta
+from .phi import (
+    CirculantSpec, PermClassKey, Record, _require_canonical, canonical_images,
+    from_image, reduce_theta,
+)
 
 #: largest p accepted by fraction-free elimination ((96, 48), run at
 #: its image 49, takes 1.8-2.4 s on a 2-CPU host with Python 3.11)
@@ -71,85 +74,27 @@ BRUTEFORCE_LIMIT = 10
 
 
 # ---------------------------------------------------------------------------
-# symmetric images of q
-# ---------------------------------------------------------------------------
-
-def symmetric_images(p: int, q: int) -> dict[int, str]:
-    """Every offset q' whose determinant gives that of (p, q), with the way back.
-
-    Re-indexing Z_p by an affine map leaves the product
-    prod_j (1 - x w^j - y w^(qj)) unchanged up to two exact rewrites,
-    S and T, each its own inverse:
-
-    * S: q -> 1/q mod p, only when gcd(q, p) = 1.  Re-indexing j by qj
-      gives phi_q(x, y) = phi_(1/q)(y, x), so a_q(r, s) = a_(1/q)(s, r).
-    * T: q -> 1 - q mod p.  Taking w^j out of every factor and
-      re-indexing j by -j gives a_q(r, s) = -(-1)^s a_(1-q)(p-r-s, s).
-
-    Maps each image q' (q included) to the word of steps, ``"S"`` and
-    ``"T"``, that leads from q to q', shortest first; undone last step
-    first (:func:`_from_image`), a word maps q''s coefficients back to
-    q's with exact signs.  The steps generate the anharmonic group
-    (q, 1/q, 1-q, 1/(1-q), q/(q-1), (q-1)/q), so there are at most six
-    images, reached by words of length 0 to 3.
-    """
-    PermClassKey.check_pair(p, q)
-    words = {q: ""}
-    frontier = [q]  # grows while it is walked: breadth first
-    for g in frontier:
-        steps = [("T", (1 - g) % p)]
-        if gcd(g, p) == 1:
-            steps.insert(0, ("S", pow(g, -1, p)))
-        for step, image in steps:
-            if image not in words:
-                words[image] = words[g] + step
-                frontier.append(image)
-    return words
-
-
-def _from_image(
-    triples, p: int, word: str, signed: bool
-) -> list[tuple[int, int, int]]:
-    """The (r, s, c) of q from those of the image that ``word`` leads to.
-
-    The word's steps are undone last first: S swaps r and s, T sends r
-    to p-r-s and, for signed coefficients, c to -(-1)^s c.  Unsigned
-    counts (``signed`` false) keep their value.
-    """
-    triples = list(triples)
-    for step in reversed(word):
-        if step == "S":
-            triples = [(s, r, c) for r, s, c in triples]
-        else:
-            triples = [
-                (p - r - s, s, c if s % 2 or not signed else -c)
-                for r, s, c in triples
-            ]
-    return triples
-
-
-# ---------------------------------------------------------------------------
 # Bareiss fraction-free elimination
 # ---------------------------------------------------------------------------
 
 def det_bareiss(spec: CirculantSpec) -> BiPoly:
     """Exact determinant by fraction-free elimination, at the cheapest image of q.
 
-    The elimination runs at the smallest of :func:`symmetric_images`
-    other than p/2 and is mapped back.  Small offsets eliminate fastest,
-    except p/2: (48, 24) took 0.38 s and its image (48, 25) 0.15 s.  On
-    every pair with p <= 24 this rule took 0.50 s against 1.34 s at q
-    itself (2-CPU host, Python 3.11).  p/2 is never the only image,
-    since 1 - p/2 = p/2 + 1 mod p.
+    The elimination runs at the smallest image of q in
+    :func:`tricirc.phi.canonical_images` other than p/2 and is mapped
+    back.  Small offsets eliminate fastest, except p/2: (48, 24) took
+    0.38 s and its image (48, 25) 0.15 s.  On every pair with p <= 24
+    this rule took 0.50 s against 1.34 s at q itself (2-CPU host,
+    Python 3.11).  p/2 is never the only image, since 1 - p/2 =
+    p/2 + 1 mod p.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
     if p > BAREISS_LIMIT:
         raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
-    words = symmetric_images(p, q)
-    image = min(g for g in words if 2 * g != p)
-    terms = [(m.r, m.s, c) for m, c in _bareiss(p, image).terms.items()]
-    return BiPoly({(r, s): c for r, s, c in _from_image(terms, p, words[image], True)})
+    ways = canonical_images(p, q)
+    image = min(g for g in ways if 2 * g != p)
+    return BiPoly(from_image(_bareiss(p, image).terms, p, ways[image]))
 
 
 def _bareiss(p: int, q: int) -> BiPoly:
@@ -286,8 +231,8 @@ def window_width(p: int, q: int) -> int:
 
     The DP walks the offsets 0, 1 and q forward in a window of q + 1
     cells.  The width is that window at the narrower of q and its image
-    1 - q mod p (:func:`symmetric_images`), min(q, 1 - q) + 1, so q near
-    p costs the same as q near 0.
+    1 - q mod p (:func:`tricirc.phi.canonical_images`), min(q, 1 - q) + 1,
+    so q near p costs the same as q near 0.
     """
     return min(q, (1 - q) % p) + 1
 
@@ -358,20 +303,22 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
 
     N(r, s) counts bijections of Z_p whose displacements take the value
     1 exactly r times, q exactly s times and 0 elsewhere; it is |a(r, s)|,
-    so the maps of :func:`symmetric_images` carry it over without their
-    signs.  The DP runs at the smallest image, whose forward window is
-    the narrowest, and its counts are mapped back.  The budget judges
-    (p, q) as asked; the checks on the DP's result name the pair it ran
-    at.
+    so the maps of :func:`tricirc.phi.canonical_images` carry it over
+    without their signs.  The DP runs at the smallest image, whose
+    forward window is the narrowest, and its counts are mapped back.
+    The budget judges (p, q) as asked; the checks on the DP's result
+    name the pair it ran at.
 
     Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
     treat it as immutable).
     """
     PermClassKey.check_pair(p, q)
     check_dp_budget(p, q)
-    words = symmetric_images(p, q)
-    image = min(words)
-    return tuple(sorted(_from_image(_cover_counts(p, image), p, words[image], False)))
+    ways = canonical_images(p, q)
+    image = min(ways)
+    counts = {(r, s): n for r, s, n in _cover_counts(p, image)}
+    counts = from_image(counts, p, ways[image], signed=False)
+    return tuple(sorted((r, s, n) for (r, s), n in counts.items()))
 
 
 def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, tuple]:
@@ -390,7 +337,7 @@ def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, tuple]:
     """
     first = max(p_min, 2 * q - 1)
     per_row = sum(
-        _fitted_cost(p, min(symmetric_images(p, q)) + 1)
+        _fitted_cost(p, min(canonical_images(p, q)) + 1)
         for p in range(first, p_max + 1)
     )
     if _fitted_cost(p_max, q + 1) >= per_row:  # as always with no rows

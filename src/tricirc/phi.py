@@ -1,10 +1,16 @@
 """The circulant spec, its determinant by Newton's identities, and the class rules.
 
 The p-by-p circulant has 1 on the diagonal, -x on the cyclic band at
-offset t and -y on the cyclic band at offset q (:class:`CirculantSpec`);
-:func:`reduce_theta` rewrites it to the canonical t = 1.  For canonical
-(p, q) its determinant is a polynomial sum(a(r, s) x^r y^s) whose
-support, signs and magnitudes are pinned down combinatorially:
+offset t and -y on the cyclic band at offset q (:class:`CirculantSpec`).
+Re-indexing Z_p carries its determinant exactly onto that of a
+canonical spec, t = 1, and :func:`canonical_images` is the package's
+one table of these maps, with :func:`from_image` the way back:
+:func:`reduce_theta` takes its first entry, and the cross-check routes
+of :mod:`tricirc.circulant` run at the image they choose from it.
+
+For canonical (p, q) the determinant is a polynomial
+sum(a(r, s) x^r y^s) whose support, signs and magnitudes are pinned
+down combinatorially:
 
 * a monomial is present iff r+s <= p and p divides r+sq (for s = 0 that
   forces r to be 0 or p);
@@ -122,8 +128,9 @@ class CirculantSpec(Record):
     Canonical specs have t=1 and 2 <= q <= p-1; non-canonical specs are
     accepted only as input to :func:`reduce_theta`, so t or q must be
     invertible modulo p (:class:`IrreducibleSpec` otherwise, checked
-    before the next rule).  The three band offsets 0, t, q must be
-    pairwise distinct.
+    before the next rule), even where :func:`canonical_images` has a
+    route that moves the band of 1 off offset 0.  The three band
+    offsets 0, t, q must be pairwise distinct.
     """
 
     __slots__ = ("p", "q", "t")
@@ -159,20 +166,67 @@ class ReducedSpec(NamedTuple):
 def reduce_theta(spec: CirculantSpec) -> ReducedSpec:
     """Rewrite a general (p, q, t) spec in the canonical form t=1.
 
-    When gcd(t, p) = 1 the product over roots of unity can be reindexed
-    so the x band sits at offset 1 and the y band at offset q*t^-1 mod p.
-    Otherwise gcd(q, p) = 1 (a spec with neither offset invertible
-    cannot be built) and the same works with the variable roles
-    exchanged (flagged in the result).
+    The first entry of :func:`canonical_images`: the band of 1 stays at
+    offset 0, and x moves to offset 1 (q' = q/t mod p) when
+    gcd(t, p) = 1, else y does (q' = t/q, flagged in the result as x
+    and y exchanged).
     """
-    p = spec.p
-    if spec.is_canonical:
-        return ReducedSpec(spec, False)
-    if math.gcd(spec.t, p) == 1:
-        qp = spec.q * pow(spec.t, -1, p) % p
-        return ReducedSpec(CirculantSpec(p, qp, 1), False)
-    qp = spec.t * pow(spec.q, -1, p) % p
-    return ReducedSpec(CirculantSpec(p, qp, 1), True)
+    qp, (order, _) = next(iter(canonical_images(spec.p, spec.q, spec.t).items()))
+    return ReducedSpec(CirculantSpec(spec.p, qp), order == "zyx")
+
+
+def canonical_images(p: int, q: int, t: int = 1) -> dict[int, tuple[str, int]]:
+    """Every canonical q' whose determinant gives that of (p, q, t), with the way back.
+
+    Homogenized, the determinant is prod_j (z - x w^(tj) - y w^(qj))
+    over the p-th roots of unity w^j, with terms z^f x^r y^s where
+    f = p - r - s.  Shifting every band by -c (a factor det(P^c) =
+    (-1)^((p-1)c)) and re-indexing j by a unit of Z_p moves the bands
+    at offsets c, c + d and c + e to 0, 1 and q' = e/d mod p, whenever
+    d is a unit.  So each order of z (the band of 1), x and y over the
+    offsets 0, 1 and q' whose first two bands differ by a unit gives an
+    exact image.  Maps each q' to (order, c), with c the spec offset
+    moved to 0, for the first order that reaches it; the orders that
+    keep z at 0 come first, so the first entry is :func:`reduce_theta`'s.
+    For canonical (p, q) the images are those of q, 1/q, 1-q, 1/(1-q),
+    (q-1)/q and q/(q-1) that exist, at most six.  :func:`from_image`
+    maps an image's terms back.
+    """
+    offsets = {"z": 0, "x": t, "y": q}
+    out: dict[int, tuple[str, int]] = {}
+    for order in ("zxy", "zyx", "xzy", "xyz", "yzx", "yxz"):
+        c = offsets[order[0]]
+        d = offsets[order[1]] - c
+        if math.gcd(d, p) == 1:
+            out.setdefault((offsets[order[2]] - c) * pow(d, -1, p) % p, (order, c))
+    return out
+
+
+def from_image(
+    terms, p: int, way: tuple[str, int], signed: bool = True
+) -> dict[tuple[int, int], int]:
+    """The terms {(r, s): c} of a spec from the terms of its image.
+
+    ``terms`` maps (r', s') to the image's coefficient, and ``way`` is
+    the image's entry of :func:`canonical_images`.  The exponents follow
+    the variables: the bands of the order at offsets 0, 1 and q' take the
+    image's exponents f', r' and s'.  A signed coefficient also takes
+    the sign (-1)^(f' + e_z + (p-1)c), where e_z is the exponent z
+    lands on: a band -x or -y at offset 0 stands where the image has
+    +z, z stands where it has -x or -y, and the shift gives det(P^c).
+    With z at 0 that sign is +1.  Unsigned counts (``signed`` false)
+    keep their value.
+    """
+    order, c = way
+    ix, iy, iz = order.index("x"), order.index("y"), order.index("z")
+    flip = (p - 1) * c
+    out = {}
+    for (r, s), v in terms.items():
+        e = (p - r - s, r, s)
+        if signed and (e[0] + e[iz] + flip) % 2:
+            v = -v
+        out[e[ix], e[iy]] = v
+    return out
 
 
 def _require_canonical(spec: CirculantSpec) -> None:

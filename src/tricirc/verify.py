@@ -152,7 +152,7 @@ def _sign_case(p: int, q: int) -> Checks:
     first of them one monomial at a time, in the same check as that
     monomial's sign, over the union of their terms.  Newton and brute
     force run at q, Bareiss and the DP at the smallest image of q
-    (:func:`tricirc.circulant.symmetric_images`), except that at
+    (:func:`tricirc.phi.canonical_images`), except that at
     q = p/2 and p/2 + 1 the DP runs at p/2 and Bareiss at p/2 + 1.  So
     two different offsets are compared wherever q is not its own
     smallest image.
@@ -431,12 +431,12 @@ class _Suite(NamedTuple):
 
 
 #: name -> its row; the largest pmax was set where one worker stayed near
-#: 10 s or less (2-CPU host, Python 3.11, fresh process): ``support`` 50
-#: now takes 1.9-2.0 s, ``witness`` 60 0.81-0.85 s, ``sign`` 23 1.2-1.6 s
-#: (24 takes 3.4-4.6 s), ``permanent`` 18 0.37-0.51 s (19 takes
-#: 0.59-0.84 s), since Bareiss and the DP run at a cheaper image of q and
-#: Ryser sums over necklaces; the caps are left to the common refit of
-#: every limit; ``prime`` runs to Newton's limit, 19.3 s at 1000
+#: 10 s or less.  Timed together, fresh, on a 2-CPU host with Python 3.11
+#: (``python -c pass`` 25-31 ms): ``support`` 50 1.37-1.40 s, ``witness``
+#: 60 0.82-0.83 s, ``sign`` 23 1.10-1.11 s (its cases at 24 3.3-3.4 s),
+#: ``permanent`` 18 0.35-0.36 s (at 19 0.58-0.60 s), as Bareiss and the
+#: DP run at a cheaper image of q and Ryser sums over necklaces; the caps
+#: wait for a common refit; ``prime`` runs to Newton's limit, 8.2-8.3 s there
 _SUITES = {
     "support": _Suite(
         EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)

@@ -237,9 +237,6 @@ class TestSerialization:
 
 
 class TestHelpers:
-    def test_swap_xy(self):
-        assert P("x^2 - 3*y").swap_xy() == P("y^2 - 3*x")
-
     def test_abs_helpers(self):
         p = P("1 - x^5 - 5*x^2*y - 5*x*y^3 - y^5")
         assert p.termwise_abs() == P("1 + x^5 + 5*x^2*y + 5*x*y^3 + y^5")

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import random
 
@@ -22,13 +23,15 @@ from tricirc.circulant import (
     det_cycle_cover,
     det_float_check,
     dp_cost,
-    symmetric_images,
     window_width,
 )
 from tricirc.phi import (
     NEWTON_LIMIT,
     CirculantSpec,
+    canonical_images,
     det_newton,
+    from_image,
+    phi_polynomial,
     power_sums,
     reduce_theta,
 )
@@ -100,6 +103,41 @@ def leibniz_reference(spec: CirculantSpec) -> BiPoly:
                         j = images[j]
             sgn = -1 if (p - cycles + r + s) % 2 else 1
             acc[(r, s)] = acc.get((r, s), 0) + sgn
+    return BiPoly(acc)
+
+
+def band_walk(p: int, q: int, t: int) -> BiPoly:
+    """The determinant of the (p, q, t) band matrix, by the Leibniz expansion.
+
+    Row i holds 1, -x and -y in columns i, i+t and i+q (mod p); a
+    depth-first walk picks one of them per row, skipping used columns,
+    and each complete pick adds sgn(sigma) * (-x)^r * (-y)^s.  Any t,
+    refused specs included, so it judges every route of the re-indexing
+    table without going through it.
+    """
+    rows = [((i, 0, 0), ((i + t) % p, 1, 0), ((i + q) % p, 0, 1)) for i in range(p)]
+    images = [0] * p
+    acc: dict[tuple[int, int], int] = {}
+
+    def walk(i, used, r, s):
+        if i == p:
+            seen, cycles = 0, 0
+            for start in range(p):
+                if not seen >> start & 1:
+                    cycles += 1
+                    j = start
+                    while not seen >> j & 1:
+                        seen |= 1 << j
+                        j = images[j]
+            sgn = -1 if (p - cycles + r + s) % 2 else 1
+            acc[r, s] = acc.get((r, s), 0) + sgn
+            return
+        for col, dr, ds in rows[i]:
+            if not used >> col & 1:
+                images[i] = col
+                walk(i + 1, used | 1 << col, r + dr, s + ds)
+
+    walk(0, 0, 0, 0)
     return BiPoly(acc)
 
 
@@ -182,33 +220,48 @@ class TestReduceTheta:
         assert red.spec == CirculantSpec(5, 4, 1)
         assert not red.swapped
 
-    def test_invertible_t_float_agreement(self):
-        # the reduced polynomial must reproduce the original band product
-        red = reduce_theta(CirculantSpec(5, 3, 2))
-        poly = det_bareiss(red.spec)
-        import cmath
-
-        for x0, y0 in ((1, 1), (-1, 0.5), (0.5, -1), (2, 3)):
-            prod = 1 + 0j
-            for j in range(5):
-                w = cmath.exp(2j * cmath.pi * j / 5)
-                prod *= 1 - x0 * w**2 - y0 * w**3
-            assert abs(prod - poly.evaluate(x0, y0)) < 1e-8 * (1 + abs(prod))
-
     def test_swap_branch(self):
         # gcd(t=2, 6) > 1 but gcd(q=5, 6) = 1: exchange the variable roles
         red = reduce_theta(CirculantSpec(6, 5, 2))
         assert red.swapped
         assert red.spec == CirculantSpec(6, 4, 1)  # t * q^-1 = 2*5 = 4 (mod 6)
-        poly = det_bareiss(red.spec).swap_xy()
-        import cmath
+        assert canonical_images(6, 5, 2)[4] == ("zyx", 0)
 
-        for x0, y0 in ((1, 1), (-1, 0.5), (2, -1)):
-            prod = 1 + 0j
-            for j in range(6):
-                w = cmath.exp(2j * cmath.pi * j / 6)
-                prod *= 1 - x0 * w**2 - y0 * w**5
-            assert abs(prod - poly.evaluate(x0, y0)) < 1e-8 * (1 + abs(prod))
+    def test_every_reduction_maps_back_to_the_band_walk(self):
+        # every admitted non-canonical spec up to the brute-force size
+        checked = 0
+        for p in range(3, BRUTEFORCE_LIMIT + 1):
+            for q, t in itertools.permutations(range(1, p), 2):
+                try:
+                    spec = CirculantSpec(p, q, t)
+                except IrreducibleSpec:
+                    continue
+                if spec.is_canonical:
+                    continue
+                canon = reduce_theta(spec).spec
+                way = canonical_images(p, q, t)[canon.q]
+                got = BiPoly(from_image(phi_polynomial(p, canon.q).terms, p, way))
+                assert got == band_walk(p, q, t), (p, q, t)
+                checked += 1
+        assert checked == 170
+
+    def test_reduction_is_the_first_entry_of_the_table(self):
+        # q/t when t is a unit, else t/q with x and y exchanged
+        for p in range(3, 41):
+            for q, t in itertools.permutations(range(1, p), 2):
+                try:
+                    spec = CirculantSpec(p, q, t)
+                except IrreducibleSpec:
+                    continue
+                red = reduce_theta(spec)
+                if math.gcd(t, p) == 1:
+                    want = (q * pow(t, -1, p) % p, False)
+                else:
+                    want = (t * pow(q, -1, p) % p, True)
+                assert (red.spec.q, red.swapped) == want, (p, q, t)
+                assert red.spec.t == 1
+                first = next(iter(canonical_images(p, q, t).items()))
+                assert first == (red.spec.q, ("zyx" if red.swapped else "zxy", 0))
 
     def test_irreducible(self):
         with pytest.raises(IrreducibleSpec):
@@ -239,6 +292,18 @@ class TestNewton:
         assert det_newton(CirculantSpec(8, 3)) == PHI_8_3
         assert det_newton(CirculantSpec(3, 2)) == DET_3_2
         assert det_newton(CirculantSpec(4, 2)) == DET_4_2
+
+    def test_closed_form_at_q2(self):
+        # 1 - P_p + (-y)^p, where P_p = sum over r + 2s = p of
+        # p/(r+s) C(r+s, s) x^r y^s (Waring's formula)
+        for p in [*range(3, 61), 97, 400, NEWTON_LIMIT]:
+            terms = {(0, 0): 1, (0, p): (-1) ** p}
+            for s in range(p // 2 + 1):
+                r = p - 2 * s
+                c, rem = divmod(p * math.comb(r + s, s), r + s)
+                assert rem == 0, (p, r, s)
+                terms[r, s] = -c
+            assert det_newton(CirculantSpec(p, 2)) == BiPoly(terms), p
 
     def test_power_sums_3_2(self):
         # tr(A) = 0, tr(A^2) = 6xy, tr(A^3) = 3x^3 + 3y^3
@@ -355,8 +420,8 @@ class TestCycleCover:
         )
 
     def test_large_q_uses_narrow_window(self):
-        # q = p-1 runs at its T image 1 - q = 2; must stay cheap and correct
-        assert symmetric_images(9, 8)[2] == "T"
+        # q = p-1 runs at its image 1 - q = 2; must stay cheap and correct
+        assert canonical_images(9, 8)[2] == ("xzy", 1)
         assert window_width(9, 8) == window_width(9, 2) == 3
         assert det_cycle_cover(CirculantSpec(9, 8)) == det_bruteforce(
             CirculantSpec(9, 8)
@@ -415,45 +480,58 @@ def canonical_pairs(p_max, p_min=3):
     return [(p, q) for p in range(p_min, p_max + 1) for q in range(2, p)]
 
 
-def as_triples(poly):
-    return [(m.r, m.s, c) for m, c in poly.terms.items()]
-
-
 class TestSymmetricImages:
+    ORDERS = ("zxy", "zyx", "xzy", "xyz", "yzx", "yxz")
+
     def test_images_are_the_anharmonic_orbit(self):
-        # q, 1/q, 1-q, then 1/(1-q), 1-1/q and q/(q-1) mod 11
-        assert symmetric_images(11, 3) == {
-            3: "", 4: "S", 9: "T", 8: "ST", 5: "TS", 7: "STS",
+        # q and 1/q keep the band of 1 at offset 0; 1-q, 1/(1-q), (q-1)/q
+        # and q/(q-1) move x (offset 1) or y (offset q) there
+        assert canonical_images(11, 3) == {
+            3: ("zxy", 0), 4: ("zyx", 0), 9: ("xzy", 1),
+            5: ("xyz", 1), 8: ("yzx", 3), 7: ("yxz", 3),
         }
-        # no 1/q while gcd(q, p) > 1, and 1 - p/2 = p/2 + 1
-        assert symmetric_images(10, 4) == {4: "", 7: "T", 3: "TS", 8: "TST"}
-        assert symmetric_images(40, 20) == {20: "", 21: "T"}
-        assert symmetric_images(96, 48) == {48: "", 49: "T"}
-        with pytest.raises(ValueError):
-            symmetric_images(5, 1)
+        # z and y differ by q, a non-unit here, and 1 - p/2 = p/2 + 1
+        assert canonical_images(10, 4) == {
+            4: ("zxy", 0), 7: ("xzy", 1), 3: ("xyz", 1), 8: ("yxz", 4),
+        }
+        assert canonical_images(40, 20) == {20: ("zxy", 0), 21: ("xzy", 1)}
+        assert canonical_images(96, 48) == {48: ("zxy", 0), 49: ("xzy", 1)}
+
+    def test_every_image_of_every_spec_maps_back_to_the_band_walk(self):
+        # refused specs too: t and q both non-units reach canonical q' only
+        # through an order that moves z off offset 0
+        orders = set()
+        for p in range(3, BRUTEFORCE_LIMIT + 1):
+            for q, t in itertools.permutations(range(1, p), 2):
+                want = band_walk(p, q, t)
+                for image, way in canonical_images(p, q, t).items():
+                    poly = det_newton(CirculantSpec(p, image))
+                    got = BiPoly(from_image(poly.terms, p, way))
+                    assert got == want, (p, q, t, image, way)
+                    orders.add(way[0])
+        assert orders == set(self.ORDERS)
 
     def test_every_image_maps_newton_back_exactly(self):
-        # each word, undone last step first, turns its image's polynomial
-        # into q's with exact signs
-        lengths = set()
+        orders = set()
         for p, q in canonical_pairs(30):
             want = det_newton(CirculantSpec(p, q))
-            for image, word in symmetric_images(p, q).items():
-                got = circulant._from_image(
-                    as_triples(det_newton(CirculantSpec(p, image))), p, word, True
-                )
-                assert BiPoly({(r, s): c for r, s, c in got}) == want, (p, q, image)
-                lengths.add(len(word))
-        assert lengths == {0, 1, 2, 3}
+            for image, way in canonical_images(p, q).items():
+                poly = det_newton(CirculantSpec(p, image))
+                got = BiPoly(from_image(poly.terms, p, way))
+                assert got == want, (p, q, image)
+                orders.add(way[0])
+        assert orders == set(self.ORDERS)
 
     def test_unsigned_counts_map_back_from_every_image(self):
         # the kernel runs once per pair, though each is an image of its orbit
-        kernel = {pq: circulant._cover_counts(*pq) for pq in canonical_pairs(12)}
+        kernel = {
+            pq: {(r, s): n for r, s, n in circulant._cover_counts(*pq)}
+            for pq in canonical_pairs(12)
+        }
         for p, q in canonical_pairs(12):
-            want = sorted(kernel[p, q])
-            for image, word in symmetric_images(p, q).items():
-                got = circulant._from_image(kernel[p, image], p, word, False)
-                assert sorted(got) == want, (p, q, image)
+            for image, way in canonical_images(p, q).items():
+                got = from_image(kernel[p, image], p, way, signed=False)
+                assert got == kernel[p, q], (p, q, image)
 
     def test_routed_dp_equals_the_unrouted_kernel(self):
         # the kernel at q itself only where its (q + 1)-bit window is cheap
@@ -483,7 +561,7 @@ class TestSymmetricImages:
             cycle_cover_counts.cache_clear()
             ran.clear()
             cycle_cover_counts(p, q)
-            assert ran == [min(symmetric_images(p, q))], (p, q)
+            assert ran == [min(canonical_images(p, q))], (p, q)
             moved += ran != [q]
         cycle_cover_counts.cache_clear()
         assert moved > 0
@@ -492,7 +570,7 @@ class TestSymmetricImages:
         # arithmetic only: T(q) = 1 - q is always an image, so the routed
         # window min(images) + 1 fits inside window_width, which dp_cost reads
         for p, q in canonical_pairs(300):
-            routed = min(symmetric_images(p, q)) + 1
+            routed = min(canonical_images(p, q)) + 1
             assert routed <= window_width(p, q) == min(q, (1 - q) % p) + 1, (p, q)
 
     def test_bareiss_never_runs_at_half_p(self, monkeypatch):
@@ -509,14 +587,14 @@ class TestSymmetricImages:
             det_bareiss(CirculantSpec(p, q))
             [image] = ran
             assert 2 * image != p, (p, q)
-            assert image == min(g for g in symmetric_images(p, q) if 2 * g != p)
+            assert image == min(g for g in canonical_images(p, q) if 2 * g != p)
         ran.clear()
         det_bareiss(CirculantSpec(96, 48))
         assert ran == [49]
 
     def test_one_cache_entry_per_requested_pair(self):
-        # (11, 5) runs at its image 1 - 1/5 = 3 (a 4-bit window, not 6)
-        assert symmetric_images(11, 5)[3] == "ST"
+        # (11, 5) runs at its image (5 - 1)/5 = 3 (a 4-bit window, not 6)
+        assert canonical_images(11, 5)[3] == ("yzx", 5)
         assert (window_width(11, 5), window_width(11, 3)) == (6, 4)
         cycle_cover_counts.cache_clear()
         cycle_cover_counts(11, 5)
@@ -526,7 +604,7 @@ class TestSymmetricImages:
 
     def test_budget_judges_the_requested_pair(self):
         # (32, 13) has a 14-bit window; its image 1/13 = 5 has a 6-bit one
-        assert 5 in symmetric_images(32, 13) and window_width(32, 5) == 6
+        assert 5 in canonical_images(32, 13) and window_width(32, 5) == 6
         with pytest.raises(TooLarge, match="p=32, q=13 \\(14-bit window\\)"):
             cycle_cover_counts(32, 13)
 

@@ -97,3 +97,20 @@ def test_every_internal_check_raises_internal_inconsistency():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_phi_inverts_units_mod_p():
+    # phi's re-indexing table is the one place that inverts a unit of Z_p
+    # (pow(_, -1, _)), so no second copy of it can grow in another module
+    src = Path(tricirc.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pow"
+                and len(node.args) == 3
+                and ast.unparse(node.args[1]) == "-1"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found and all(site.startswith("phi.py:") for site in found), found

@@ -175,6 +175,14 @@ class TestBounds:
         assert rep.lower_ok and rep.upper_ok  # both bounds tight here
         assert rep.upper_bound == 6
 
+    def test_d11_at_q2_is_the_lucas_number_plus_two(self):
+        # the permanent of I + P + P^2 is L_p + 2 (Minc, Permanents, 1978)
+        lucas = [2, 1]
+        while len(lucas) <= 200:
+            lucas.append(lucas[-1] + lucas[-2])
+        for p in [*range(3, 41), 100, 200]:
+            assert bounds_report(p, 2).d11 == lucas[p] + 2, p
+
     def test_large_p_uses_dp_route(self):
         rep = bounds_report(22, 3)
         assert rep.d11 == rep.abs_sum
