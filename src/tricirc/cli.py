@@ -61,6 +61,17 @@ load :mod:`fractions`, for its lower bound.
 
 ``verify`` owns its suite names and default sizes, and refuses an
 unknown ``--suite`` or a flag that the suite does not read (exit 2).
+
+Exit rule: a CLI process ends in :func:`main`.  Once the command has
+returned and stdout is flushed (or pointed at the null device after a
+closed pipe), it calls :func:`gc.freeze`, then ``sys.exit``, so the full
+collections of interpreter finalization skip the heap, which the
+operating system reclaims anyway; atexit handlers, the final stdio
+flush and module teardown still run.  :func:`run` never freezes and
+never loads :mod:`gc`, so a caller in process (the tests, the
+benchmark's in-process passes) keeps a normal collector.  Only
+``verify``'s forked children skip finalization, through ``os._exit`` in
+``verify._child_share``.
 """
 
 from __future__ import annotations
@@ -292,6 +303,8 @@ def main() -> None:
         # the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_PIPE
+    import gc  # the exit rule (module docstring): only here, only now
+    gc.freeze()
     sys.exit(code)
 
 

@@ -432,11 +432,11 @@ class _Suite(NamedTuple):
 
 #: name -> its row; the largest pmax was set where one worker stayed near
 #: 10 s or less.  Timed together, fresh, on a 2-CPU host with Python 3.11
-#: (``python -c pass`` 25-31 ms): ``support`` 50 1.37-1.40 s, ``witness``
-#: 60 0.82-0.83 s, ``sign`` 23 1.10-1.11 s (its cases at 24 3.3-3.4 s),
-#: ``permanent`` 18 0.35-0.36 s (at 19 0.58-0.60 s), as Bareiss and the
+#: (``python -c pass`` 25-27 ms): ``support`` 50 1.35-1.37 s, ``witness``
+#: 60 0.81-0.83 s, ``sign`` 23 1.09-1.11 s (its cases at 24 3.3 s),
+#: ``permanent`` 18 0.35-0.36 s (at 19 0.58-0.59 s), as Bareiss and the
 #: DP run at a cheaper image of q and Ryser sums over necklaces; the caps
-#: wait for a common refit; ``prime`` runs to Newton's limit, 8.2-8.3 s there
+#: wait for a common refit; ``prime`` runs to Newton's limit, 8.1-8.3 s there
 _SUITES = {
     "support": _Suite(
         EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, formats, schema validity, determinism."""
 
+import gc
 import importlib.util
 import json
 import math
@@ -181,6 +182,7 @@ class TestExitCodes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == climod.EXIT_PIPE == 141
         assert "Traceback" not in err, err
+        assert "Exception ignored" not in err, err
 
     def test_failed_check_through_main_is_one_error_line(self):
         # the DP's packed total +1 puts 3 covers in slot s = 0; (5, 3) runs
@@ -209,6 +211,41 @@ class TestExitCodes:
             "suite=prime p_max=10 q=2 cases=8 failures=1\n"
             "first_counterexample: p=9: congruence check False, trial division True\n"
         )
+
+
+class TestExitRule:
+    """Only ``main`` freezes the heap, right before the process exits."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("phi", "--p", "8", "--q", "3"), 0),
+        (("coeff", "--p", "8", "--q", "3", "--r", "5", "--s", "1"), 0),
+        (("permanent", "--p", "8", "--q", "3"), 0),
+        (("growth", "--q", "2", "--pmax", "8"), 0),
+        (("verify", "--suite", "prime", "--pmax", "10"), 0),
+        (("--help",), 0),
+        (("phi", "--p", "5"), 2),
+        (("phi", "--p", "6", "--q", "3", "--t", "3"), 3),
+    ])
+    def test_run_leaves_the_collector_alone(self, argv, code, capsys):
+        before = gc.get_freeze_count()
+        assert climod.run(list(argv)) == code
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_main_runs_atexit_handlers_on_a_frozen_heap(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "from tricirc import cli\n"
+            "cli.main()\n"
+        )
+        argv = ("phi", "--p", "8", "--q", "3")
+        res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == b"frozen True\n"
+        assert res.stdout == subprocess.run(
+            [sys.executable, "-m", "tricirc", *argv], capture_output=True, check=True
+        ).stdout
 
 
 def benchmark_must_refuse() -> tuple:
@@ -488,14 +525,15 @@ class TestDeterminism:
 
 #: modules that --help and the default route of phi and coeff never load
 DEFAULT_ROUTE_UNUSED = frozenset({
-    "cmath", "dataclasses", "fractions", "json", "tricirc.circulant",
+    "cmath", "dataclasses", "fractions", "gc", "json", "tricirc.circulant",
     "tricirc.permanent", "tricirc.permclass", "tricirc.verify",
 })
 
 
-#: modules that no command loads: dataclasses brings in inspect, and the
-#: float check, the only user of cmath, is on no command's path
-NEVER_LOADED = frozenset({"cmath", "dataclasses", "inspect"})
+#: modules that no command loads: dataclasses brings in inspect, the
+#: float check, the only user of cmath, is on no command's path, and gc
+#: is main's alone, imported after run has returned
+NEVER_LOADED = frozenset({"cmath", "dataclasses", "gc", "inspect"})
 
 #: the package modules that every command loads
 ALWAYS_LOADED = frozenset({

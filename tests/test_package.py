@@ -114,3 +114,47 @@ def test_only_phi_inverts_units_mod_p():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found and all(site.startswith("phi.py:") for site in found), found
+
+
+def sites(match) -> list[str]:
+    """``module.function`` of each package node that ``match`` accepts, by its innermost def."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append(where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.partition('.')[0]}.{child.name}")
+            else:
+                visit(child, where)
+
+    for path in sorted(Path(tricirc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), f"{path.stem}.<module>")
+    return found
+
+
+def dotted_names(node) -> set[str]:
+    """What ``node`` imports (``module`` or ``module.name``), or the ``name.attr`` it reads."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {f"{node.module}.{alias.name}" for alias in node.names}
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return {f"{node.value.id}.{node.attr}"}
+    return set()
+
+
+def test_only_main_freezes_the_heap():
+    # the CLI process skips finalization's collections in one place, right
+    # before it exits; run() and the library keep a normal collector
+    found = sites(lambda node: any(
+        name == "gc" or name.startswith("gc.") for name in dotted_names(node)
+    ))
+    assert found == ["cli.main", "cli.main"]  # import gc; gc.freeze()
+
+
+def test_only_forked_children_exit_without_finalization():
+    # os._exit skips atexit handlers and the stdio flush, so only verify's
+    # forked children, which report through their pipe, may call it
+    assert sites(lambda node: "os._exit" in dotted_names(node)) == ["verify._child_share"]
