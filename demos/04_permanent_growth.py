@@ -9,9 +9,9 @@ the largest coefficient M(p, q) between exponentials.
 
 from tricirc import (
     bounds_report,
+    cycle_cover_counts,
     growth_table,
     growth_table_csv,
-    permanent_generating,
     permanent_ryser,
     phi_polynomial,
     primality_check,
@@ -20,7 +20,7 @@ from tricirc import (
 
 print("no cancellation (p=8, q=3):")
 print(f"  signed   : {phi_polynomial(8, 3).render()}")
-print(f"  unsigned : {permanent_generating(8, 3).render()}")
+print(f"  unsigned : {cycle_cover_counts(8, 3).render()}")
 print(f"  permanent by Ryser inclusion-exclusion: {permanent_ryser(8, 3)}")
 
 print("\nexact bound checks (p=8, q=3):")

@@ -29,7 +29,7 @@ _HOMES = {
     "errors": "InternalInconsistency IrreducibleSpec NonExactDivision TooLarge",
     "permanent": (
         "RYSER_LIMIT GrowthRow PermanentReport bounds_report growth_table "
-        "growth_table_csv permanent_generating permanent_ryser"
+        "growth_table_csv permanent_ryser"
     ),
     "permclass": (
         "ENUMERATION_LIMIT Permutation "

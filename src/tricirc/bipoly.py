@@ -38,14 +38,14 @@ def _display_key(m: Monomial) -> tuple[int, int]:
 
 
 class BiPoly:
-    """A sparse bivariate polynomial with integer coefficients."""
+    """A sparse bivariate polynomial with integer coefficients, from {(r, s): c}."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         canon: dict[Monomial, int] = {}
         if terms:
-            for key, c in (terms.items() if hasattr(terms, "items") else terms):
+            for key, c in terms.items():
                 if c == 0:
                     continue
                 r, s = key

@@ -10,7 +10,9 @@ cross-check over complex roots of unity:
 
 * ``det_bareiss``      -- fraction-free elimination over the polynomial ring;
 * ``det_cycle_cover``  -- bitmask transfer DP counting cycle covers, with the
-                          term sign attached from the gcd parity rule;
+                          term sign attached from the gcd parity rule to
+                          the DP's one result, the unsigned polynomial
+                          sum N(r, s) x^r y^s (:func:`cycle_cover_counts`);
 * ``det_bruteforce``   -- Leibniz expansion over the nonzero entries
                           (p <= 10), the oracle;
 * ``det_float_check``  -- product over complex p-th roots of unity at a
@@ -94,7 +96,7 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
         raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
     ways = canonical_images(p, q)
     image = min(g for g in ways if 2 * g != p)
-    return BiPoly(from_image(_bareiss(p, image).terms, p, ways[image]))
+    return from_image(_bareiss(p, image).terms, p, ways[image])
 
 
 def _bareiss(p: int, q: int) -> BiPoly:
@@ -298,8 +300,8 @@ def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
 
 
 @lru_cache(maxsize=None)
-def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
-    """Number of cycle covers N(r, s) for every displacement profile.
+def cycle_cover_counts(p: int, q: int) -> BiPoly:
+    """The permanent's generating polynomial sum N(r, s) x^r y^s.
 
     N(r, s) counts bijections of Z_p whose displacements take the value
     1 exactly r times, q exactly s times and 0 elsewhere; it is |a(r, s)|,
@@ -307,21 +309,18 @@ def cycle_cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     without their signs.  The DP runs at the smallest image, whose
     forward window is the narrowest, and its counts are mapped back.
     The budget judges (p, q) as asked; the checks on the DP's result
-    name the pair it ran at.
-
-    Returns a sorted tuple of (r, s, N) triples with N > 0 (cached, so
-    treat it as immutable).
+    name the pair it ran at.  The result is cached, and a
+    :class:`BiPoly` cannot be changed in place.
     """
     PermClassKey.check_pair(p, q)
     check_dp_budget(p, q)
     ways = canonical_images(p, q)
     image = min(ways)
-    counts = {(r, s): n for r, s, n in _cover_counts(p, image)}
-    counts = from_image(counts, p, ways[image], signed=False)
-    return tuple(sorted((r, s, n) for (r, s), n in counts.items()))
+    counts = _cover_count_rows(image, p, p)[0]
+    return from_image(counts, p, ways[image], signed=False)
 
 
-def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, tuple]:
+def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, BiPoly]:
     """Cycle-cover counts of the rows p_min..p_max that one walk makes cheaper.
 
     For p >= 2q - 1 the window of q is no wider than that of its image
@@ -332,8 +331,8 @@ def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, tuple]:
     2q - 1) to p_max are walked only when :func:`dp_cost`'s fitted form
     gives the walk, p_max steps in a (q + 1)-bit window, less work than
     their per-row DPs at their smallest images; otherwise, and when no
-    row reaches 2q - 1, this returns no rows.  Maps p to the sorted
-    (r, s, N) triples that :func:`cycle_cover_counts` gives for (p, q).
+    row reaches 2q - 1, this returns no rows.  Maps p to the polynomial
+    that :func:`cycle_cover_counts` gives for (p, q).
     """
     first = max(p_min, 2 * q - 1)
     per_row = sum(
@@ -342,17 +341,13 @@ def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, tuple]:
     )
     if _fitted_cost(p_max, q + 1) >= per_row:  # as always with no rows
         return {}
-    return dict(zip(range(first, p_max + 1), _cover_count_rows(q, first, p_max)))
-
-
-def _cover_counts(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
-    """The cycle covers of (p, q) itself: the one-row walk."""
-    return _cover_count_rows(q, p, p)[0]
+    rows = _cover_count_rows(q, first, p_max)
+    return {p: BiPoly(counts) for p, counts in enumerate(rows, first)}
 
 
 def _cover_count_rows(
     q: int, p_lo: int, p_hi: int
-) -> list[tuple[tuple[int, int, int], ...]]:
+) -> list[dict[tuple[int, int], int]]:
     """The cycle covers of (p, q) itself for every p in p_lo..p_hi, q < p_lo.
 
     A transfer DP over positions with a bitmask of claimed images
@@ -368,7 +363,7 @@ def _cover_count_rows(
     two covers, the identity (r = 0) and the full shift (r = p).  So
     each DP value packs p_hi + 1 count slots, one per s.  Both facts
     are checked on every row (:class:`InternalInconsistency` otherwise).
-    Returns one sorted tuple of (r, s, N) triples per row.
+    Returns one {(r, s): N} map per row.
     """
     # Each DP value is one big integer packing the slots by s; a slot holds
     # the count of partial assignments, which is < 3^p_hi < 2^wbits (whole
@@ -412,8 +407,8 @@ def _cover_count_rows(
 
 def _unpack_counts(
     total: int, p: int, q: int, wbits: int
-) -> tuple[tuple[int, int, int], ...]:
-    """Split the DP's packed total (slot s at bit wbits*s) into (r, s, N).
+) -> dict[tuple[int, int], int]:
+    """Split the DP's packed total (slot s at bit wbits*s) into {(r, s): N}.
 
     s = 0 must hold exactly the identity and the full shift, and every
     other nonzero slot must leave r = -sq mod p with r + s <= p;
@@ -429,7 +424,7 @@ def _unpack_counts(
         raise InternalInconsistency(
             f"s = 0 holds {counts[0]} covers for p={p}, q={q}, not 2"
         )
-    out = [(0, 0, 1), (p, 0, 1)]
+    out = {(0, 0): 1, (p, 0): 1}
     for s, c in enumerate(counts[1:], 1):
         if c:
             r = -s * q % p
@@ -437,8 +432,8 @@ def _unpack_counts(
                 raise InternalInconsistency(
                     f"{c} covers with s={s} need r={r}, so r+s > p={p}"
                 )
-            out.append((r, s, c))
-    return tuple(sorted(out))
+            out[r, s] = c
+    return out
 
 
 def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
@@ -456,7 +451,7 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
     return BiPoly(
         {
             (r, s): PermClassKey(p, q, r, s).term_sign * n
-            for r, s, n in cycle_cover_counts(p, q)
+            for (r, s), n in cycle_cover_counts(p, q).terms.items()
         }
     )
 

@@ -81,7 +81,6 @@ import os
 import sys
 
 from . import phi as phimod
-from .bipoly import BiPoly
 from .errors import InternalInconsistency, IrreducibleSpec, TooLarge
 from .phi import CirculantSpec, PermClassKey, reduce_theta
 
@@ -116,7 +115,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     poly = phimod.phi_polynomial(canon.p, canon.q, args.backend)
     if canon != spec:  # only once computed, so a failure prints one line
         way = phimod.canonical_images(spec.p, spec.q, spec.t)[canon.q]
-        poly = BiPoly(phimod.from_image(poly.terms, spec.p, way))
+        poly = phimod.from_image(poly.terms, spec.p, way)
         note = f"note: reduced to q' = {canon.q}"
         if reduced.swapped:
             note += " with x and y exchanged"

@@ -8,9 +8,11 @@ permanent of the 0-1 band matrix (value at x = y = 1) equals the sum of
 the absolute coefficient values.  This module computes that permanent
 and checks it against classical two-sided bounds:
 
-* the unsigned cycle-cover DP shared with the determinant backends, the
-  route :func:`bounds_report` takes, and :func:`growth_table` too, whose
-  rows from 2q - 1 up can share one transfer-matrix walk;
+* the unsigned cycle-cover DP shared with the determinant backends,
+  whose result, :func:`tricirc.circulant.cycle_cover_counts`, is that
+  generating polynomial: the route :func:`bounds_report` takes, and
+  :func:`growth_table` too, whose rows from 2q - 1 up can share one
+  transfer-matrix walk;
 * Ryser inclusion-exclusion over necklaces of columns (exact, p <= 24), an
   independent route for the ``permanent`` verify suite and for
   :func:`bounds_report` when its signed polynomial is the DP's own;
@@ -31,11 +33,6 @@ from .phi import NEWTON_LIMIT, PermClassKey, Record, phi_polynomial
 #: largest p accepted by the Ryser expansion (about 2^p / p necklaces:
 #: (24, 12) takes 0.36-0.59 s on a 2-CPU host with Python 3.11)
 RYSER_LIMIT = 24
-
-
-def permanent_generating(p: int, q: int) -> BiPoly:
-    """sum N(r, s) x^r y^s, the cycle-cover counts without signs."""
-    return BiPoly({(r, s): n for r, s, n in cycle_cover_counts(p, q)})
 
 
 def permanent_ryser(p: int, q: int) -> int:
@@ -162,7 +159,7 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
             f"expansion, which is limited to p <= {RYSER_LIMIT}"
         )
     signed = phi_polynomial(p, q, backend)
-    unsigned = None if backend == "cycle_cover" else permanent_generating(p, q)
+    unsigned = None if backend == "cycle_cover" else cycle_cover_counts(p, q)
     return _report(p, q, signed, unsigned)
 
 
@@ -268,8 +265,7 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     walked = cover_count_rows(q, p_min, p_max)
     rows = []
     for p in range(p_min, p_max + 1):
-        counts = walked.get(p) or cycle_cover_counts(p, q)
-        unsigned = BiPoly({(r, s): n for r, s, n in counts})
+        unsigned = walked.get(p) or cycle_cover_counts(p, q)
         rep = _report(p, q, phi_polynomial(p, q), unsigned)
         root = _root(rep.max_coeff, p)
         n = int(f"{root:.4f}".replace(".", ""))

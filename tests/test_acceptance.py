@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from tricirc.circulant import det_bareiss, det_bruteforce, det_cycle_cover
+from tricirc.circulant import cycle_cover_counts, det_bareiss, det_bruteforce, det_cycle_cover
 from tricirc.phi import CirculantSpec, det_newton
-from tricirc.permanent import bounds_report, permanent_generating, permanent_ryser
+from tricirc.permanent import bounds_report, permanent_ryser
 from tricirc.permclass import (
     PermClassKey,
     construct_witness,
@@ -231,7 +231,7 @@ def test_criterion_07_permanent_equals_abs_sum():
         for q in range(2, p):
             cases += 1
             ry = permanent_ryser(p, q)
-            dp = permanent_generating(p, q).evaluate(1, 1)
+            dp = cycle_cover_counts(p, q).evaluate(1, 1)
             ab = phi_polynomial(p, q, "bareiss").abs_coefficient_sum()
             if not ry == dp == ab:
                 bad.append((p, q, ry, dp, ab))

@@ -47,6 +47,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): 2})
 
+    def test_terms_come_from_a_mapping_only(self):
+        # a list of (key, value) pairs is not read as terms
+        with pytest.raises(AttributeError, match="items"):
+            BiPoly([((1, 0), 2)])
+        assert BiPoly({(1, 0): 2}).terms == {Monomial(1, 0): 2}
+
     def test_equality_is_term_equality(self):
         assert BiPoly({(1, 1): 2}) == BiPoly({(1, 1): 2})
         assert BiPoly({(1, 1): 2}) != BiPoly({(1, 1): 3})

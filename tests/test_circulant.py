@@ -240,7 +240,7 @@ class TestReduceTheta:
                     continue
                 canon = reduce_theta(spec).spec
                 way = canonical_images(p, q, t)[canon.q]
-                got = BiPoly(from_image(phi_polynomial(p, canon.q).terms, p, way))
+                got = from_image(phi_polynomial(p, canon.q).terms, p, way)
                 assert got == band_walk(p, q, t), (p, q, t)
                 checked += 1
         assert checked == 170
@@ -432,17 +432,21 @@ class TestCycleCover:
         with pytest.raises(TooLarge):
             cycle_cover_counts(40, 20)
 
-    def test_counts_are_cached_tuples(self):
+    def test_counts_are_cached_and_immutable(self):
         a = cycle_cover_counts(5, 3)
+        assert a == BiPoly({(0, 0): 1, (0, 5): 1, (1, 3): 5, (2, 1): 5, (5, 0): 1})
+        with pytest.raises(TypeError):
+            a.terms[2, 1] = 6
+        with pytest.raises(TypeError):
+            del a.terms[0, 0]
         assert a is cycle_cover_counts(5, 3)
-        assert a == ((0, 0, 1), (0, 5, 1), (1, 3, 5), (2, 1, 5), (5, 0, 1))
+        assert dict(a.terms) == {(0, 0): 1, (0, 5): 1, (1, 3): 5, (2, 1): 5, (5, 0): 1}
 
     @pytest.mark.parametrize("p", range(3, 10))
     def test_counts_match_bruteforce(self, p):
         for q in range(2, p):
             brute = det_bruteforce(CirculantSpec(p, q)).termwise_abs()
-            got = BiPoly({(r, s): n for r, s, n in cycle_cover_counts(p, q)})
-            assert got == brute, (p, q)
+            assert cycle_cover_counts(p, q) == brute, (p, q)
 
     def test_counts_match_newton_up_to_8_bit_windows(self):
         for p in range(3, 49):
@@ -450,14 +454,13 @@ class TestCycleCover:
                 if window_width(p, q) > 8:
                     continue
                 want = det_newton(CirculantSpec(p, q)).termwise_abs()
-                got = BiPoly({(r, s): n for r, s, n in cycle_cover_counts(p, q)})
-                assert got == want, (p, q)
+                assert cycle_cover_counts(p, q) == want, (p, q)
 
     def test_unpacking_checks_both_cover_facts(self):
         # slot s of the packed total sits at bit 64*s for p <= 32
-        assert circulant._unpack_counts(2 + (5 << 64), 5, 3, 64) == (
-            (0, 0, 1), (2, 1, 5), (5, 0, 1)
-        )
+        assert circulant._unpack_counts(2 + (5 << 64), 5, 3, 64) == {
+            (0, 0): 1, (2, 1): 5, (5, 0): 1
+        }
         with pytest.raises(InternalInconsistency, match="s = 0 holds 1"):
             circulant._unpack_counts(1 + (5 << 64), 5, 3, 64)
         # s = 4 needs r = -12 mod 5 = 3, and 3 + 4 > 5
@@ -473,7 +476,7 @@ class TestWalk:
         rows = circulant._cover_count_rows(q, q + 1, p_hi)
         assert len(rows) == p_hi - q
         for p, row in zip(range(q + 1, p_hi + 1), rows):
-            assert row == circulant._cover_counts(p, q), (p, q)
+            assert row == circulant._cover_count_rows(q, p, p)[0], (p, q)
 
 
 def canonical_pairs(p_max, p_min=3):
@@ -506,7 +509,7 @@ class TestSymmetricImages:
                 want = band_walk(p, q, t)
                 for image, way in canonical_images(p, q, t).items():
                     poly = det_newton(CirculantSpec(p, image))
-                    got = BiPoly(from_image(poly.terms, p, way))
+                    got = from_image(poly.terms, p, way)
                     assert got == want, (p, q, t, image, way)
                     orders.add(way[0])
         assert orders == set(self.ORDERS)
@@ -517,7 +520,7 @@ class TestSymmetricImages:
             want = det_newton(CirculantSpec(p, q))
             for image, way in canonical_images(p, q).items():
                 poly = det_newton(CirculantSpec(p, image))
-                got = BiPoly(from_image(poly.terms, p, way))
+                got = from_image(poly.terms, p, way)
                 assert got == want, (p, q, image)
                 orders.add(way[0])
         assert orders == set(self.ORDERS)
@@ -525,22 +528,22 @@ class TestSymmetricImages:
     def test_unsigned_counts_map_back_from_every_image(self):
         # the kernel runs once per pair, though each is an image of its orbit
         kernel = {
-            pq: {(r, s): n for r, s, n in circulant._cover_counts(*pq)}
-            for pq in canonical_pairs(12)
+            (p, q): circulant._cover_count_rows(q, p, p)[0]
+            for p, q in canonical_pairs(12)
         }
         for p, q in canonical_pairs(12):
             for image, way in canonical_images(p, q).items():
                 got = from_image(kernel[p, image], p, way, signed=False)
-                assert got == kernel[p, q], (p, q, image)
+                assert got == BiPoly(kernel[p, q]), (p, q, image)
 
     def test_routed_dp_equals_the_unrouted_kernel(self):
         # the kernel at q itself only where its (q + 1)-bit window is cheap
         for p, q in canonical_pairs(16):
             got = cycle_cover_counts(p, q)
             want = det_newton(CirculantSpec(p, q)).termwise_abs()
-            assert BiPoly({(r, s): n for r, s, n in got}) == want, (p, q)
+            assert got == want, (p, q)
             if q + 1 <= 10:
-                assert got == tuple(sorted(circulant._cover_counts(p, q))), (p, q)
+                assert got == BiPoly(circulant._cover_count_rows(q, p, p)[0]), (p, q)
 
     def test_routed_bareiss_equals_newton(self):
         for p, q in canonical_pairs(24) + [(40, 20), (48, 24)]:
@@ -549,13 +552,13 @@ class TestSymmetricImages:
 
     def test_dp_runs_at_the_smallest_image(self, monkeypatch):
         ran = []
-        real = circulant._cover_counts
+        real = circulant._cover_count_rows
 
-        def record(p, q):
+        def record(q, p_lo, p_hi):
             ran.append(q)
-            return real(p, q)
+            return real(q, p_lo, p_hi)
 
-        monkeypatch.setattr(circulant, "_cover_counts", record)
+        monkeypatch.setattr(circulant, "_cover_count_rows", record)
         moved = 0
         for p, q in canonical_pairs(20):
             cycle_cover_counts.cache_clear()

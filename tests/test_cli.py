@@ -715,12 +715,11 @@ def term_sign_flipped(monkeypatch):
 
 
 def dp_count_plus_one(monkeypatch):
-    # +1 on the first count; the cached tuple itself is left alone
+    # +1 on the constant term; the cached polynomial itself is left alone
     real = permmod.cycle_cover_counts
 
     def corrupt(p, q):
-        (r, s, n), *rest = real(p, q)
-        return ((r, s, n + 1), *rest)
+        return real(p, q) + BiPoly({(0, 0): 1})
 
     monkeypatch.setattr(permmod, "cycle_cover_counts", corrupt)
 

@@ -21,7 +21,7 @@ PUBLIC = {
     "errors": "InternalInconsistency IrreducibleSpec NonExactDivision TooLarge",
     "permanent": (
         "RYSER_LIMIT GrowthRow PermanentReport bounds_report growth_table "
-        "growth_table_csv permanent_generating permanent_ryser"
+        "growth_table_csv permanent_ryser"
     ),
     "permclass": (
         "ENUMERATION_LIMIT Permutation "
@@ -158,3 +158,39 @@ def test_only_forked_children_exit_without_finalization():
     # os._exit skips atexit handlers and the stdio flush, so only verify's
     # forked children, which report through their pipe, may call it
     assert sites(lambda node: "os._exit" in dotted_names(node)) == ["verify._child_share"]
+
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def test_every_benchmark_import_resolves():
+    # the benchmark scripts import these names and run no tier-1 test, so a
+    # rename in the package would otherwise break them unnoticed
+    found = []
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module != "tricirc" and not node.module.startswith("tricirc."):
+                continue
+            module = importlib.import_module(node.module)
+            package = Path(module.__file__).parent
+            for alias in node.names:
+                name = f"{path.name}: {node.module}.{alias.name}"
+                # or a submodule, as in ``from tricirc import cli``
+                submodule = module is tricirc and (package / f"{alias.name}.py").is_file()
+                assert hasattr(module, alias.name) or submodule, name
+                found.append(name)
+    # at least make_refs.py's and run.py's own imports were seen
+    assert "make_refs.py: tricirc.circulant.reduce_theta" in found
+    assert "run.py: tricirc.circulant.cycle_cover_counts" in found
+
+
+def test_the_dp_cache_is_there_for_the_benchmark():
+    # run.py clears and reads it per in-process job, make_refs.py per group
+    from tricirc.circulant import cycle_cover_counts
+
+    assert callable(cycle_cover_counts.cache_clear)
+    assert callable(cycle_cover_counts.cache_info)
+    cycle_cover_counts.cache_clear()
+    assert cycle_cover_counts.cache_info().currsize == 0

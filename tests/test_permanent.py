@@ -19,7 +19,6 @@ from tricirc.permanent import (
     bounds_report,
     growth_table,
     growth_table_csv,
-    permanent_generating,
     permanent_ryser,
 )
 from tricirc.phi import NEWTON_LIMIT, phi_polynomial
@@ -38,7 +37,7 @@ def dp_growth_rows(q, p_max):
     """Reference rows from the unsigned DP alone, the sandwich rule restated."""
     rows = []
     for p in range(max(3, q + 1), p_max + 1):
-        gen = permanent_generating(p, q)
+        gen = cycle_cover_counts(p, q)
         d11, m, n = gen.evaluate(1, 1), gen.max_abs_coefficient(), len(gen)
         rows.append(GrowthRow(p, q, m, d11, n, exp(log(m) / p), d11 <= m * n and m <= d11))
     return rows
@@ -46,21 +45,21 @@ def dp_growth_rows(q, p_max):
 
 class TestGenerating:
     def test_unsigned_5_3(self):
-        assert permanent_generating(5, 3) == parse(
+        assert cycle_cover_counts(5, 3) == parse(
             "1 + x^5 + 5*x^2*y + 5*x*y^3 + y^5"
         )
 
     def test_unsigned_8_3(self):
-        assert permanent_generating(8, 3) == parse(
+        assert cycle_cover_counts(8, 3) == parse(
             "1 + x^8 + 8*x^5*y + 12*x^2*y^2 + 2*x^4*y^4 + 8*x*y^5 + y^8"
         )
 
     def test_unsigned_3_2(self):
-        assert permanent_generating(3, 2) == parse("1 + x^3 + 3*x*y + y^3")
+        assert cycle_cover_counts(3, 2) == parse("1 + x^3 + 3*x*y + y^3")
 
     def test_termwise_abs_of_determinant(self):
         for p, q in ((6, 4), (9, 5), (10, 7)):
-            assert permanent_generating(p, q) == phi_polynomial(p, q).termwise_abs()
+            assert cycle_cover_counts(p, q) == phi_polynomial(p, q).termwise_abs()
 
 
 def gray_code_ryser(p, q):
@@ -129,7 +128,7 @@ class TestNecklaceRyser:
 
     @pytest.mark.parametrize("p, q", [(20, 7), (24, 12)])
     def test_matches_the_dp_at_large_p(self, p, q):
-        assert permanent_ryser(p, q) == permanent_generating(p, q).evaluate(1, 1)
+        assert permanent_ryser(p, q) == cycle_cover_counts(p, q).evaluate(1, 1)
 
 
 class TestRyser:
@@ -146,7 +145,7 @@ class TestRyser:
     def test_matches_generating_eval(self):
         for p in range(3, 13):
             for q in range(2, p):
-                assert permanent_ryser(p, q) == permanent_generating(p, q).evaluate(1, 1)
+                assert permanent_ryser(p, q) == cycle_cover_counts(p, q).evaluate(1, 1)
 
     def test_size_guard(self):
         with pytest.raises(TooLarge):
@@ -203,15 +202,15 @@ class TestBounds:
 
         monkeypatch.setattr(permmod, "permanent_ryser", no_ryser)
         rep = bounds_report(20, 19)
-        assert rep.d11 == rep.abs_sum == permanent_generating(20, 19).evaluate(1, 1)
+        assert rep.d11 == rep.abs_sum == cycle_cover_counts(20, 19).evaluate(1, 1)
 
     def test_dp_is_checked_term_by_term(self, monkeypatch):
         # 12 and 2 swapped: the sum, and so d11, is still 33
         swapped = parse(
             "1 + x^8 + 8*x^5*y + 2*x^2*y^2 + 12*x^4*y^4 + 8*x*y^5 + y^8"
         )
-        assert swapped != permanent_generating(8, 3)
-        monkeypatch.setattr(permmod, "permanent_generating", lambda p, q: swapped)
+        assert swapped != cycle_cover_counts(8, 3)
+        monkeypatch.setattr(permmod, "cycle_cover_counts", lambda p, q: swapped)
         with pytest.raises(InternalInconsistency):
             bounds_report(8, 3)
 
@@ -219,7 +218,7 @@ class TestBounds:
         def no_dp(p, q):
             pytest.fail("the unsigned DP must not give d11")
 
-        monkeypatch.setattr(permmod, "permanent_generating", no_dp)
+        monkeypatch.setattr(permmod, "cycle_cover_counts", no_dp)
         assert bounds_report(8, 3, "cycle_cover").d11 == 33
         # a wrong Ryser value is caught against the DP's own polynomial
         monkeypatch.setattr(permmod, "permanent_ryser", lambda p, q: 34)

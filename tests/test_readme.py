@@ -80,4 +80,6 @@ def test_library_block_runs_and_its_stated_results_hold():
     spec = scope["spec"]
     assert scope["det_newton"](spec) == scope["det_bareiss"](spec)
     assert scope["det_bareiss"](spec) == scope["det_cycle_cover"](spec)
-    assert scope["bounds_report"](8, 3).d11 == 33
+    unsigned = scope["cycle_cover_counts"](8, 3)
+    assert unsigned == scope["det_newton"](spec).termwise_abs()
+    assert scope["bounds_report"](8, 3).d11 == 33 == unsigned.evaluate(1, 1)
