@@ -45,7 +45,13 @@ class BiPoly:
     def __init__(self, terms=None):
         canon: dict[Monomial, int] = {}
         if terms:
-            for key, c in terms.items():
+            try:
+                items = terms.items()
+            except AttributeError:
+                raise TypeError(
+                    f"BiPoly takes a mapping {{(r, s): c}}, not {type(terms).__name__}"
+                ) from None
+            for key, c in items:
                 if c == 0:
                     continue
                 r, s = key

@@ -63,7 +63,8 @@ from .phi import (
 )
 
 #: largest p accepted by fraction-free elimination ((96, 48), run at
-#: its image 49, takes 1.8-2.4 s on a 2-CPU host with Python 3.11)
+#: its image 49, takes 1.62-1.66 s in process on a 2-CPU host with
+#: Python 3.11)
 BAREISS_LIMIT = 96
 
 #: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
@@ -86,7 +87,7 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     :func:`tricirc.phi.canonical_images` other than p/2 and is mapped
     back.  Small offsets eliminate fastest, except p/2: (48, 24) took
     0.38 s and its image (48, 25) 0.15 s.  On every pair with p <= 24
-    this rule took 0.50 s against 1.34 s at q itself (2-CPU host,
+    this rule took 0.33 s against 0.95-0.96 s at q itself (2-CPU host,
     Python 3.11).  p/2 is never the only image, since 1 - p/2 =
     p/2 + 1 mod p.
     """
@@ -102,14 +103,16 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
 def _bareiss(p: int, q: int) -> BiPoly:
     """Fraction-free elimination of the (p, q) matrix itself.
 
-    No row permutations are ever needed: every leading principal minor
-    of this matrix has constant term 1 (set x=y=0 and the matrix is the
-    identity), so the diagonal pivot is never zero.  That fact is
-    checked at runtime; so every divisor (ONE, then the previous pivot)
-    has the constant term 1 that :func:`exact_div` needs.  Rows are
-    kept as sparse column maps; while the pivot equals the previous
-    pivot the generic row rescale is the identity and is skipped, which
-    makes the banded phase cheap.
+    Step k takes each entry a of a row below the pivot piv to
+    (a piv - r b) / prev, exactly: r is the row's entry in column k, b
+    the pivot row's entry in a's column and prev the previous pivot (ONE
+    at first).  While piv == prev the step is a - r b / prev, which
+    touches only the pivot row's columns and no row with r = 0, so the
+    banded phase is cheap.  Every leading principal minor has constant
+    term 1 (at x = y = 0 the matrix is the identity), so no pivot is
+    zero and no row is swapped; that is checked at runtime, and it gives
+    every divisor the constant term 1 that :func:`exact_div` needs.
+    Rows are sparse column maps.
     """
     mx = BiPoly.monomial(-1, 1, 0)
     my = BiPoly.monomial(-1, 0, 1)
@@ -124,40 +127,23 @@ def _bareiss(p: int, q: int) -> BiPoly:
             raise InternalInconsistency(
                 f"pivot at step {k} lost its unit constant term: {piv!r}"
             )
-        scale_is_identity = piv == prev
-        pivot_row = [(j, v) for j, v in rows[k].items() if j > k]
+        same = piv == prev
+        pivot_row = {j: v for j, v in rows[k].items() if j > k}
         for i in range(k + 1, p):
             row = rows[i]
-            rik = row.pop(k, None)
-            if rik is None:
-                if scale_is_identity:
-                    continue
-                for j, v in list(row.items()):
-                    nv = exact_div(v * piv, prev)
-                    if nv.is_zero():
-                        del row[j]
-                    else:
-                        row[j] = nv
+            rik = row.pop(k, ZERO)
+            if same and rik.is_zero():
                 continue
-            if scale_is_identity:
-                for j, bkj in pivot_row:
-                    nv = row.get(j, ZERO) - exact_div(rik * bkj, prev)
-                    if nv.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = nv
-            else:
-                cols = set(row) | {j for j, _ in pivot_row}
-                for j in cols:
-                    num = row.get(j, ZERO) * piv
-                    bkj = rows[k].get(j)
-                    if bkj is not None:
-                        num = num - rik * bkj
-                    nv = exact_div(num, prev)
-                    if nv.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = nv
+            for j in pivot_row if same else set(row).union(pivot_row):
+                a, b = row.get(j, ZERO), pivot_row.get(j, ZERO)
+                if same:
+                    nv = a - exact_div(rik * b, prev)
+                else:
+                    nv = exact_div(a * piv - rik * b, prev)
+                if nv.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = nv
         prev = piv
     det = rows[p - 1].get(p - 1, ZERO)
     if det.constant_term() != 1:
@@ -306,8 +292,9 @@ def cycle_cover_counts(p: int, q: int) -> BiPoly:
     N(r, s) counts bijections of Z_p whose displacements take the value
     1 exactly r times, q exactly s times and 0 elsewhere; it is |a(r, s)|,
     so the maps of :func:`tricirc.phi.canonical_images` carry it over
-    without their signs.  The DP runs at the smallest image, whose
-    forward window is the narrowest, and its counts are mapped back.
+    once their signs are dropped.  The DP runs at the smallest image,
+    whose forward window is the narrowest, and its counts are mapped
+    back by :func:`tricirc.phi.from_image` and taken termwise absolute.
     The budget judges (p, q) as asked; the checks on the DP's result
     name the pair it ran at.  The result is cached, and a
     :class:`BiPoly` cannot be changed in place.
@@ -317,7 +304,7 @@ def cycle_cover_counts(p: int, q: int) -> BiPoly:
     ways = canonical_images(p, q)
     image = min(ways)
     counts = _cover_count_rows(image, p, p)[0]
-    return from_image(counts, p, ways[image], signed=False)
+    return from_image(counts, p, ways[image]).termwise_abs()
 
 
 def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, BiPoly]:

@@ -203,18 +203,18 @@ def canonical_images(p: int, q: int, t: int = 1) -> dict[int, tuple[str, int]]:
     return out
 
 
-def from_image(terms, p: int, way: tuple[str, int], signed: bool = True) -> BiPoly:
+def from_image(terms, p: int, way: tuple[str, int]) -> BiPoly:
     """The polynomial of a spec from the terms of its image.
 
     ``terms`` maps (r', s') to the image's coefficient, and ``way`` is
     the image's entry of :func:`canonical_images`.  The exponents follow
     the variables: the bands of the order at offsets 0, 1 and q' take the
-    image's exponents f', r' and s'.  A signed coefficient also takes
-    the sign (-1)^(f' + e_z + (p-1)c), where e_z is the exponent z
-    lands on: a band -x or -y at offset 0 stands where the image has
-    +z, z stands where it has -x or -y, and the shift gives det(P^c).
-    With z at 0 that sign is +1.  Unsigned counts (``signed`` false)
-    keep their value.
+    image's exponents f', r' and s'.  A coefficient also takes the
+    sign (-1)^(f' + e_z + (p-1)c), where e_z is the exponent z lands
+    on: a band -x or -y at offset 0 stands where the image has +z, z
+    stands where it has -x or -y, and the shift gives det(P^c).  With
+    z at 0 that sign is +1.  Unsigned counts map back through the same
+    signs and take :meth:`BiPoly.termwise_abs` of the result.
     """
     order, c = way
     ix, iy, iz = order.index("x"), order.index("y"), order.index("z")
@@ -222,7 +222,7 @@ def from_image(terms, p: int, way: tuple[str, int], signed: bool = True) -> BiPo
     out = {}
     for (r, s), v in terms.items():
         e = (p - r - s, r, s)
-        if signed and (e[0] + e[iz] + flip) % 2:
+        if (e[0] + e[iz] + flip) % 2:
             v = -v
         out[e[ix], e[iy]] = v
     return BiPoly(out)

@@ -49,7 +49,7 @@ class TestBasics:
 
     def test_terms_come_from_a_mapping_only(self):
         # a list of (key, value) pairs is not read as terms
-        with pytest.raises(AttributeError, match="items"):
+        with pytest.raises(TypeError, match=r"mapping \{\(r, s\): c\}, not list"):
             BiPoly([((1, 0), 2)])
         assert BiPoly({(1, 0): 2}).terms == {Monomial(1, 0): 2}
 
