@@ -44,7 +44,7 @@ class BiPoly:
 
     def __init__(self, terms=None):
         canon: dict[Monomial, int] = {}
-        if terms:
+        if terms is not None:
             try:
                 items = terms.items()
             except AttributeError:

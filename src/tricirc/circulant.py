@@ -62,17 +62,16 @@ from .phi import (
     from_image, reduce_theta,
 )
 
-#: largest p accepted by fraction-free elimination ((96, 48), run at
-#: its image 49, takes 1.62-1.66 s in process on a 2-CPU host with
-#: Python 3.11)
+#: largest p accepted by fraction-free elimination; (96, 48), run at
+#: its image 49, is the README limits table's row
 BAREISS_LIMIT = 96
 
 #: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
 DP_BUDGET = 15 * 10**8
 
 #: largest p accepted by the Leibniz expansion over the nonzero entries
-#: (every q at p = 10 takes 7-9 ms, at p = 9 3-5 ms, on a 2-CPU host
-#: with Python 3.11); the CLI's refusals and the goldens rest on it
+#: (README's other measured times give every q at p = 9 and at p = 10);
+#: the CLI's refusals and the goldens rest on it
 BRUTEFORCE_LIMIT = 10
 
 
@@ -85,11 +84,11 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
 
     The elimination runs at the smallest image of q in
     :func:`tricirc.phi.canonical_images` other than p/2 and is mapped
-    back.  Small offsets eliminate fastest, except p/2: (48, 24) took
-    0.38 s and its image (48, 25) 0.15 s.  On every pair with p <= 24
-    this rule took 0.33 s against 0.95-0.96 s at q itself (2-CPU host,
-    Python 3.11).  p/2 is never the only image, since 1 - p/2 =
-    p/2 + 1 mod p.
+    back.  Small offsets eliminate fastest, except p/2, which
+    eliminates slower than its image p/2 + 1, and over every pair with
+    p <= 24 this rule is faster than elimination at q itself (README,
+    "Other measured times").  p/2 is never the only image, since
+    1 - p/2 = p/2 + 1 mod p.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
@@ -181,8 +180,8 @@ def det_bruteforce(spec: CirculantSpec) -> BiPoly:
     That is the whole p!-term sum with the zero terms left out.  Simple
     on purpose, and sharing no code with the class search of
     :mod:`tricirc.permclass`: this is the ground-truth oracle the fast
-    backends and that search are judged against.  Every q at p = 10
-    takes under 10 ms (2-CPU host, Python 3.11).
+    backends and that search are judged against.  Its times at p = 9
+    and p = 10 are among README's other measured times.
     """
     _require_canonical(spec)
     p, q = spec.p, spec.q
@@ -233,12 +232,13 @@ def dp_cost(p: int, q: int) -> float:
     live states, about 2.9x in all; p enters through the p steps per
     boundary and the packed integers of up to 2p^2 bits, whose
     additions grow faster than their length once they pass a few
-    hundred kilobits (p in the thousands).  Fitted to 42 timed runs of
-    0.2 s or more (p = 24..4000, w = 3..15) on a 2-CPU host with
-    Python 3.11, where one unit took 2.0-6.4 ns.  An estimate past the
-    float range (a window of about 667 bits or more) is infinite.  The
-    budget is judged on this estimate, though :func:`cycle_cover_counts`
-    runs at the smallest image of q, whose window may be narrower still.
+    hundred kilobits (p in the thousands).  Fitted to 42 timed runs
+    (p = 24..4000, w = 3..15); the sample's least run time and the time
+    of one unit are among README's other measured times.  An estimate
+    past the float range (a window of about 667 bits or more) is
+    infinite.  The budget is judged on this estimate, though
+    :func:`cycle_cover_counts` runs at the smallest image of q, whose
+    window may be narrower still.
     """
     return _fitted_cost(p, window_width(p, q))
 
@@ -261,10 +261,9 @@ def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
     no more than that sum: every walked row has the (q + 1)-bit window
     of the walk, so the walk's p-step estimate is the last row's own.
 
-    DP_BUDGET admits (24, 12) at 13 bits (about 1.5-3.3 s on the host
-    above) and (3000, 2) (about 4.5 s), and refuses (32, 13) at 14 bits
-    (about 9.5 s), (28, 14) at 15 bits (about 16 s), (3000, 3) (about
-    12 s) and (4000, 2) (about 10 s).
+    DP_BUDGET admits (24, 12) at 13 bits and (3000, 2), and refuses
+    (32, 13) at 14 bits, (28, 14) at 15 bits, (3000, 3) and (4000, 2);
+    README's other measured times give the DP's time at each pair.
     """
     if p_min is None:
         cost = dp_cost(p, q)

@@ -30,8 +30,8 @@ from .circulant import check_dp_budget, cover_count_rows, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
 from .phi import NEWTON_LIMIT, PermClassKey, Record, phi_polynomial
 
-#: largest p accepted by the Ryser expansion (about 2^p / p necklaces:
-#: (24, 12) takes 0.36-0.59 s on a 2-CPU host with Python 3.11)
+#: largest p accepted by the Ryser expansion (about 2^p / p necklaces;
+#: (24, 12) is the README limits table's row)
 RYSER_LIMIT = 24
 
 
@@ -148,7 +148,8 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     (:class:`TooLarge`) rather than compare the DP with itself.  On
     every other backend the DP's budget is checked before the signed
     polynomial is computed, so an over-budget DP is refused before a
-    slow route runs (Bareiss takes 1.8-2.4 s at (96, 48)).
+    slow route runs (Bareiss at (96, 48): the README limits table's
+    ``BAREISS_LIMIT`` row).
     """
     PermClassKey.check_pair(p, q)
     if backend != "cycle_cover":

@@ -36,8 +36,9 @@ from .phi import PermClassKey, Record
 #: largest p accepted by exhaustive class enumeration
 ENUMERATION_LIMIT = 10
 
-#: largest p accepted by ``construct_witness``: ``tricirc witness`` at
-#: p = 10^6 takes about 0.4 s and 150 MB (2-CPU host, Python 3.11)
+#: largest p accepted by ``construct_witness``; ``tricirc witness`` at
+#: p = 10^6 is the README limits table's row, and its memory is among
+#: README's other measured times
 WITNESS_LIMIT = 10**6
 
 

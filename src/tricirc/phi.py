@@ -49,9 +49,9 @@ from typing import Callable, NamedTuple, Optional
 from .bipoly import ONE, BiPoly
 from .errors import InternalInconsistency, IrreducibleSpec, NonExactDivision, TooLarge
 
-#: largest p accepted by the Newton-identity route (at p = 1000, in
-#: process, 0.013 s at q = 2 and 0.065 s at q = 500, the slowest q, on a
-#: 2-CPU host with Python 3.11)
+#: largest p accepted by the Newton-identity route; at p = 1000, q = 500
+#: is the slowest q (README: the limits table's row, and the in-process
+#: times at q = 2 and q = 500 among the other measured times)
 NEWTON_LIMIT = 1000
 
 

@@ -65,17 +65,17 @@ from .errors import InternalInconsistency, TooLarge
 from .phi import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record
 
 #: largest p swept exhaustively, by brute force (the Leibniz expansion
-#: over the matrix's nonzero entries) and by enumerating every class:
-#: brute force takes under 1 ms per (p, q) at p = 9 and about 1 ms at
-#: p = 10 (2-CPU host, Python 3.11); the check counts, goldens and
-#: benchmark references rest on this size
+#: over the matrix's nonzero entries) and by enumerating every class
+#: (brute force's times at p = 9 and p = 10 are among README's other
+#: measured times); the check counts, goldens and benchmark references
+#: rest on this size
 EXHAUSTIVE_PMAX = 9
 
 DEFAULT_CASES = 10000
 DEFAULT_SEED = 90437
 
-#: largest cases per battery of the ``lemmas`` suite: 100000 take about
-#: 1.0 s with one worker (2-CPU host, Python 3.11)
+#: largest cases per battery of the ``lemmas`` suite (its time with one
+#: worker is the README limits table's row)
 LEMMA_CASES_LIMIT = 100000
 
 #: lemma batteries are split into this many fixed chunks so results do
@@ -84,15 +84,6 @@ LEMMA_CHUNKS = 32
 
 #: what a case function yields per check: None, or the counterexample
 Checks = Iterator[Optional[str]]
-
-
-class CaseOutcome(Record):
-    """The tally of one case: checks run, checks failed, first counterexample."""
-
-    __slots__ = ("checks", "failures", "first")
-
-    def __init__(self, checks: int, failures: int, first: Optional[str] = None):
-        Record.__init__(self, checks, failures, first)
 
 
 class SuiteResult(Record):
@@ -430,13 +421,13 @@ class _Suite(NamedTuple):
     modules: tuple[str, ...]  # the package modules the case function imports
 
 
-#: name -> its row; the largest pmax was set where one worker stayed near
-#: 10 s or less.  Timed together, fresh, on a 2-CPU host with Python 3.11
-#: (``python -c pass`` 25-27 ms): ``support`` 50 1.35-1.37 s, ``witness``
-#: 60 0.81-0.83 s, ``sign`` 23 1.09-1.11 s (its cases at 24 3.3 s),
-#: ``permanent`` 18 0.35-0.36 s (at 19 0.58-0.59 s), as Bareiss and the
-#: DP run at a cheaper image of q and Ryser sums over necklaces; the caps
-#: wait for a common refit; ``prime`` runs to Newton's limit, 8.1-8.3 s there
+#: name -> its row.  The largest pmax keeps one worker within the suites'
+#: common target; ``support``, ``sign`` and ``permanent`` stay well under
+#: it, as Bareiss and the DP run at a cheaper image of q and Ryser sums
+#: over necklaces, and their caps wait for a common refit; ``prime`` runs
+#: to Newton's limit.  README's limits table times each suite at its
+#: largest pmax; the target, and ``sign`` and ``permanent`` one size
+#: further, are among its other measured times
 _SUITES = {
     "support": _Suite(
         EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)
@@ -455,8 +446,11 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def run_case(case: tuple) -> CaseOutcome:
-    """Run one self-contained case tuple (kind, *args) and tally its checks."""
+def run_case(case: tuple) -> tuple[int, int, Optional[str]]:
+    """Run one self-contained case tuple (kind, *args) and tally its checks.
+
+    The tally is (checks run, checks failed, first counterexample or None).
+    """
     fn = _SUITES[case[0]].case
     args = case[1:]
     checks = failures = 0
@@ -469,8 +463,8 @@ def run_case(case: tuple) -> CaseOutcome:
                 if first is None:
                     first = failure
     except Exception as exc:  # a crashed case is a failed case
-        return CaseOutcome(1, 1, f"{fn.__name__}{args}: {exc!r}")
-    return CaseOutcome(checks, failures, first)
+        return 1, 1, f"{fn.__name__}{args}: {exc!r}"
+    return checks, failures, first
 
 
 def suite_parameters(
@@ -516,7 +510,7 @@ def suite_parameters(
         p_max = row.default
     if p_max < 3:
         raise ValueError(f"pmax must be at least 3, got {p_max}")
-    if row.largest is not None and p_max > row.largest:
+    if p_max > row.largest:
         raise TooLarge(f"the {suite} suite needs pmax <= {row.largest}")
     if suite == "prime":
         return {"p_max": p_max, "q": phimod.PRIMALITY_Q}
@@ -527,7 +521,7 @@ def _case_list(suite: str, params: dict) -> list[tuple]:
     return [(suite, *args) for args in _SUITES[suite].args(params)]
 
 
-def _run_share(case_list: list, i: int, width: int) -> list[CaseOutcome]:
+def _run_share(case_list: list, i: int, width: int) -> list[tuple]:
     return [run_case(case) for case in case_list[i::width]]
 
 
@@ -536,8 +530,7 @@ def _child_share(case_list: list, i: int, width: int, r: int, w: int) -> None:
     code = 1
     try:
         os.close(r)
-        share = _run_share(case_list, i, width)
-        payload = marshal.dumps([(oc.checks, oc.failures, oc.first) for oc in share])
+        payload = marshal.dumps(_run_share(case_list, i, width))
         with os.fdopen(w, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -552,12 +545,12 @@ def _reap(pid: int, fd: int) -> tuple[int, bytes]:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), payload
 
 
-def _decode(pid: int, status: int, payload: bytes, expected: int) -> list[CaseOutcome]:
+def _decode(pid: int, status: int, payload: bytes, expected: int) -> list[tuple]:
     """A child's share, or InternalInconsistency unless it is whole."""
     if status != 0:
         raise InternalInconsistency(f"verify worker {pid} exited with status {status}")
     try:
-        share = [CaseOutcome(c, f, first) for c, f, first in marshal.loads(payload)]
+        share = [(c, f, first) for c, f, first in marshal.loads(payload)]
     except (EOFError, ValueError, TypeError) as exc:
         raise InternalInconsistency(
             f"verify worker {pid} sent an unreadable share: {exc!r}"
@@ -577,7 +570,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(case_list: list, width: int) -> list[CaseOutcome]:
+def _fan_out(case_list: list, width: int) -> list[tuple]:
     """Outcomes in case order, from ``width`` strided shares of the cases.
 
     Share i is ``case_list[i::width]``.  Shares 1..width-1 each run in a
@@ -587,7 +580,7 @@ def _fan_out(case_list: list, width: int) -> list[CaseOutcome]:
     At width 1 nothing is forked and share 0 is the whole list.
     Forking assumes the caller runs no other thread, as the CLI does not.
     """
-    shares: list[Optional[list[CaseOutcome]]] = [None] * width
+    shares: list[Optional[list[tuple]]] = [None] * width
     children = []  # (share index, pid, read end)
     reaped = []
     try:
@@ -642,11 +635,11 @@ def run_suite(
     if hasattr(os, "fork"):
         width = max(1, min(workers, len(case_list), _usable_cpus()))
     outcomes = _fan_out(case_list, width)
-    first = next((oc.first for oc in outcomes if oc.first is not None), None)
+    first = next((first for _, _, first in outcomes if first is not None), None)
     return SuiteResult(
         suite,
-        sum(oc.checks for oc in outcomes),
-        sum(oc.failures for oc in outcomes),
+        sum(checks for checks, _, _ in outcomes),
+        sum(failures for _, failures, _ in outcomes),
         first,
         params,
     )

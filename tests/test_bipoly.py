@@ -51,7 +51,12 @@ class TestBasics:
         # a list of (key, value) pairs is not read as terms
         with pytest.raises(TypeError, match=r"mapping \{\(r, s\): c\}, not list"):
             BiPoly([((1, 0), 2)])
+        # so is any other non-mapping, falsy ones included: none is zero
+        for falsy in ([], (), "", 0):
+            with pytest.raises(TypeError, match="mapping"):
+                BiPoly(falsy)
         assert BiPoly({(1, 0): 2}).terms == {Monomial(1, 0): 2}
+        assert BiPoly() == BiPoly({}) == ZERO
 
     def test_equality_is_term_equality(self):
         assert BiPoly({(1, 1): 2}) == BiPoly({(1, 1): 2})

@@ -1,14 +1,24 @@
-"""The README agrees with the code: its commands, limits table and library example."""
+"""The README agrees with the code: its commands, limits table and library example.
+
+README's two tables of measured times are the one record of wall times,
+so the code's comments and docstrings state none.
+"""
 
 import argparse
+import ast
+import io
 import re
+import shlex
+import tokenize
 from pathlib import Path
 
 from tricirc import circulant, permanent, permclass, verify
 from tricirc import cli as climod
 from tricirc import phi as phimod
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+LIMITS_HEADER = "| Limit | Value | Seconds | Measured by |"
 
 #: the limits that are module constants, by home module
 CONSTANTS = {
@@ -21,6 +31,24 @@ CONSTANTS = {
     "WITNESS_LIMIT": permclass,
     "LEMMA_CASES_LIMIT": verify,
 }
+
+#: the flag that each constant bounds in its limits-table command; every
+#: suite's limit bounds --pmax, and DP_BUDGET bounds no one flag
+BOUNDED_FLAG = {
+    "NEWTON_LIMIT": "p",
+    "BAREISS_LIMIT": "p",
+    "BRUTEFORCE_LIMIT": "p",
+    "ENUMERATION_LIMIT": "p",
+    "WITNESS_LIMIT": "p",
+    "LEMMA_CASES_LIMIT": "cases",
+}
+
+#: a wall time (a number, a space and a time unit) or the host it was
+#: measured on; "1s in columns" has no space, so it is not a time
+HOST_TIMING = re.compile(
+    r"\b\d+(\.\d+)?(-\d+(\.\d+)?)?\s+(ns|µs|us|ms|s|sec|seconds?|minutes?|MB|GB)\b"
+    r"|\d+-CPU\b|\bhost\b|Python 3\.\d"
+)
 
 
 def declared_limits() -> dict[str, int]:
@@ -48,17 +76,47 @@ def parse_value(text: str) -> int:
     return value
 
 
-def limits_table() -> dict[str, int]:
-    """Limit name -> value, read from the README's limits table."""
+def limits_rows() -> dict[str, list[str]]:
+    """Limit name -> the cells of its row in the README's limits table."""
     rows = {}
     lines = section("Command line").splitlines()
-    start = lines.index("| Limit | Value | Seconds | Measured by |")
+    start = lines.index(LIMITS_HEADER)
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        name, value = (cell.strip() for cell in line.strip("|").split("|")[:2])
-        rows[re.match(r"`(\w+)`", name).group(1)] = parse_value(value)
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[re.match(r"`(\w+)`", cells[0]).group(1)] = cells
     return rows
+
+
+def limits_table() -> dict[str, int]:
+    """Limit name -> value, read from the README's limits table."""
+    return {name: parse_value(cells[1]) for name, cells in limits_rows().items()}
+
+
+def comments_and_docstrings(path: Path) -> list[tuple[int, str]]:
+    """(first line, text) of every comment block and docstring of a module.
+
+    Comments on consecutive lines are joined, so a time split across
+    two lines is still one text.
+    """
+    source = path.read_text()
+    texts, next_line = [], None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.COMMENT:
+            continue
+        line, text = tok.start[0], tok.string.lstrip("#:").strip()
+        if line == next_line:
+            texts[-1] = (texts[-1][0], f"{texts[-1][1]} {text}")
+        else:
+            texts.append((line, text))
+        next_line = line + 1
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                texts.append((node.body[0].lineno, doc))
+    return texts
 
 
 def test_command_line_block_lists_exactly_the_parser_commands():
@@ -83,3 +141,43 @@ def test_library_block_runs_and_its_stated_results_hold():
     unsigned = scope["cycle_cover_counts"](8, 3)
     assert unsigned == scope["det_newton"](spec).termwise_abs()
     assert scope["bounds_report"](8, 3).d11 == 33 == unsigned.evaluate(1, 1)
+
+
+def test_limits_table_commands_run_at_the_declared_limits(monkeypatch):
+    limits = declared_limits()
+    parser = climod.build_parser()
+    rows = limits_rows()
+    assert set(rows) == set(limits)
+    for name, cells in rows.items():
+        command = re.match(r"`([^`]+)`", cells[3]).group(1)
+        words = shlex.split(command)
+        if words[0] == "python":  # the one call with no CLI command
+            assert words[1] == "-c" and name == "RYSER_LIMIT"
+            calls = []
+            monkeypatch.setattr(permanent, "permanent_ryser", lambda *pq: calls.append(pq))
+            exec(compile(words[2], "README", "exec"), {})
+            assert calls == [(limits[name], 12)]
+            continue
+        assert words[0] == "tricirc", command
+        args = parser.parse_args(words[1:])
+        if name == "DP_BUDGET":  # a pair the budget admits, at its stated estimate
+            cost = circulant.dp_cost(args.p, args.q)
+            assert cost <= limits[name]
+            assert f"(estimated at {cost / 1e9:.2f} * 10^9)" in cells[3]
+        elif name in verify._SUITES:
+            assert (args.command, args.suite) == ("verify", name)
+            assert args.pmax == limits[name]
+        else:
+            assert getattr(args, BOUNDED_FLAG[name]) == limits[name], command
+
+
+def test_src_comments_and_docstrings_state_no_wall_time():
+    assert HOST_TIMING.search("takes 1.62-1.66 s in process on a 2-CPU host")
+    assert not HOST_TIMING.search("the 0-1 circulant with 1s in columns 1, 2, q+1")
+    found = [
+        f"{path.name}:{line}: {match.group()!r}"
+        for path in sorted((ROOT / "src" / "tricirc").glob("*.py"))
+        for line, text in comments_and_docstrings(path)
+        for match in HOST_TIMING.finditer(text)
+    ]
+    assert not found, "measured times belong in README's tables:\n" + "\n".join(found)

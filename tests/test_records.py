@@ -21,7 +21,7 @@ from tricirc.circulant import FloatCheckReport
 from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
 from tricirc.phi import CirculantSpec, CoefficientReport, PermClassKey, Record, coefficient
 from tricirc.permclass import StructureReport, predict_structure
-from tricirc.verify import CaseOutcome, SuiteResult, run_suite
+from tricirc.verify import SuiteResult, run_suite
 
 #: (class, field values, repr): one row for every Record subclass
 RECORDS = [
@@ -42,8 +42,6 @@ RECORDS = [
     (GrowthRow, (3, 2, 3, 6, 4, 1.25, True),
      "GrowthRow(p=3, q=2, max_coeff=3, d11=6, n_monomials=4, root=1.25, "
      "sandwich_ok=True)"),
-    (CaseOutcome, (3, 1, "p=9: bad"),
-     "CaseOutcome(checks=3, failures=1, first='p=9: bad')"),
     (SuiteResult, ("prime", 4, 0, None, {"p_max": 6, "q": 2}),
      "SuiteResult(suite='prime', cases=4, failures=0, "
      "first_counterexample=None, parameters={'p_max': 6, 'q': 2})"),
@@ -78,8 +76,7 @@ def test_equality_holds_only_within_a_class():
     for a, b in itertools.combinations(recs, 2):
         assert a != b and b != a
     # same field values, other class
-    assert CaseOutcome(1, 2, None) != (1, 2, None)
-    assert StructureReport(1, (1, 0), 1) != CaseOutcome(1, (1, 0), 1)
+    assert StructureReport(5, 3, 2) != CirculantSpec(5, 3, 2)
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
@@ -105,8 +102,6 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
 def test_hot_constructors_build_the_same_values():
     rep = predict_structure(PermClassKey(8, 3, 2, 2))
     assert rep == StructureReport(1, (2, 2), -1) and sum(rep.cycles_each) == 4
-    assert CaseOutcome(1, 0).first is None
-    assert CaseOutcome(1, 0) == CaseOutcome(checks=1, failures=0, first=None)
 
 
 def test_suite_result_reads_as_before():
@@ -147,14 +142,14 @@ def test_every_record_class_is_listed():
 
 def test_only_the_records_that_validate_or_default_define_init():
     own_init = {cls for cls in _record_classes() if "__init__" in vars(cls)}
-    assert own_init == {CirculantSpec, PermClassKey, CaseOutcome}
+    assert own_init == {CirculantSpec, PermClassKey}
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
 def test_constructor_refuses_a_bad_field_list(cls, fields, text):
     names = cls.__slots__
-    # CirculantSpec's t and CaseOutcome's first have defaults
-    short = 2 if cls in (CirculantSpec, CaseOutcome) else 1
+    # CirculantSpec's t has a default
+    short = 2 if cls is CirculantSpec else 1
     bad_calls = [
         (fields[:-short], {}),  # too few
         (fields + (0,), {}),  # too many

@@ -63,7 +63,7 @@ def _patch_suite(monkeypatch, case_fn, cpus=2):
     # p (share 0) and a forked child the even p (share 1)
     monkeypatch.setitem(
         verifymod._SUITES, "flaky",
-        verifymod._Suite(12, None, verifymod._prime_args, case_fn, ()),
+        verifymod._Suite(12, 12, verifymod._prime_args, case_fn, ()),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
@@ -127,9 +127,7 @@ def test_unreadable_share_raises(payload):
     with pytest.raises(InternalInconsistency):
         verifymod._decode(1234, 0, payload, 2)
     good = marshal.dumps([(1, 0, None), (2, 1, "x")])
-    assert verifymod._decode(1234, 0, good, 2) == [
-        verifymod.CaseOutcome(1, 0), verifymod.CaseOutcome(2, 1, "x")
-    ]
+    assert verifymod._decode(1234, 0, good, 2) == [(1, 0, None), (2, 1, "x")]
 
 
 def test_fan_out_is_capped_by_the_cpu_count(monkeypatch):
@@ -387,10 +385,10 @@ def test_witness_suite_catches_each_fault_without_the_class_search(
              if c[1] > verifymod.EXHAUSTIVE_PMAX]
     assert len(above) == 8 + 9 + 10
     for _, p, q in above:
-        oc = run_case(("witness", p, q))
-        assert oc.failures == oc.checks, (p, q)
+        checks, failures, first = run_case(("witness", p, q))
+        assert failures == checks, (p, q)
         # the walk starts at (0, 0)
-        assert oc.first == f"witness for (p={p}, q={q}, r=0, s=0) invalid"
+        assert first == f"witness for (p={p}, q={q}, r=0, s=0) invalid"
 
 
 @pytest.mark.parametrize("suite, size", [
@@ -502,9 +500,9 @@ def test_crashed_case_is_one_failed_check(monkeypatch, name):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(permmod, name, crash)
-    out = run_case(("permanent", 5, 2))
-    assert (out.checks, out.failures) == (1, 1)
-    assert out.first == "_permanent_case(5, 2): RuntimeError('boom')"
+    assert run_case(("permanent", 5, 2)) == (
+        1, 1, "_permanent_case(5, 2): RuntimeError('boom')"
+    )
 
 
 def test_largest_sizes_are_admitted_and_one_more_is_refused():
