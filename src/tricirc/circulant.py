@@ -25,7 +25,8 @@ These routes live apart from the default one so that a ``phi`` or
 directly, and ``verify`` only for the suites that run these
 routes (``support``, ``sign``, ``cycle`` and ``permanent``).  :mod:`cmath`
 and :mod:`fractions` (which loads :mod:`decimal` and :mod:`numbers`)
-are imported inside the float check, their only user here.  The routes
+are imported inside the float check, their only user in the package,
+so no command loads them.  The routes
 stay in this module, under these names, because the benchmark imports
 ``cycle_cover_counts`` and the Bareiss and float-check routes from here
 and traces them as ``circulant.*``.

@@ -55,9 +55,9 @@ load nothing more.  Beyond those:
   ``prime`` adds nothing.
 
 No command loads :mod:`dataclasses` (the value classes are
-``phi.Record`` subclasses) or :mod:`cmath` (only the advisory float
-check uses it), and only those that load :mod:`tricirc.permanent`
-load :mod:`fractions`, for its lower bound.
+``phi.Record`` subclasses), :mod:`cmath` or :mod:`fractions` (only the
+advisory float check uses them; the permanent's lower bound is a
+``permanent.Ratio`` of two integers).
 
 ``verify`` owns its suite names and default sizes, and refuses an
 unknown ``--suite`` or a flag that the suite does not read (exit 2).

@@ -18,12 +18,14 @@ and checks it against classical two-sided bounds:
   :func:`bounds_report` when its signed polynomial is the DP's own;
 * lower bound 3^p p!/p^p (doubly stochastic scaling), upper bound
   6^(p/3) (row-sum bound), both compared in exact integer arithmetic.
+  The lower bound is a :class:`Ratio` reduced with :func:`math.gcd`,
+  not a Fraction, so no command loads :mod:`fractions` (nor, through
+  it, :mod:`decimal` and :mod:`numbers`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import exp, factorial, log
+from math import exp, factorial, gcd, log
 
 from .bipoly import BiPoly
 from .circulant import check_dp_budget, cover_count_rows, cycle_cover_counts
@@ -101,13 +103,35 @@ def _ceil_cube_root(n: int) -> int:
     return c if c**3 == n else c + 1
 
 
+class Ratio(Record):
+    """A positive rational ``numerator/denominator`` in lowest terms.
+
+    Its str is that of :class:`fractions.Fraction`: ``n/d``, or ``n``
+    alone when d = 1.  :func:`_lowest_terms` builds one.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __str__(self) -> str:
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"
+
+
+def _lowest_terms(n: int, d: int) -> Ratio:
+    """The ratio n/d (d > 0), divided through by gcd(n, d)."""
+    g = gcd(n, d)
+    return Ratio(n // g, d // g)
+
+
 class PermanentReport(Record):
     """Permanent value, coefficient statistics and exact bound checks.
 
     ``d11`` is the permanent of the 0-1 band circulant and ``abs_sum``
     the sum of |a(r, s)| over the signed polynomial; ``max_coeff`` is
     M(p, q) and ``n_monomials`` N(p, q).  ``lower_bound`` is the
-    Fraction 3^p p! / p^p and ``upper_bound`` the integer ceil(6^(p/3)).
+    :class:`Ratio` 3^p p! / p^p and ``upper_bound`` the integer
+    ceil(6^(p/3)).
     ``lower_ok`` holds 3^p p! <= d11 p^p, ``upper_ok`` d11^3 <= 6^p and
     ``sandwich_ok`` d11/N <= M <= d11.
     """
@@ -141,7 +165,7 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
 
     d11 comes from the unsigned DP and abs_sum from the signed
     determinant polynomial of the selected backend (Newton's identities
-    by default), and :func:`_report` checks the one against the other.
+    by default), and :func:`_counts` checks the one against the other.
     With the ``cycle_cover`` backend the signed polynomial is the DP's
     own, so d11 comes from Ryser instead and only the sums can be
     compared; past RYSER_LIMIT the report is refused
@@ -164,19 +188,23 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     return _report(p, q, signed, unsigned)
 
 
-def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> PermanentReport:
-    """The report of (p, q) from its signed and its unsigned polynomial.
+def _counts(
+    p: int, q: int, signed: BiPoly, unsigned: BiPoly | None
+) -> tuple[int, int, int, bool]:
+    """d11, M and N of (p, q) from its signed and its unsigned polynomial, checked.
 
     Since no monomial mixes signs, the unsigned DP must equal the signed
     polynomial with every coefficient made absolute, term by term, and
-    its value at x = y = 1, d11, must equal abs_sum.  With no unsigned
-    polynomial (the signed one is the DP's own) d11 comes from Ryser.
-    Any disagreement raises :class:`InternalInconsistency`, as does a
-    printed ``upper_bound`` c without (c-1)^3 < 6^p <= c^3.  No bound
-    check uses a float: the lower one cross-multiplies, the upper ones
-    cube.
+    its value at x = y = 1, d11, must equal the sum of the absolute
+    coefficients.  M and N are read off the signed polynomial and must
+    equal plain ``max`` and ``len`` over the DP's term map.  With no
+    unsigned polynomial (the signed one is the DP's own) d11 comes from
+    Ryser, and M and N have no second route.  Any disagreement raises
+    :class:`InternalInconsistency`.  Returns d11, M, N and whether
+    d11/N <= M <= d11.
     """
-    abs_sum = signed.abs_coefficient_sum()
+    max_coeff = signed.max_abs_coefficient()
+    n_monomials = len(signed)
     if unsigned is None:
         d11 = permanent_ryser(p, q)
     else:
@@ -186,14 +214,45 @@ def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> Permanen
                 f"term by term for (p={p}, q={q})"
             )
         d11 = unsigned.evaluate(1, 1)
+        counts = unsigned.terms.values()
+        if max_coeff != max(counts):
+            raise InternalInconsistency(
+                f"M = {max_coeff} differs from the largest DP count "
+                f"{max(counts)} for (p={p}, q={q})"
+            )
+        if n_monomials != len(counts):
+            raise InternalInconsistency(
+                f"N = {n_monomials} differs from the {len(counts)} DP terms "
+                f"for (p={p}, q={q})"
+            )
+    abs_sum = signed.abs_coefficient_sum()
     if d11 != abs_sum:
         raise InternalInconsistency(
             f"permanent {d11} differs from the absolute coefficient sum "
             f"{abs_sum} for (p={p}, q={q})"
         )
-    max_coeff = signed.max_abs_coefficient()
-    n_monomials = len(signed)
-    lower = Fraction(3**p * factorial(p), p**p)
+    sandwich_ok = d11 <= max_coeff * n_monomials and max_coeff <= d11
+    return d11, max_coeff, n_monomials, sandwich_ok
+
+
+def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> PermanentReport:
+    """The report of (p, q): :func:`_counts`, then both bounds.
+
+    A printed ``lower_bound`` n/d must have gcd(n, d) = 1 and
+    n p^p = d 3^p p!, and a printed ``upper_bound`` c must have
+    (c-1)^3 < 6^p <= c^3; either fault raises
+    :class:`InternalInconsistency`.  No bound check uses a float: the
+    lower ones cross-multiply, the upper ones cube.  abs_sum is d11,
+    which :func:`_counts` has checked against it.
+    """
+    d11, max_coeff, n_monomials, sandwich_ok = _counts(p, q, signed, unsigned)
+    top, bottom = 3**p * factorial(p), p**p
+    lower = _lowest_terms(top, bottom)
+    n, d = lower.numerator, lower.denominator
+    if gcd(n, d) != 1 or n * bottom != d * top:
+        raise InternalInconsistency(
+            f"lower bound {lower} is not 3^{p} {p}!/{p}^{p} in lowest terms"
+        )
     upper = _ceil_cube_root(6**p)
     if not (upper - 1) ** 3 < 6**p <= upper**3:
         raise InternalInconsistency(f"upper bound {upper} is not ceil(6^({p}/3))")
@@ -201,14 +260,14 @@ def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> Permanen
         p=p,
         q=q,
         d11=d11,
-        abs_sum=abs_sum,
+        abs_sum=d11,
         max_coeff=max_coeff,
         n_monomials=n_monomials,
         lower_bound=lower,
         upper_bound=upper,
-        lower_ok=3**p * factorial(p) <= d11 * p**p,
+        lower_ok=top <= d11 * bottom,
         upper_ok=d11**3 <= 6**p,
-        sandwich_ok=d11 <= max_coeff * n_monomials and max_coeff <= d11,
+        sandwich_ok=sandwich_ok,
     )
 
 
@@ -246,7 +305,8 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     transfer-matrix walk makes cheaper take their counts from it
     (:func:`cover_count_rows`), and the others from the DP routed per
     p.  Every row is checked against |Newton| term by term, as
-    :func:`bounds_report` checks it (:func:`_report`).  The display
+    :func:`bounds_report` checks it (:func:`_counts`), and builds none
+    of the bounds, which a row does not print.  The display
     column, the float p-th root of M, is read back from its 4 printed
     decimals as N / 10^4 and checked in integers:
     (N (10^4 - 1))^p <= M 10^(8p) <= (N (10^4 + 1))^p, a relative
@@ -267,24 +327,16 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     rows = []
     for p in range(p_min, p_max + 1):
         unsigned = walked.get(p) or cycle_cover_counts(p, q)
-        rep = _report(p, q, phi_polynomial(p, q), unsigned)
-        root = _root(rep.max_coeff, p)
+        d11, max_coeff, n_monomials, sandwich_ok = _counts(
+            p, q, phi_polynomial(p, q), unsigned
+        )
+        root = _root(max_coeff, p)
         n = int(f"{root:.4f}".replace(".", ""))
-        if not (n * 9999) ** p <= rep.max_coeff * 10 ** (8 * p) <= (n * 10001) ** p:
+        if not (n * 9999) ** p <= max_coeff * 10 ** (8 * p) <= (n * 10001) ** p:
             raise InternalInconsistency(
                 f"printed root {root:.4f} is not M^(1/{p}) to 1e-4 for (p={p}, q={q})"
             )
-        rows.append(
-            GrowthRow(
-                p=p,
-                q=q,
-                max_coeff=rep.max_coeff,
-                d11=rep.d11,
-                n_monomials=rep.n_monomials,
-                root=root,
-                sandwich_ok=rep.sandwich_ok,
-            )
-        )
+        rows.append(GrowthRow(p, q, max_coeff, d11, n_monomials, root, sandwich_ok))
     return rows
 
 

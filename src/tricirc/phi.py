@@ -268,7 +268,9 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
     slices c_t = (-1)^t e_t as t c_t = -sum_{i=1..t} c_(t-i) tr(A^i).
     Every slice is stored by y-exponent alone and has only the few terms
     the support theorem allows, so the cost is polynomial in p for every
-    q.  Each division by t must be exact (:class:`NonExactDivision`
+    q.  Once slice t is known it adds c_t tr(A^i) to the sum of every
+    later slice t + i, so an empty slice, as most are, costs nothing.
+    Each division by t must be exact (:class:`NonExactDivision`
     otherwise), and the unit constant term is checked as in Bareiss.
     """
     _require_canonical(spec)
@@ -276,18 +278,12 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
     if p > NEWTON_LIMIT:
         raise TooLarge(f"Newton's identities are limited to p <= {NEWTON_LIMIT}")
     sums = [(i, list(ps.items())) for i, ps in power_sums(p, q).items()]
-    slices: list[dict[int, int]] = [{0: 1}]
-    for t in range(1, p + 1):
-        acc: dict[int, int] = {}
-        for i, ps in sums:
-            if i > t:
-                break
-            for s1, c1 in slices[t - i].items():
-                for s2, c2 in ps:
-                    k = s1 + s2
-                    acc[k] = acc.get(k, 0) + c1 * c2
-        ct = {}
-        for s, v in acc.items():
+    # acc[t] collects sum_i c_(t-i) tr(A^i) from the slices already known
+    acc: list[dict[int, int]] = [{} for _ in range(p + 1)]
+    slices: list[dict[int, int]] = []
+    for t in range(p + 1):
+        ct = {} if t else {0: 1}  # acc[0] is empty
+        for s, v in acc[t].items():
             c, rem = divmod(-v, t)
             if rem:
                 raise NonExactDivision(
@@ -297,6 +293,16 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
             if c:
                 ct[s] = c
         slices.append(ct)
+        if not ct:
+            continue
+        for i, ps in sums:
+            if t + i > p:
+                break
+            later = acc[t + i]
+            for s1, c1 in ct.items():
+                for s2, c2 in ps:
+                    k = s1 + s2
+                    later[k] = later.get(k, 0) + c1 * c2
     det = BiPoly(
         {(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()}
     )
@@ -519,8 +525,17 @@ def coefficient(
 
 
 def binomial_power(p: int) -> BiPoly:
-    """(x + y)^p expanded by binomial coefficients."""
-    return BiPoly({(r, p - r): math.comb(p, r) for r in range(p + 1)})
+    """(x + y)^p expanded by binomial coefficients.
+
+    Each coefficient comes from the one before it:
+    C(p, r+1) = C(p, r) (p - r) / (r + 1), an exact division.
+    """
+    terms = {}
+    c = 1
+    for r in range(p + 1):
+        terms[r, p - r] = c
+        c = c * (p - r) // (r + 1)
+    return BiPoly(terms)
 
 
 #: the q of the primality congruence, recorded by the ``prime`` suite:

@@ -292,7 +292,37 @@ class TestBareiss:
             assert circulant._bareiss(p, q) == det_newton(CirculantSpec(p, q)), (p, q)
 
 
+def newton_by_gathering(p, q):
+    """The determinant by Newton's identities, every slice gathered in turn.
+
+    The reference for ``det_newton``: slice t sums c_(t-i) tr(A^i) over
+    every power sum i <= t, empty slices included.
+    """
+    sums = [(i, list(ps.items())) for i, ps in power_sums(p, q).items()]
+    slices = [{0: 1}]
+    for t in range(1, p + 1):
+        acc = {}
+        for i, ps in sums:
+            if i > t:
+                break
+            for s1, c1 in slices[t - i].items():
+                for s2, c2 in ps:
+                    acc[s1 + s2] = acc.get(s1 + s2, 0) + c1 * c2
+        ct = {}
+        for s, v in acc.items():
+            c, rem = divmod(-v, t)
+            assert rem == 0, (p, q, t, s)
+            if c:
+                ct[s] = c
+        slices.append(ct)
+    return BiPoly({(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()})
+
+
 class TestNewton:
+    def test_equals_the_gathering_loop(self):
+        for p, q in canonical_pairs(60):
+            assert det_newton(CirculantSpec(p, q)) == newton_by_gathering(p, q), (p, q)
+
     def test_published_polynomials(self):
         assert det_newton(CirculantSpec(5, 3)) == PHI_5_3
         assert det_newton(CirculantSpec(8, 3)) == PHI_8_3

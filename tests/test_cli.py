@@ -531,9 +531,12 @@ DEFAULT_ROUTE_UNUSED = frozenset({
 
 
 #: modules that no command loads: dataclasses brings in inspect, the
-#: float check, the only user of cmath, is on no command's path, and gc
-#: is main's alone, imported after run has returned
-NEVER_LOADED = frozenset({"cmath", "dataclasses", "gc", "inspect"})
+#: float check, the only user of cmath and fractions (which brings in
+#: decimal and numbers), is on no command's path, and gc is main's
+#: alone, imported after run has returned
+NEVER_LOADED = frozenset({
+    "cmath", "dataclasses", "decimal", "fractions", "gc", "inspect", "numbers",
+})
 
 #: the package modules that every command loads
 ALWAYS_LOADED = frozenset({
@@ -603,10 +606,13 @@ class TestImportGate:
         ("verify", "--suite", "support", "--pmax", "6"),
         ("verify", "--suite", "sign", "--pmax", "6"),
         ("verify", "--suite", "cycle", "--pmax", "6"),
+        ("permanent", "--p", "10", "--q", "3"),
+        ("growth", "--q", "2", "--pmax", "8"),
+        ("verify", "--suite", "permanent", "--pmax", "7"),
     ])
     def test_exact_cross_checks_load_no_fractions(self, argv):
-        # only the float check's sample grid and the permanent's lower
-        # bound are fractions; the exact routes load neither
+        # only the float check's sample grid is fractions; the exact
+        # routes and the permanent's lower bound, a Ratio, load none
         code, out, added = loaded_by(*argv)
         assert code == 0 and out
         fractions = {"fractions", "decimal", "numbers"}
@@ -761,6 +767,26 @@ def root_over_p_plus_one(monkeypatch):
     monkeypatch.setattr(permmod, "_root", lambda m, p: math.exp(math.log(m) / (p + 1)))
 
 
+def max_abs_plus_one(monkeypatch):
+    real = BiPoly.max_abs_coefficient
+    monkeypatch.setattr(BiPoly, "max_abs_coefficient", lambda self: real(self) + 1)
+
+
+def len_plus_one(monkeypatch):
+    real = BiPoly.__len__
+    monkeypatch.setattr(BiPoly, "__len__", lambda self: real(self) + 1)
+
+
+def lower_bound_plus_one(monkeypatch):
+    real = permmod._lowest_terms
+
+    def corrupt(n, d):
+        bound = real(n, d)
+        return permmod.Ratio(bound.numerator + 1, bound.denominator)
+
+    monkeypatch.setattr(permmod, "_lowest_terms", corrupt)
+
+
 def power_sum_plus_one(monkeypatch):
     # +1 on the x^5 term of tr(A^5) for (5, 3), which Newton divides by 5
     real = phimod.power_sums
@@ -798,6 +824,16 @@ CAUGHT = [
      "s = 0 holds 3 covers for p=5, q=3"),
     (root_over_p_plus_one, ("growth", "--q", "3", "--pmax", "5"),
      r"printed root 1\.3195 is not M\^\(1/4\) to 1e-4 for \(p=4, q=3\)"),
+    (max_abs_plus_one, ("permanent", "--p", "9", "--q", "4"),
+     r"M = 19 differs from the largest DP count 18 for \(p=9, q=4\)"),
+    (len_plus_one, ("growth", "--q", "3", "--pmax", "6"),
+     r"N = 6 differs from the 5 DP terms for \(p=4, q=3\)"),
+    (max_abs_plus_one, ("growth", "--q", "3", "--pmax", "6"),
+     r"M = 5 differs from the largest DP count 4 for \(p=4, q=3\)"),
+    (len_plus_one, ("permanent", "--p", "9", "--q", "4"),
+     r"N = 9 differs from the 8 DP terms for \(p=9, q=4\)"),
+    (lower_bound_plus_one, PERMANENT_5_3,
+     r"lower bound 5833/625 is not 3\^5 5!/5\^5 in lowest terms"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each

@@ -1,10 +1,8 @@
 """Permanent values, Ryser agreement and the exact two-sided bounds."""
 
 import importlib.util
-from fractions import Fraction
 from math import exp, log
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +13,6 @@ from tricirc.circulant import check_dp_budget, cycle_cover_counts
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import (
     GrowthRow,
-    PermanentReport,
     bounds_report,
     growth_table,
     growth_table_csv,
@@ -157,7 +154,9 @@ class TestBounds:
         rep = bounds_report(5, 3)
         assert rep.d11 == 13 == rep.abs_sum
         assert rep.max_coeff == 5 and rep.n_monomials == 5
-        assert rep.lower_bound == Fraction(5832, 625)  # ~9.33
+        bound = rep.lower_bound  # ~9.33
+        assert (bound.numerator, bound.denominator) == (5832, 625)
+        assert str(bound) == "5832/625"
         assert rep.lower_ok and rep.upper_ok and rep.sandwich_ok
         assert rep.upper_bound == 20  # ceil(6^(5/3))
 
@@ -170,7 +169,8 @@ class TestBounds:
     def test_equality_edge_3_2(self):
         rep = bounds_report(3, 2)
         assert rep.d11 == 6
-        assert rep.lower_bound == 6  # 27 * 6 / 27
+        bound = rep.lower_bound  # 27 * 6 / 27
+        assert (bound.numerator, bound.denominator) == (6, 1) and str(bound) == "6"
         assert rep.lower_ok and rep.upper_ok  # both bounds tight here
         assert rep.upper_bound == 6
 
@@ -262,15 +262,13 @@ class TestGrowth:
     def test_root_of_a_coefficient_past_float_range(self, monkeypatch):
         big = 10**401
 
-        report = permmod._report
+        counts = permmod._counts
 
         def stub(p, q, signed, unsigned):
-            rep = report(p, q, signed, unsigned)
-            fields = {name: getattr(rep, name) for name in rep.__slots__}
-            fields.update(d11=big + 2, abs_sum=big + 2, max_coeff=big)
-            return PermanentReport(**fields)
+            _, _, n_monomials, sandwich_ok = counts(p, q, signed, unsigned)
+            return big + 2, big, n_monomials, sandwich_ok
 
-        monkeypatch.setattr(permmod, "_report", stub)
+        monkeypatch.setattr(permmod, "_counts", stub)
         (row,) = growth_table(2, 3)
         assert row.max_coeff == big and row.d11 == big + 2
         assert row.root == pytest.approx(10 ** (401 / 3))
@@ -322,7 +320,7 @@ class TestGrowth:
         def no_row(p, q, signed, unsigned):
             pytest.fail(f"row p={p} computed before the refusal")
 
-        monkeypatch.setattr(permmod, "_report", no_row)
+        monkeypatch.setattr(permmod, "_counts", no_row)
         with pytest.raises(TooLarge, match=f"limited to p <= {NEWTON_LIMIT}"):
             growth_table(q, p_max)
 
@@ -331,11 +329,20 @@ class TestGrowth:
 
         def stub(p, q, signed, unsigned):
             seen.append(p)
-            return SimpleNamespace(max_coeff=1, d11=1, n_monomials=1, sandwich_ok=True)
+            return 1, 1, 1, True
 
-        monkeypatch.setattr(permmod, "_report", stub)
+        monkeypatch.setattr(permmod, "_counts", stub)
         growth_table(NEWTON_LIMIT - 2, NEWTON_LIMIT)
         assert seen == [NEWTON_LIMIT - 1, NEWTON_LIMIT]
+
+    def test_rows_build_no_bound(self, monkeypatch):
+        # a row prints neither bound, so it computes neither
+        def no_bound(*args):
+            pytest.fail("a growth row built a bound")
+
+        monkeypatch.setattr(permmod, "_lowest_terms", no_bound)
+        monkeypatch.setattr(permmod, "_ceil_cube_root", no_bound)
+        assert growth_table(3, 8) == dp_growth_rows(3, 8)
 
     def test_pmax_validation(self):
         with pytest.raises(ValueError):

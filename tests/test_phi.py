@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from polytext import parse
-from tricirc.bipoly import ONE
+from tricirc.bipoly import ONE, BiPoly
 from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.phi import (
     PRIMALITY_Q,
@@ -143,6 +144,11 @@ class TestPrimality:
         assert binomial_power(5) == parse(
             "x^5 + 5*x^4*y + 10*x^3*y^2 + 10*x^2*y^3 + 5*x*y^4 + y^5"
         )
+
+    def test_binomial_power_equals_the_comb_row(self):
+        for p in [*range(201), 1000]:
+            row = BiPoly({(r, p - r): math.comb(p, r) for r in range(p + 1)})
+            assert binomial_power(p) == row, p
 
     def test_published_examples(self):
         assert primality_check(5)

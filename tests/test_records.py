@@ -11,14 +11,13 @@ import importlib
 import itertools
 import pickle
 import pkgutil
-from fractions import Fraction
 
 import tricirc
 
 import pytest
 
 from tricirc.circulant import FloatCheckReport
-from tricirc.permanent import GrowthRow, PermanentReport, bounds_report
+from tricirc.permanent import GrowthRow, PermanentReport, Ratio, bounds_report
 from tricirc.phi import CirculantSpec, CoefficientReport, PermClassKey, Record, coefficient
 from tricirc.permclass import StructureReport, predict_structure
 from tricirc.verify import SuiteResult, run_suite
@@ -35,10 +34,11 @@ RECORDS = [
     (FloatCheckReport, (True, 0.5, (1.0, -1.0), 16),
      "FloatCheckReport(passed=True, max_abs_deviation=0.5, "
      "worst_point=(1.0, -1.0), points=16)"),
-    (PermanentReport, (5, 3, 13, 13, 5, 5, Fraction(5832, 625), 20, True, True, True),
+    (Ratio, (5832, 625), "Ratio(numerator=5832, denominator=625)"),
+    (PermanentReport, (5, 3, 13, 13, 5, 5, Ratio(5832, 625), 20, True, True, True),
      "PermanentReport(p=5, q=3, d11=13, abs_sum=13, max_coeff=5, n_monomials=5, "
-     "lower_bound=Fraction(5832, 625), upper_bound=20, lower_ok=True, "
-     "upper_ok=True, sandwich_ok=True)"),
+     "lower_bound=Ratio(numerator=5832, denominator=625), upper_bound=20, "
+     "lower_ok=True, upper_ok=True, sandwich_ok=True)"),
     (GrowthRow, (3, 2, 3, 6, 4, 1.25, True),
      "GrowthRow(p=3, q=2, max_coeff=3, d11=6, n_monomials=4, root=1.25, "
      "sandwich_ok=True)"),
