@@ -45,10 +45,12 @@ by the DP's fitted cost.  Newton and brute force stay at q, so the
 ``sign`` suite compares routes that ran at two different offsets
 wherever q is not its own smallest image.
 
-Each exact route has a declared size limit (the DP a work budget),
-judged on the (p, q) that was asked for, and raises :class:`TooLarge`
-beyond it instead of starting a run of unbounded length.  All
-functions are pure; different specs or backends may run concurrently.
+Each exact route has a declared size limit and raises :class:`TooLarge`
+beyond it instead of starting a run of unbounded length.  The DP's is
+a work budget on the work that runs: one DP at the window of its image
+(:func:`check_dp_budget`), a growth table on the plan that
+:func:`cover_count_rows` picks.  All functions are pure; different
+specs or backends may run concurrently.
 """
 
 from __future__ import annotations
@@ -218,28 +220,26 @@ def window_width(p: int, q: int) -> int:
     """Occupancy-window width of the DP for a canonical (p, q).
 
     The DP walks the offsets 0, 1 and q forward in a window of q + 1
-    cells.  The width is that window at the narrower of q and its image
-    1 - q mod p (:func:`tricirc.phi.canonical_images`), min(q, 1 - q) + 1,
-    so q near p costs the same as q near 0.
+    cells, and :func:`cycle_cover_counts` runs it at the smallest image
+    of q (:func:`tricirc.phi.canonical_images`), so the width is that
+    image plus one.  1 - q mod p is always an image, so q near p costs
+    the same as q near 0.
     """
-    return min(q, (1 - q) % p) + 1
+    return min(canonical_images(p, q)) + 1
 
 
 def dp_cost(p: int, q: int) -> float:
     """Estimated work of the DP for (p, q), p^2 (1 + p/1000) 2.9^w.
 
-    w is :func:`window_width`, the forward window of the narrower of q
-    and 1 - q.  Each window bit doubles the seam boundaries and adds
-    live states, about 2.9x in all; p enters through the p steps per
-    boundary and the packed integers of up to 2p^2 bits, whose
-    additions grow faster than their length once they pass a few
-    hundred kilobits (p in the thousands).  Fitted to 42 timed runs
-    (p = 24..4000, w = 3..15); the sample's least run time and the time
-    of one unit are among README's other measured times.  An estimate
-    past the float range (a window of about 667 bits or more) is
-    infinite.  The budget is judged on this estimate, though
-    :func:`cycle_cover_counts` runs at the smallest image of q, whose
-    window may be narrower still.
+    w is :func:`window_width`, the window the DP runs in.  Each window
+    bit doubles the seam boundaries and adds live states, about 2.9x in
+    all; p enters through the p steps per boundary and the packed
+    integers of up to 2p^2 bits, whose additions grow faster than their
+    length once they pass a few hundred kilobits (p in the thousands).
+    Fitted to 42 timed runs (p = 24..4000, w = 3..15); the sample's
+    least run time and the time of one unit are among README's other
+    measured times.  An estimate past the float range (a window of
+    about 667 bits or more) is infinite.
     """
     return _fitted_cost(p, window_width(p, q))
 
@@ -252,27 +252,8 @@ def _fitted_cost(p: int, w: int) -> float:
         return float("inf")
 
 
-def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
-    """Raise :class:`TooLarge` if the DP for (p, q) is over budget.
-
-    With ``p_min`` the estimate is the sum of one DP for every p from
-    p_min to p, as a table with one row per p runs them; the dearest
-    DP, at p, is checked alone first, which bounds the length of the sum.
-    A table whose rows share one walk (:func:`cover_count_rows`) costs
-    no more than that sum: every walked row has the (q + 1)-bit window
-    of the walk, so the walk's p-step estimate is the last row's own.
-
-    DP_BUDGET admits (24, 12) at 13 bits and (3000, 2), and refuses
-    (32, 13) at 14 bits, (28, 14) at 15 bits, (3000, 3) and (4000, 2);
-    README's other measured times give the DP's time at each pair.
-    """
-    if p_min is None:
-        cost = dp_cost(p, q)
-        what = f"p={p}, q={q} ({window_width(p, q)}-bit window)"
-    else:
-        check_dp_budget(p, q)
-        cost = sum(dp_cost(n, q) for n in range(p_min, p + 1))
-        what = f"p={p_min}..{p}, q={q} (one per p)"
+def _check_budget(cost: float, what: str) -> None:
+    """Raise :class:`TooLarge` naming the DPs ``what`` if ``cost`` is over budget."""
     if cost > DP_BUDGET:
         # as many significant digits as tell the two apart (17 always do)
         digits = next(
@@ -285,6 +266,16 @@ def check_dp_budget(p: int, q: int, p_min: int | None = None) -> None:
         )
 
 
+def check_dp_budget(p: int, q: int) -> None:
+    """Raise :class:`TooLarge` if the DP for (p, q) is over budget.
+
+    DP_BUDGET admits (24, 12) at 13 bits, (32, 13) at 6 (its image 5)
+    and (3000, 2), and refuses (28, 14) at 15 bits, (3000, 3) and
+    (4000, 2); README's other measured times give the DP's time at each.
+    """
+    _check_budget(dp_cost(p, q), f"p={p}, q={q} ({window_width(p, q)}-bit window)")
+
+
 @lru_cache(maxsize=None)
 def cycle_cover_counts(p: int, q: int) -> BiPoly:
     """The permanent's generating polynomial sum N(r, s) x^r y^s.
@@ -293,11 +284,11 @@ def cycle_cover_counts(p: int, q: int) -> BiPoly:
     1 exactly r times, q exactly s times and 0 elsewhere; it is |a(r, s)|,
     so the maps of :func:`tricirc.phi.canonical_images` carry it over
     once their signs are dropped.  The DP runs at the smallest image,
-    whose forward window is the narrowest, and its counts are mapped
-    back by :func:`tricirc.phi.from_image` and taken termwise absolute.
-    The budget judges (p, q) as asked; the checks on the DP's result
-    name the pair it ran at.  The result is cached, and a
-    :class:`BiPoly` cannot be changed in place.
+    whose forward window is the narrowest and the one the budget prices,
+    and its counts are mapped back by :func:`tricirc.phi.from_image` and
+    taken termwise absolute.  A refusal names (p, q) as asked; the checks
+    on the DP's result name the pair it ran at.  The result is cached,
+    and a :class:`BiPoly` cannot be changed in place.
     """
     PermClassKey.check_pair(p, q)
     check_dp_budget(p, q)
@@ -308,7 +299,7 @@ def cycle_cover_counts(p: int, q: int) -> BiPoly:
 
 
 def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, BiPoly]:
-    """Cycle-cover counts of the rows p_min..p_max that one walk makes cheaper.
+    """Price the table of rows p_min..p_max; return the rows a walk makes cheaper.
 
     For p >= 2q - 1 the window of q is no wider than that of its image
     1 - q mod p = p + 1 - q, so one walk at q reads the counts of every
@@ -317,16 +308,19 @@ def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, BiPoly]:
     own, though: (23, 12) runs at 2.  So the rows from max(p_min,
     2q - 1) to p_max are walked only when :func:`dp_cost`'s fitted form
     gives the walk, p_max steps in a (q + 1)-bit window, less work than
-    their per-row DPs at their smallest images; otherwise, and when no
-    row reaches 2q - 1, this returns no rows.  Maps p to the polynomial
-    that :func:`cycle_cover_counts` gives for (p, q).
+    their own DPs; the rows below 2q - 1 always take their own.  The
+    table is refused (:class:`TooLarge`) before any walk if that plan is
+    over DP_BUDGET, so no row's own DP is refused after it.  Maps each
+    walked p to the polynomial :func:`cycle_cover_counts` gives for (p, q).
     """
-    first = max(p_min, 2 * q - 1)
-    per_row = sum(
-        _fitted_cost(p, min(canonical_images(p, q)) + 1)
-        for p in range(first, p_max + 1)
-    )
-    if _fitted_cost(p_max, q + 1) >= per_row:  # as always with no rows
+    first = min(max(p_min, 2 * q - 1), p_max + 1)
+    below = sum(dp_cost(p, q) for p in range(p_min, first))
+    per_row = sum(dp_cost(p, q) for p in range(first, p_max + 1))
+    walk = _fitted_cost(p_max, q + 1)
+    walks = walk < per_row  # never with no rows
+    plan = f"one walk from p={first}" if walks else "one per p"
+    _check_budget(below + min(walk, per_row), f"p={p_min}..{p_max}, q={q} ({plan})")
+    if not walks:
         return {}
     rows = _cover_count_rows(q, first, p_max)
     return {p: BiPoly(counts) for p, counts in enumerate(rows, first)}

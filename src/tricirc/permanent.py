@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import exp, factorial, gcd, log
 
 from .bipoly import BiPoly
-from .circulant import check_dp_budget, cover_count_rows, cycle_cover_counts
+from .circulant import cover_count_rows, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
 from .phi import NEWTON_LIMIT, PermClassKey, Record, phi_polynomial
 
@@ -170,22 +170,21 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     own, so d11 comes from Ryser instead and only the sums can be
     compared; past RYSER_LIMIT the report is refused
     (:class:`TooLarge`) rather than compare the DP with itself.  On
-    every other backend the DP's budget is checked before the signed
-    polynomial is computed, so an over-budget DP is refused before a
-    slow route runs (Bareiss at (96, 48): the README limits table's
+    every other backend the DP runs before the signed polynomial is
+    computed, so its own budget check refuses an over-budget DP before
+    a slow route runs (Bareiss at (96, 48): the README limits table's
     ``BAREISS_LIMIT`` row).
     """
     PermClassKey.check_pair(p, q)
+    unsigned = None
     if backend != "cycle_cover":
-        check_dp_budget(p, q)
+        unsigned = cycle_cover_counts(p, q)
     elif p > RYSER_LIMIT:
         raise TooLarge(
             f"with the cycle_cover backend d11 must come from Ryser's "
             f"expansion, which is limited to p <= {RYSER_LIMIT}"
         )
-    signed = phi_polynomial(p, q, backend)
-    unsigned = None if backend == "cycle_cover" else cycle_cover_counts(p, q)
-    return _report(p, q, signed, unsigned)
+    return _report(p, q, phi_polynomial(p, q, backend), unsigned)
 
 
 def _counts(
@@ -199,14 +198,21 @@ def _counts(
     coefficients.  M and N are read off the signed polynomial and must
     equal plain ``max`` and ``len`` over the DP's term map.  With no
     unsigned polynomial (the signed one is the DP's own) d11 comes from
-    Ryser, and M and N have no second route.  Any disagreement raises
-    :class:`InternalInconsistency`.  Returns d11, M, N and whether
-    d11/N <= M <= d11.
+    Ryser, N must count the classes that the support rule lists
+    (:meth:`PermClassKey.nonempty_profiles`), and M has no second route.
+    Any disagreement raises :class:`InternalInconsistency`.  Returns
+    d11, M, N and whether d11/N <= M <= d11.
     """
     max_coeff = signed.max_abs_coefficient()
     n_monomials = len(signed)
     if unsigned is None:
         d11 = permanent_ryser(p, q)
+        classes = len(PermClassKey.nonempty_profiles(p, q))
+        if n_monomials != classes:
+            raise InternalInconsistency(
+                f"N = {n_monomials} differs from the {classes} nonempty "
+                f"classes for (p={p}, q={q})"
+            )
     else:
         if unsigned != signed.termwise_abs():
             raise InternalInconsistency(
@@ -299,26 +305,24 @@ def _root(m: int, p: int) -> float:
 def growth_table(q: int, p_max: int) -> list[GrowthRow]:
     """Max-coefficient growth for fixed q, p from q+1 (at least 3) up.
 
-    A table is refused up front if its DPs together are over budget or
-    if p_max passes NEWTON_LIMIT, which the budget alone admits when q
-    is next to p (a 3-5 bit DP window).  Then the rows that one
-    transfer-matrix walk makes cheaper take their counts from it
-    (:func:`cover_count_rows`), and the others from the DP routed per
-    p.  Every row is checked against |Newton| term by term, as
-    :func:`bounds_report` checks it (:func:`_counts`), and builds none
-    of the bounds, which a row does not print.  The display
-    column, the float p-th root of M, is read back from its 4 printed
-    decimals as N / 10^4 and checked in integers:
-    (N (10^4 - 1))^p <= M 10^(8p) <= (N (10^4 + 1))^p, a relative
-    tolerance of 10^-4 that the rounding to 4 decimals (at most
-    5 10^-5, since the root is at least 1) cannot trip.
+    A table is refused up front if p_max passes NEWTON_LIMIT, which
+    also bounds its length, or if the DP plan that
+    :func:`cover_count_rows` picks is over budget.  Then the rows that
+    one transfer-matrix walk makes cheaper take their counts from it,
+    and the others from the DP routed per p.  Every row is checked
+    against |Newton| term by term, as :func:`bounds_report` checks it
+    (:func:`_counts`), and builds none of the bounds, which a row does
+    not print.  The display column, the float p-th root of M, is read
+    back from its 4 printed decimals as N / 10^4 and checked in
+    integers: (N (10^4 - 1))^p <= M 10^(8p) <= (N (10^4 + 1))^p, a
+    relative tolerance of 10^-4 that the rounding to 4 decimals (at
+    most 5 10^-5, since the root is at least 1) cannot trip.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got q={q}")
     p_min = max(3, q + 1)
     if p_max < p_min:
         raise ValueError(f"p_max must be at least {p_min} for q={q}")
-    check_dp_budget(p_max, q, p_min)
     if p_max > NEWTON_LIMIT:
         raise TooLarge(
             f"each growth row runs Newton's identities, limited to p <= {NEWTON_LIMIT}"

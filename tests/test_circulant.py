@@ -17,6 +17,7 @@ from tricirc.circulant import (
     BAREISS_LIMIT,
     BRUTEFORCE_LIMIT,
     DP_BUDGET,
+    check_dp_budget,
     cycle_cover_counts,
     det_bareiss,
     det_bruteforce,
@@ -396,13 +397,14 @@ class TestSizeLimits:
 
     def test_dp_budget(self):
         # admitted: the windows the benchmark and the suites use, and
-        # (22, 11) 1.0 s, (24, 12) 1.5-3.3 s, (30, 10) 0.7 s, (96, 6) 0.07 s
+        # (22, 11), (24, 12), (30, 10), (96, 6) and (32, 13), which runs
+        # at its image 1/13 = 5 (README's other measured times)
         for p, q in ((64, 7), (96, 5), (20, 10), (48, 2),
-                     (22, 11), (24, 12), (30, 10), (96, 6)):
+                     (22, 11), (24, 12), (30, 10), (96, 6), (32, 13)):
             assert dp_cost(p, q) <= DP_BUDGET, (p, q)
-        # refused: each of these ran 9 s or more; (30, 15) was not run,
-        # its window is one bit wider than that of (28, 14) at 16 s
-        for p, q in ((30, 15), (32, 13), (28, 14), (3000, 3), (4000, 2)):
+        # refused: (30, 15) was not run, its window is one bit wider than
+        # that of (28, 14)
+        for p, q in ((30, 15), (28, 14), (3000, 3), (4000, 2)):
             assert dp_cost(p, q) > DP_BUDGET, (p, q)
             with pytest.raises(TooLarge):
                 cycle_cover_counts(p, q)
@@ -606,11 +608,12 @@ class TestSymmetricImages:
         assert moved > 0
 
     def test_routed_window_is_never_wider_than_window_width(self):
-        # arithmetic only: T(q) = 1 - q is always an image, so the routed
-        # window min(images) + 1 fits inside window_width, which dp_cost reads
+        # arithmetic only: window_width, which dp_cost reads, is the routed
+        # window min(images) + 1, and T(q) = 1 - q is always an image, so it
+        # is never wider than that of the narrower of q and 1 - q
         for p, q in canonical_pairs(300):
             routed = min(canonical_images(p, q)) + 1
-            assert routed <= window_width(p, q) == min(q, (1 - q) % p) + 1, (p, q)
+            assert window_width(p, q) == routed <= min(q, (1 - q) % p) + 1, (p, q)
 
     def test_bareiss_never_runs_at_half_p(self, monkeypatch):
         # the elimination is stubbed: only the choice of image runs
@@ -634,7 +637,7 @@ class TestSymmetricImages:
     def test_one_cache_entry_per_requested_pair(self):
         # (11, 5) runs at its image (5 - 1)/5 = 3 (a 4-bit window, not 6)
         assert canonical_images(11, 5)[3] == ("yzx", 5)
-        assert (window_width(11, 5), window_width(11, 3)) == (6, 4)
+        assert (window_width(11, 5), window_width(11, 3)) == (4, 4)
         cycle_cover_counts.cache_clear()
         cycle_cover_counts(11, 5)
         cycle_cover_counts(11, 5)
@@ -642,10 +645,31 @@ class TestSymmetricImages:
         assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
     def test_budget_judges_the_requested_pair(self):
-        # (32, 13) has a 14-bit window; its image 1/13 = 5 has a 6-bit one
-        assert 5 in canonical_images(32, 13) and window_width(32, 5) == 6
-        with pytest.raises(TooLarge, match="p=32, q=13 \\(14-bit window\\)"):
-            cycle_cover_counts(32, 13)
+        # (40, 21) runs at its image 1 - 21 = 20, and the refusal names the
+        # pair that was asked for with the window that would run
+        assert min(canonical_images(40, 21)) == 20
+        with pytest.raises(TooLarge, match="p=40, q=21 \\(21-bit window\\)"):
+            cycle_cover_counts(40, 21)
+        # (32, 13) runs at its image 1/13 = 5, so the budget prices 6 bits
+        assert min(canonical_images(32, 13)) == 5 and window_width(32, 13) == 6
+        check_dp_budget(32, 13)
+
+    def test_budget_prices_the_image_the_dp_runs_at(self, monkeypatch):
+        # the kernel is stubbed and the budget lifted: only the routing runs
+        ran = []
+
+        def record(q, p_lo, p_hi):
+            ran.append(q)
+            return [{(0, 0): 1, (p_lo, 0): 1}]
+
+        monkeypatch.setattr(circulant, "_cover_count_rows", record)
+        monkeypatch.setattr(circulant, "DP_BUDGET", float("inf"))
+        cycle_cover_counts.cache_clear()
+        for p, q in canonical_pairs(100):
+            ran.clear()
+            cycle_cover_counts(p, q)
+            assert ran == [window_width(p, q) - 1], (p, q)
+        cycle_cover_counts.cache_clear()
 
 
 class TestStructuralInvariants:

@@ -99,8 +99,8 @@ class TestExitCodes:
         ("phi", "--p", "97", "--q", "48", "--backend", "bareiss"),
         ("permanent", "--p", "30", "--q", "15"),
         ("growth", "--q", "3", "--pmax", "100000"),
-        # every row is within budget, the table as a whole is not
-        ("growth", "--q", "2", "--pmax", "1000"),
+        # every row is within budget, the table's cheaper plan is not
+        ("growth", "--q", "12", "--pmax", "36"),
         ("witness", "--p", "100000000", "--q", "3", "--r", "1", "--s", "33333333"),
         ("verify", "--suite", "witness", "--pmax", "120"),
         ("verify", "--suite", "support", "--pmax", "80"),
@@ -108,7 +108,7 @@ class TestExitCodes:
         # the DP's budget is checked before Bareiss (about 30 s here) runs
         ("permanent", "--p", "96", "--q", "48", "--backend", "bareiss"),
         # a window so wide that the DP's cost estimate passes the float range
-        ("growth", "--q", "1000001", "--pmax", "1500000001"),
+        ("permanent", "--p", "3000000", "--q", "1500000"),
     ])
     def test_over_budget_request_is_refused_fast(self, argv):
         t0 = time.perf_counter()
@@ -269,10 +269,16 @@ class TestRefusalsJudgeTheRequestedPair:
         assert res.returncode == 3 and res.stdout == "", res.stderr
 
     def test_dp_over_budget_although_its_image_is_narrow(self):
-        # 1/13 = 5 mod 32 has a 6-bit window, q = 13 a 14-bit one
+        # 1/13 = 5 mod 32 has a 6-bit window, q = 13 a 14-bit one: the
+        # budget prices the image the DP runs at, so (32, 13) runs
         res = cli("phi", "--p", "32", "--q", "13", "--backend", "cycle_cover")
+        assert res.returncode == 0
+        assert res.stdout == cli("phi", "--p", "32", "--q", "13").stdout
+        # (40, 21) runs at 1 - 21 = 20, whose window is over budget; the
+        # refusal names the pair that was asked for
+        res = cli("phi", "--p", "40", "--q", "21", "--backend", "cycle_cover")
         assert res.returncode == 3 and res.stdout == ""
-        assert "p=32, q=13 (14-bit window)" in res.stderr
+        assert "p=40, q=21 (21-bit window)" in res.stderr
 
     def test_bareiss_past_its_limit(self):
         res = cli("phi", "--p", "97", "--q", "3", "--backend", "bareiss")
@@ -832,6 +838,8 @@ CAUGHT = [
      r"M = 5 differs from the largest DP count 4 for \(p=4, q=3\)"),
     (len_plus_one, ("permanent", "--p", "9", "--q", "4"),
      r"N = 9 differs from the 8 DP terms for \(p=9, q=4\)"),
+    (len_plus_one, ("permanent", "--p", "9", "--q", "4", "--backend", "cycle_cover"),
+     r"N = 9 differs from the 8 nonempty classes for \(p=9, q=4\)"),
     (lower_bound_plus_one, PERMANENT_5_3,
      r"lower bound 5833/625 is not 3\^5 5!/5\^5 in lowest terms"),
 ]
@@ -848,9 +856,11 @@ UNDETECTED = [
 
 def _row_id(row):
     corrupt, argv = row[:2]
-    # a reduced spec is a second row for the same corruption and command
+    # a reduced spec or another backend is a second row for the same
+    # corruption and command
     reduced = f"-t{argv[argv.index('--t') + 1]}" if "--t" in argv else ""
-    return f"{corrupt.__name__}-{argv[0]}{reduced}"
+    backend = f"-{argv[argv.index('--backend') + 1]}" if "--backend" in argv else ""
+    return f"{corrupt.__name__}-{argv[0]}{reduced}{backend}"
 
 
 @pytest.mark.parametrize("corrupt, argv, text", CAUGHT, ids=map(_row_id, CAUGHT))

@@ -9,7 +9,7 @@ import pytest
 from polytext import parse
 from tricirc import circulant, cli
 from tricirc import permanent as permmod
-from tricirc.circulant import check_dp_budget, cycle_cover_counts
+from tricirc.circulant import cover_count_rows, cycle_cover_counts
 from tricirc.errors import InternalInconsistency, TooLarge
 from tricirc.permanent import (
     GrowthRow,
@@ -303,19 +303,45 @@ class TestGrowth:
         def no_walk(q, p_lo, p_hi):
             pytest.fail(f"walk of p={p_lo}..{p_hi} started before the refusal")
 
-        # both tables would walk if admitted
-        assert circulant.cover_count_rows(2, 3, 30) and circulant.cover_count_rows(3, 4, 21)
+        # both tables would walk if admitted: the budget's refusal names the
+        # walk it priced
+        assert cover_count_rows(3, 4, 21)
         monkeypatch.setattr(circulant, "_cover_count_rows", no_walk)
-        with pytest.raises(TooLarge, match="over the budget"):
-            growth_table(2, 1000)
+        with pytest.raises(TooLarge, match=r"p=13\.\.36, q=12 \(one walk from p=23\)"):
+            growth_table(12, 36)
         monkeypatch.setattr(permmod, "NEWTON_LIMIT", 20)
         with pytest.raises(TooLarge, match="limited to p <= 20"):
             growth_table(3, 21)
 
+    @pytest.mark.parametrize("q, p_max", {
+        2: 1000, 3: 1000, 4: 1000, 5: 1000, 6: 712, 7: 454,
+        8: 283, 9: 174, 10: 104, 11: 62, 12: 35,
+    }.items())
+    def test_longest_table_the_plan_admits(self, monkeypatch, q, p_max):
+        # up to q = 5 NEWTON_LIMIT ends the table, past it the DP budget;
+        # the walk, the rows' own DPs, Newton and the checks are stubbed,
+        # so only the table's price is computed
+        walks = []
+
+        def record(q, p_lo, p_hi):
+            walks.append((q, p_lo, p_hi))
+            return [{}] * (p_hi - p_lo + 1)
+
+        monkeypatch.setattr(circulant, "_cover_count_rows", record)
+        monkeypatch.setattr(permmod, "cycle_cover_counts", lambda p, q: None)
+        monkeypatch.setattr(permmod, "phi_polynomial", lambda p, q: None)
+        monkeypatch.setattr(permmod, "_counts", lambda *args: (1, 1, 1, True))
+        assert len(growth_table(q, p_max)) == p_max - max(2, q)
+        assert walks == [(q, 2 * q - 1, p_max)]
+        walks.clear()
+        with pytest.raises(TooLarge):
+            growth_table(q, p_max + 1)
+        assert walks == []
+
     def test_table_past_newtons_limit_is_refused_before_any_row(self, monkeypatch):
-        # the DP window min(q+1, p-q+2) is 3 bits here, so the budget admits it
+        # the DP window of every row is 3 bits here, so the budget admits it
         q, p_max = NEWTON_LIMIT, NEWTON_LIMIT + 1
-        check_dp_budget(p_max, q, q + 1)
+        assert cover_count_rows(q, q + 1, p_max) == {}
 
         def no_row(p, q, signed, unsigned):
             pytest.fail(f"row p={p} computed before the refusal")

@@ -12,9 +12,12 @@ import shlex
 import tokenize
 from pathlib import Path
 
+import pytest
+
 from tricirc import circulant, permanent, permclass, verify
 from tricirc import cli as climod
 from tricirc import phi as phimod
+from tricirc.errors import TooLarge
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -181,3 +184,25 @@ def test_src_comments_and_docstrings_state_no_wall_time():
         for match in HOST_TIMING.finditer(text)
     ]
     assert not found, "measured times belong in README's tables:\n" + "\n".join(found)
+
+
+def test_longest_admitted_growth_tables_are_the_longest(monkeypatch):
+    # arithmetic only: the walk, the rows' own DPs, Newton and the row
+    # checks are stubbed, so only the limit and the table's price run
+    monkeypatch.setattr(
+        circulant, "_cover_count_rows", lambda q, p_lo, p_hi: [{}] * (p_hi - p_lo + 1)
+    )
+    monkeypatch.setattr(permanent, "cycle_cover_counts", lambda p, q: None)
+    monkeypatch.setattr(permanent, "phi_polynomial", lambda p, q: None)
+    monkeypatch.setattr(permanent, "_counts", lambda *args: (1, 1, 1, True))
+    tables = re.findall(
+        r"^\| The longest admitted growth table [^|]*\|[^|]*"
+        r"\| `tricirc growth --q (\d+) --pmax (\d+)` \|$",
+        section("Command line"),
+        re.MULTILINE,
+    )
+    assert {int(q) for q, _ in tables} >= set(range(2, 9))
+    for q, p_max in ((int(q), int(p_max)) for q, p_max in tables):
+        permanent.growth_table(q, p_max)
+        with pytest.raises(TooLarge):
+            permanent.growth_table(q, p_max + 1)
