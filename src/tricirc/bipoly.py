@@ -15,8 +15,6 @@ Two term orders matter:
   the text renderer prints them, constant first, pure-x terms next.
 """
 
-from __future__ import annotations
-
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 

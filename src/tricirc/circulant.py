@@ -53,8 +53,6 @@ a work budget on the work that runs: one DP at the window of its image
 specs or backends may run concurrently.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .bipoly import ONE, ZERO, BiPoly, exact_div

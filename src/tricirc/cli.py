@@ -11,6 +11,23 @@ reader (the code a shell reports for a tool ended by SIGPIPE).  A failed
 internal check prints one ``error:`` line to stderr, as a refusal does,
 and no traceback.
 
+Every command has one grammar, its entry in ``_COMMANDS``: each flag's
+type (an int, a string or one of a set of choices) and its default, a
+flag without one being required.  Two parsers read it.  :func:`run`
+first tries a strict one: ``argv[0]`` a command, the rest ``--flag
+value`` pairs, each flag the command's own, spelled in full and given
+once, no value starting with ``-``, each int read by ``int()`` and each
+choice checked by membership, and every required flag present.  What it
+accepts it returns as the namespace that argparse would return (the
+same attributes, ``command`` and ``func`` included), so every well-formed
+job runs without loading :mod:`argparse` (nor :mod:`gettext` and
+:mod:`locale`, which argparse's messages bring in).  Every other argv
+goes, unchanged, to the argparse tree that :func:`build_parser` makes
+from the same table: help and usage, every error, and the spellings only
+argparse reads (``--p=5``, an abbreviated flag, a repeated flag, a
+negative value).  So argparse stays the one source of help, usage and
+error text, and a job parses to the same values on either path.
+
 Every command has one output path.  Its handler computes and checks,
 then returns its JSON payload (without ``"command"``) and its text or
 CSV lines; only then does :func:`run` print, so a check that raises
@@ -39,8 +56,9 @@ reports: the member has ``k`` cycles, each takes the class's numbers of
 Each command imports only the modules it uses.  Every command loads
 this module, :mod:`tricirc.phi` (the spec, Newton's identities, the
 class key and the coefficient report), :mod:`tricirc.bipoly` and
-:mod:`tricirc.errors`; ``--help`` and text-format ``phi`` and ``coeff``
-load nothing more.  Beyond those:
+:mod:`tricirc.errors`; text-format ``phi`` and ``coeff`` load nothing
+more, and ``--help`` adds only :mod:`argparse` and what it imports.
+Beyond those:
 
 * ``phi`` and ``coeff`` with a ``--backend`` other than ``newton`` load
   :mod:`tricirc.circulant`, the home of the cross-check routes;
@@ -74,11 +92,9 @@ benchmark's in-process passes) keeps a normal collector.  Only
 ``verify._child_share``.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import phi as phimod
 from .errors import InternalInconsistency, IrreducibleSpec, TooLarge
@@ -215,23 +231,79 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one command table, read by the fast parse and by build_parser
 # ---------------------------------------------------------------------------
 
-#: command -> (help, integer flags, takes --backend, handler) for every
-#: command but ``verify``; each integer flag is required except --t,
-#: which defaults to 1
+_FORMAT = ("text", "json")
+_BACKEND = tuple(sorted(phimod.BACKENDS))
+
+#: command -> (help, handler, flags); each flag -> (type,) if it is
+#: required, else (type, default), where the type is int, str or a tuple
+#: of the flag's choices
 _COMMANDS = {
-    "phi": ("print the determinant polynomial", "p q t", True, _cmd_phi),
-    "coeff": ("report one coefficient a(r, s)", "p q r s", True, _cmd_coeff),
-    "witness": ("construct one class member", "p q r s", False, _cmd_witness),
-    "enumerate": ("list a whole class (p <= 10)", "p q r s", False, _cmd_enumerate),
-    "permanent": ("permanent value and bounds", "p q", True, _cmd_permanent),
-    "growth": ("max-coefficient growth table", "q pmax", False, _cmd_growth),
+    "phi": ("print the determinant polynomial", _cmd_phi, {
+        "--p": (int,), "--q": (int,), "--t": (int, 1),
+        "--backend": (_BACKEND, None), "--format": (_FORMAT, "text"),
+    }),
+    "coeff": ("report one coefficient a(r, s)", _cmd_coeff, {
+        "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
+        "--backend": (_BACKEND, None), "--format": (_FORMAT, "text"),
+    }),
+    "witness": ("construct one class member", _cmd_witness, {
+        "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
+        "--format": (_FORMAT, "text"),
+    }),
+    "enumerate": ("list a whole class (p <= 10)", _cmd_enumerate, {
+        "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
+        "--format": (_FORMAT, "text"),
+    }),
+    "permanent": ("permanent value and bounds", _cmd_permanent, {
+        "--p": (int,), "--q": (int,),
+        "--backend": (_BACKEND, None), "--format": (_FORMAT, "text"),
+    }),
+    "growth": ("max-coefficient growth table", _cmd_growth, {
+        "--q": (int,), "--pmax": (int,), "--format": (("csv", "json"), "csv"),
+    }),
+    "verify": ("run a named verification suite", _cmd_verify, {
+        "--suite": (str,), "--pmax": (int, None),
+        "--q-policy": (("all", "coprime"), "all"), "--cases": (int, None),
+        "--seed": (int, None), "--format": (_FORMAT, "text"),
+    }),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse returns for a well-formed argv (see the
+    module docstring), else None, which leaves the argv to argparse."""
+    entry = _COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):  # a flag given twice
+        return None
+    args = SimpleNamespace(command=argv[0], func=entry[1])
+    for flag, (kind, *default) in entry[2].items():
+        value = given.pop(flag, None)
+        if value is None:
+            if not default:
+                return None
+            value = default[0]
+        elif value.startswith("-"):
+            return None
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return None if given else args  # a flag left over is not the command's
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse tree of the command table: help, usage and error text."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tricirc",
         description=(
@@ -240,43 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    backend_choices = tuple(sorted(phimod.BACKENDS))
-
-    for name, (help_text, flags, backend, handler) in _COMMANDS.items():
+    for name, (help_text, handler, flags) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
-        for flag in flags.split():
-            if flag == "t":
-                sp.add_argument("--t", type=int, default=1)
-            else:
-                sp.add_argument(f"--{flag}", type=int, required=True)
-        if backend:
-            sp.add_argument("--backend", choices=backend_choices, default=None)
-        text = "csv" if name == "growth" else "text"
-        sp.add_argument("--format", choices=(text, "json"), default=text)
+        for flag, (kind, *default) in flags.items():
+            kwargs = {"default": default[0]} if default else {"required": True}
+            if kind is int:
+                kwargs["type"] = int
+            elif kind is not str:
+                kwargs["choices"] = kind
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=handler)
-
-    sp = subs.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("--suite", required=True)
-    sp.add_argument("--pmax", type=int, default=None)
-    sp.add_argument(
-        "--q-policy", dest="q_policy", choices=("all", "coprime"), default="all"
-    )
-    sp.add_argument("--cases", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_verify)
-
     return parser
 
 
 def run(argv=None) -> int:
     """Parse, compute, then print the command's JSON or its lines; returns the exit code."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_parse(argv)
+    if args is None:  # help, usage and every error are argparse's
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else EXIT_USAGE
     try:
         payload, lines = args.func(args)
     except (ValueError, InternalInconsistency) as exc:

@@ -23,8 +23,6 @@ and checks it against classical two-sided bounds:
   it, :mod:`decimal` and :mod:`numbers`).
 """
 
-from __future__ import annotations
-
 from math import exp, factorial, gcd, log
 
 from .bipoly import BiPoly

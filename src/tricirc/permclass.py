@@ -25,8 +25,6 @@ Residues modulo p are always taken in {1, ..., p}: a reduction that
 would give 0 gives p instead.
 """
 
-from __future__ import annotations
-
 import operator
 from typing import Optional
 

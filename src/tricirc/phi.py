@@ -41,8 +41,6 @@ module imports :mod:`dataclasses`, whose import loads :mod:`inspect`
 and costs more than the whole Newton computation of a small job.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple, Optional
 

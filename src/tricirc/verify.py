@@ -50,8 +50,6 @@ share raises :class:`InternalInconsistency` rather than leave the
 result partial.
 """
 
-from __future__ import annotations
-
 import marshal
 import math
 import operator

@@ -1,7 +1,9 @@
 """CLI behaviour: exit codes, formats, schema validity, determinism."""
 
+import contextlib
 import gc
 import importlib.util
+import io
 import json
 import math
 import os
@@ -20,6 +22,8 @@ from tricirc import permanent as permmod
 from tricirc import permclass
 from tricirc import phi as phimod
 from tricirc.bipoly import BiPoly
+
+from test_fuzz import RUNS, SEED, fuzz_argvs
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -320,6 +324,14 @@ class TestGolden:
         assert climod.run([*GOLDEN_RUNS[stem], *fmt]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{stem}.{suffix}").read_text()
 
+    @pytest.mark.parametrize("command", ["", *climod._COMMANDS])
+    def test_help_bytes(self, command, capsys, monkeypatch):
+        # argparse alone writes help; the table-driven parser keeps its bytes
+        monkeypatch.setenv("COLUMNS", "80")
+        assert climod.run([command, "--help"] if command else ["--help"]) == 0
+        stem = f"help_{command}" if command else "help"
+        assert capsys.readouterr().out == (GOLDEN / f"{stem}.txt").read_text()
+
 
 class TestJsonSchema:
     def test_phi(self):
@@ -507,6 +519,86 @@ class TestTextFormats:
         assert err.splitlines() == ["error: Newton's identities are limited to p <= 1000"]
 
 
+def argparse_namespace(argv):
+    """``vars()`` of what ``build_parser()`` parses from argv, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(climod.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+BASE = ["phi", "--p", "5", "--q", "3"]
+
+#: argvs at the edge of the fast parse -> whether it takes them; every
+#: other one is left to argparse, which may accept it or not
+EDGE_ARGVS = [
+    (BASE, True),
+    ([*BASE, "--p", "6"], False),  # a repeated flag
+    (["phi", "--p=5", "--q", "3"], False),
+    (["verify", "--suite", "prime", "--pm", "10"], False),  # abbreviation
+    (["phi", "--p", "5", "--q", "-1"], False),
+    ([*BASE, "--"], False),
+    (["--", *BASE], False),
+    (["phi", "-h"], False),
+    (["phi", "--help"], False),
+    ([*BASE, "--help"], False),
+    (["--help"], False),
+    (["phi", "--p", "5"], False),  # a required flag missing
+    ([*BASE, "--t"], False),  # an odd token count
+    ([*BASE, "--format", "xml"], False),
+    (["phi", "--p", "0x10", "--q", "3"], False),
+    (["phi", "--p", "1_000", "--q", "3"], True),
+    (["phi", "--p", " 7", "--q", "3"], True),
+    (["phi", "--p", "", "--q", "3"], False),
+    (["verify", "--suite", ""], True),
+    (["phy", "--p", "5", "--q", "3"], False),
+    (["verify", "--suite", "prime", "--q_policy", "all"], False),
+    ([], False),
+]
+
+
+class TestFastParse:
+    """The fast parse accepts only what argparse parses the same way."""
+
+    def test_every_benchmark_job_takes_the_fast_parse(self):
+        parser = climod.build_parser()
+        refs = json.loads((REPO / "benchmark" / "refs.json").read_text())["refs"]
+        for argv in map(str.split, refs):
+            fast = climod._fast_parse(argv)
+            assert fast is not None, argv
+            assert vars(fast) == vars(parser.parse_args(argv)), argv
+
+    def test_fuzz_argvs_parse_as_argparse_parses_them(self):
+        taken = 0
+        for argv in fuzz_argvs(RUNS, SEED):
+            fast = climod._fast_parse(argv)
+            if fast is not None:
+                taken += 1
+                assert vars(fast) == argparse_namespace(argv), argv
+        assert taken > RUNS // 2
+
+    @pytest.mark.parametrize("argv, fast", EDGE_ARGVS, ids=[repr(a) for a, _ in EDGE_ARGVS])
+    def test_edge_argvs(self, argv, fast):
+        got = climod._fast_parse(argv)
+        assert (got is not None) == fast
+        if fast:
+            assert vars(got) == argparse_namespace(argv)
+
+    def test_fallback_keeps_argparse_exit_and_text(self, capsys):
+        # argparse takes the last of a repeated flag and reads an abbreviation
+        assert climod.run(["phi", "--p", "5", "--q", "3", "--p", "6"]) == 0
+        repeated = capsys.readouterr().out
+        assert climod.run(["phi", "--p", "6", "--q", "3"]) == 0
+        assert capsys.readouterr().out == repeated
+        assert climod.run(["verify", "--suite", "prime", "--pm", "10"]) == 0
+        assert capsys.readouterr().out.startswith("suite=prime p_max=10 ")
+        assert climod.run(["phi", "--p", "0x10", "--q", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --p: invalid int value: '0x10'\n")
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         a = cli("phi", "--p", "9", "--q", "4", "--format", "json").stdout
@@ -543,6 +635,10 @@ DEFAULT_ROUTE_UNUSED = frozenset({
 NEVER_LOADED = frozenset({
     "cmath", "dataclasses", "decimal", "fractions", "gc", "inspect", "numbers",
 })
+
+#: argparse and what its import and its first message load: only help
+#: and a malformed argv need them
+ARGPARSE = frozenset({"argparse", "gettext", "locale"})
 
 #: the package modules that every command loads
 ALWAYS_LOADED = frozenset({
@@ -650,9 +746,27 @@ class TestImportGate:
     def test_each_suite_loads_only_its_routes(self, suite, size):
         code, out, added = loaded_by("verify", "--suite", suite, *size)
         assert code == 0 and out.endswith(" failures=0\n")
-        assert not added & NEVER_LOADED, sorted(added & NEVER_LOADED)
+        assert not added & (NEVER_LOADED | ARGPARSE), sorted(added & (NEVER_LOADED | ARGPARSE))
         package = {m for m in added if m.startswith("tricirc.")}
         assert package == ALWAYS_LOADED | {"tricirc.verify"} | SUITE_ROUTES[suite]
+
+    @pytest.mark.parametrize("argv", [
+        ("phi", "--p", "8", "--q", "3"),
+        ("coeff", "--p", "8", "--q", "3", "--r", "5", "--s", "1", "--format", "json"),
+        ("permanent", "--p", "10", "--q", "3"),
+        ("growth", "--q", "2", "--pmax", "8"),
+    ])
+    def test_well_formed_jobs_load_no_argparse(self, argv):
+        code, out, added = loaded_by(*argv)
+        assert code == 0 and out
+        assert not added & ARGPARSE, sorted(added & ARGPARSE)
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), 0), (("phi", "--help"), 0), (("phi", "--p"), 2),
+    ])
+    def test_help_and_errors_load_argparse(self, argv, code):
+        got, _, added = loaded_by(*argv)
+        assert got == code and "argparse" in added
 
     def test_no_module_imports_dataclasses(self):
         pattern = re.compile(r"^\s*(from|import)\s+dataclasses\b", re.M)
