@@ -29,13 +29,15 @@ negative value).  So argparse stays the one source of help, usage and
 error text, and a job parses to the same values on either path.
 
 Every command has one output path.  Its handler computes and checks,
-then returns its JSON payload (without ``"command"``) and its text or
-CSV lines; only then does :func:`run` print, so a check that raises
-leaves stdout empty.  ``--format json`` prints the payload with
-``"command"`` added as one sorted-key object, and only that branch
-imports :mod:`json`; any other format prints the lines, one ``print``
-each.  A payload with ``"passed": false`` (a failed ``verify`` suite)
-exits 1.
+then returns its JSON payload and its text or CSV lines; only then does
+:func:`run` print, so a check that raises leaves stdout empty.  The
+payload follows the JSON rule of ``phi.Record``'s docstring: the fields
+of the report printed (one object per row for ``growth``), or of the
+input spec or key plus what ``phi``, ``witness`` or ``enumerate`` finds.
+``--format json`` prints it with ``"command"`` added as one sorted-key
+object, and only that branch imports :mod:`json`; any other format
+prints the lines, one ``print`` each.  A payload with ``"passed":
+false`` (a failed ``verify`` suite) exits 1.
 
 ``verify`` is the only command that may start worker processes; set the
 environment variable TRICIRC_WORKERS to a positive integer to enable
@@ -137,9 +139,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
             note += " with x and y exchanged"
         print(note, file=sys.stderr)
     payload = {
-        "p": spec.p,
-        "q": spec.q,
-        "t": spec.t,
+        **spec.to_json_dict(),
         "canonical_q": canon.q,
         "swapped": reduced.swapped,
         "backend": args.backend or phimod.default_backend(canon.p, canon.q),
@@ -174,8 +174,8 @@ def _cmd_witness(args) -> tuple[dict, list[str]]:
             f"{ones} 1-steps and {qs} q-steps and sign {rep.sign:+d}"
         )
     payload = {
-        "p": args.p, "q": args.q, "r": args.r, "s": args.s, "k": rep.k,
-        "sign": rep.sign, "one_line": sigma.images, "cycles": cycles,
+        **key.to_json_dict(), "k": rep.k, "sign": rep.sign,
+        "one_line": sigma.images, "cycles": cycles,
     }
     return payload, [sigma.one_line(), permclass.cycle_notation(cycles)]
 
@@ -190,8 +190,8 @@ def _cmd_enumerate(args) -> tuple[dict, list[str]]:
             f"{len(members)} members enumerated for {key}, but |a(r, s)| = {size}"
         )
     payload = {
-        "p": args.p, "q": args.q, "r": args.r, "s": args.s,
-        "count": len(members), "members": [m.images for m in members],
+        **key.to_json_dict(), "count": len(members),
+        "members": [m.images for m in members],
     }
     return payload, [m.one_line() for m in members]
 

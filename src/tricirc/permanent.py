@@ -109,6 +109,7 @@ class Ratio(Record):
     """
 
     __slots__ = ("numerator", "denominator")
+    _decimal = __slots__
 
     def __str__(self) -> str:
         if self.denominator == 1:
@@ -138,24 +139,7 @@ class PermanentReport(Record):
         "p", "q", "d11", "abs_sum", "max_coeff", "n_monomials", "lower_bound",
         "upper_bound", "lower_ok", "upper_ok", "sandwich_ok",
     )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "d11": str(self.d11),
-            "abs_sum": str(self.abs_sum),
-            "max_coeff": str(self.max_coeff),
-            "n_monomials": self.n_monomials,
-            "lower_bound": {
-                "numerator": str(self.lower_bound.numerator),
-                "denominator": str(self.lower_bound.denominator),
-            },
-            "upper_bound": str(self.upper_bound),
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "sandwich_ok": self.sandwich_ok,
-        }
+    _decimal = ("d11", "abs_sum", "max_coeff", "upper_bound")
 
 
 def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport:
@@ -197,7 +181,8 @@ def _counts(
     equal plain ``max`` and ``len`` over the DP's term map.  With no
     unsigned polynomial (the signed one is the DP's own) d11 comes from
     Ryser, N must count the classes that the support rule lists
-    (:meth:`PermClassKey.nonempty_profiles`), and M has no second route.
+    (:meth:`PermClassKey.nonempty_profiles`), and M must equal a plain
+    ``max`` over the absolute coefficients.
     Any disagreement raises :class:`InternalInconsistency`.  Returns
     d11, M, N and whether d11/N <= M <= d11.
     """
@@ -205,6 +190,12 @@ def _counts(
     n_monomials = len(signed)
     if unsigned is None:
         d11 = permanent_ryser(p, q)
+        largest = max(abs(c) for c in signed.terms.values())
+        if max_coeff != largest:
+            raise InternalInconsistency(
+                f"M = {max_coeff} differs from the largest absolute coefficient "
+                f"{largest} for (p={p}, q={q})"
+            )
         classes = len(PermClassKey.nonempty_profiles(p, q))
         if n_monomials != classes:
             raise InternalInconsistency(
@@ -278,21 +269,18 @@ def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> Permanen
 class GrowthRow(Record):
     """One line of the max-coefficient growth table.
 
-    ``root`` is the float max_coeff ** (1/p), printed to 4 decimals.
+    ``root`` is the float max_coeff ** (1/p), printed to 4 decimals, and
+    JSON prints ``max_coeff`` as ``M``, the CSV header's name.
     """
 
     __slots__ = ("p", "q", "max_coeff", "d11", "n_monomials", "root", "sandwich_ok")
+    _decimal = ("max_coeff", "d11")
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "M": str(self.max_coeff),
-            "d11": str(self.d11),
-            "n_monomials": self.n_monomials,
-            "root": f"{self.root:.4f}",
-            "sandwich_ok": self.sandwich_ok,
-        }
+        out = Record.to_json_dict(self)
+        out["M"] = out.pop("max_coeff")
+        out["root"] = f"{self.root:.4f}"
+        return out
 
 
 def _root(m: int, p: int) -> float:

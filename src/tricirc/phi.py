@@ -67,9 +67,13 @@ class Record:
     the hash of the field tuple, copying and pickling through the
     positional constructor, and AttributeError on assigning or deleting
     a field.
+
+    :meth:`to_json_dict` is the one JSON rule: each field by name, one
+    named in ``_decimal`` as a decimal string, a record as its own object.
     """
 
     __slots__ = ()
+    _decimal = ()
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
@@ -102,6 +106,15 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def to_json_dict(self) -> dict:
+        out = dict(zip(self.__slots__, self._values()))
+        for name, value in out.items():
+            if name in self._decimal:
+                out[name] = str(value)
+            elif isinstance(value, Record):
+                out[name] = value.to_json_dict()
+        return out
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -472,20 +485,7 @@ class CoefficientReport(Record):
     __slots__ = (
         "p", "q", "r", "s", "present", "ell", "k", "sign", "magnitude", "value",
     )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "s": self.s,
-            "present": self.present,
-            "ell": self.ell,
-            "k": self.k,
-            "sign": self.sign,
-            "magnitude": str(self.magnitude),
-            "value": str(self.value),
-        }
+    _decimal = ("magnitude", "value")
 
 
 def coefficient(

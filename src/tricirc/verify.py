@@ -94,14 +94,7 @@ class SuiteResult(Record):
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "passed": self.passed,
-            "first_counterexample": self.first_counterexample,
-            "parameters": self.parameters,
-        }
+        return {**Record.to_json_dict(self), "passed": self.passed}
 
 
 def _iter_pq(p_lo: int, p_hi: int, q_policy: str):

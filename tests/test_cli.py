@@ -21,7 +21,7 @@ from tricirc import cli as climod
 from tricirc import permanent as permmod
 from tricirc import permclass
 from tricirc import phi as phimod
-from tricirc.bipoly import BiPoly
+from tricirc.bipoly import ONE, BiPoly
 
 from test_fuzz import RUNS, SEED, fuzz_argvs
 
@@ -823,15 +823,29 @@ class TestImportGate:
 # corruption table: one faulty route, one small call, which check catches it
 # ---------------------------------------------------------------------------
 
-def newton_plus_one(monkeypatch):
-    # +1 on a(2, 1) of Newton's (5, 3) polynomial, -5 -> -4
+def _newton_5_3_plus(monkeypatch, terms):
     real = phimod.BACKENDS["newton"]
 
     def corrupt(spec):
         poly = real(spec)
-        return poly + BiPoly({(2, 1): 1}) if (spec.p, spec.q) == (5, 3) else poly
+        return poly + BiPoly(terms) if (spec.p, spec.q) == (5, 3) else poly
 
     monkeypatch.setitem(phimod.BACKENDS, "newton", corrupt)
+
+
+def newton_plus_one(monkeypatch):
+    # +1 on a(2, 1) of Newton's (5, 3) polynomial, -5 -> -4
+    _newton_5_3_plus(monkeypatch, {(2, 1): 1})
+
+
+def newton_gains_absent_term(monkeypatch):
+    # a(1, 1) of Newton's (5, 3) polynomial, an absent term, 0 -> 1
+    _newton_5_3_plus(monkeypatch, {(1, 1): 1})
+
+
+def newton_loses_present_term(monkeypatch):
+    # a(2, 1) of Newton's (5, 3) polynomial, -5 -> 0
+    _newton_5_3_plus(monkeypatch, {(2, 1): 5})
 
 
 def term_sign_flipped(monkeypatch):
@@ -920,13 +934,38 @@ def power_sum_plus_one(monkeypatch):
     monkeypatch.setattr(phimod, "power_sums", corrupt)
 
 
+def divided_constant_plus_one(monkeypatch):
+    # +1 on the constant term of every quotient by a divisor other than 1,
+    # the divisions that run the power-series loop
+    real = circulant.exact_div
+
+    def corrupt(a, b):
+        quot = real(a, b)
+        return quot if b == ONE else quot + ONE
+
+    monkeypatch.setattr(circulant, "exact_div", corrupt)
+
+
+def abs_sum_plus_one(monkeypatch):
+    real = BiPoly.abs_coefficient_sum
+    monkeypatch.setattr(BiPoly, "abs_coefficient_sum", lambda self: real(self) + 1)
+
+
+def cube_root_plus_one(monkeypatch):
+    real = permmod._ceil_cube_root
+    monkeypatch.setattr(permmod, "_ceil_cube_root", lambda n: real(n) + 1)
+
+
 ENUMERATE_5_3 = ("enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 COEFF_5_3 = ("coeff", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 PERMANENT_5_3 = ("permanent", "--p", "5", "--q", "3")
 
 #: (corruption, call, InternalInconsistency text) for every fault that a
 #: check in the call's own run catches; the call exits 1 with the text
-#: on one stderr line
+#: on one stderr line.  Newton's unit constant term has no row: slice 0
+#: is the literal {0: 1}, and every later slice holds only terms of
+#: positive degree, so no fault in the power sums or the divisions can
+#: reach the constant term that the check reads
 CAUGHT = [
     (newton_plus_one, ENUMERATE_5_3, r"5 members enumerated .* = 4"),
     (newton_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
@@ -956,6 +995,19 @@ CAUGHT = [
      r"N = 9 differs from the 8 nonempty classes for \(p=9, q=4\)"),
     (lower_bound_plus_one, PERMANENT_5_3,
      r"lower bound 5833/625 is not 3\^5 5!/5\^5 in lowest terms"),
+    (max_abs_plus_one, ("permanent", "--p", "9", "--q", "4", "--backend", "cycle_cover"),
+     r"M = 19 differs from the largest absolute coefficient 18 for \(p=9, q=4\)"),
+    (divided_constant_plus_one, ("phi", "--p", "6", "--q", "3", "--backend", "bareiss"),
+     r"pivot at step 4 lost its unit constant term: BiPoly\('2 - 3\*x\^2\*y - y\^3'\)$"),
+    (divided_constant_plus_one, ("phi", "--p", "4", "--q", "3", "--backend", "bareiss"),
+     r"^determinant lost its unit constant term$"),
+    (newton_gains_absent_term, ("coeff", "--p", "5", "--q", "3", "--r", "1", "--s", "1"),
+     r"support predicate says a\(1,1\) = 0 for \(p=5, q=3\) but the backend found 1$"),
+    (newton_loses_present_term, COEFF_5_3,
+     r"support predicate says a\(2,1\) != 0 for \(p=5, q=3\) but the backend found 0$"),
+    (abs_sum_plus_one, PERMANENT_5_3,
+     r"permanent 13 differs from the absolute coefficient sum 14 for \(p=5, q=3\)"),
+    (cube_root_plus_one, PERMANENT_5_3, r"upper bound 21 is not ceil\(6\^\(5/3\)\)"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each
@@ -977,7 +1029,16 @@ def _row_id(row):
     return f"{corrupt.__name__}-{argv[0]}{reduced}{backend}"
 
 
-@pytest.mark.parametrize("corrupt, argv, text", CAUGHT, ids=map(_row_id, CAUGHT))
+def _row_ids(rows):
+    # one corruption and command at two sizes, reaching two checks, adds p
+    ids = [_row_id(row) for row in rows]
+    return [
+        f"{i}-p{argv[argv.index('--p') + 1]}" if ids.count(i) > 1 else i
+        for i, (_, argv, _) in zip(ids, rows)
+    ]
+
+
+@pytest.mark.parametrize("corrupt, argv, text", CAUGHT, ids=_row_ids(CAUGHT))
 def test_corruption_is_caught_before_printing(corrupt, argv, text, capsys, monkeypatch):
     corrupt(monkeypatch)
     assert_failed_check(argv, text, capsys)

@@ -3,14 +3,17 @@
 Each keeps what ``@dataclass(frozen=True)`` would give it: field order,
 the positional and keyword constructor, the repr, equality only within
 its class, the hash of the field tuple, frozen fields, copying and
-pickling.
+pickling.  Each printed record's JSON form follows the one rule of
+``Record.to_json_dict``, and the CLI schema declares exactly its fields.
 """
 
 import copy
 import importlib
 import itertools
+import json
 import pickle
 import pkgutil
+from pathlib import Path
 
 import tricirc
 
@@ -189,3 +192,50 @@ def test_coefficient_report_from_the_route():
     assert rep.to_json_dict()["magnitude"] == "5"
     absent = coefficient(5, 3, 1, 1)
     assert absent == CoefficientReport(5, 3, 1, 1, False, None, None, None, 0, 0)
+
+
+def test_only_the_growth_row_and_the_suite_result_extend_the_json_rule():
+    own = {cls for cls in _record_classes() if "to_json_dict" in vars(cls)}
+    assert own == {GrowthRow, SuiteResult}
+
+
+def test_json_rule_prints_decimals_and_nests_records():
+    assert CirculantSpec(*FIELDS[CirculantSpec]).to_json_dict() == {"p": 7, "q": 3, "t": 2}
+    assert PermanentReport(*FIELDS[PermanentReport]).to_json_dict() == {
+        "p": 5, "q": 3, "d11": "13", "abs_sum": "13", "max_coeff": "5",
+        "n_monomials": 5, "lower_bound": {"numerator": "5832", "denominator": "625"},
+        "upper_bound": "20", "lower_ok": True, "upper_ok": True, "sandwich_ok": True,
+    }
+    assert GrowthRow(*FIELDS[GrowthRow]).to_json_dict() == {
+        "p": 3, "q": 2, "M": "3", "d11": "6", "n_monomials": 4, "root": "1.2500",
+        "sandwich_ok": True,
+    }
+
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "schema" / "cli_output.schema.json").read_text()
+)["$defs"]
+DECIMAL = {"$ref": "#/$defs/decimal"}
+
+#: (record, its object in the schema, the schema's names that are no
+#: field, {field: the name it is printed under})
+PRINTED = [
+    (CoefficientReport, SCHEMA["coeff"], {"command"}, {}),
+    (PermanentReport, SCHEMA["permanent"], {"command"}, {}),
+    (Ratio, SCHEMA["permanent"]["properties"]["lower_bound"], set(), {}),
+    (GrowthRow, SCHEMA["growth"]["properties"]["rows"]["items"], set(), {"max_coeff": "M"}),
+    (SuiteResult, SCHEMA["verify"], {"command", "passed"}, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, schema, extra, renamed", PRINTED, ids=[row[0].__name__ for row in PRINTED]
+)
+def test_schema_declares_exactly_the_record_fields(cls, schema, extra, renamed):
+    props = schema["properties"]
+    names = [renamed.get(field, field) for field in cls.__slots__]
+    assert set(props) == set(names) | extra
+    assert set(schema["required"]) == set(props)
+    for field, name in zip(cls.__slots__, names):
+        assert (props[name] == DECIMAL) == (field in cls._decimal), name
+    assert set(cls(*FIELDS[cls]).to_json_dict()) == set(props) - {"command"}
