@@ -9,6 +9,7 @@ members share one cycle type and one sign.
 from tricirc import (
     CirculantSpec,
     PermClassKey,
+    cycle_notation,
     det_bruteforce,
     displacement_profile,
     enumerate_class,
@@ -25,7 +26,7 @@ rep = predict_structure(key)
 print(f"  predicted: {rep.k} cycle(s) of {rep.cycles_each[0]} one-steps "
       f"+ {rep.cycles_each[1]} q-steps, sign {rep.sign:+d}")
 for sigma in enumerate_class(key):
-    print(f"  {sigma.one_line()}  = {sigma.cycle_notation()}  "
+    print(f"  {sigma.one_line()}  = {cycle_notation(sigma.cycles())}  "
           f"sign {sigma.sign():+d}  profile {displacement_profile(sigma, p, q)}")
 
 print("\nwhich monomials can appear at all (p=5, q=3)?")

@@ -11,6 +11,7 @@ from tricirc import (
     PermClassKey,
     build_path,
     construct_witness,
+    cycle_notation,
     displacement_profile,
     path_bound_check,
     predict_structure,
@@ -35,7 +36,7 @@ rep = predict_structure(key)
 print(f"  ell = {key.ell}, k = {key.k}: expect {rep.k} cycles, "
       f"each {rep.cycles_each[0]} one-steps + {rep.cycles_each[1]} q-steps")
 w = construct_witness(key)
-print(f"  witness: {w.cycle_notation()}")
+print(f"  witness: {cycle_notation(w.cycles())}")
 print(f"  profile: {displacement_profile(w, p, q)}  (r, s, fixed)")
 word = word_of(build_path(2, 3), q)
 print(f"  the word of the path to (r/k, s/k) = (2, 3): {word}")
@@ -49,5 +50,6 @@ for j in range(rep.k):
           f"closes: {walk[-1] == start}")
 
 print("\nedge cases:")
-print(f"  (p=5, q=3, r=5, s=0) -> {construct_witness(PermClassKey(5, 3, 5, 0)).cycle_notation()}")
-print(f"  (p=6, q=3, r=0, s=2) -> {construct_witness(PermClassKey(6, 3, 0, 2)).cycle_notation()}")
+for p, q, r, s in ((5, 3, 5, 0), (6, 3, 0, 2)):
+    w = construct_witness(PermClassKey(p, q, r, s))
+    print(f"  (p={p}, q={q}, r={r}, s={s}) -> {cycle_notation(w.cycles())}")

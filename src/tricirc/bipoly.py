@@ -160,9 +160,7 @@ class BiPoly:
         return sum(abs(c) for c in self._terms.values())
 
     def max_abs_coefficient(self) -> int:
-        if not self._terms:
-            return 0
-        return max(abs(c) for c in self._terms.values())
+        return max(map(abs, self._terms.values()), default=0)
 
     # -- serialization ------------------------------------------------
 

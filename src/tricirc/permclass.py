@@ -25,7 +25,6 @@ Residues modulo p are always taken in {1, ..., p}: a reduction that
 would give 0 gives p instead.
 """
 
-import operator
 from typing import Optional
 
 from .errors import InternalInconsistency, TooLarge
@@ -40,29 +39,23 @@ ENUMERATION_LIMIT = 10
 WITNESS_LIMIT = 10**6
 
 
-def rotate(z: int, q: int, p: int) -> int:
-    """The circle rotation z -> z + q in residues {1, ..., p}."""
-    return (z + q - 1) % p + 1
-
-
-class Permutation:
+class Permutation(Record):
     """A permutation of {1, ..., p} stored in one-line notation."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
-        p = len(images)
-        if sorted(images) != list(range(1, p + 1)):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("images are not a bijection of {1, ..., p}")
-        self.images = images
+        Record.__init__(self, images)
 
     @classmethod
     def _proven(cls, images: tuple) -> "Permutation":
         # a permutation whose images the caller has already proven a
         # bijection, stored without the constructor's sort
         sigma = object.__new__(cls)
-        sigma.images = images
+        object.__setattr__(sigma, "images", images)
         return sigma
 
     @classmethod
@@ -72,15 +65,6 @@ class Permutation:
     @property
     def p(self) -> int:
         return len(self.images)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.images)})"
 
     def cycles(self) -> list[tuple[int, ...]]:
         """The nontrivial cycles (no fixed points), each from its least point."""
@@ -104,9 +88,6 @@ class Permutation:
 
     def one_line(self) -> str:
         return "{" + ",".join(str(v) for v in self.images) + "}"
-
-    def cycle_notation(self) -> str:
-        return cycle_notation(self.cycles())
 
 
 def _cycle_sign(cycles) -> int:
@@ -304,7 +285,7 @@ def _walk_word(start: int, word, p: int) -> list[int]:
     points = [start]
     v = start
     for step in word:
-        v = (v + step - 1) % p + 1  # rotate(v, step, p), inline
+        v = (v + step - 1) % p + 1
         points.append(v)
     end = points.pop()
     if len(set(points)) != len(points):
@@ -364,23 +345,3 @@ def construct_witness(key: PermClassKey) -> Permutation:
         raise InternalInconsistency(f"witness for {key} has the wrong profile")
     return sigma
 
-
-# ---------------------------------------------------------------------------
-# cyclic order
-# ---------------------------------------------------------------------------
-
-def cyclic_order(points) -> bool:
-    """Whether distinct points appear in clockwise order around Z_p.
-
-    True iff some rotation of the sequence is strictly increasing,
-    equivalently iff the cyclic sequence has exactly one descent.
-    Repeated values are never in cyclic order.
-    """
-    zs = list(points)
-    m = len(zs)
-    if m <= 1:
-        return True
-    if len(set(zs)) != m:
-        return False
-    # the descents between neighbours, then the one from the last back to the first
-    return sum(map(operator.gt, zs, zs[1:])) + (zs[-1] > zs[0]) == 1

@@ -31,7 +31,8 @@ def executable_lines(path: Path) -> set[int]:
     lines, todo = set(), [code]
     while todo:
         co = todo.pop()
-        lines.update(line for _, _, line in co.co_lines() if line is not None)
+        # a module's code starts at line 0, which holds no source
+        lines.update(line for _, _, line in co.co_lines() if line)
         todo.extend(c for c in co.co_consts if isinstance(c, type(code)))
     return lines
 

@@ -66,9 +66,11 @@ class TestBasics:
         assert hash(X * Y + ONE) == hash(BiPoly({(0, 0): 1, (1, 1): 1}))
 
     def test_only_polynomial_operands(self):
-        for op in (lambda: X + 1, lambda: 1 + X, lambda: X - 1, lambda: 2 * X):
+        for op in (lambda: X + 1, lambda: 1 + X, lambda: X - 1, lambda: 2 * X, lambda: X * 2):
             with pytest.raises(TypeError):
                 op()
+        # == declines a non-polynomial too, so Python compares identities
+        assert X != 1 and not X == X.terms
 
     def test_monomial_ordering_is_degree_then_x(self):
         ms = [Monomial(8, 0), Monomial(0, 0), Monomial(1, 5), Monomial(5, 1),
@@ -254,3 +256,4 @@ class TestHelpers:
         assert p.abs_coefficient_sum() == 13
         assert p.max_abs_coefficient() == 5
         assert len(p) == 5
+        assert ZERO.abs_coefficient_sum() == ZERO.max_abs_coefficient() == len(ZERO) == 0

@@ -21,6 +21,7 @@ from tricirc import cli as climod
 from tricirc import permanent as permmod
 from tricirc import permclass
 from tricirc import phi as phimod
+from tricirc import verify as verifymod
 from tricirc.bipoly import ONE, BiPoly
 
 from test_fuzz import RUNS, SEED, fuzz_argvs
@@ -153,10 +154,22 @@ class TestExitCodes:
         assert res.returncode == 3 and res.stdout == ""
         assert "d11 must come from Ryser" in res.stderr
 
+    def test_permanent_on_dp_backend_past_ryser_limit_in_process(self, capsys):
+        argv = ["permanent", "--p", "25", "--q", "3", "--backend", "cycle_cover"]
+        assert climod.run(argv) == 3
+        assert capsys.readouterr() == ("", (
+            "error: with the cycle_cover backend d11 must come from Ryser's "
+            "expansion, which is limited to p <= 24\n"
+        ))
+
     def test_growth_names_bad_q(self):
         res = cli("growth", "--q", "1", "--pmax", "5")
         assert res.returncode == 2 and res.stdout == ""
         assert "q must be at least 2, got q=1" in res.stderr
+
+    def test_growth_names_bad_q_in_process(self, capsys):
+        assert climod.run(["growth", "--q", "1", "--pmax", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: q must be at least 2, got q=1\n")
 
     def test_permanent_names_q_range(self):
         res = cli("permanent", "--p", "5", "--q", "1")
@@ -620,6 +633,15 @@ class TestDeterminism:
                   env_extra={"TRICIRC_WORKERS": "many"})
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("raw, text", [
+        ("many", "must be an integer, got 'many'"),
+        ("0", "must be positive, got 0"),
+    ])
+    def test_bad_worker_env_in_process(self, raw, text, capsys, monkeypatch):
+        monkeypatch.setenv(climod.WORKERS_ENV, raw)
+        assert climod.run(["verify", "--suite", "prime", "--pmax", "6"]) == 2
+        assert capsys.readouterr() == ("", f"error: TRICIRC_WORKERS {text}\n")
+
 
 #: modules that --help and the default route of phi and coeff never load
 DEFAULT_ROUTE_UNUSED = frozenset({
@@ -824,13 +846,15 @@ class TestImportGate:
 # ---------------------------------------------------------------------------
 
 def _newton_5_3_plus(monkeypatch, terms):
-    real = phimod.BACKENDS["newton"]
+    # in the backend table and on its module, where the sign suite calls it
+    real = phimod.det_newton
 
     def corrupt(spec):
         poly = real(spec)
         return poly + BiPoly(terms) if (spec.p, spec.q) == (5, 3) else poly
 
     monkeypatch.setitem(phimod.BACKENDS, "newton", corrupt)
+    monkeypatch.setattr(phimod, "det_newton", corrupt)
 
 
 def newton_plus_one(monkeypatch):
@@ -1051,3 +1075,214 @@ def test_corruption_not_yet_caught(corrupt, argv, item, capsys, monkeypatch):
     corrupt(monkeypatch)
     assert climod.run(list(argv)) == 0
     assert capsys.readouterr().out != clean
+
+
+# ---------------------------------------------------------------------------
+# the suite half: each corruption against the smallest run of every suite
+# that sweeps (p, q) pairs and reaches (5, 3), where most faults above sit
+# ---------------------------------------------------------------------------
+
+def no_fault(monkeypatch):
+    pass
+
+
+def _bruteforce_5_3_plus(monkeypatch, terms):
+    real = circulant.det_bruteforce
+
+    def corrupt(spec):
+        poly = real(spec)
+        return poly + BiPoly(terms) if (spec.p, spec.q) == (5, 3) else poly
+
+    monkeypatch.setattr(circulant, "det_bruteforce", corrupt)
+
+
+def bruteforce_gains_absent_term(monkeypatch):
+    # a(1, 1) of the brute-force (5, 3) polynomial, an absent term, 0 -> 1
+    _bruteforce_5_3_plus(monkeypatch, {(1, 1): 1})
+
+
+def bruteforce_plus_one(monkeypatch):
+    # +1 on a(2, 1) of the brute-force (5, 3) polynomial, -5 -> -4
+    _bruteforce_5_3_plus(monkeypatch, {(2, 1): 1})
+
+
+def bruteforce_stray_term(monkeypatch):
+    # x^6 in the brute-force (5, 3) polynomial, outside the p x p square
+    _bruteforce_5_3_plus(monkeypatch, {(6, 0): 1})
+
+
+def y_band_sign_flipped(monkeypatch):
+    # every route builds the band of +y instead of -y: the routes agree,
+    # and only the gcd sign rule tells them wrong
+    routes = ((phimod, "det_newton"), (circulant, "det_bareiss"),
+              (circulant, "det_cycle_cover"), (circulant, "det_bruteforce"))
+    for module, name in routes:
+        real = getattr(module, name)
+
+        def corrupt(spec, real=real):
+            terms = real(spec).terms.items()
+            return BiPoly({(r, s): -c if s % 2 else c for (r, s), c in terms})
+
+        monkeypatch.setattr(module, name, corrupt)
+
+
+def _search_edited(monkeypatch, edit):
+    real = permclass.enumerate_by_profile
+
+    def corrupt(p, q):
+        classes = real(p, q)
+        edit(p, classes)
+        return classes
+
+    monkeypatch.setattr(permclass, "enumerate_by_profile", corrupt)
+
+
+def search_drops_a_class(monkeypatch):
+    # the class search loses the class (p, 0) of the p-cycle
+    _search_edited(monkeypatch, lambda p, classes: classes.pop((p, 0)))
+
+
+def search_repeats_a_member(monkeypatch):
+    # each class lists its first member again in place of its last
+    def edit(p, classes):
+        for members in classes.values():
+            members[-1] = members[0]
+
+    _search_edited(monkeypatch, edit)
+
+
+def structure_sign_flipped(monkeypatch):
+    real = permclass.predict_structure
+
+    def corrupt(key):
+        rep = real(key)
+        return permclass.StructureReport(rep.k, rep.cycles_each, -rep.sign)
+
+    monkeypatch.setattr(permclass, "predict_structure", corrupt)
+
+
+def undivided_steps_unchecked(monkeypatch):
+    # each cycle predicted to take all of the class's steps, and a fits
+    # that passes every member: only the per-cycle gcd check is left
+    real = permclass.predict_structure
+
+    def corrupt(key):
+        rep = real(key)
+        return permclass.StructureReport(rep.k, (key.r, key.s), rep.sign)
+
+    monkeypatch.setattr(permclass, "predict_structure", corrupt)
+    monkeypatch.setattr(permclass.StructureReport, "fits", lambda self, cycles, p, q: True)
+
+
+def ryser_plus_one(monkeypatch):
+    real = permmod.permanent_ryser
+    monkeypatch.setattr(permmod, "permanent_ryser", lambda p, q: real(p, q) + 1)
+
+
+#: the suites that sweep (p, q) pairs, each run at p_max = 5 with one worker
+PQ_SUITES = ("support", "sign", "cycle", "witness", "permanent")
+
+# a case that raises is counted as one failed check, its text the case and the error
+PERMANENT_5_3_CASE = "_permanent_case(5, 3): InternalInconsistency('the unsigned DP differs"
+PERMANENT_3_2_CASE = "_permanent_case(3, 2): InternalInconsistency("
+BAREISS_VS_BRUTEFORCE = "(p=5, q=3): bareiss and bruteforce disagree"
+
+#: (corruption, {suite: the start of its first counterexample}) for every
+#: corruption in this file that reaches one of those runs; exactly these
+#: suites fail.  walked_total_plus_one and root_over_p_plus_one reach
+#: only ``growth``
+SUITE_CAUGHT = [
+    (no_fault, {}),
+    (newton_plus_one, {
+        "sign": "(p=5, q=3): a(2,1) = -5 by bareiss but -4 by newton",
+        "permanent": PERMANENT_5_3_CASE,
+    }),
+    (newton_gains_absent_term, {
+        "sign": "(p=5, q=3): a(1,1) = 0 by bareiss but 1 by newton",
+        "permanent": PERMANENT_5_3_CASE,
+    }),
+    (newton_loses_present_term, {
+        "sign": "(p=5, q=3): a(2,1) = -5 by bareiss but 0 by newton",
+        "permanent": PERMANENT_5_3_CASE,
+    }),
+    # the DP reads its signs off the rule, so the routes disagree first
+    (term_sign_flipped, {"sign": "(p=3, q=2): bruteforce and cycle_cover disagree"}),
+    (dp_count_plus_one, {"permanent": PERMANENT_3_2_CASE + "'the unsigned DP differs"}),
+    (last_step_flipped, {
+        "witness": "_witness_case(3, 2): InternalInconsistency('word from 1 ends at 2,",
+    }),
+    (unpack_total_plus_one, {
+        "sign": "_sign_case(3, 2): InternalInconsistency('s = 0 holds 3 covers",
+        "permanent": PERMANENT_3_2_CASE + "'s = 0 holds 3 covers",
+    }),
+    (max_abs_plus_one, {"permanent": PERMANENT_3_2_CASE + "'M = 4 differs"}),
+    (len_plus_one, {"permanent": PERMANENT_3_2_CASE + "'N = 5 differs"}),
+    (lower_bound_plus_one, {"permanent": PERMANENT_3_2_CASE + "'lower bound 7 is not"}),
+    (power_sum_plus_one, {
+        "sign": "_sign_case(5, 3): NonExactDivision('5 does not divide",
+        "permanent": "_permanent_case(5, 3): NonExactDivision('5 does not divide",
+    }),
+    (divided_constant_plus_one, {
+        "sign": "_sign_case(4, 2): InternalInconsistency('determinant lost its unit",
+    }),
+    (abs_sum_plus_one, {"permanent": PERMANENT_3_2_CASE + "'permanent 6 differs"}),
+    (cube_root_plus_one, {"permanent": PERMANENT_3_2_CASE + "'upper bound 7 is not"}),
+    (bruteforce_gains_absent_term, {
+        "support": "(p=5, q=3, r=1, s=1): support predicate False vs backend True",
+        "sign": BAREISS_VS_BRUTEFORCE,
+    }),
+    (bruteforce_plus_one, {
+        "sign": BAREISS_VS_BRUTEFORCE,
+        "cycle": "(p=5, q=3, r=2, s=1): |class| = 5 but |a| = 4",
+    }),
+    (bruteforce_stray_term, {
+        "support": "(p=5, q=3): stray exponent Monomial(r=6, s=0)",
+        "sign": BAREISS_VS_BRUTEFORCE,
+    }),
+    (y_band_sign_flipped, {"sign": "(p=3, q=2): a(1,1) = 3 but the gcd rule gives sign -1"}),
+    (search_drops_a_class, {
+        "cycle": "(p=3, q=2, r=3, s=0): emptiness mismatch",
+        "witness": "(p=3, q=2): the profiles walked miss the classes [] and add "
+                   "the empty ones [(3, 0)]",
+    }),
+    (search_repeats_a_member, {
+        "cycle": "T_(5,3)(2,1) = [(1, 2, 4, 5, 3), (1, 3, 4, 2, 5), (2, 3, 1, 4, 5), "
+                 "(2, 5, 3, 4, 1)], expected [",
+        "witness": "witness for (p=4, q=2, r=0, s=2) invalid",
+    }),
+    (structure_sign_flipped, {
+        "cycle": "(p=3, q=2, r=0, s=3): member {3,1,2} deviates from "
+                 "StructureReport(k=1, cycles_each=(0, 3), sign=-1)",
+        "witness": "witness for (p=3, q=2, r=0, s=0) invalid",
+    }),
+    (undivided_steps_unchecked, {
+        "cycle": "(p=4, q=2, r=0, s=4): cycle profile with gcd > 1 in {3,4,1,2}",
+    }),
+    (ryser_plus_one, {"permanent": "(p=3, q=2): ryser 7, DP and abs-sum 6"}),
+]
+
+
+@pytest.fixture
+def fresh_dp_cache():
+    # the DP's results are cached: a clean one from an earlier test would
+    # hide a fault in the DP, and one made under a fault must not outlive it
+    circulant.cycle_cover_counts.cache_clear()
+    yield
+    circulant.cycle_cover_counts.cache_clear()
+
+
+def failing_suites() -> dict:
+    """Each (p, q) suite that fails at p_max = 5, with its first counterexample."""
+    runs = {suite: verifymod.run_suite(suite, 5, workers=1) for suite in PQ_SUITES}
+    return {suite: res.first_counterexample for suite, res in runs.items() if not res.passed}
+
+
+@pytest.mark.parametrize(
+    "corrupt, caught", SUITE_CAUGHT, ids=[row[0].__name__ for row in SUITE_CAUGHT]
+)
+def test_corruption_fails_exactly_these_suites(corrupt, caught, monkeypatch, fresh_dp_cache):
+    corrupt(monkeypatch)
+    failed = failing_suites()
+    assert failed.keys() == caught.keys(), failed
+    for suite, start in caught.items():
+        assert failed[suite].startswith(start), failed[suite]

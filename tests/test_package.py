@@ -24,10 +24,10 @@ PUBLIC = {
         "growth_table_csv permanent_ryser"
     ),
     "permclass": (
-        "ENUMERATION_LIMIT Permutation "
-        "StructureReport build_path construct_witness cyclic_order "
-        "displacement_profile enumerate_by_profile enumerate_class "
-        "path_bound_check predict_structure rotate"
+        "ENUMERATION_LIMIT Permutation StructureReport build_path "
+        "construct_witness cycle_notation displacement_profile "
+        "enumerate_by_profile enumerate_class path_bound_check "
+        "predict_structure"
     ),
     "phi": (
         "BACKENDS NEWTON_LIMIT CirculantSpec CoefficientReport PermClassKey "

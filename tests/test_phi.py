@@ -177,6 +177,12 @@ class TestPrimality:
     def test_trial_division_basics(self):
         primes = [n for n in range(2, 60) if trial_division(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        assert not trial_division(0) and not trial_division(1)
+
+    def test_congruence_needs_p_at_least_3(self):
+        # p = 2 has no q with 2 <= q <= p - 1
+        with pytest.raises(ValueError, match="p must be at least 3"):
+            primality_check(2)
 
 
 def test_benchmark_tracer_sees_the_default_route(capsys):

@@ -22,7 +22,7 @@ import pytest
 from tricirc.circulant import FloatCheckReport
 from tricirc.permanent import GrowthRow, PermanentReport, Ratio, bounds_report
 from tricirc.phi import CirculantSpec, CoefficientReport, PermClassKey, Record, coefficient
-from tricirc.permclass import StructureReport, predict_structure
+from tricirc.permclass import Permutation, StructureReport, predict_structure
 from tricirc.verify import SuiteResult, run_suite
 
 #: (class, field values, repr): one row for every Record subclass
@@ -34,6 +34,7 @@ RECORDS = [
      "sign=-1, magnitude=5, value=-5)"),
     (StructureReport, (2, (1, 2), -1),
      "StructureReport(k=2, cycles_each=(1, 2), sign=-1)"),
+    (Permutation, ((2, 3, 1),), "Permutation(images=(2, 3, 1))"),
     (FloatCheckReport, (True, 0.5, (1.0, -1.0), 16),
      "FloatCheckReport(passed=True, max_abs_deviation=0.5, "
      "worst_point=(1.0, -1.0), points=16)"),
@@ -145,7 +146,7 @@ def test_every_record_class_is_listed():
 
 def test_only_the_records_that_validate_or_default_define_init():
     own_init = {cls for cls in _record_classes() if "__init__" in vars(cls)}
-    assert own_init == {CirculantSpec, PermClassKey}
+    assert own_init == {CirculantSpec, PermClassKey, Permutation}
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)

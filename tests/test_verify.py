@@ -1,11 +1,13 @@
 """The verification harness itself: suite plumbing and small sweeps."""
 
+import importlib.util
 import itertools
 import marshal
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,25 +170,22 @@ def test_without_fork_the_cases_run_in_process(monkeypatch):
     assert seq.passed and seq.cases == 18
 
 
-def test_lemmas_check_cyclic_order_against_its_definition(monkeypatch):
-    # counting ascents instead of descents keeps rotation invariance, so
-    # only the comparison with the definition catches it
-    def ascent_order(points):
-        zs = list(points)
-        m = len(zs)
-        if m <= 1:
-            return True
-        if len(set(zs)) != m:
-            return False
-        return sum(1 for i in range(m) if zs[i] < zs[(i + 1) % m]) == 1
+def test_lemmas_catch_a_cyclic_order_that_rotation_breaks(monkeypatch):
+    # rising from the first point instead of the least one is no longer
+    # invariant under rotation, which the battery checks
+    def rises_from_first(zs):
+        return all(a < b for a, b in zip(zs, zs[1:]))
 
-    good = run_suite("lemmas", cases=200)
+    good = run_suite("lemmas", cases=200, workers=1)
     assert good.passed
-    monkeypatch.setattr(permclass, "cyclic_order", ascent_order)
-    bad = run_suite("lemmas", cases=200)
-    assert not bad.passed and bad.cases == good.cases
-    assert bad.first_counterexample.startswith("cyclic_order: ")
-
+    monkeypatch.setattr(verifymod, "_rises_from_least", rises_from_first)
+    bad = run_suite("lemmas", cases=200, workers=1)
+    assert bad.cases == good.cases and bad.failures == 13
+    # [11, 2, 4] is in cyclic order, but of it and its rotation by 2,
+    # [1, 4, 6], only the rotation rises from its first point
+    assert bad.first_counterexample == (
+        "cyclic_order: p=12 q=2 zs=[11, 2, 4]: False vs rotated True"
+    )
 
 
 def rises_from_least_reference(zs) -> bool:
@@ -533,3 +532,28 @@ def test_every_route_reaches_every_case_of_the_largest_run():
     for _, p, q, backend in build_cases("support", p_max=largest("support")):
         if backend == "cycle_cover":
             check_dp_budget(p, q)
+
+
+def test_benchmark_tracer_installs_and_runs_the_lemmas(capsys, monkeypatch):
+    # the benchmark's tracer names kernels the package no longer has; it
+    # must still install, and the path_bound battery's routes must show
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from tricirc import cli
+
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        code = cli.run(["verify", "--suite", "lemmas", "--cases", "10"])
+    finally:
+        tracing.uninstall(undo)
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "suite=lemmas cases_per_battery=10 seed=90437 cases=30 failures=0\n"
+    )
+    assert {"verify.run_suite", "verify.run_case.lemmas"} <= {span[1] for span in tracer.spans}
+    rolled = {name for _, name, _ in tracer.rollups}
+    assert {"permclass.build_path", "permclass.path_bound_check"} <= rolled
