@@ -48,7 +48,7 @@ wherever q is not its own smallest image.
 Each exact route has a declared size limit and raises :class:`TooLarge`
 beyond it instead of starting a run of unbounded length.  The DP's is
 a work budget on the work that runs: one DP at the window of its image
-(:func:`check_dp_budget`), a growth table on the plan that
+(:func:`cycle_cover_counts`), a growth table on the plan that
 :func:`cover_count_rows` picks.  All functions are pure; different
 specs or backends may run concurrently.
 """
@@ -67,7 +67,10 @@ from .phi import (
 #: its image 49, is the README limits table's row
 BAREISS_LIMIT = 96
 
-#: work budget of the cycle-cover DP, in the units of :func:`dp_cost`
+#: work budget of the cycle-cover DP, in the units of :func:`dp_cost`;
+#: it admits (24, 12) at 13 bits, (32, 13) at 6 (its image 5) and
+#: (3000, 2), and refuses (28, 14) at 15 bits, (3000, 3) and (4000, 2);
+#: README's other measured times give the DP's time at each
 DP_BUDGET = 15 * 10**8
 
 #: largest p accepted by the Leibniz expansion over the nonzero entries
@@ -264,16 +267,6 @@ def _check_budget(cost: float, what: str) -> None:
         )
 
 
-def check_dp_budget(p: int, q: int) -> None:
-    """Raise :class:`TooLarge` if the DP for (p, q) is over budget.
-
-    DP_BUDGET admits (24, 12) at 13 bits, (32, 13) at 6 (its image 5)
-    and (3000, 2), and refuses (28, 14) at 15 bits, (3000, 3) and
-    (4000, 2); README's other measured times give the DP's time at each.
-    """
-    _check_budget(dp_cost(p, q), f"p={p}, q={q} ({window_width(p, q)}-bit window)")
-
-
 @lru_cache(maxsize=None)
 def cycle_cover_counts(p: int, q: int) -> BiPoly:
     """The permanent's generating polynomial sum N(r, s) x^r y^s.
@@ -289,9 +282,11 @@ def cycle_cover_counts(p: int, q: int) -> BiPoly:
     and a :class:`BiPoly` cannot be changed in place.
     """
     PermClassKey.check_pair(p, q)
-    check_dp_budget(p, q)
     ways = canonical_images(p, q)
     image = min(ways)
+    _check_budget(
+        _fitted_cost(p, image + 1), f"p={p}, q={q} ({image + 1}-bit window)"
+    )
     counts = _cover_count_rows(image, p, p)[0]
     return from_image(counts, p, ways[image]).termwise_abs()
 

@@ -252,17 +252,8 @@ def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> Permanen
     if not (upper - 1) ** 3 < 6**p <= upper**3:
         raise InternalInconsistency(f"upper bound {upper} is not ceil(6^({p}/3))")
     return PermanentReport(
-        p=p,
-        q=q,
-        d11=d11,
-        abs_sum=d11,
-        max_coeff=max_coeff,
-        n_monomials=n_monomials,
-        lower_bound=lower,
-        upper_bound=upper,
-        lower_ok=top <= d11 * bottom,
-        upper_ok=d11**3 <= 6**p,
-        sandwich_ok=sandwich_ok,
+        p, q, d11, d11, max_coeff, n_monomials, lower, upper,
+        top <= d11 * bottom, d11**3 <= 6**p, sandwich_ok,
     )
 
 

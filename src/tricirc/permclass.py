@@ -312,18 +312,17 @@ def construct_witness(key: PermClassKey) -> Permutation:
     images are written; with the walk's own check, that proves the
     images a bijection, so the member is built without the
     Permutation constructor's sort.  The displacement profile then
-    re-checks the class.
+    re-checks the class.  An empty class raises ValueError, with
+    :func:`predict_structure`'s text.
     """
     p, q, r, s = key.p, key.q, key.r, key.s
     if p > WITNESS_LIMIT:
         raise TooLarge(f"witness construction is limited to p <= {WITNESS_LIMIT}")
-    k = key.k
-    if k is None:
-        raise ValueError(f"{p} does not divide {r}+{s}*{q}")
+    if key.is_empty:
+        raise ValueError(f"{key} is an empty class: a(r, s) = 0")
     if r == 0 and s == 0:
         return Permutation.identity(p)
-    if r + s > p:
-        raise ValueError(f"r+s = {r + s} exceeds p = {p}")
+    k = key.k
     walk = _walk_word(1, _path_steps(r // k, s // k, 1, q), p)
     images = list(range(p + 1))  # images[a] is the image of a; 0 is unused
     owner = bytearray(p + 1)  # 1 where a cycle already moves the point

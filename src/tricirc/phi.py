@@ -58,9 +58,9 @@ class Record:
 
     A subclass names its fields in ``__slots__`` and inherits one
     constructor: it takes the fields in ``__slots__`` order, by position
-    or by keyword, and raises TypeError when a field is missing, unknown
-    or given twice.  A subclass that validates or defaults its input
-    defines an ``__init__`` that does so and then calls this one.  From
+    only, and raises TypeError when their count is wrong.  A subclass
+    that validates or defaults its input, or takes keywords, defines an
+    ``__init__`` that does so and then calls this one.  From
     the fields this class derives what ``@dataclass(frozen=True)``
     would: the repr ``Name(field=value, ...)``, equality only between
     instances of the same class (a plain tuple never equals a record),
@@ -75,24 +75,13 @@ class Record:
     __slots__ = ()
     _decimal = ()
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         names = self.__slots__
-        if kwargs or len(args) != len(names):
-            values = dict(zip(names, args))
-            error = None
-            if len(args) > len(names):
-                error = f"takes {len(names)} fields but {len(args)} were given"
-            for name, value in kwargs.items():
-                if name in values:
-                    error = f"got field {name!r} twice"
-                elif name not in names:
-                    error = f"has no field {name!r}"
-                values[name] = value
-            if error is None and len(values) < len(names):
-                error = f"is missing fields {[n for n in names if n not in values]}"
-            if error is not None:
-                raise TypeError(f"{self.__class__.__qualname__}() {error}")
-            args = [values[name] for name in names]
+        if len(args) != len(names):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(names)} fields "
+                f"but {len(args)} were given"
+            )
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
@@ -162,10 +151,6 @@ class CirculantSpec(Record):
         if t == q:
             raise ValueError("band offsets t and q must be distinct")
         Record.__init__(self, p, q, t)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.t == 1 and self.q >= 2
 
 
 class ReducedSpec(NamedTuple):
@@ -240,7 +225,8 @@ def from_image(terms, p: int, way: tuple[str, int]) -> BiPoly:
 
 
 def _require_canonical(spec: CirculantSpec) -> None:
-    if not spec.is_canonical:
+    # a valid spec with t = 1 has q >= 2, since t and q differ
+    if spec.t != 1:
         raise ValueError(
             f"{spec} is not canonical; apply reduce_theta first"
         )
@@ -355,22 +341,14 @@ class PermClassKey(Record):
             raise ValueError(f"need p >= 3 and 2 <= q <= p-1, got p={p} q={q}")
 
     @property
-    def divisible(self) -> bool:
-        return (self.r + self.s * self.q) % self.p == 0
-
-    @property
     def ell(self) -> Optional[int]:
-        if not self.divisible:
-            return None
-        return (self.r + self.s * self.q) // self.p
+        ell, rem = divmod(self.r + self.s * self.q, self.p)
+        return None if rem else ell
 
     @property
     def k(self) -> Optional[int]:
-        # gcd(r, s, ell), with r+sq formed once rather than once for
-        # ``divisible`` and again for ``ell``
-        r, s, p = self.r, self.s, self.p
-        total = r + s * self.q
-        return None if total % p else math.gcd(r, s, total // p)
+        ell = self.ell
+        return None if ell is None else math.gcd(self.r, self.s, ell)
 
     @staticmethod
     def present(p: int, q: int, r: int, s: int) -> bool:
@@ -465,13 +443,10 @@ def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:
 def support(p: int, q: int, r: int, s: int) -> bool:
     """Whether the monomial x^r y^s has a nonzero coefficient.
 
-    True iff r+s <= p and p divides r+sq (:meth:`PermClassKey.present`).
+    True iff r+s <= p and p divides r+sq (:attr:`PermClassKey.is_empty`).
     ValueError unless (p, q) is canonical and r, s >= 0, as for a key.
     """
-    PermClassKey.check_pair(p, q)
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be nonnegative")
-    return PermClassKey.present(p, q, r, s)
+    return not PermClassKey(p, q, r, s).is_empty
 
 
 class CoefficientReport(Record):

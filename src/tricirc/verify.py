@@ -113,7 +113,7 @@ def _support_case(p: int, q: int, backend: str) -> Checks:
     poly = phimod.phi_polynomial(p, q, backend)
     for r in range(p + 1):
         for s in range(p + 1):
-            predicted = phimod.support(p, q, r, s)
+            predicted = PermClassKey.present(p, q, r, s)
             actual = poly.coefficient(r, s) != 0
             yield None if predicted == actual else (
                 f"(p={p}, q={q}, r={r}, s={s}): support predicate "
@@ -122,7 +122,7 @@ def _support_case(p: int, q: int, backend: str) -> Checks:
     # no stored term may fall outside the scanned square
     for m in poly.terms:
         if m.r > p or m.s > p:
-            yield f"(p={p}, q={q}): stray exponent {m}"
+            yield f"(p={p}, q={q}, r={m.r}, s={m.s}): stray term outside the square"
 
 
 def _sign_case(p: int, q: int) -> Checks:

@@ -37,18 +37,29 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest under the collector; its exit code and the lines run per file."""
-    import pytest
+class Collector:
+    """A :func:`sys.settrace` line collector for the files under ``src/tricirc``.
 
-    prefix = str(PACKAGE) + os.sep
-    ran: dict[str, set[int]] = {}
+    Inside ``with Collector() as c:`` every line of the package that
+    runs, in this thread or in one started meanwhile, is added to
+    ``c.ran``, a set of line numbers per file.  Passed to pytest as a
+    plugin, it turns itself back on before each test: Python switches
+    a trace function off when an exception leaves it, as one does when
+    a signal handler raises while the collector runs (the fuzz test's
+    SIGALRM timer), and the rest of that test would go unseen.
+    """
 
-    def on_call(frame, event, arg):
+    def __init__(self):
+        self.ran: dict[str, set[int]] = {}
+        self.restored = 0
+        self._prefix = str(PACKAGE) + os.sep
+        self._hook = self._on_call  # one bound method, so gettrace() is it
+
+    def _on_call(self, frame, event, arg):
         name = frame.f_code.co_filename
-        if not name.startswith(prefix):
+        if not name.startswith(self._prefix):
             return None  # no line events outside the package
-        seen = ran.setdefault(name, set())
+        seen = self.ran.setdefault(name, set())
         seen.add(frame.f_lineno)
 
         def on_line(frame, event, arg):
@@ -58,37 +69,23 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
         return on_line
 
-    class Retrace:
-        """Turns the collector back on before each test.
+    def __enter__(self) -> "Collector":
+        threading.settrace(self._hook)
+        sys.settrace(self._hook)
+        return self
 
-        Python switches a trace function off when an exception leaves
-        it, as one does when a signal handler raises while the
-        collector runs (the fuzz test's SIGALRM timer); the rest of
-        that test then goes unseen.
-        """
-
-        restored = 0
-
-        def pytest_runtest_setup(self, item):
-            if sys.gettrace() is not on_call:
-                Retrace.restored += 1
-                sys.settrace(on_call)
-
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[Retrace()])
-    finally:
+    def __exit__(self, *exc) -> None:
         sys.settrace(None)
         threading.settrace(None)
-    if Retrace.restored:
-        print(f"# the collector was switched off and restored {Retrace.restored} times")
-    return int(code), ran
+
+    def pytest_runtest_setup(self, item):
+        if sys.gettrace() is not self._hook:
+            self.restored += 1
+            sys.settrace(self._hook)
 
 
-def main() -> int:
-    os.environ["TRICIRC_WORKERS"] = "1"
-    code, ran = run_traced(sys.argv[1:])
+def report(ran: dict[str, set[int]]) -> int:
+    """Print each executable line of the package not in ``ran``; return their count."""
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__main__.py":  # only ``python -m tricirc`` runs it
@@ -100,6 +97,19 @@ def main() -> int:
         if missed:
             print(f"# {path.name}: {len(missed)} lines never run")
         total += len(missed)
+    return total
+
+
+def main() -> int:
+    import pytest
+
+    os.environ["TRICIRC_WORKERS"] = "1"
+    with Collector() as collector:
+        code = int(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]],
+                               plugins=[collector]))
+    if collector.restored:
+        print(f"# the collector was switched off and restored {collector.restored} times")
+    total = report(collector.ran)
     print(f"# {total} lines never run; pytest exit code {code}")
     return code
 

@@ -17,7 +17,6 @@ from tricirc.circulant import (
     BAREISS_LIMIT,
     BRUTEFORCE_LIMIT,
     DP_BUDGET,
-    check_dp_budget,
     cycle_cover_counts,
     det_bareiss,
     det_bruteforce,
@@ -205,9 +204,13 @@ class TestSpec:
         assert spec == CirculantSpec(30, 7)
 
     def test_canonical_flag(self):
-        assert CirculantSpec(8, 3).is_canonical
-        assert not CirculantSpec(8, 3, 2).is_canonical
-        assert not CirculantSpec(8, 1, 2).is_canonical  # q=1 needs reduction
+        # canonical means t = 1: a spec with t = 1 cannot have q = 1
+        with pytest.raises(ValueError, match="distinct"):
+            CirculantSpec(8, 1)
+        assert det_newton(CirculantSpec(8, 3)) == PHI_8_3
+        for spec in (CirculantSpec(8, 3, 2), CirculantSpec(8, 1, 2)):  # q=1 needs reduction
+            with pytest.raises(ValueError, match="is not canonical"):
+                det_newton(spec)
 
 
 class TestReduceTheta:
@@ -237,7 +240,7 @@ class TestReduceTheta:
                     spec = CirculantSpec(p, q, t)
                 except IrreducibleSpec:
                     continue
-                if spec.is_canonical:
+                if t == 1:
                     continue
                 canon = reduce_theta(spec).spec
                 way = canonical_images(p, q, t)[canon.q]
@@ -652,7 +655,22 @@ class TestSymmetricImages:
             cycle_cover_counts(40, 21)
         # (32, 13) runs at its image 1/13 = 5, so the budget prices 6 bits
         assert min(canonical_images(32, 13)) == 5 and window_width(32, 13) == 6
-        check_dp_budget(32, 13)
+        assert dp_cost(32, 13) <= DP_BUDGET
+
+    def test_one_image_table_per_call(self, monkeypatch):
+        # the DP prices and runs the image of one canonical_images call
+        real = circulant.canonical_images
+        calls = []
+        monkeypatch.setattr(
+            circulant, "canonical_images", lambda *args: calls.append(args) or real(*args)
+        )
+        cycle_cover_counts.cache_clear()
+        cycle_cover_counts(11, 5)
+        assert calls == [(11, 5)]
+        with pytest.raises(TooLarge):
+            cycle_cover_counts(40, 21)
+        assert calls == [(11, 5), (40, 21)]
+        cycle_cover_counts.cache_clear()
 
     def test_budget_prices_the_image_the_dp_runs_at(self, monkeypatch):
         # the kernel is stubbed and the budget lifted: only the routing runs

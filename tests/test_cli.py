@@ -980,8 +980,83 @@ def cube_root_plus_one(monkeypatch):
     monkeypatch.setattr(permmod, "_ceil_cube_root", lambda n: real(n) + 1)
 
 
+def support_rule_flipped(monkeypatch):
+    real = phimod.PermClassKey.is_empty.fget
+    monkeypatch.setattr(phimod.PermClassKey, "is_empty", property(lambda key: not real(key)))
+
+
+def ell_plus_one(monkeypatch):
+    # k and the term sign read ell, so the fault reaches them too
+    real = phimod.PermClassKey.ell.fget
+    corrupt = property(lambda key: None if real(key) is None else real(key) + 1)
+    monkeypatch.setattr(phimod.PermClassKey, "ell", corrupt)
+
+
+def k_plus_one(monkeypatch):
+    real = phimod.PermClassKey.k.fget
+    corrupt = property(lambda key: None if real(key) is None else real(key) + 1)
+    monkeypatch.setattr(phimod.PermClassKey, "k", corrupt)
+
+
+def _structure_edited(monkeypatch, edit):
+    real = permclass.predict_structure
+    monkeypatch.setattr(permclass, "predict_structure", lambda key: edit(real(key)))
+
+
+def structure_k_plus_one(monkeypatch):
+    _structure_edited(
+        monkeypatch,
+        lambda rep: permclass.StructureReport(rep.k + 1, rep.cycles_each, rep.sign),
+    )
+
+
+def structure_sign_flipped(monkeypatch):
+    _structure_edited(
+        monkeypatch,
+        lambda rep: permclass.StructureReport(rep.k, rep.cycles_each, -rep.sign),
+    )
+
+
+def _search_edited(monkeypatch, edit):
+    real = permclass.enumerate_by_profile
+
+    def corrupt(p, q):
+        classes = real(p, q)
+        edit(p, classes)
+        return classes
+
+    monkeypatch.setattr(permclass, "enumerate_by_profile", corrupt)
+
+
+def search_drops_a_class(monkeypatch):
+    # the class search loses the class (p, 0) of the p-cycle
+    _search_edited(monkeypatch, lambda p, classes: classes.pop((p, 0)))
+
+
+def reduction_takes_the_second_image(monkeypatch):
+    # reduce_theta reads the second entry of the image table: the route
+    # maps its polynomial back through that entry, so only the reduction
+    # that phi prints is wrong
+    def corrupt(spec):
+        images = phimod.canonical_images(spec.p, spec.q, spec.t)
+        qp, (order, _) = list(images.items())[1]
+        return phimod.ReducedSpec(phimod.CirculantSpec(spec.p, qp), order == "zyx")
+
+    monkeypatch.setattr(climod, "reduce_theta", corrupt)
+
+
+def last_case_dropped(monkeypatch):
+    real = verifymod._case_list
+    monkeypatch.setattr(verifymod, "_case_list", lambda suite, params: real(suite, params)[:-1])
+
+
 ENUMERATE_5_3 = ("enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 COEFF_5_3 = ("coeff", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
+WITNESS_17_5 = ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9")
+COEFF_8_3 = ("coeff", "--p", "8", "--q", "3", "--r", "4", "--s", "4")
+ENUMERATE_5_CYCLE = ("enumerate", "--p", "5", "--q", "3", "--r", "5", "--s", "0")
+PHI_REDUCED_JSON = ("phi", "--p", "5", "--q", "4", "--t", "3", "--format", "json")
+VERIFY_PRIME_12 = ("verify", "--suite", "prime", "--pmax", "12")
 PERMANENT_5_3 = ("permanent", "--p", "5", "--q", "3")
 
 #: (corruption, call, InternalInconsistency text) for every fault that a
@@ -995,8 +1070,7 @@ CAUGHT = [
     (newton_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
     (term_sign_flipped, COEFF_5_3, "contradicts the gcd rule"),
     (dp_count_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
-    (last_step_flipped, ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9"),
-     "word from 1 ends at 14, not back at the start"),
+    (last_step_flipped, WITNESS_17_5, "word from 1 ends at 14, not back at the start"),
     (unpack_total_plus_one, PERMANENT_5_3, "s = 0 holds 3 covers for p=5, q=2"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "3"), "5 does not divide the coefficient -6"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "4", "--t", "3"),
@@ -1032,15 +1106,28 @@ CAUGHT = [
     (abs_sum_plus_one, PERMANENT_5_3,
      r"permanent 13 differs from the absolute coefficient sum 14 for \(p=5, q=3\)"),
     (cube_root_plus_one, PERMANENT_5_3, r"upper bound 21 is not ceil\(6\^\(5/3\)\)"),
+    (support_rule_flipped, COEFF_5_3,
+     r"support predicate says a\(2,1\) = 0 for \(p=5, q=3\) but the backend found -5$"),
+    # at (5, 3, 2, 1) ell + 1 keeps gcd(r, s, ell) odd, and the sign with it
+    (ell_plus_one, COEFF_8_3, r"backend sign of a\(4,4\) = 2 contradicts the gcd rule sign -1"),
+    (k_plus_one, COEFF_5_3, r"backend sign of a\(2,1\) = -5 contradicts the gcd rule sign 1"),
+    (structure_k_plus_one, WITNESS_17_5,
+     r"has 3 cycles and sign \+1, but its class has k = 4 cycles of 2 1-steps"),
+    (structure_sign_flipped, WITNESS_17_5, r"has 3 cycles and sign \+1, .* and sign -1$"),
+    (search_drops_a_class, ENUMERATE_5_CYCLE,
+     r"0 members enumerated for PermClassKey\(p=5, q=3, r=5, s=0\), but \|a\(r, s\)\| = 1"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each
 #: call still prints the corrupted number and exits 0; a row moves to
-#: CAUGHT when its check lands, so this list can only shrink
+#: CAUGHT when its check lands, and a row is added only for a printed
+#: field that no check has covered (FIELD_ROWS pins every field's row)
 UNDETECTED = [
     (newton_plus_one, ("phi", "--p", "5", "--q", "3"), 1),
     (newton_plus_one, COEFF_5_3, 1),
     (term_sign_flipped, ("phi", "--p", "5", "--q", "3", "--backend", "cycle_cover"), 1),
+    (reduction_takes_the_second_image, PHI_REDUCED_JSON, 3),
+    (last_case_dropped, VERIFY_PRIME_12, 3),
 ]
 
 
@@ -1126,22 +1213,6 @@ def y_band_sign_flipped(monkeypatch):
         monkeypatch.setattr(module, name, corrupt)
 
 
-def _search_edited(monkeypatch, edit):
-    real = permclass.enumerate_by_profile
-
-    def corrupt(p, q):
-        classes = real(p, q)
-        edit(p, classes)
-        return classes
-
-    monkeypatch.setattr(permclass, "enumerate_by_profile", corrupt)
-
-
-def search_drops_a_class(monkeypatch):
-    # the class search loses the class (p, 0) of the p-cycle
-    _search_edited(monkeypatch, lambda p, classes: classes.pop((p, 0)))
-
-
 def search_repeats_a_member(monkeypatch):
     # each class lists its first member again in place of its last
     def edit(p, classes):
@@ -1149,16 +1220,6 @@ def search_repeats_a_member(monkeypatch):
             members[-1] = members[0]
 
     _search_edited(monkeypatch, edit)
-
-
-def structure_sign_flipped(monkeypatch):
-    real = permclass.predict_structure
-
-    def corrupt(key):
-        rep = real(key)
-        return permclass.StructureReport(rep.k, rep.cycles_each, -rep.sign)
-
-    monkeypatch.setattr(permclass, "predict_structure", corrupt)
 
 
 def undivided_steps_unchecked(monkeypatch):
@@ -1236,7 +1297,7 @@ SUITE_CAUGHT = [
         "cycle": "(p=5, q=3, r=2, s=1): |class| = 5 but |a| = 4",
     }),
     (bruteforce_stray_term, {
-        "support": "(p=5, q=3): stray exponent Monomial(r=6, s=0)",
+        "support": "(p=5, q=3, r=6, s=0): stray term outside the square",
         "sign": BAREISS_VS_BRUTEFORCE,
     }),
     (y_band_sign_flipped, {"sign": "(p=3, q=2): a(1,1) = 3 but the gcd rule gives sign -1"}),
@@ -1286,3 +1347,123 @@ def test_corruption_fails_exactly_these_suites(corrupt, caught, monkeypatch, fre
     assert failed.keys() == caught.keys(), failed
     for suite, start in caught.items():
         assert failed[suite].startswith(start), failed[suite]
+
+
+# ---------------------------------------------------------------------------
+# every printed field has a pinned mutant: the schema is the list
+# ---------------------------------------------------------------------------
+
+ECHO = "echo"  # an input printed back, or the command's fixed name
+SUITE = ("verify",)  # the argv of a row of SUITE_CAUGHT, which runs the suites in process
+PHI_5_3 = ("phi", "--p", "5", "--q", "3")
+
+#: every property of the CLI schema, by its path from the command, and the
+#: row whose corruption reaches it: ECHO, a row of CAUGHT or UNDETECTED as
+#: (corruption, argv), or a row of SUITE_CAUGHT as (corruption, SUITE).  A
+#: permanent or growth flag is classed with the row of a bound it compares,
+#: since the comparison is inline and has no mutant of its own
+FIELD_ROWS = {
+    **{f"phi.{name}": ECHO for name in ("command", "p", "q", "t", "backend")},
+    "phi.canonical_q": (reduction_takes_the_second_image, PHI_REDUCED_JSON),
+    "phi.swapped": (reduction_takes_the_second_image, PHI_REDUCED_JSON),
+    **{
+        f"phi.{name}": (newton_plus_one, PHI_5_3)
+        for name in ("polynomial", "polynomial.terms", "polynomial.terms.r",
+                     "polynomial.terms.s", "polynomial.terms.c")
+    },
+    **{f"coeff.{name}": ECHO for name in ("command", "p", "q", "r", "s")},
+    "coeff.present": (support_rule_flipped, COEFF_5_3),
+    "coeff.ell": (ell_plus_one, COEFF_8_3),
+    "coeff.k": (k_plus_one, COEFF_5_3),
+    "coeff.sign": (term_sign_flipped, COEFF_5_3),
+    "coeff.magnitude": (newton_plus_one, COEFF_5_3),
+    "coeff.value": (newton_plus_one, COEFF_5_3),
+    **{f"witness.{name}": ECHO for name in ("command", "p", "q", "r", "s")},
+    "witness.k": (structure_k_plus_one, WITNESS_17_5),
+    "witness.sign": (structure_sign_flipped, WITNESS_17_5),
+    "witness.one_line": (last_step_flipped, WITNESS_17_5),
+    "witness.cycles": (last_step_flipped, WITNESS_17_5),
+    **{f"enumerate.{name}": ECHO for name in ("command", "p", "q", "r", "s")},
+    "enumerate.count": (newton_plus_one, ENUMERATE_5_3),
+    "enumerate.members": (search_drops_a_class, ENUMERATE_5_CYCLE),
+    **{f"permanent.{name}": ECHO for name in ("command", "p", "q")},
+    "permanent.d11": (dp_count_plus_one, PERMANENT_5_3),
+    "permanent.abs_sum": (abs_sum_plus_one, PERMANENT_5_3),
+    "permanent.max_coeff": (max_abs_plus_one, ("permanent", "--p", "9", "--q", "4")),
+    "permanent.n_monomials": (len_plus_one, ("permanent", "--p", "9", "--q", "4")),
+    **{
+        f"permanent.{name}": (lower_bound_plus_one, PERMANENT_5_3)
+        for name in ("lower_bound", "lower_bound.numerator", "lower_bound.denominator",
+                     "lower_ok")
+    },
+    "permanent.upper_bound": (cube_root_plus_one, PERMANENT_5_3),
+    "permanent.upper_ok": (cube_root_plus_one, PERMANENT_5_3),
+    "permanent.sandwich_ok": (max_abs_plus_one, ("permanent", "--p", "9", "--q", "4")),
+    # one row per p of the requested range
+    **{f"growth.{name}": ECHO for name in ("command", "rows", "rows.p", "rows.q")},
+    "growth.rows.M": (max_abs_plus_one, ("growth", "--q", "3", "--pmax", "6")),
+    "growth.rows.d11": (dp_count_plus_one, ("growth", "--q", "3", "--pmax", "5")),
+    "growth.rows.n_monomials": (len_plus_one, ("growth", "--q", "3", "--pmax", "6")),
+    "growth.rows.root": (root_over_p_plus_one, ("growth", "--q", "3", "--pmax", "5")),
+    "growth.rows.sandwich_ok": (max_abs_plus_one, ("growth", "--q", "3", "--pmax", "6")),
+    # the parameters are the run's inputs with their defaults filled in
+    **{f"verify.{name}": ECHO for name in ("command", "suite", "parameters")},
+    "verify.cases": (last_case_dropped, VERIFY_PRIME_12),
+    **{
+        f"verify.{name}": (newton_plus_one, SUITE)
+        for name in ("failures", "passed", "first_counterexample")
+    },
+}
+
+
+def schema_fields(node, prefix):
+    """The path of every property under ``node``, through references and array items."""
+    def resolve(node):
+        ref = node.get("$ref")
+        return SCHEMA["$defs"][ref.rsplit("/", 1)[1]] if ref else node
+
+    for name, sub in resolve(node).get("properties", {}).items():
+        path = f"{prefix}.{name}"
+        yield path
+        sub = resolve(sub)
+        yield from schema_fields(sub.get("items", sub), path)
+
+
+def test_every_printed_field_has_a_pinned_row():
+    fields = [
+        path
+        for ref in SCHEMA["oneOf"]
+        for path in schema_fields(ref, ref["$ref"].rsplit("/", 1)[1])
+    ]
+    assert sorted(FIELD_ROWS) == sorted(fields)
+    rows = {
+        "caught": [row[:2] for row in CAUGHT],
+        "undetected": [row[:2] for row in UNDETECTED],
+        "suite": [(corrupt, SUITE) for corrupt, caught in SUITE_CAUGHT if caught],
+    }
+    for path, entry in FIELD_ROWS.items():
+        if entry == ECHO:
+            continue
+        assert entry[1][0] == path.split(".")[0], path
+        assert any(entry in found for found in rows.values()), path
+
+
+def test_admitted_fuzz_argvs_fail_cleanly_under_a_caught_fault(capsys, monkeypatch):
+    # the fuzz argvs of permanent and growth with a CAUGHT corruption in:
+    # an admitted argv now fails its check, and every exit, 1 as well as
+    # 2 and 3, leaves stdout empty and prints one line, the error line
+    monkeypatch.setenv(climod.WORKERS_ENV, "1")
+    dp_count_plus_one(monkeypatch)
+    failed = 0
+    for argv in fuzz_argvs(RUNS, SEED):
+        if argv[0] not in ("permanent", "growth"):
+            continue
+        code = climod.run(argv)
+        out, err = capsys.readouterr()
+        shown = " ".join(argv)
+        assert code in (1, 2, 3), (shown, code)
+        assert out == "", shown
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (shown, err)
+        failed += code == 1
+    # the slice admits growth --q 10 --pmax 24 and permanent --p 25 --q 10
+    assert failed == 2

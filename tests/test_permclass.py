@@ -97,12 +97,10 @@ def witness_reference(key: PermClassKey) -> Permutation:
     p, q, r, s = key.p, key.q, key.r, key.s
     if p > WITNESS_LIMIT:
         raise TooLarge(f"witness construction is limited to p <= {WITNESS_LIMIT}")
-    if not key.divisible:
-        raise ValueError(f"{p} does not divide {r}+{s}*{q}")
+    if r + s > p or (r + s * q) % p:
+        raise ValueError(f"{key} is an empty class: a(r, s) = 0")
     if r == 0 and s == 0:
         return Permutation.identity(p)
-    if r + s > p:
-        raise ValueError(f"r+s = {r + s} exceeds p = {p}")
     k = key.k
     a, b = r // k, s // k
     if a == 0:
@@ -287,7 +285,7 @@ class TestDisplacementProfile:
 class TestKey:
     def test_derived_quantities(self):
         key = PermClassKey(17, 5, 6, 9)
-        assert key.divisible and key.ell == 3 and key.k == 3
+        assert key.ell == 3 and key.k == 3
         assert not key.is_empty and key.term_sign == -1
         assert PermClassKey(8, 3, 4, 4).term_sign == 1  # k = 2
 
@@ -607,12 +605,33 @@ class TestWitness:
         assert displacement_profile(sigma, 6, 3) == (0, 2, 4)
 
     def test_empty_class_raises(self):
-        with pytest.raises(ValueError, match=r"5 does not divide 1\+1\*3"):
+        with pytest.raises(ValueError, match=r"r=1, s=1\) is an empty class"):
             construct_witness(PermClassKey(5, 3, 1, 1))
 
     def test_overfull_key_raises(self):
-        with pytest.raises(ValueError, match=r"r\+s = 6 exceeds p = 5"):
+        # p divides r+sq, but r+s > p
+        with pytest.raises(ValueError, match=r"r=4, s=2\) is an empty class"):
             construct_witness(PermClassKey(5, 3, 4, 2))
+
+    def test_refuses_exactly_the_empty_keys_as_predict_structure_does(self):
+        refused = 0
+        for p in range(3, 13):
+            for q in range(2, p):
+                for r in range(p + 1):
+                    for s in range(p + 1):
+                        key = PermClassKey(p, q, r, s)
+                        texts = []
+                        for route in (construct_witness, predict_structure):
+                            try:
+                                route(key)
+                            except ValueError as exc:
+                                texts.append(str(exc))
+                        if key.is_empty:
+                            assert texts == [f"{key} is an empty class: a(r, s) = 0"] * 2
+                            refused += 1
+                        else:
+                            assert texts == [], key
+        assert refused > 0
 
     def test_membership_small_sweep(self):
         for p in range(3, 9):

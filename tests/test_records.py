@@ -1,9 +1,9 @@
 """Value semantics of the record classes, every subclass of ``phi.Record``.
 
 Each keeps what ``@dataclass(frozen=True)`` would give it: field order,
-the positional and keyword constructor, the repr, equality only within
-its class, the hash of the field tuple, frozen fields, copying and
-pickling.  Each printed record's JSON form follows the one rule of
+the positional constructor (keywords too for the records that define
+their own), the repr, equality only within its class, the hash of the
+field tuple, frozen fields, copying and pickling.  Each printed record's JSON form follows the one rule of
 ``Record.to_json_dict``, and the CLI schema declares exactly its fields.
 """
 
@@ -52,6 +52,9 @@ RECORDS = [
 ]
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+#: the records that validate or default their input, each with its own
+#: keyword signature
+OWN_INIT = {CirculantSpec, PermClassKey, Permutation}
 FIELDS = {cls: fields for cls, fields, _ in RECORDS}
 
 
@@ -59,7 +62,12 @@ FIELDS = {cls: fields for cls, fields, _ in RECORDS}
 def test_repr_and_constructors(cls, fields, text):
     rec = cls(*fields)
     assert repr(rec) == text
-    assert cls(**dict(zip(cls.__slots__, fields))) == rec
+    by_name = dict(zip(cls.__slots__, fields))
+    if cls in OWN_INIT:
+        assert cls(**by_name) == rec
+    else:  # the generic constructor is positional only
+        with pytest.raises(TypeError):
+            cls(**by_name)
     assert tuple(getattr(rec, name) for name in cls.__slots__) == fields
 
 
@@ -146,7 +154,7 @@ def test_every_record_class_is_listed():
 
 def test_only_the_records_that_validate_or_default_define_init():
     own_init = {cls for cls in _record_classes() if "__init__" in vars(cls)}
-    assert own_init == {CirculantSpec, PermClassKey, Permutation}
+    assert own_init == OWN_INIT
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
@@ -168,15 +176,10 @@ def test_constructor_refuses_a_bad_field_list(cls, fields, text):
 def test_generic_constructor_names_the_fault():
     with pytest.raises(TypeError, match=r"StructureReport\(\) takes 3 fields but 4"):
         StructureReport(1, (1, 0), 1, 0)
-    with pytest.raises(TypeError, match=r"is missing fields \['sign'\]"):
+    with pytest.raises(TypeError, match=r"StructureReport\(\) takes 3 fields but 2"):
         StructureReport(1, (1, 0))
-    with pytest.raises(TypeError, match="has no field 'size'"):
-        StructureReport(1, (1, 0), 1, size=2)
-    with pytest.raises(TypeError, match="got field 'k' twice"):
-        StructureReport(1, (1, 0), 1, k=1)
-    mixed = StructureReport(1, sign=-1, cycles_each=(1, 3))
-    assert mixed == StructureReport(sign=-1, k=1, cycles_each=(1, 3))
-    assert mixed == StructureReport(1, (1, 3), -1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'sign'"):
+        StructureReport(1, (1, 3), sign=-1)
 
 
 def test_keyword_construction_still_validates():
