@@ -94,8 +94,7 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     "Other measured times").  p/2 is never the only image, since
     1 - p/2 = p/2 + 1 mod p.
     """
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
+    p, q = _require_canonical(spec)
     if p > BAREISS_LIMIT:
         raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
     ways = canonical_images(p, q)
@@ -187,8 +186,7 @@ def det_bruteforce(spec: CirculantSpec) -> BiPoly:
     backends and that search are judged against.  Its times at p = 9
     and p = 10 are among README's other measured times.
     """
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
+    p, q = _require_canonical(spec)
     if p > BRUTEFORCE_LIMIT:
         raise TooLarge(f"brute force is limited to p <= {BRUTEFORCE_LIMIT}")
     # column -> (x power, y power) of the nonzero entries of each row
@@ -420,8 +418,7 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
     the DP derives r from s at the image of q it runs at, and the maps
     back from an image keep that divisibility.
     """
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
+    p, q = _require_canonical(spec)
     return BiPoly(
         {
             (r, s): PermClassKey(p, q, r, s).term_sign * n
@@ -456,8 +453,7 @@ def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
     import cmath  # only this advisory check uses complex arithmetic
     from fractions import Fraction  # only its sample grid uses fractions
 
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
+    p, q = _require_canonical(spec)
     roots = [cmath.exp(2j * cmath.pi * j / p) for j in range(p)]
     worst = 0.0
     worst_pt = (0.0, 0.0)

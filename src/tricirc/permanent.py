@@ -16,6 +16,8 @@ and checks it against classical two-sided bounds:
 * Ryser inclusion-exclusion over necklaces of columns (exact, p <= 24), an
   independent route for the ``permanent`` verify suite and for
   :func:`bounds_report` when its signed polynomial is the DP's own;
+* one check of d11, M and N, :func:`_counts`, which compares M and N
+  once each with the counts of the route that gave d11;
 * lower bound 3^p p!/p^p (doubly stochastic scaling), upper bound
   6^(p/3) (row-sum bound), both compared in exact integer arithmetic.
   The lower bound is a :class:`Ratio` reduced with :func:`math.gcd`,
@@ -155,7 +157,12 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     every other backend the DP runs before the signed polynomial is
     computed, so its own budget check refuses an over-budget DP before
     a slow route runs (Bareiss at (96, 48): the README limits table's
-    ``BAREISS_LIMIT`` row).
+    ``BAREISS_LIMIT`` row).  Then both bounds: a printed
+    ``lower_bound`` n/d must have gcd(n, d) = 1 and n p^p = d 3^p p!,
+    and a printed ``upper_bound`` c must have (c-1)^3 < 6^p <= c^3;
+    either fault raises :class:`InternalInconsistency`.  No bound check
+    uses a float: the lower ones cross-multiply, the upper ones cube.
+    abs_sum is d11, which :func:`_counts` has checked against it.
     """
     PermClassKey.check_pair(p, q)
     unsigned = None
@@ -166,81 +173,9 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
             f"with the cycle_cover backend d11 must come from Ryser's "
             f"expansion, which is limited to p <= {RYSER_LIMIT}"
         )
-    return _report(p, q, phi_polynomial(p, q, backend), unsigned)
-
-
-def _counts(
-    p: int, q: int, signed: BiPoly, unsigned: BiPoly | None
-) -> tuple[int, int, int, bool]:
-    """d11, M and N of (p, q) from its signed and its unsigned polynomial, checked.
-
-    Since no monomial mixes signs, the unsigned DP must equal the signed
-    polynomial with every coefficient made absolute, term by term, and
-    its value at x = y = 1, d11, must equal the sum of the absolute
-    coefficients.  M and N are read off the signed polynomial and must
-    equal plain ``max`` and ``len`` over the DP's term map.  With no
-    unsigned polynomial (the signed one is the DP's own) d11 comes from
-    Ryser, N must count the classes that the support rule lists
-    (:meth:`PermClassKey.nonempty_profiles`), and M must equal a plain
-    ``max`` over the absolute coefficients.
-    Any disagreement raises :class:`InternalInconsistency`.  Returns
-    d11, M, N and whether d11/N <= M <= d11.
-    """
-    max_coeff = signed.max_abs_coefficient()
-    n_monomials = len(signed)
-    if unsigned is None:
-        d11 = permanent_ryser(p, q)
-        largest = max(abs(c) for c in signed.terms.values())
-        if max_coeff != largest:
-            raise InternalInconsistency(
-                f"M = {max_coeff} differs from the largest absolute coefficient "
-                f"{largest} for (p={p}, q={q})"
-            )
-        classes = len(PermClassKey.nonempty_profiles(p, q))
-        if n_monomials != classes:
-            raise InternalInconsistency(
-                f"N = {n_monomials} differs from the {classes} nonempty "
-                f"classes for (p={p}, q={q})"
-            )
-    else:
-        if unsigned != signed.termwise_abs():
-            raise InternalInconsistency(
-                f"the unsigned DP differs from the absolute determinant "
-                f"term by term for (p={p}, q={q})"
-            )
-        d11 = unsigned.evaluate(1, 1)
-        counts = unsigned.terms.values()
-        if max_coeff != max(counts):
-            raise InternalInconsistency(
-                f"M = {max_coeff} differs from the largest DP count "
-                f"{max(counts)} for (p={p}, q={q})"
-            )
-        if n_monomials != len(counts):
-            raise InternalInconsistency(
-                f"N = {n_monomials} differs from the {len(counts)} DP terms "
-                f"for (p={p}, q={q})"
-            )
-    abs_sum = signed.abs_coefficient_sum()
-    if d11 != abs_sum:
-        raise InternalInconsistency(
-            f"permanent {d11} differs from the absolute coefficient sum "
-            f"{abs_sum} for (p={p}, q={q})"
-        )
-    sandwich_ok = d11 <= max_coeff * n_monomials and max_coeff <= d11
-    return d11, max_coeff, n_monomials, sandwich_ok
-
-
-def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> PermanentReport:
-    """The report of (p, q): :func:`_counts`, then both bounds.
-
-    A printed ``lower_bound`` n/d must have gcd(n, d) = 1 and
-    n p^p = d 3^p p!, and a printed ``upper_bound`` c must have
-    (c-1)^3 < 6^p <= c^3; either fault raises
-    :class:`InternalInconsistency`.  No bound check uses a float: the
-    lower ones cross-multiply, the upper ones cube.  abs_sum is d11,
-    which :func:`_counts` has checked against it.
-    """
-    d11, max_coeff, n_monomials, sandwich_ok = _counts(p, q, signed, unsigned)
+    d11, max_coeff, n_monomials, sandwich_ok = _counts(
+        p, q, phi_polynomial(p, q, backend), unsigned
+    )
     top, bottom = 3**p * factorial(p), p**p
     lower = _lowest_terms(top, bottom)
     n, d = lower.numerator, lower.denominator
@@ -255,6 +190,57 @@ def _report(p: int, q: int, signed: BiPoly, unsigned: BiPoly | None) -> Permanen
         p, q, d11, d11, max_coeff, n_monomials, lower, upper,
         top <= d11 * bottom, d11**3 <= 6**p, sandwich_ok,
     )
+
+
+def _counts(
+    p: int, q: int, signed: BiPoly, unsigned: BiPoly | None
+) -> tuple[int, int, int, bool]:
+    """d11, M and N of (p, q) from its signed and its unsigned polynomial, checked.
+
+    Since no monomial mixes signs, the unsigned DP must equal the signed
+    polynomial with every coefficient made absolute, term by term, and
+    its value at x = y = 1, d11, must equal the sum of the absolute
+    coefficients.  M and N are read off the signed polynomial and must
+    equal a plain ``max`` over the counts and the number of classes: the
+    DP's terms and their number, or, with no unsigned polynomial (the
+    signed one is the DP's own), the absolute coefficients and the
+    classes that the support rule lists
+    (:meth:`PermClassKey.nonempty_profiles`), with d11 from Ryser.
+    Any disagreement raises :class:`InternalInconsistency`.  Returns
+    d11, M, N and whether d11/N <= M <= d11.
+    """
+    if unsigned is None:
+        d11 = permanent_ryser(p, q)
+        counts = [abs(c) for c in signed.terms.values()]
+        classes = len(PermClassKey.nonempty_profiles(p, q))
+    else:
+        if unsigned != signed.termwise_abs():
+            raise InternalInconsistency(
+                f"the unsigned DP differs from the absolute determinant "
+                f"term by term for (p={p}, q={q})"
+            )
+        d11 = unsigned.evaluate(1, 1)
+        counts = unsigned.terms.values()
+        classes = len(counts)
+    max_coeff = signed.max_abs_coefficient()
+    if max_coeff != max(counts):
+        raise InternalInconsistency(
+            f"M = {max_coeff} differs from the largest count {max(counts)} "
+            f"for (p={p}, q={q})"
+        )
+    n_monomials = len(signed)
+    if n_monomials != classes:
+        raise InternalInconsistency(
+            f"N = {n_monomials} differs from the {classes} classes for (p={p}, q={q})"
+        )
+    abs_sum = signed.abs_coefficient_sum()
+    if d11 != abs_sum:
+        raise InternalInconsistency(
+            f"permanent {d11} differs from the absolute coefficient sum "
+            f"{abs_sum} for (p={p}, q={q})"
+        )
+    sandwich_ok = d11 <= max_coeff * n_monomials and max_coeff <= d11
+    return d11, max_coeff, n_monomials, sandwich_ok
 
 
 class GrowthRow(Record):

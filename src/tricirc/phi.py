@@ -224,12 +224,13 @@ def from_image(terms, p: int, way: tuple[str, int]) -> BiPoly:
     return BiPoly(out)
 
 
-def _require_canonical(spec: CirculantSpec) -> None:
+def _require_canonical(spec: CirculantSpec) -> tuple[int, int]:
     # a valid spec with t = 1 has q >= 2, since t and q differ
     if spec.t != 1:
         raise ValueError(
             f"{spec} is not canonical; apply reduce_theta first"
         )
+    return spec.p, spec.q
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +271,7 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
     Each division by t must be exact (:class:`NonExactDivision`
     otherwise), and the unit constant term is checked as in Bareiss.
     """
-    _require_canonical(spec)
-    p, q = spec.p, spec.q
+    p, q = _require_canonical(spec)
     if p > NEWTON_LIMIT:
         raise TooLarge(f"Newton's identities are limited to p <= {NEWTON_LIMIT}")
     sums = [(i, list(ps.items())) for i, ps in power_sums(p, q).items()]

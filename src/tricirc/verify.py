@@ -22,11 +22,12 @@ machine checks against independent oracles:
                    ``construct_witness`` walks, and the paper's
                    divisibility-gap lemma in integer arithmetic.
 
-A suite is one row of ``_SUITES``: its default and largest pmax, a
-builder that lists the arguments of its cases, a case function and the
-package modules that function imports.  A case function runs the same
-routes in every case, and the largest pmax is the suite's own measured
-size, inside every route's reach.  It imports the home modules of its
+A suite is one row of ``_SUITES``: its default and largest size (cases
+per battery for ``lemmas``, pmax for the others), a builder that lists
+the arguments of its cases, a case function and the package modules
+that function imports.  A case function runs the same routes in every
+case, and the largest size is the suite's own measured size, inside
+every route's reach.  It imports the home modules of its
 routes when it runs and calls each route on its module, so a suite
 loads only its own routes (``lemmas`` and ``witness`` only
 :mod:`tricirc.permclass`, ``prime`` nothing beyond :mod:`tricirc.phi`,
@@ -401,19 +402,19 @@ def _lemma_args(params):
 
 
 class _Suite(NamedTuple):
-    default: Optional[int]  # pmax when none is given
-    largest: Optional[int]  # largest pmax admitted
+    default: int  # size when none is given: cases for lemmas, else pmax
+    largest: int  # largest size admitted
     args: Callable[[dict], list]  # the case arguments, from the parameters
     case: Callable[..., Checks]
     modules: tuple[str, ...]  # the package modules the case function imports
 
 
-#: name -> its row.  The largest pmax keeps one worker within the suites'
+#: name -> its row.  The largest size keeps one worker within the suites'
 #: common target; ``support``, ``sign`` and ``permanent`` stay well under
 #: it, as Bareiss and the DP run at a cheaper image of q and Ryser sums
 #: over necklaces, and their caps wait for a common refit; ``prime`` runs
 #: to Newton's limit.  README's limits table times each suite at its
-#: largest pmax; the target, and ``sign`` and ``permanent`` one size
+#: largest size; the target, and ``sign`` and ``permanent`` one size
 #: further, are among its other measured times
 _SUITES = {
     "support": _Suite(
@@ -427,7 +428,9 @@ _SUITES = {
     "witness": _Suite(30, 60, _pairs, _witness_case, ("permclass",)),
     "permanent": _Suite(12, 18, _pairs, _permanent_case, ("permanent",)),
     "prime": _Suite(40, NEWTON_LIMIT, _prime_args, _prime_case, ()),
-    "lemmas": _Suite(None, None, _lemma_args, _lemma_chunk, ("permclass",)),
+    "lemmas": _Suite(
+        DEFAULT_CASES, LEMMA_CASES_LIMIT, _lemma_args, _lemma_chunk, ("permclass",)
+    ),
 }
 
 SUITES = tuple(_SUITES)
@@ -467,41 +470,37 @@ def suite_parameters(
     suite records the fixed q its congruence check uses.  The lemmas
     suite is sized by cases and seed, every other suite by p_max, and
     only the suites that sweep (p, q) pairs read a q policy other than
-    ``all``.  An unknown suite, a flag the suite does not read, or a
-    size that would check nothing (cases < 1 for lemmas, p_max < 3
-    otherwise) is a ValueError, a size past the largest is
+    ``all``.  An unknown suite or a flag the suite does not read is a
+    ValueError.  Then one rule sizes every suite from its row: a size
+    that would check nothing (cases < 1 for lemmas, p_max < 3
+    otherwise) is a ValueError, a size past the row's largest is
     :class:`TooLarge`.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if q_policy not in ("all", "coprime"):
         raise ValueError(f"unknown q policy {q_policy!r}")
-    unread = (
-        {"pmax": p_max} if suite == "lemmas" else {"cases": cases, "seed": seed}
-    )
+    if suite == "lemmas":
+        flag, least, size, unread = "cases", 1, cases, {"pmax": p_max}
+    else:
+        flag, least, size, unread = "pmax", 3, p_max, {"cases": cases, "seed": seed}
     if suite in ("prime", "lemmas"):  # neither sweeps (p, q) pairs
         unread["q-policy"] = None if q_policy == "all" else q_policy
-    for flag, value in unread.items():
+    for name, value in unread.items():
         if value is not None:
-            raise ValueError(f"the {suite} suite does not read {flag}")
-    if suite == "lemmas":
-        cases = DEFAULT_CASES if cases is None else cases
-        if cases < 1:
-            raise ValueError(f"cases must be at least 1, got {cases}")
-        if cases > LEMMA_CASES_LIMIT:
-            raise TooLarge(f"the lemmas suite needs cases <= {LEMMA_CASES_LIMIT}")
-        seed = DEFAULT_SEED if seed is None else seed
-        return {"cases_per_battery": cases, "seed": seed}
+            raise ValueError(f"the {suite} suite does not read {name}")
     row = _SUITES[suite]
-    if p_max is None:
-        p_max = row.default
-    if p_max < 3:
-        raise ValueError(f"pmax must be at least 3, got {p_max}")
-    if p_max > row.largest:
-        raise TooLarge(f"the {suite} suite needs pmax <= {row.largest}")
+    size = row.default if size is None else size
+    if size < least:
+        raise ValueError(f"{flag} must be at least {least}, got {size}")
+    if size > row.largest:
+        raise TooLarge(f"the {suite} suite needs {flag} <= {row.largest}")
+    if suite == "lemmas":
+        seed = DEFAULT_SEED if seed is None else seed
+        return {"cases_per_battery": size, "seed": seed}
     if suite == "prime":
-        return {"p_max": p_max, "q": phimod.PRIMALITY_Q}
-    return {"p_max": p_max, "q_policy": q_policy}
+        return {"p_max": size, "q": phimod.PRIMALITY_Q}
+    return {"p_max": size, "q_policy": q_policy}
 
 
 def _case_list(suite: str, params: dict) -> list[tuple]:

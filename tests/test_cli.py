@@ -1082,19 +1082,19 @@ CAUGHT = [
     (root_over_p_plus_one, ("growth", "--q", "3", "--pmax", "5"),
      r"printed root 1\.3195 is not M\^\(1/4\) to 1e-4 for \(p=4, q=3\)"),
     (max_abs_plus_one, ("permanent", "--p", "9", "--q", "4"),
-     r"M = 19 differs from the largest DP count 18 for \(p=9, q=4\)"),
+     r"M = 19 differs from the largest count 18 for \(p=9, q=4\)"),
     (len_plus_one, ("growth", "--q", "3", "--pmax", "6"),
-     r"N = 6 differs from the 5 DP terms for \(p=4, q=3\)"),
+     r"N = 6 differs from the 5 classes for \(p=4, q=3\)"),
     (max_abs_plus_one, ("growth", "--q", "3", "--pmax", "6"),
-     r"M = 5 differs from the largest DP count 4 for \(p=4, q=3\)"),
+     r"M = 5 differs from the largest count 4 for \(p=4, q=3\)"),
     (len_plus_one, ("permanent", "--p", "9", "--q", "4"),
-     r"N = 9 differs from the 8 DP terms for \(p=9, q=4\)"),
+     r"N = 9 differs from the 8 classes for \(p=9, q=4\)"),
     (len_plus_one, ("permanent", "--p", "9", "--q", "4", "--backend", "cycle_cover"),
-     r"N = 9 differs from the 8 nonempty classes for \(p=9, q=4\)"),
+     r"N = 9 differs from the 8 classes for \(p=9, q=4\)"),
     (lower_bound_plus_one, PERMANENT_5_3,
      r"lower bound 5833/625 is not 3\^5 5!/5\^5 in lowest terms"),
     (max_abs_plus_one, ("permanent", "--p", "9", "--q", "4", "--backend", "cycle_cover"),
-     r"M = 19 differs from the largest absolute coefficient 18 for \(p=9, q=4\)"),
+     r"M = 19 differs from the largest count 18 for \(p=9, q=4\)"),
     (divided_constant_plus_one, ("phi", "--p", "6", "--q", "3", "--backend", "bareiss"),
      r"pivot at step 4 lost its unit constant term: BiPoly\('2 - 3\*x\^2\*y - y\^3'\)$"),
     (divided_constant_plus_one, ("phi", "--p", "4", "--q", "3", "--backend", "bareiss"),

@@ -32,18 +32,22 @@ CONSTANTS = {
     "RYSER_LIMIT": permanent,
     "ENUMERATION_LIMIT": permclass,
     "WITNESS_LIMIT": permclass,
-    "LEMMA_CASES_LIMIT": verify,
 }
 
-#: the flag that each constant bounds in its limits-table command; every
-#: suite's limit bounds --pmax, and DP_BUDGET bounds no one flag
+#: the README row of each suite's largest size, by row name: the suite's
+#: own name, except that the lemmas suite's is LEMMA_CASES_LIMIT's row
+SUITE_ROWS = {
+    ("LEMMA_CASES_LIMIT" if suite == "lemmas" else suite): suite for suite in verify._SUITES
+}
+
+#: the flag that each constant bounds in its limits-table command; a
+#: suite's limit bounds its size flag, and DP_BUDGET bounds no one flag
 BOUNDED_FLAG = {
     "NEWTON_LIMIT": "p",
     "BAREISS_LIMIT": "p",
     "BRUTEFORCE_LIMIT": "p",
     "ENUMERATION_LIMIT": "p",
     "WITNESS_LIMIT": "p",
-    "LEMMA_CASES_LIMIT": "cases",
 }
 
 #: a wall time (a number, a space and a time unit) or the host it was
@@ -55,11 +59,9 @@ HOST_TIMING = re.compile(
 
 
 def declared_limits() -> dict[str, int]:
-    """Every declared size limit: the constants by name, each suite's largest pmax."""
+    """Every declared size limit: the constants by name, each suite's largest size."""
     limits = {name: getattr(module, name) for name, module in CONSTANTS.items()}
-    limits.update(
-        (name, row.largest) for name, row in verify._SUITES.items() if row.largest is not None
-    )
+    limits.update((name, verify._SUITES[suite].largest) for name, suite in SUITE_ROWS.items())
     return limits
 
 
@@ -167,9 +169,10 @@ def test_limits_table_commands_run_at_the_declared_limits(monkeypatch):
             cost = circulant.dp_cost(args.p, args.q)
             assert cost <= limits[name]
             assert f"(estimated at {cost / 1e9:.2f} * 10^9)" in cells[3]
-        elif name in verify._SUITES:
-            assert (args.command, args.suite) == ("verify", name)
-            assert args.pmax == limits[name]
+        elif name in SUITE_ROWS:
+            suite = SUITE_ROWS[name]
+            assert (args.command, args.suite) == ("verify", suite)
+            assert getattr(args, "cases" if suite == "lemmas" else "pmax") == limits[name]
         else:
             assert getattr(args, BOUNDED_FLAG[name]) == limits[name], command
 

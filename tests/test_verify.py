@@ -518,6 +518,20 @@ def test_largest_sizes_are_admitted_and_one_more_is_refused():
             build_cases(suite, **over)
 
 
+def test_every_suite_is_sized_by_its_row():
+    # one size rule for every row: lemmas is sized by cases, every other
+    # suite by pmax, each between its least size and its row's largest
+    for suite, row in verifymod._SUITES.items():
+        arg, flag, least = ("cases", "cases", 1) if suite == "lemmas" else ("p_max", "pmax", 3)
+        assert verifymod.suite_parameters(suite, **{arg: row.largest})
+        with pytest.raises(TooLarge, match=f"^the {suite} suite needs {flag} <= {row.largest}$"):
+            verifymod.suite_parameters(suite, **{arg: row.largest + 1})
+        too_small = f"^{flag} must be at least {least}, got {least - 1}$"
+        with pytest.raises(ValueError, match=too_small) as info:
+            verifymod.suite_parameters(suite, **{arg: least - 1})
+        assert type(info.value) is ValueError, suite
+
+
 def test_every_route_reaches_every_case_of_the_largest_run():
     # the case functions call their routes without asking whether they
     # reach, so no admitted case may be one that a route refuses
