@@ -51,6 +51,11 @@ output bytes do not depend on the worker count.
 ``enumerate`` checks the size of the class it prints against |a(r, s)|
 of the determinant polynomial: it admits p = 10, one past the largest p
 at which the ``cycle`` suite compares the class search with brute force.
+Its members must be strictly increasing in one-line notation, as the
+search sorts them, so none is listed twice, and each must fit the
+class's structure, the check that ``witness`` runs on its member.
+``phi`` checks the reduction it prints, ``canonical_q`` and
+``swapped``, against the rule of ``phi.reduce_theta``'s docstring.
 ``witness`` checks the member it prints against the structure it
 reports: the member has ``k`` cycles, each takes the class's numbers of
 1-steps and q-steps and no other step, and its sign is ``sign``.
@@ -96,6 +101,7 @@ benchmark's in-process passes) keeps a normal collector.  Only
 
 import os
 import sys
+from math import gcd
 from types import SimpleNamespace
 
 from . import phi as phimod
@@ -130,6 +136,14 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     spec = CirculantSpec(args.p, args.q, args.t)
     reduced = reduce_theta(spec)
     canon = reduced.spec
+    p, q, t = spec.p, spec.q, spec.t
+    swapped = gcd(t, p) > 1  # then q' = t/q, else q' = q/t
+    unit, image = (q, t) if swapped else (t, q)
+    if (canon.p, canon.t, canon.q * unit % p, reduced.swapped) != (p, 1, image, swapped):
+        raise InternalInconsistency(
+            f"{spec} reduced to {canon} with swapped = {reduced.swapped}, but "
+            f"the rule needs q' * {unit} = {image} mod {p} with swapped = {swapped}"
+        )
     poly = phimod.phi_polynomial(canon.p, canon.q, args.backend)
     if canon != spec:  # only once computed, so a failure prints one line
         way = phimod.canonical_images(spec.p, spec.q, spec.t)[canon.q]
@@ -189,6 +203,19 @@ def _cmd_enumerate(args) -> tuple[dict, list[str]]:
         raise InternalInconsistency(
             f"{len(members)} members enumerated for {key}, but |a(r, s)| = {size}"
         )
+    for before, m in zip(members, members[1:]):
+        if before.images >= m.images:
+            raise InternalInconsistency(
+                f"member {m.one_line()} of {key} follows {before.one_line()}: "
+                "the members are not strictly increasing"
+            )
+    if members:
+        rep = permclass.predict_structure(key)
+        for m in members:
+            if not rep.fits(m.cycles(), args.p, args.q):
+                raise InternalInconsistency(
+                    f"member {m.one_line()} of {key} does not fit {rep}"
+                )
     payload = {
         **key.to_json_dict(), "count": len(members),
         "members": [m.images for m in members],

@@ -469,9 +469,10 @@ def coefficient(
     """Full report on a(r, s), sign cross-checked against the backend.
 
     The magnitude comes from the backend polynomial; the sign comes
-    independently from the gcd parity rule.  Any disagreement (or a
-    zero coefficient where the support predicate says nonzero, and vice
-    versa) raises :class:`InternalInconsistency`.
+    independently from the gcd parity rule, and the printed ell must
+    satisfy ell p = r + s q.  Any disagreement (or a zero coefficient
+    where the support predicate says nonzero, and vice versa) raises
+    :class:`InternalInconsistency`.
     """
     key = PermClassKey(p, q, r, s)
     present = not key.is_empty
@@ -489,12 +490,17 @@ def coefficient(
             f"support predicate says a({r},{s}) != 0 for (p={p}, q={q}) "
             "but the backend found 0"
         )
+    ell = key.ell
+    if ell * p != r + s * q:
+        raise InternalInconsistency(
+            f"ell = {ell} of a({r},{s}) is not (r + s*q)/p for (p={p}, q={q})"
+        )
     if (c > 0) != (sign > 0):
         raise InternalInconsistency(
             f"backend sign of a({r},{s}) = {c} contradicts the gcd rule "
             f"sign {sign} for (p={p}, q={q})"
         )
-    return CoefficientReport(p, q, r, s, True, key.ell, key.k, sign, abs(c), c)
+    return CoefficientReport(p, q, r, s, True, ell, key.k, sign, abs(c), c)
 
 
 def binomial_power(p: int) -> BiPoly:

@@ -5,6 +5,7 @@ collect it)::
 
     PYTHONPATH=src python tests/refs_replay.py
     PYTHONPATH=src python tests/refs_replay.py --json digests.json
+    PYTHONPATH=src python tests/refs_replay.py --stderr stderr.json
     PYTHONPATH=src python tests/refs_replay.py --lines
 
 Each job runs through ``cli.run`` with one worker, as
@@ -14,9 +15,12 @@ and the script then exits 1.
 
 ``--json FILE`` runs each job a second time with ``--format json`` and
 writes {job: [exit code, digest]} to FILE, so that the JSON output of
-two trees can be compared with ``cmp``.  ``--lines`` runs the replay and
-each ``demos/*.py`` under the line collector of ``tests/line_audit.py``,
-then lists the lines under ``src/tricirc`` that no job and no demo ran:
+two trees can be compared with ``cmp``.  ``--stderr FILE`` runs each job
+once more, captures its stderr (which ``run_in_process`` discards) and
+writes {job: [exit code, stderr digest]} to FILE, so that notes and
+``error:`` lines can be compared the same way.  ``--lines`` runs the
+replay and each ``demos/*.py`` under the line collector of
+``tests/line_audit.py``, then lists the lines under ``src/tricirc`` that no job and no demo ran:
 what the benchmark's workloads and the demos never reach, which the
 tests cannot show, since they call everything.
 
@@ -27,6 +31,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import runpy
 import sys
 import time
@@ -37,7 +42,7 @@ import line_audit
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # no cache file beside the benchmark's modules
 sys.path.insert(0, str(ROOT / "benchmark"))
-from common import digest, import_cli, load_refs, run_in_process  # noqa: E402
+from common import WORKERS_ENV, digest, import_cli, load_refs, run_in_process  # noqa: E402
 
 
 def as_json(argv: list[str]) -> list[str]:
@@ -48,7 +53,16 @@ def as_json(argv: list[str]) -> list[str]:
     return [*argv, "--format", "json"]
 
 
-def replay(refs: dict, json_digests: dict | None) -> list[str]:
+def run_for_stderr(cli, argv: list[str]) -> tuple[int, bytes]:
+    """``cli.run(argv)`` with one worker; returns (exit code, stderr bytes)."""
+    err = io.StringIO()
+    os.environ[WORKERS_ENV] = "1"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, err.getvalue().encode()
+
+
+def replay(refs: dict, json_digests: dict | None, stderr_digests: dict | None) -> list[str]:
     """Run every job; the ids of those whose exit code or digest differ."""
     cli = import_cli()
     wrong = []
@@ -61,6 +75,9 @@ def replay(refs: dict, json_digests: dict | None) -> list[str]:
         if json_digests is not None:
             got, out = run_in_process(cli, as_json(argv))
             json_digests[job] = [got, digest(out)]
+        if stderr_digests is not None:
+            got, err = run_for_stderr(cli, argv)
+            stderr_digests[job] = [got, digest(err)]
     return wrong
 
 
@@ -73,21 +90,24 @@ def run_demos() -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", metavar="FILE", help="write each job's JSON digest")
+    parser.add_argument("--stderr", metavar="FILE", help="write each job's stderr digest")
     parser.add_argument("--lines", action="store_true", help="list the lines no job ran")
     args = parser.parse_args()
     refs = load_refs()
     json_digests = None if args.json is None else {}
+    stderr_digests = None if args.stderr is None else {}
     t0 = time.perf_counter()
     if args.lines:
         with line_audit.Collector() as collector:
-            wrong = replay(refs, json_digests)
+            wrong = replay(refs, json_digests, stderr_digests)
             run_demos()
         total = line_audit.report(collector.ran)
         print(f"# {total} lines never run by a job or a demo")
     else:
-        wrong = replay(refs, json_digests)
-    if json_digests is not None:
-        Path(args.json).write_text(json.dumps(json_digests, indent=0, sort_keys=True) + "\n")
+        wrong = replay(refs, json_digests, stderr_digests)
+    for path, digests in ((args.json, json_digests), (args.stderr, stderr_digests)):
+        if digests is not None:
+            Path(path).write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")
     print(f"# {len(refs)} jobs, {len(wrong)} differ, {time.perf_counter() - t0:.0f} s")
     return 1 if wrong else 0
 

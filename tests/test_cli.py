@@ -1033,6 +1033,15 @@ def search_drops_a_class(monkeypatch):
     _search_edited(monkeypatch, lambda p, classes: classes.pop((p, 0)))
 
 
+def search_repeats_a_member(monkeypatch):
+    # each class lists its first member again in place of its last
+    def edit(p, classes):
+        for members in classes.values():
+            members[-1] = members[0]
+
+    _search_edited(monkeypatch, edit)
+
+
 def reduction_takes_the_second_image(monkeypatch):
     # reduce_theta reads the second entry of the image table: the route
     # maps its polynomial back through that entry, so only the reduction
@@ -1108,14 +1117,25 @@ CAUGHT = [
     (cube_root_plus_one, PERMANENT_5_3, r"upper bound 21 is not ceil\(6\^\(5/3\)\)"),
     (support_rule_flipped, COEFF_5_3,
      r"support predicate says a\(2,1\) = 0 for \(p=5, q=3\) but the backend found -5$"),
-    # at (5, 3, 2, 1) ell + 1 keeps gcd(r, s, ell) odd, and the sign with it
-    (ell_plus_one, COEFF_8_3, r"backend sign of a\(4,4\) = 2 contradicts the gcd rule sign -1"),
+    # the ell check runs before the sign check, which at (8, 3, 4, 4) would
+    # also catch ell + 1; at (5, 3, 2, 1) the sign check would not
+    (ell_plus_one, COEFF_8_3, r"ell = 3 of a\(4,4\) is not \(r \+ s\*q\)/p for \(p=8, q=3\)$"),
+    (ell_plus_one, COEFF_5_3, r"ell = 2 of a\(2,1\) is not \(r \+ s\*q\)/p for \(p=5, q=3\)$"),
     (k_plus_one, COEFF_5_3, r"backend sign of a\(2,1\) = -5 contradicts the gcd rule sign 1"),
     (structure_k_plus_one, WITNESS_17_5,
      r"has 3 cycles and sign \+1, but its class has k = 4 cycles of 2 1-steps"),
     (structure_sign_flipped, WITNESS_17_5, r"has 3 cycles and sign \+1, .* and sign -1$"),
     (search_drops_a_class, ENUMERATE_5_CYCLE,
      r"0 members enumerated for PermClassKey\(p=5, q=3, r=5, s=0\), but \|a\(r, s\)\| = 1"),
+    (structure_k_plus_one, ENUMERATE_5_3,
+     r"member \{1,2,4,5,3\} of PermClassKey\(p=5, q=3, r=2, s=1\) does not fit "
+     r"StructureReport\(k=2, cycles_each=\(2, 1\), sign=1\)$"),
+    (search_repeats_a_member, ENUMERATE_5_3,
+     r"member \{1,2,4,5,3\} of PermClassKey\(p=5, q=3, r=2, s=1\) follows \{2,5,3,4,1\}: "
+     "the members are not strictly increasing$"),
+    (reduction_takes_the_second_image, PHI_REDUCED_JSON,
+     r"reduced to CirculantSpec\(p=5, q=2, t=1\) with swapped = True, "
+     r"but the rule needs q' \* 3 = 4 mod 5 with swapped = False$"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each
@@ -1126,7 +1146,6 @@ UNDETECTED = [
     (newton_plus_one, ("phi", "--p", "5", "--q", "3"), 1),
     (newton_plus_one, COEFF_5_3, 1),
     (term_sign_flipped, ("phi", "--p", "5", "--q", "3", "--backend", "cycle_cover"), 1),
-    (reduction_takes_the_second_image, PHI_REDUCED_JSON, 3),
     (last_case_dropped, VERIFY_PRIME_12, 3),
 ]
 
@@ -1211,15 +1230,6 @@ def y_band_sign_flipped(monkeypatch):
             return BiPoly({(r, s): -c if s % 2 else c for (r, s), c in terms})
 
         monkeypatch.setattr(module, name, corrupt)
-
-
-def search_repeats_a_member(monkeypatch):
-    # each class lists its first member again in place of its last
-    def edit(p, classes):
-        for members in classes.values():
-            members[-1] = members[0]
-
-    _search_edited(monkeypatch, edit)
 
 
 def undivided_steps_unchecked(monkeypatch):
@@ -1373,7 +1383,7 @@ FIELD_ROWS = {
     },
     **{f"coeff.{name}": ECHO for name in ("command", "p", "q", "r", "s")},
     "coeff.present": (support_rule_flipped, COEFF_5_3),
-    "coeff.ell": (ell_plus_one, COEFF_8_3),
+    "coeff.ell": (ell_plus_one, COEFF_5_3),
     "coeff.k": (k_plus_one, COEFF_5_3),
     "coeff.sign": (term_sign_flipped, COEFF_5_3),
     "coeff.magnitude": (newton_plus_one, COEFF_5_3),
