@@ -247,7 +247,6 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
         args.pmax,
         args.q_policy,
         args.cases,
-        args.seed,
         workers=_worker_count(),
     )
     shown = " ".join(f"{k}={v}" for k, v in sorted(res.parameters.items()))
@@ -294,7 +293,7 @@ _COMMANDS = {
     "verify": ("run a named verification suite", _cmd_verify, {
         "--suite": (str,), "--pmax": (int, None),
         "--q-policy": (("all", "coprime"), "all"), "--cases": (int, None),
-        "--seed": (int, None), "--format": (_FORMAT, "text"),
+        "--format": (_FORMAT, "text"),
     }),
 }
 

@@ -462,19 +462,18 @@ def suite_parameters(
     p_max: Optional[int] = None,
     q_policy: str = "all",
     cases: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> dict:
     """The effective (fully-defaulted) parameters of a suite run.
 
     Carried into the result so reports are self-describing; the prime
-    suite records the fixed q its congruence check uses.  The lemmas
-    suite is sized by cases and seed, every other suite by p_max, and
-    only the suites that sweep (p, q) pairs read a q policy other than
-    ``all``.  An unknown suite or a flag the suite does not read is a
-    ValueError.  Then one rule sizes every suite from its row: a size
-    that would check nothing (cases < 1 for lemmas, p_max < 3
-    otherwise) is a ValueError, a size past the row's largest is
-    :class:`TooLarge`.
+    suite records the fixed q its congruence check uses, and the lemmas
+    suite the fixed ``DEFAULT_SEED`` its draws come from.  The lemmas
+    suite is sized by cases, every other suite by p_max, and only the
+    suites that sweep (p, q) pairs read a q policy other than ``all``.
+    An unknown suite or a flag the suite does not read is a ValueError.
+    Then one rule sizes every suite from its row: a size that would
+    check nothing (cases < 1 for lemmas, p_max < 3 otherwise) is a
+    ValueError, a size past the row's largest is :class:`TooLarge`.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -483,7 +482,7 @@ def suite_parameters(
     if suite == "lemmas":
         flag, least, size, unread = "cases", 1, cases, {"pmax": p_max}
     else:
-        flag, least, size, unread = "pmax", 3, p_max, {"cases": cases, "seed": seed}
+        flag, least, size, unread = "pmax", 3, p_max, {"cases": cases}
     if suite in ("prime", "lemmas"):  # neither sweeps (p, q) pairs
         unread["q-policy"] = None if q_policy == "all" else q_policy
     for name, value in unread.items():
@@ -496,8 +495,7 @@ def suite_parameters(
     if size > row.largest:
         raise TooLarge(f"the {suite} suite needs {flag} <= {row.largest}")
     if suite == "lemmas":
-        seed = DEFAULT_SEED if seed is None else seed
-        return {"cases_per_battery": size, "seed": seed}
+        return {"cases_per_battery": size, "seed": DEFAULT_SEED}
     if suite == "prime":
         return {"p_max": size, "q": phimod.PRIMALITY_Q}
     return {"p_max": size, "q_policy": q_policy}
@@ -601,7 +599,6 @@ def run_suite(
     p_max: Optional[int] = None,
     q_policy: str = "all",
     cases: Optional[int] = None,
-    seed: Optional[int] = None,
     workers: int = 1,
 ) -> SuiteResult:
     """Run a whole suite and merge the outcomes in case order.
@@ -612,7 +609,7 @@ def run_suite(
     depend on the worker count.  The modules of the suite's routes are
     imported here, before any fork, so that no child compiles them.
     """
-    params = suite_parameters(suite, p_max, q_policy, cases, seed)
+    params = suite_parameters(suite, p_max, q_policy, cases)
     case_list = _case_list(suite, params)
     for name in _SUITES[suite].modules:
         # __import__, unlike importlib.import_module, shows in -X importtime

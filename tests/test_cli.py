@@ -90,14 +90,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, flag", [
         (("--suite", "lemmas", "--pmax", "40"), "pmax"),
         (("--suite", "prime", "--cases", "5"), "cases"),
-        (("--suite", "sign", "--seed", "3"), "seed"),
-        (("--suite", "witness", "--cases", "5", "--seed", "3"), "cases"),
+        (("--suite", "witness", "--cases", "5"), "cases"),
         (("--suite", "prime", "--q-policy", "coprime"), "q-policy"),
     ])
     def test_verify_size_the_suite_does_not_read_is_usage_error(self, argv, flag):
         res = cli("verify", *argv)
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"error: the {argv[1]} suite does not read {flag}\n"
+
+    def test_verify_has_no_seed_flag(self):
+        # the lemmas draws come from the one fixed DEFAULT_SEED
+        res = cli("verify", "--suite", "lemmas", "--cases", "10", "--seed", "3")
+        assert res.returncode == 2 and res.stdout == ""
+        assert "unrecognized arguments: --seed 3" in res.stderr
 
     @pytest.mark.parametrize("argv", [
         ("phi", "--p", "100000", "--q", "3"),
@@ -1475,5 +1480,5 @@ def test_admitted_fuzz_argvs_fail_cleanly_under_a_caught_fault(capsys, monkeypat
         assert out == "", shown
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (shown, err)
         failed += code == 1
-    # the slice admits growth --q 10 --pmax 24 and permanent --p 25 --q 10
-    assert failed == 2
+    # the slice admits permanent --p 25 --q 10 --backend newton
+    assert failed == 1

@@ -22,9 +22,9 @@ from tricirc.permanent import RYSER_LIMIT
 from tricirc.verify import SUITES, run_case, run_suite
 
 
-def build_cases(suite, p_max=None, q_policy="all", cases=None, seed=None):
+def build_cases(suite, p_max=None, q_policy="all", cases=None):
     """The deterministic, ordered case list of a suite, as run_suite builds it."""
-    params = verifymod.suite_parameters(suite, p_max, q_policy, cases, seed)
+    params = verifymod.suite_parameters(suite, p_max, q_policy, cases)
     return verifymod._case_list(suite, params)
 
 
@@ -45,14 +45,14 @@ def test_all_suites_pass_at_small_sizes():
 
 
 def test_case_lists_are_deterministic():
-    a = build_cases("lemmas", cases=1000, seed=7)
-    b = build_cases("lemmas", cases=1000, seed=7)
+    a = build_cases("lemmas", cases=1000)
+    b = build_cases("lemmas", cases=1000)
     assert a == b
     assert sum(c[2] for c in a) == 3000  # three batteries, 1000 each
 
 
 def test_lemma_chunking_covers_exact_case_count():
-    cases = build_cases("lemmas", cases=997, seed=1)
+    cases = build_cases("lemmas", cases=997)
     per_battery = {}
     for _, battery, n, _ in cases:
         per_battery[battery] = per_battery.get(battery, 0) + n
@@ -453,15 +453,14 @@ def test_sweeps_need_pmax_at_least_3():
 
 
 def test_a_size_the_suite_does_not_read_is_refused():
-    # lemmas is sized by cases and seed, every other suite by p_max
+    # lemmas is sized by cases, every other suite by p_max
     with pytest.raises(ValueError, match="the lemmas suite does not read pmax"):
         build_cases("lemmas", p_max=40)
     for suite in SUITES:
         if suite != "lemmas":
-            for extra in ({"cases": 5}, {"seed": 3}):
-                with pytest.raises(ValueError, match="does not read") as info:
-                    build_cases(suite, **extra)
-                assert not isinstance(info.value, TooLarge)
+            with pytest.raises(ValueError, match="does not read cases") as info:
+                build_cases(suite, cases=5)
+            assert not isinstance(info.value, TooLarge)
     # prime and lemmas sweep no (p, q) pairs, so they refuse a q policy
     # other than the default
     for suite in ("prime", "lemmas"):
