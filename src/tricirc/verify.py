@@ -505,6 +505,33 @@ def _case_list(suite: str, params: dict) -> list[tuple]:
     return [(suite, *args) for args in _SUITES[suite].args(params)]
 
 
+def _require_whole(suite: str, params: dict, case_list: list) -> None:
+    """InternalInconsistency unless the case list is as long as the
+    parameters say, counted without listing the cases: by the row's
+    builder, each lemma battery's chunks draw ``cases_per_battery`` in
+    all, ``prime`` has one case per p, and every other suite one per
+    (p, q) pair that its q policy admits (for ``support``, q <= 8 past
+    ``EXHAUSTIVE_PMAX``)."""
+    build = _SUITES[suite].args
+    if build is _lemma_args:
+        got = {}
+        for _, battery, n, _ in case_list:
+            got[battery] = got.get(battery, 0) + n
+        want = dict.fromkeys(_LEMMA_BATTERIES, params["cases_per_battery"])
+    elif build is _prime_args:
+        got, want = len(case_list), params["p_max"] - 2
+    else:
+        got, want = len(case_list), 0
+        coprime = params["q_policy"] == "coprime"
+        for p in range(3, params["p_max"] + 1):
+            top = 8 if build is _support_args and p > EXHAUSTIVE_PMAX else p - 1
+            want += (
+                sum(math.gcd(p, q) == 1 for q in range(2, top + 1)) if coprime else top - 1
+            )
+    if got != want:
+        raise InternalInconsistency(f"the {suite} suite listed {got} cases, expected {want}")
+
+
 def _run_share(case_list: list, i: int, width: int) -> list[tuple]:
     return [run_case(case) for case in case_list[i::width]]
 
@@ -608,9 +635,12 @@ def run_suite(
     process, where the platform has no ``os.fork``; the result does not
     depend on the worker count.  The modules of the suite's routes are
     imported here, before any fork, so that no child compiles them.
+    The case list is checked whole (:func:`_require_whole`) before any
+    case runs.
     """
     params = suite_parameters(suite, p_max, q_policy, cases)
     case_list = _case_list(suite, params)
+    _require_whole(suite, params, case_list)
     for name in _SUITES[suite].modules:
         # __import__, unlike importlib.import_module, shows in -X importtime
         __import__(f"{__package__}.{name}")

@@ -1141,6 +1141,7 @@ CAUGHT = [
     (reduction_takes_the_second_image, PHI_REDUCED_JSON,
      r"reduced to CirculantSpec\(p=5, q=2, t=1\) with swapped = True, "
      r"but the rule needs q' \* 3 = 4 mod 5 with swapped = False$"),
+    (last_case_dropped, VERIFY_PRIME_12, r"^the prime suite listed 9 cases, expected 10$"),
 ]
 
 #: (corruption, call, the ROADMAP item whose check would catch it): each
@@ -1151,7 +1152,6 @@ UNDETECTED = [
     (newton_plus_one, ("phi", "--p", "5", "--q", "3"), 1),
     (newton_plus_one, COEFF_5_3, 1),
     (term_sign_flipped, ("phi", "--p", "5", "--q", "3", "--backend", "cycle_cover"), 1),
-    (last_case_dropped, VERIFY_PRIME_12, 3),
 ]
 
 

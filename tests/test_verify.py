@@ -59,6 +59,32 @@ def test_lemma_chunking_covers_exact_case_count():
     assert set(per_battery.values()) == {997}
 
 
+@pytest.mark.parametrize("suite, sizes", [
+    ("support", [{"p_max": n} for n in (3, 9, 10, 23, 50)]),
+    ("sign", [{"p_max": n} for n in (3, 12, 23)]),
+    ("cycle", [{"p_max": n} for n in (3, 9)]),
+    ("witness", [{"p_max": n} for n in (3, 30, 60)]),
+    ("permanent", [{"p_max": n} for n in (3, 18)]),
+    ("prime", [{"p_max": n} for n in (3, 40, phimod.NEWTON_LIMIT)]),
+    ("lemmas", [{"cases": n} for n in (1, 31, 32, 997, verifymod.LEMMA_CASES_LIMIT)]),
+])
+def test_the_case_count_check_passes_whole_lists_only(suite, sizes):
+    # the count is arithmetic on the parameters, so any lost or extra case,
+    # or a lemma chunk one draw short, fails before anything runs
+    policies = ("all",) if suite in ("prime", "lemmas") else ("all", "coprime")
+    for size, q_policy in itertools.product(sizes, policies):
+        params = verifymod.suite_parameters(suite, q_policy=q_policy, **size)
+        whole = verifymod._case_list(suite, params)
+        verifymod._require_whole(suite, params, whole)
+        broken = [whole[1:], whole[:-1], whole + whole[:1]]
+        if suite == "lemmas":  # the last chunk one draw short
+            _, battery, n, seed = whole[-1]
+            broken.append([*whole[:-1], ("lemmas", battery, n - 1, seed)])
+        for cases in broken:
+            with pytest.raises(InternalInconsistency, match=f"the {suite} suite listed"):
+                verifymod._require_whole(suite, params, cases)
+
+
 def _patch_suite(monkeypatch, case_fn, cpus=2):
     # a "flaky" suite with the prime suite's cases p = 3..p_max, on a host
     # that reports ``cpus`` CPUs; with two workers the parent runs the odd
