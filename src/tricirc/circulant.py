@@ -29,7 +29,10 @@ are imported inside the float check, their only user in the package,
 so no command loads them.  The routes
 stay in this module, under these names, because the benchmark imports
 ``cycle_cover_counts`` and the Bareiss and float-check routes from here
-and traces them as ``circulant.*``.
+and traces them as ``circulant.*``.  The functions of :mod:`tricirc.phi`
+and :mod:`tricirc.bipoly` are called through their modules, so each
+has one binding; ``CirculantSpec`` and ``reduce_theta`` are also
+importable from here by name, as ``benchmark/make_refs.py`` imports them.
 
 Elimination and the DP need not run at q itself.  Re-indexing Z_p
 maps the determinant at q exactly onto the one at 1/q, 1-q and their
@@ -55,13 +58,11 @@ specs or backends may run concurrently.
 
 from functools import lru_cache
 
-from .bipoly import ONE, ZERO, BiPoly, exact_div
+from . import bipoly, phi
+from .bipoly import ONE, ZERO, BiPoly
 from .errors import InternalInconsistency, TooLarge
 # reduce_theta is not used here: benchmark/make_refs.py imports it from this module
-from .phi import (
-    CirculantSpec, PermClassKey, Record, _require_canonical, canonical_images,
-    from_image, reduce_theta,
-)
+from .phi import CirculantSpec, PermClassKey, Record, reduce_theta
 
 #: largest p accepted by fraction-free elimination; (96, 48), run at
 #: its image 49, is the README limits table's row
@@ -94,12 +95,12 @@ def det_bareiss(spec: CirculantSpec) -> BiPoly:
     "Other measured times").  p/2 is never the only image, since
     1 - p/2 = p/2 + 1 mod p.
     """
-    p, q = _require_canonical(spec)
+    p, q = phi._require_canonical(spec)
     if p > BAREISS_LIMIT:
         raise TooLarge(f"elimination is limited to p <= {BAREISS_LIMIT}")
-    ways = canonical_images(p, q)
+    ways = phi.canonical_images(p, q)
     image = min(g for g in ways if 2 * g != p)
-    return from_image(_bareiss(p, image).terms, p, ways[image])
+    return phi.from_image(_bareiss(p, image).terms, p, ways[image])
 
 
 def _bareiss(p: int, q: int) -> BiPoly:
@@ -113,7 +114,7 @@ def _bareiss(p: int, q: int) -> BiPoly:
     banded phase is cheap.  Every leading principal minor has constant
     term 1 (at x = y = 0 the matrix is the identity), so no pivot is
     zero and no row is swapped; that is checked at runtime, and it gives
-    every divisor the constant term 1 that :func:`exact_div` needs.
+    every divisor the constant term 1 that ``bipoly.exact_div`` needs.
     Rows are sparse column maps.
     """
     mx = BiPoly.monomial(-1, 1, 0)
@@ -139,9 +140,9 @@ def _bareiss(p: int, q: int) -> BiPoly:
             for j in pivot_row if same else set(row).union(pivot_row):
                 a, b = row.get(j, ZERO), pivot_row.get(j, ZERO)
                 if same:
-                    nv = a - exact_div(rik * b, prev)
+                    nv = a - bipoly.exact_div(rik * b, prev)
                 else:
-                    nv = exact_div(a * piv - rik * b, prev)
+                    nv = bipoly.exact_div(a * piv - rik * b, prev)
                 if nv.is_zero():
                     row.pop(j, None)
                 else:
@@ -186,7 +187,7 @@ def det_bruteforce(spec: CirculantSpec) -> BiPoly:
     backends and that search are judged against.  Its times at p = 9
     and p = 10 are among README's other measured times.
     """
-    p, q = _require_canonical(spec)
+    p, q = phi._require_canonical(spec)
     if p > BRUTEFORCE_LIMIT:
         raise TooLarge(f"brute force is limited to p <= {BRUTEFORCE_LIMIT}")
     # column -> (x power, y power) of the nonzero entries of each row
@@ -224,7 +225,7 @@ def window_width(p: int, q: int) -> int:
     image plus one.  1 - q mod p is always an image, so q near p costs
     the same as q near 0.
     """
-    return min(canonical_images(p, q)) + 1
+    return min(phi.canonical_images(p, q)) + 1
 
 
 def dp_cost(p: int, q: int) -> float:
@@ -280,13 +281,13 @@ def cycle_cover_counts(p: int, q: int) -> BiPoly:
     and a :class:`BiPoly` cannot be changed in place.
     """
     PermClassKey.check_pair(p, q)
-    ways = canonical_images(p, q)
+    ways = phi.canonical_images(p, q)
     image = min(ways)
     _check_budget(
         _fitted_cost(p, image + 1), f"p={p}, q={q} ({image + 1}-bit window)"
     )
     counts = _cover_count_rows(image, p, p)[0]
-    return from_image(counts, p, ways[image]).termwise_abs()
+    return phi.from_image(counts, p, ways[image]).termwise_abs()
 
 
 def cover_count_rows(q: int, p_min: int, p_max: int) -> dict[int, BiPoly]:
@@ -418,7 +419,7 @@ def det_cycle_cover(spec: CirculantSpec) -> BiPoly:
     the DP derives r from s at the image of q it runs at, and the maps
     back from an image keep that divisibility.
     """
-    p, q = _require_canonical(spec)
+    p, q = phi._require_canonical(spec)
     return BiPoly(
         {
             (r, s): PermClassKey(p, q, r, s).term_sign * n
@@ -453,7 +454,7 @@ def det_float_check(spec: CirculantSpec, candidate: BiPoly) -> FloatCheckReport:
     import cmath  # only this advisory check uses complex arithmetic
     from fractions import Fraction  # only its sample grid uses fractions
 
-    p, q = _require_canonical(spec)
+    p, q = phi._require_canonical(spec)
     roots = [cmath.exp(2j * cmath.pi * j / p) for j in range(p)]
     worst = 0.0
     worst_pt = (0.0, 0.0)

@@ -106,7 +106,7 @@ from types import SimpleNamespace
 
 from . import phi as phimod
 from .errors import InternalInconsistency, IrreducibleSpec, TooLarge
-from .phi import CirculantSpec, PermClassKey, reduce_theta
+from .phi import CirculantSpec, PermClassKey
 
 WORKERS_ENV = "TRICIRC_WORKERS"
 
@@ -134,7 +134,7 @@ def _worker_count() -> int:
 
 def _cmd_phi(args) -> tuple[dict, list[str]]:
     spec = CirculantSpec(args.p, args.q, args.t)
-    reduced = reduce_theta(spec)
+    reduced = phimod.reduce_theta(spec)
     canon = reduced.spec
     p, q, t = spec.p, spec.q, spec.t
     swapped = gcd(t, p) > 1  # then q' = t/q, else q' = q/t
@@ -261,7 +261,6 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 _FORMAT = ("text", "json")
-_BACKEND = tuple(sorted(phimod.BACKENDS))
 
 #: command -> (help, handler, flags); each flag -> (type,) if it is
 #: required, else (type, default), where the type is int, str or a tuple
@@ -269,11 +268,11 @@ _BACKEND = tuple(sorted(phimod.BACKENDS))
 _COMMANDS = {
     "phi": ("print the determinant polynomial", _cmd_phi, {
         "--p": (int,), "--q": (int,), "--t": (int, 1),
-        "--backend": (_BACKEND, None), "--format": (_FORMAT, "text"),
+        "--backend": (phimod.BACKENDS, None), "--format": (_FORMAT, "text"),
     }),
     "coeff": ("report one coefficient a(r, s)", _cmd_coeff, {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
-        "--backend": (_BACKEND, None), "--format": (_FORMAT, "text"),
+        "--backend": (phimod.BACKENDS, None), "--format": (_FORMAT, "text"),
     }),
     "witness": ("construct one class member", _cmd_witness, {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
@@ -285,7 +284,7 @@ _COMMANDS = {
     }),
     "permanent": ("permanent value and bounds", _cmd_permanent, {
         "--p": (int,), "--q": (int,),
-        "--backend": (_BACKEND, None), "--format": (_FORMAT, "text"),
+        "--backend": (phimod.BACKENDS, None), "--format": (_FORMAT, "text"),
     }),
     "growth": ("max-coefficient growth table", _cmd_growth, {
         "--q": (int,), "--pmax": (int,), "--format": (("csv", "json"), "csv"),

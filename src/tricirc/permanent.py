@@ -27,10 +27,10 @@ and checks it against classical two-sided bounds:
 
 from math import exp, factorial, gcd, log
 
+from . import circulant, phi
 from .bipoly import BiPoly
-from .circulant import cover_count_rows, cycle_cover_counts
 from .errors import InternalInconsistency, TooLarge
-from .phi import NEWTON_LIMIT, PermClassKey, Record, phi_polynomial
+from .phi import NEWTON_LIMIT, PermClassKey, Record
 
 #: largest p accepted by the Ryser expansion (about 2^p / p necklaces;
 #: (24, 12) is the README limits table's row)
@@ -167,14 +167,14 @@ def bounds_report(p: int, q: int, backend: str | None = None) -> PermanentReport
     PermClassKey.check_pair(p, q)
     unsigned = None
     if backend != "cycle_cover":
-        unsigned = cycle_cover_counts(p, q)
+        unsigned = circulant.cycle_cover_counts(p, q)
     elif p > RYSER_LIMIT:
         raise TooLarge(
             f"with the cycle_cover backend d11 must come from Ryser's "
             f"expansion, which is limited to p <= {RYSER_LIMIT}"
         )
     d11, max_coeff, n_monomials, sandwich_ok = _counts(
-        p, q, phi_polynomial(p, q, backend), unsigned
+        p, q, phi.phi_polynomial(p, q, backend), unsigned
     )
     top, bottom = 3**p * factorial(p), p**p
     lower = _lowest_terms(top, bottom)
@@ -270,7 +270,7 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
 
     A table is refused up front if p_max passes NEWTON_LIMIT, which
     also bounds its length, or if the DP plan that
-    :func:`cover_count_rows` picks is over budget.  Then the rows that
+    ``circulant.cover_count_rows`` picks is over budget.  Then the rows that
     one transfer-matrix walk makes cheaper take their counts from it,
     and the others from the DP routed per p.  Every row is checked
     against |Newton| term by term, as :func:`bounds_report` checks it
@@ -290,12 +290,12 @@ def growth_table(q: int, p_max: int) -> list[GrowthRow]:
         raise TooLarge(
             f"each growth row runs Newton's identities, limited to p <= {NEWTON_LIMIT}"
         )
-    walked = cover_count_rows(q, p_min, p_max)
+    walked = circulant.cover_count_rows(q, p_min, p_max)
     rows = []
     for p in range(p_min, p_max + 1):
-        unsigned = walked.get(p) or cycle_cover_counts(p, q)
+        unsigned = walked.get(p) or circulant.cycle_cover_counts(p, q)
         d11, max_coeff, n_monomials, sandwich_ok = _counts(
-            p, q, phi_polynomial(p, q), unsigned
+            p, q, phi.phi_polynomial(p, q), unsigned
         )
         root = _root(max_coeff, p)
         n = int(f"{root:.4f}".replace(".", ""))

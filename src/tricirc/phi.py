@@ -33,7 +33,11 @@ only :mod:`math` and :mod:`typing` (which ``bipoly`` loads anyway).
 The cross-check backends of :data:`BACKENDS` (Bareiss, the cycle-cover
 DP and brute force) live in :mod:`tricirc.circulant`, which is imported
 on their first call; permutations, lattice paths and witnesses live in
-:mod:`tricirc.permclass`.
+:mod:`tricirc.permclass`.  A function has one binding, on its home
+module: the package's modules import each other's classes and constants
+by name and call each other's functions through the module, so a route
+rebound there (as a test or the benchmark's tracer does) is the one
+every caller reaches.
 
 :class:`Record` is the base of every report, key and path: one
 constructor binds the fields a subclass names in ``__slots__``, so no
@@ -42,7 +46,7 @@ and costs more than the whole Newton computation of a small job.
 """
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .bipoly import ONE, BiPoly
 from .errors import InternalInconsistency, IrreducibleSpec, NonExactDivision, TooLarge
@@ -394,30 +398,11 @@ class PermClassKey(Record):
 # the determinant polynomial and its coefficients
 # ---------------------------------------------------------------------------
 
-def _cross_check(name: str) -> Callable[[CirculantSpec], BiPoly]:
-    """The route ``name`` of :mod:`tricirc.circulant`, imported on first call.
-
-    The function is looked up on the module at every call, so a
-    rebinding of the module's name (as the benchmark's tracer does)
-    is seen.
-    """
-
-    def route(spec: CirculantSpec) -> BiPoly:
-        from . import circulant
-
-        return getattr(circulant, name)(spec)
-
-    return route
-
-
-#: backend name -> route; only the default, Newton's identities, is
-#: loaded with this module
-BACKENDS: dict[str, Callable[[CirculantSpec], BiPoly]] = {
-    "newton": det_newton,
-    "bareiss": _cross_check("det_bareiss"),
-    "cycle_cover": _cross_check("det_cycle_cover"),
-    "bruteforce": _cross_check("det_bruteforce"),
-}
+#: the backend names, sorted; each is the route ``det_<name>``, looked up
+#: on its home module when :func:`phi_polynomial` calls it: Newton's
+#: identities here, the cross-checks in :mod:`tricirc.circulant`, which
+#: only a call that names one of them imports
+BACKENDS = ("bareiss", "bruteforce", "cycle_cover", "newton")
 
 
 def default_backend(p: int, q: int) -> str:
@@ -433,11 +418,13 @@ def phi_polynomial(p: int, q: int, backend: Optional[str] = None) -> BiPoly:
     PermClassKey.check_pair(p, q)
     spec = CirculantSpec(p, q)
     name = backend or default_backend(p, q)
-    try:
-        fn = BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}") from None
-    return fn(spec)
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}")
+    if name == "newton":
+        return det_newton(spec)
+    from . import circulant
+
+    return getattr(circulant, f"det_{name}")(spec)
 
 
 def support(p: int, q: int, r: int, s: int) -> bool:

@@ -659,10 +659,10 @@ class TestSymmetricImages:
 
     def test_one_image_table_per_call(self, monkeypatch):
         # the DP prices and runs the image of one canonical_images call
-        real = circulant.canonical_images
+        real = phi.canonical_images
         calls = []
         monkeypatch.setattr(
-            circulant, "canonical_images", lambda *args: calls.append(args) or real(*args)
+            phi, "canonical_images", lambda *args: calls.append(args) or real(*args)
         )
         cycle_cover_counts.cache_clear()
         cycle_cover_counts(11, 5)

@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from tricirc import circulant
+from tricirc import bipoly, circulant
 from tricirc import cli as climod
 from tricirc import permanent as permmod
 from tricirc import permclass
@@ -24,7 +24,8 @@ from tricirc import phi as phimod
 from tricirc import verify as verifymod
 from tricirc.bipoly import ONE, BiPoly
 
-from test_fuzz import RUNS, SEED, fuzz_argvs
+from test_fuzz import RUNS, fuzz_argvs
+from test_permclass import FAULTY_STEP_RULES
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -589,7 +590,7 @@ class TestFastParse:
 
     def test_fuzz_argvs_parse_as_argparse_parses_them(self):
         taken = 0
-        for argv in fuzz_argvs(RUNS, SEED):
+        for argv in fuzz_argvs():
             fast = climod._fast_parse(argv)
             if fast is not None:
                 taken += 1
@@ -851,14 +852,13 @@ class TestImportGate:
 # ---------------------------------------------------------------------------
 
 def _newton_5_3_plus(monkeypatch, terms):
-    # in the backend table and on its module, where the sign suite calls it
+    # on its module, the one binding that phi_polynomial and the sign suite call
     real = phimod.det_newton
 
     def corrupt(spec):
         poly = real(spec)
         return poly + BiPoly(terms) if (spec.p, spec.q) == (5, 3) else poly
 
-    monkeypatch.setitem(phimod.BACKENDS, "newton", corrupt)
     monkeypatch.setattr(phimod, "det_newton", corrupt)
 
 
@@ -884,13 +884,35 @@ def term_sign_flipped(monkeypatch):
 
 
 def dp_count_plus_one(monkeypatch):
-    # +1 on the constant term; the cached polynomial itself is left alone
-    real = permmod.cycle_cover_counts
+    # +1 on the constant term; the cached polynomial itself is left alone.
+    # On its module, so det_cycle_cover reads the fault as the permanent does
+    real = circulant.cycle_cover_counts
 
     def corrupt(p, q):
         return real(p, q) + BiPoly({(0, 0): 1})
 
-    monkeypatch.setattr(permmod, "cycle_cover_counts", corrupt)
+    monkeypatch.setattr(circulant, "cycle_cover_counts", corrupt)
+
+
+# (key, rule, text) of each faulty witness step rule of tests/test_permclass.py
+OPEN_WALK, REVISIT, CROSSING, SWAPPED = FAULTY_STEP_RULES
+
+
+def words_all_east(monkeypatch):
+    # a witness walk stays open, and build_path misses its end point
+    monkeypatch.setattr(permclass, "_path_steps", OPEN_WALK[1])
+
+
+def walk_revisits_a_point(monkeypatch):
+    monkeypatch.setattr(permclass, "_path_steps", REVISIT[1])
+
+
+def witness_cycles_cross(monkeypatch):
+    monkeypatch.setattr(permclass, "_path_steps", CROSSING[1])
+
+
+def step_counts_swapped(monkeypatch):
+    monkeypatch.setattr(permclass, "_path_steps", SWAPPED[1])
 
 
 def last_step_flipped(monkeypatch):
@@ -966,13 +988,13 @@ def power_sum_plus_one(monkeypatch):
 def divided_constant_plus_one(monkeypatch):
     # +1 on the constant term of every quotient by a divisor other than 1,
     # the divisions that run the power-series loop
-    real = circulant.exact_div
+    real = bipoly.exact_div
 
     def corrupt(a, b):
         quot = real(a, b)
         return quot if b == ONE else quot + ONE
 
-    monkeypatch.setattr(circulant, "exact_div", corrupt)
+    monkeypatch.setattr(bipoly, "exact_div", corrupt)
 
 
 def abs_sum_plus_one(monkeypatch):
@@ -1056,7 +1078,7 @@ def reduction_takes_the_second_image(monkeypatch):
         qp, (order, _) = list(images.items())[1]
         return phimod.ReducedSpec(phimod.CirculantSpec(spec.p, qp), order == "zyx")
 
-    monkeypatch.setattr(climod, "reduce_theta", corrupt)
+    monkeypatch.setattr(phimod, "reduce_theta", corrupt)
 
 
 def last_case_dropped(monkeypatch):
@@ -1067,6 +1089,7 @@ def last_case_dropped(monkeypatch):
 ENUMERATE_5_3 = ("enumerate", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 COEFF_5_3 = ("coeff", "--p", "5", "--q", "3", "--r", "2", "--s", "1")
 WITNESS_17_5 = ("witness", "--p", "17", "--q", "5", "--r", "6", "--s", "9")
+WITNESS_5_CYCLE = ("witness", "--p", "5", "--q", "3", "--r", "5", "--s", "0")
 COEFF_8_3 = ("coeff", "--p", "8", "--q", "3", "--r", "4", "--s", "4")
 ENUMERATE_5_CYCLE = ("enumerate", "--p", "5", "--q", "3", "--r", "5", "--s", "0")
 PHI_REDUCED_JSON = ("phi", "--p", "5", "--q", "4", "--t", "3", "--format", "json")
@@ -1085,6 +1108,9 @@ CAUGHT = [
     (term_sign_flipped, COEFF_5_3, "contradicts the gcd rule"),
     (dp_count_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),
     (last_step_flipped, WITNESS_17_5, "word from 1 ends at 14, not back at the start"),
+    (walk_revisits_a_point, WITNESS_5_CYCLE, REVISIT[2] + "$"),
+    (witness_cycles_cross, WITNESS_17_5, CROSSING[2] + "$"),
+    (step_counts_swapped, WITNESS_5_CYCLE, SWAPPED[2] + "$"),
     (unpack_total_plus_one, PERMANENT_5_3, "s = 0 holds 3 covers for p=5, q=2"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "3"), "5 does not divide the coefficient -6"),
     (power_sum_plus_one, ("phi", "--p", "5", "--q", "4", "--t", "3"),
@@ -1283,9 +1309,28 @@ SUITE_CAUGHT = [
     }),
     # the DP reads its signs off the rule, so the routes disagree first
     (term_sign_flipped, {"sign": "(p=3, q=2): bruteforce and cycle_cover disagree"}),
-    (dp_count_plus_one, {"permanent": PERMANENT_3_2_CASE + "'the unsigned DP differs"}),
+    # det_cycle_cover reads the DP's one binding too, so the sign suite
+    # sees its route leave brute force at the first pair
+    (dp_count_plus_one, {
+        "sign": "(p=3, q=2): bruteforce and cycle_cover disagree",
+        "permanent": PERMANENT_3_2_CASE + "'the unsigned DP differs",
+    }),
     (last_step_flipped, {
         "witness": "_witness_case(3, 2): InternalInconsistency('word from 1 ends at 2,",
+    }),
+    (words_all_east, {
+        "witness": "_witness_case(3, 2): InternalInconsistency('word from 1 ends at 3,",
+    }),
+    (walk_revisits_a_point, {
+        "witness": "_witness_case(3, 2): InternalInconsistency('point 1 revisited",
+    }),
+    # seventeen east steps revisit a point of Z_3 before any cycles cross
+    (witness_cycles_cross, {
+        "witness": "_witness_case(3, 2): InternalInconsistency('point 1 revisited",
+    }),
+    (step_counts_swapped, {
+        "witness": "_witness_case(3, 2): InternalInconsistency('witness for "
+                   "PermClassKey(p=3, q=2, r=3, s=0) has the wrong profile",
     }),
     (unpack_total_plus_one, {
         "sign": "_sign_case(3, 2): InternalInconsistency('s = 0 holds 3 covers",
@@ -1341,10 +1386,12 @@ SUITE_CAUGHT = [
 @pytest.fixture
 def fresh_dp_cache():
     # the DP's results are cached: a clean one from an earlier test would
-    # hide a fault in the DP, and one made under a fault must not outlive it
-    circulant.cycle_cover_counts.cache_clear()
+    # hide a fault in the DP, and one made under a fault must not outlive it;
+    # read before the test, which may rebind the DP to an uncached fault
+    clear = circulant.cycle_cover_counts.cache_clear
+    clear()
     yield
-    circulant.cycle_cover_counts.cache_clear()
+    clear()
 
 
 def failing_suites() -> dict:
@@ -1362,6 +1409,30 @@ def test_corruption_fails_exactly_these_suites(corrupt, caught, monkeypatch, fre
     assert failed.keys() == caught.keys(), failed
     for suite, start in caught.items():
         assert failed[suite].startswith(start), failed[suite]
+
+
+#: (corruption, verify argv, its first counterexample) for each check that
+#: only a suite outside PQ_SUITES runs: the run prints its counts and that
+#: counterexample, and exits 1
+VERIFY_FAILED = [
+    (words_all_east, ("verify", "--suite", "lemmas", "--cases", "10"),
+     "_lemma_chunk('path_bound', 1, 92437): "
+     "InternalInconsistency('path construction missed (16, 16)')"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, argv, first", VERIFY_FAILED, ids=map(_row_id, VERIFY_FAILED)
+)
+def test_corruption_fails_the_suite_that_runs_its_check(
+    corrupt, argv, first, capsys, monkeypatch
+):
+    monkeypatch.setenv(climod.WORKERS_ENV, "1")
+    corrupt(monkeypatch)
+    assert climod.run(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"first_counterexample: {first}"
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1469,8 +1540,8 @@ def test_admitted_fuzz_argvs_fail_cleanly_under_a_caught_fault(capsys, monkeypat
     # 2 and 3, leaves stdout empty and prints one line, the error line
     monkeypatch.setenv(climod.WORKERS_ENV, "1")
     dp_count_plus_one(monkeypatch)
-    failed = 0
-    for argv in fuzz_argvs(RUNS, SEED):
+    failed = []
+    for argv in fuzz_argvs():
         if argv[0] not in ("permanent", "growth"):
             continue
         code = climod.run(argv)
@@ -1479,6 +1550,13 @@ def test_admitted_fuzz_argvs_fail_cleanly_under_a_caught_fault(capsys, monkeypat
         assert code in (1, 2, 3), (shown, code)
         assert out == "", shown
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (shown, err)
-        failed += code == 1
-    # the slice admits permanent --p 25 --q 10 --backend newton
-    assert failed == 1
+        if code == 1:
+            failed.append(shown)
+    # each command's argvs come from its own stream (tests/test_fuzz.py)
+    assert failed == [
+        "growth --q 11 --pmax 24 --format csv",
+        "growth --q 51 --pmax 61",
+        "permanent --p 51 --q 19 --format json",
+        "permanent --p 61 --q 10 --backend bareiss --format text",
+        "permanent --p 25 --q 10 --format json",
+    ]

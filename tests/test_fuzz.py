@@ -4,7 +4,9 @@ Each argv names one command and gives its flags values from the
 parser itself: a choice flag one of its choices, ``--suite`` one of the
 suites and every integer flag an edge value (-1, 0, each declared limit
 plus one, 10^6 or 10^18).  Required flags are always given, optional
-ones half the time.  Each argv runs in process through ``cli.run``.
+ones half the time.  Each command gets ``PER_COMMAND`` argvs from its
+own seeded stream, so a change to one command's flags re-deals that
+command's argvs alone.  Each argv runs in process through ``cli.run``.
 A refusal must come within ``REFUSAL_S`` with exit 2 or 3, empty
 stdout and exactly one stderr line, the ``error:`` line (no ``note:``
 before it); no argv may raise.
@@ -26,7 +28,8 @@ from test_readme import declared_limits
 from tricirc import cli as climod
 from tricirc import verify
 
-RUNS = 200
+PER_COMMAND = 30
+RUNS = PER_COMMAND * len(climod._COMMANDS)
 SEED = 20261018
 REFUSAL_S = 0.5
 HANG_S = 1.0
@@ -51,35 +54,54 @@ def command_flags() -> dict:
     }
 
 
-def fuzz_argvs(runs: int, seed: int):
-    rng = random.Random(seed)
-    commands = command_flags()
-    names = sorted(commands)
-    for _ in range(runs):
-        name = rng.choice(names)
-        argv = [name]
-        for action in commands[name]:
-            if not action.required and rng.random() < 0.5:
-                continue
-            if action.choices:
-                value = rng.choice(sorted(action.choices))
-            elif action.type is int:
-                value = rng.choice(EDGES)
-            else:
-                assert action.dest == "suite", action.dest
-                value = rng.choice(verify.SUITES)
-            argv += [action.option_strings[0], str(value)]
-        yield argv
+def fuzz_argvs():
+    """``PER_COMMAND`` argvs of each command, the commands in sorted order."""
+    for name, actions in sorted(command_flags().items()):
+        rng = random.Random(f"{SEED}:{name}")
+        for _ in range(PER_COMMAND):
+            argv = [name]
+            for action in actions:
+                if not action.required and rng.random() < 0.5:
+                    continue
+                if action.choices:
+                    value = rng.choice(sorted(action.choices))
+                elif action.type is int:
+                    value = rng.choice(EDGES)
+                else:
+                    assert action.dest == "suite", action.dest
+                    value = rng.choice(verify.SUITES)
+                argv += [action.option_strings[0], str(value)]
+            yield argv
 
 
 def test_the_grammar_covers_every_flag():
-    seen = {(argv[0], flag) for argv in fuzz_argvs(RUNS, SEED) for flag in argv[1::2]}
+    seen = {(argv[0], flag) for argv in fuzz_argvs() for flag in argv[1::2]}
     every = {
         (name, action.option_strings[0])
         for name, actions in command_flags().items()
         for action in actions
     }
     assert seen == every
+
+
+def test_a_flag_change_re_deals_only_its_own_command(monkeypatch):
+    # growth gains a flag; every other command draws the same argvs
+    def by_command():
+        out = {}
+        for argv in fuzz_argvs():
+            out.setdefault(argv[0], []).append(argv)
+        return out
+
+    before = by_command()
+    help_text, handler, flags = climod._COMMANDS["growth"]
+    monkeypatch.setitem(
+        climod._COMMANDS, "growth", (help_text, handler, {"--t": (int, 1), **flags})
+    )
+    after = by_command()
+    assert after.keys() == before.keys()
+    assert after["growth"] != before["growth"]
+    for name in before.keys() - {"growth"}:
+        assert after[name] == before[name], name
 
 
 def raise_overran(signum, frame):
@@ -92,7 +114,7 @@ def test_refused_input_fails_fast_and_cleanly(capsys, monkeypatch):
     previous = signal.signal(signal.SIGALRM, raise_overran)
     refused = 0
     try:
-        for argv in fuzz_argvs(RUNS, SEED):
+        for argv in fuzz_argvs():
             t0 = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, HANG_S)
             try:

@@ -154,6 +154,28 @@ def test_only_main_freezes_the_heap():
     assert found == ["cli.main", "cli.main"]  # import gc; gc.freeze()
 
 
+def test_each_function_has_one_binding():
+    # a module imports another package module's classes and constants by
+    # name and calls its functions through that module, so a function
+    # rebound on its home module (as a test or a tracer does) is the one
+    # every caller reaches; any non-class callable counts, an lru_cache
+    # wrapper too.  circulant imports reduce_theta for make_refs.py alone
+    found = []
+    for path in sorted(Path(tricirc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            module = f"tricirc.{node.module}" if node.level else node.module
+            if not module.startswith("tricirc."):
+                continue
+            home = importlib.import_module(module)
+            for alias in node.names:
+                obj = getattr(home, alias.name)
+                if callable(obj) and not isinstance(obj, type):
+                    found.append(f"{path.stem}: {module}.{alias.name}")
+    assert found == ["circulant: tricirc.phi.reduce_theta"]
+
+
 def test_only_forked_children_exit_without_finalization():
     # os._exit skips atexit handlers and the stdio flush, so only verify's
     # forked children, which report through their pipe, may call it

@@ -8,6 +8,7 @@ import pytest
 
 from polytext import parse
 from tricirc import circulant, cli
+from tricirc import phi as phimod
 from tricirc import permanent as permmod
 from tricirc.circulant import cover_count_rows, cycle_cover_counts
 from tricirc.errors import InternalInconsistency, TooLarge
@@ -210,16 +211,20 @@ class TestBounds:
             "1 + x^8 + 8*x^5*y + 2*x^2*y^2 + 12*x^4*y^4 + 8*x*y^5 + y^8"
         )
         assert swapped != cycle_cover_counts(8, 3)
-        monkeypatch.setattr(permmod, "cycle_cover_counts", lambda p, q: swapped)
+        monkeypatch.setattr(circulant, "cycle_cover_counts", lambda p, q: swapped)
         with pytest.raises(InternalInconsistency):
             bounds_report(8, 3)
 
     def test_dp_backend_takes_d11_from_ryser(self, monkeypatch):
-        def no_dp(p, q):
-            pytest.fail("the unsigned DP must not give d11")
-
-        monkeypatch.setattr(permmod, "cycle_cover_counts", no_dp)
+        # the DP runs once, as the signed route det_cycle_cover; it does
+        # not run a second time to give d11
+        real = circulant.cycle_cover_counts
+        calls = []
+        monkeypatch.setattr(
+            circulant, "cycle_cover_counts", lambda p, q: calls.append((p, q)) or real(p, q)
+        )
         assert bounds_report(8, 3, "cycle_cover").d11 == 33
+        assert calls == [(8, 3)]
         # a wrong Ryser value is caught against the DP's own polynomial
         monkeypatch.setattr(permmod, "permanent_ryser", lambda p, q: 34)
         with pytest.raises(InternalInconsistency):
@@ -328,8 +333,8 @@ class TestGrowth:
             return [{}] * (p_hi - p_lo + 1)
 
         monkeypatch.setattr(circulant, "_cover_count_rows", record)
-        monkeypatch.setattr(permmod, "cycle_cover_counts", lambda p, q: None)
-        monkeypatch.setattr(permmod, "phi_polynomial", lambda p, q: None)
+        monkeypatch.setattr(circulant, "cycle_cover_counts", lambda p, q: None)
+        monkeypatch.setattr(phimod, "phi_polynomial", lambda p, q: None)
         monkeypatch.setattr(permmod, "_counts", lambda *args: (1, 1, 1, True))
         assert len(growth_table(q, p_max)) == p_max - max(2, q)
         assert walks == [(q, 2 * q - 1, p_max)]

@@ -27,6 +27,27 @@ from tricirc.permanent import permanent_ryser
 from tricirc.phi import phi_polynomial
 
 
+#: (key, step rule, text): a faulty ``_path_steps`` and the check of
+#: ``construct_witness`` that it trips at the key (the CLI's witness rows
+#: in tests/test_cli.py reuse them)
+FAULTY_STEP_RULES = [
+    # the word of (6, 9)/3 made all east: it ends at 6, not at 1
+    (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * (r + s),
+     "word from 1 ends at 6, not back at the start"),
+    # three east steps, then q: 1, 2, 3, 4, then 4 + 3 = 2 again
+    (PermClassKey(5, 3, 5, 0), lambda r, s, e, n: [e] * 3 + [n] * 2,
+     "point 2 revisited before the word ended"),
+    # a word that closes only after visiting every point, so the
+    # cycles from 5 and 9 cross the one from 1
+    (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * 17,
+     "not disjoint at point 5"),
+    # the step counts swapped: five q-steps close 1, 4, 2, 5, 3 into
+    # one cycle, whose profile is (0, 5), not (5, 0)
+    (PermClassKey(5, 3, 5, 0), lambda r, s, e, n: [n] * r + [e] * s,
+     "has the wrong profile"),
+]
+
+
 def vertices(word: str) -> list[tuple[int, int]]:
     """The vertices of the path from (0, 0) that takes the E/N steps of word."""
     verts = [(0, 0)]
@@ -678,22 +699,7 @@ class TestWitness:
         assert type(got.value) is type(want.value) is exc
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("key, rule, fault", [
-        # the word of (6, 9)/3 made all east: it ends at 6, not at 1
-        (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * (r + s),
-         "word from 1 ends at 6, not back at the start"),
-        # three east steps, then q: 1, 2, 3, 4, then 4 + 3 = 2 again
-        (PermClassKey(5, 3, 5, 0), lambda r, s, e, n: [e] * 3 + [n] * 2,
-         "point 2 revisited before the word ended"),
-        # a word that closes only after visiting every point, so the
-        # cycles from 5 and 9 cross the one from 1
-        (PermClassKey(17, 5, 6, 9), lambda r, s, e, n: [e] * 17,
-         "not disjoint at point 5"),
-        # the step counts swapped: five q-steps close 1, 4, 2, 5, 3 into
-        # one cycle, whose profile is (0, 5), not (5, 0)
-        (PermClassKey(5, 3, 5, 0), lambda r, s, e, n: [n] * r + [e] * s,
-         "has the wrong profile"),
-    ])
+    @pytest.mark.parametrize("key, rule, fault", FAULTY_STEP_RULES)
     def test_a_faulty_step_rule_raises(self, monkeypatch, key, rule, fault):
         monkeypatch.setattr(permclass, "_path_steps", rule)
         with pytest.raises(InternalInconsistency, match=fault):

@@ -13,6 +13,7 @@ from polytext import parse
 from tricirc.bipoly import ONE, BiPoly
 from tricirc.circulant import CirculantSpec, det_bruteforce
 from tricirc.phi import (
+    BACKENDS,
     PRIMALITY_Q,
     CoefficientReport,
     binomial_power,
@@ -125,15 +126,19 @@ class TestPhiPolynomial:
         with pytest.raises(ValueError):
             phi_polynomial(5, 3, "cofactor")
 
-    @pytest.mark.parametrize("backend", ["bareiss", "cycle_cover", "bruteforce"])
+    @pytest.mark.parametrize("backend", ["bareiss", "bruteforce", "cycle_cover", "newton"])
     def test_cross_check_is_looked_up_at_call_time(self, monkeypatch, backend):
         # a rebinding of the route in its home module (as an outside
-        # tracer does) is what the backend table calls
-        from tricirc import circulant
+        # tracer does) is what phi_polynomial calls
+        from tricirc import circulant, phi
 
+        home = phi if backend == "newton" else circulant
         marker = parse("1 - x")
-        monkeypatch.setattr(circulant, f"det_{backend}", lambda spec: marker)
+        monkeypatch.setattr(home, f"det_{backend}", lambda spec: marker)
         assert phi_polynomial(5, 3, backend) is marker
+
+    def test_backends_are_the_sorted_route_names(self):
+        assert BACKENDS == ("bareiss", "bruteforce", "cycle_cover", "newton")
 
 
 class TestPrimality:

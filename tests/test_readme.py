@@ -195,8 +195,8 @@ def test_longest_admitted_growth_tables_are_the_longest(monkeypatch):
     monkeypatch.setattr(
         circulant, "_cover_count_rows", lambda q, p_lo, p_hi: [{}] * (p_hi - p_lo + 1)
     )
-    monkeypatch.setattr(permanent, "cycle_cover_counts", lambda p, q: None)
-    monkeypatch.setattr(permanent, "phi_polynomial", lambda p, q: None)
+    monkeypatch.setattr(circulant, "cycle_cover_counts", lambda p, q: None)
+    monkeypatch.setattr(phimod, "phi_polynomial", lambda p, q: None)
     monkeypatch.setattr(permanent, "_counts", lambda *args: (1, 1, 1, True))
     tables = re.findall(
         r"^\| The longest admitted growth table [^|]*\|[^|]*"
