@@ -11,22 +11,24 @@ reader (the code a shell reports for a tool ended by SIGPIPE).  A failed
 internal check prints one ``error:`` line to stderr, as a refusal does,
 and no traceback.
 
-Every command has one grammar, its entry in ``_COMMANDS``: each flag's
-type (an int, a string or one of a set of choices) and its default, a
-flag without one being required.  Two parsers read it.  :func:`run`
-first tries a strict one: ``argv[0]`` a command, the rest ``--flag
-value`` pairs, each flag the command's own, spelled in full and given
-once, no value starting with ``-``, each int read by ``int()`` and each
-choice checked by membership, and every required flag present.  What it
-accepts it returns as the namespace that argparse would return (the
-same attributes, ``command`` and ``func`` included), so every well-formed
-job runs without loading :mod:`argparse` (nor :mod:`gettext` and
-:mod:`locale`, which argparse's messages bring in).  Every other argv
-goes, unchanged, to the argparse tree that :func:`build_parser` makes
-from the same table: help and usage, every error, and the spellings only
-argparse reads (``--p=5``, an abbreviated flag, a repeated flag, a
-negative value).  So argparse stays the one source of help, usage and
-error text, and a job parses to the same values on either path.
+Every command has one grammar, its entry in ``_COMMANDS``: its help and
+each flag's type (an int, a string or one of a set of choices) and its
+default, a flag without one being required; :func:`run` looks its
+handler, ``_cmd_<command>``, up on this module by name.  Two parsers
+read it.  :func:`run` first tries a strict one: ``argv[0]`` a command,
+the rest ``--flag value`` pairs, each flag the command's own, spelled in
+full and given once, no value starting with ``-``, each int read by
+``int()`` and each choice checked by membership, and every required flag
+present.  What it accepts it returns as the namespace that argparse
+would return (the same attributes, ``command`` included), so every
+well-formed job runs without loading :mod:`argparse` (nor :mod:`gettext`
+and :mod:`locale`, which argparse's messages bring in).  Every other
+argv goes, unchanged, to the argparse tree that :func:`build_parser`
+makes from the same table: help and usage, every error, and the
+spellings only argparse reads (``--p=5``, an abbreviated flag, a
+repeated flag, a negative value).  So argparse stays the one source of
+help, usage and error text, and a job parses to the same values on
+either path.
 
 Every command has one output path.  Its handler computes and checks,
 then returns its JSON payload and its text or CSV lines; only then does
@@ -262,34 +264,34 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
 
 _FORMAT = ("text", "json")
 
-#: command -> (help, handler, flags); each flag -> (type,) if it is
-#: required, else (type, default), where the type is int, str or a tuple
-#: of the flag's choices
+#: command -> (help, flags); each flag -> (type,) if it is required,
+#: else (type, default), where the type is int, str or a tuple of the
+#: flag's choices; the command's handler is ``_cmd_<command>``
 _COMMANDS = {
-    "phi": ("print the determinant polynomial", _cmd_phi, {
+    "phi": ("print the determinant polynomial", {
         "--p": (int,), "--q": (int,), "--t": (int, 1),
         "--backend": (phimod.BACKENDS, None), "--format": (_FORMAT, "text"),
     }),
-    "coeff": ("report one coefficient a(r, s)", _cmd_coeff, {
+    "coeff": ("report one coefficient a(r, s)", {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
         "--backend": (phimod.BACKENDS, None), "--format": (_FORMAT, "text"),
     }),
-    "witness": ("construct one class member", _cmd_witness, {
+    "witness": ("construct one class member", {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
         "--format": (_FORMAT, "text"),
     }),
-    "enumerate": ("list a whole class (p <= 10)", _cmd_enumerate, {
+    "enumerate": ("list a whole class (p <= 10)", {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
         "--format": (_FORMAT, "text"),
     }),
-    "permanent": ("permanent value and bounds", _cmd_permanent, {
+    "permanent": ("permanent value and bounds", {
         "--p": (int,), "--q": (int,),
         "--backend": (phimod.BACKENDS, None), "--format": (_FORMAT, "text"),
     }),
-    "growth": ("max-coefficient growth table", _cmd_growth, {
+    "growth": ("max-coefficient growth table", {
         "--q": (int,), "--pmax": (int,), "--format": (("csv", "json"), "csv"),
     }),
-    "verify": ("run a named verification suite", _cmd_verify, {
+    "verify": ("run a named verification suite", {
         "--suite": (str,), "--pmax": (int, None),
         "--q-policy": (("all", "coprime"), "all"), "--cases": (int, None),
         "--format": (_FORMAT, "text"),
@@ -306,8 +308,8 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
     given = dict(zip(argv[1::2], argv[2::2]))
     if 2 * len(given) + 1 != len(argv):  # a flag given twice
         return None
-    args = SimpleNamespace(command=argv[0], func=entry[1])
-    for flag, (kind, *default) in entry[2].items():
+    args = SimpleNamespace(command=argv[0])
+    for flag, (kind, *default) in entry[1].items():
         value = given.pop(flag, None)
         if value is None:
             if not default:
@@ -337,7 +339,7 @@ def build_parser() -> "argparse.ArgumentParser":
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, flags) in _COMMANDS.items():
+    for name, (help_text, flags) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
         for flag, (kind, *default) in flags.items():
             kwargs = {"default": default[0]} if default else {"required": True}
@@ -346,7 +348,6 @@ def build_parser() -> "argparse.ArgumentParser":
             elif kind is not str:
                 kwargs["choices"] = kind
             sp.add_argument(flag, **kwargs)
-        sp.set_defaults(func=handler)
     return parser
 
 
@@ -361,7 +362,7 @@ def run(argv=None) -> int:
             code = exc.code
             return code if isinstance(code, int) else EXIT_USAGE
     try:
-        payload, lines = args.func(args)
+        payload, lines = globals()[f"_cmd_{args.command}"](args)
     except (ValueError, InternalInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (IrreducibleSpec, TooLarge)):

@@ -277,13 +277,13 @@ def path_bound_check(word: str, r: int, s: int) -> bool:
 # witness construction
 # ---------------------------------------------------------------------------
 
-def _walk_word(start: int, word, p: int) -> list[int]:
-    # points visited by the word; construct_witness builds every word it
-    # walks, so a repeat before the end or an open end is
+def _walk_word(word, p: int) -> list[int]:
+    # points visited by the word from 1; construct_witness builds every
+    # word it walks, so a repeat before the end or an open end is
     # InternalInconsistency, and only a failed walk is rescanned to name
     # the first repeated point
-    points = [start]
-    v = start
+    points = [1]
+    v = 1
     for step in word:
         v = (v + step - 1) % p + 1
         points.append(v)
@@ -294,8 +294,8 @@ def _walk_word(start: int, word, p: int) -> list[int]:
             if v in seen:
                 raise InternalInconsistency(f"point {v} revisited before the word ended")
             seen.add(v)
-    if end != start:
-        raise InternalInconsistency(f"word from {start} ends at {end}, not back at the start")
+    if end != 1:
+        raise InternalInconsistency(f"word from 1 ends at {end}, not back at the start")
     return points
 
 
@@ -323,7 +323,7 @@ def construct_witness(key: PermClassKey) -> Permutation:
     if r == 0 and s == 0:
         return Permutation.identity(p)
     k = key.k
-    walk = _walk_word(1, _path_steps(r // k, s // k, 1, q), p)
+    walk = _walk_word(_path_steps(r // k, s // k, 1, q), p)
     images = list(range(p + 1))  # images[a] is the image of a; 0 is unused
     owner = bytearray(p + 1)  # 1 where a cycle already moves the point
     n = len(walk)

@@ -22,16 +22,18 @@ machine checks against independent oracles:
                    ``construct_witness`` walks, and the paper's
                    divisibility-gap lemma in integer arithmetic.
 
-A suite is one row of ``_SUITES``: its default and largest size (cases
-per battery for ``lemmas``, pmax for the others), a builder that lists
-the arguments of its cases, a case function and the package modules
-that function imports.  A case function runs the same routes in every
-case, and the largest size is the suite's own measured size, inside
-every route's reach.  It imports the home modules of its
-routes when it runs and calls each route on its module, so a suite
-loads only its own routes (``lemmas`` and ``witness`` only
+A suite is one row of ``_SUITES``, plain data: its default and largest
+size (cases per battery for ``lemmas``, pmax for the others), the kind
+of its case list and the package modules its case function imports.
+The row's functions are looked up on this module by name as they run:
+``_<kind>_args`` lists the cases, ``_<suite>_case`` runs one and
+``_check_<battery>`` draws one lemma instance.  A case function runs the
+same routes in every case, and the largest size is the suite's own
+measured size, inside every route's reach.  It imports the home modules
+of its routes when it runs and calls each route on its module, so a
+suite loads only its own routes (``lemmas`` and ``witness`` only
 :mod:`tricirc.permclass`, ``prime`` nothing beyond :mod:`tricirc.phi`,
-which this module imports), and a route rebound on its module, as a
+which this module imports), and a function rebound on its module, as a
 tracer or a fault-injecting test does, is the one the suite runs.
 A case function is a generator that yields once per check: ``None``
 when the check passed, the counterexample text when it failed, so a
@@ -56,7 +58,7 @@ import math
 import operator
 import os
 import random
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import phi as phimod
 from .bipoly import Monomial
@@ -80,6 +82,10 @@ LEMMA_CASES_LIMIT = 100000
 #: lemma batteries are split into this many fixed chunks so results do
 #: not depend on how chunks are assigned to workers
 LEMMA_CHUNKS = 32
+
+#: the ``support`` suite's largest q past ``EXHAUSTIVE_PMAX``, where the DP
+#: replaces brute force: a window of q + 1 bits or fewer keeps it far in budget
+_SUPPORT_DP_QMAX = 8
 
 #: what a case function yields per check: None, or the counterexample
 Checks = Iterator[Optional[str]]
@@ -284,9 +290,9 @@ def _prime_case(p: int) -> Checks:
 
 
 # ---------------------------------------------------------------------------
-# randomized lemma batteries: each draws one instance and returns None if
-# the lemma holds there, else a description of the instance; the routes
-# come from the permclass module that the chunk passes in
+# randomized lemma batteries: each ``_check_<battery>`` draws one instance
+# and returns None if the lemma holds there, else a description of the
+# instance; the routes come from the permclass module that the case passes in
 # ---------------------------------------------------------------------------
 
 def _randint(bits, a: int, b: int) -> int:
@@ -348,28 +354,25 @@ def _check_divisibility_gap(rng: random.Random, permclass) -> Optional[str]:
     return None if ok else f"p={p} q={q} a={a} b={b} r={r} s={s}: sa-rb={v}"
 
 
-_LEMMA_BATTERIES = {
-    "cyclic_order": _check_cyclic_order,
-    "path_bound": _check_path_bound,
-    "divisibility_gap": _check_divisibility_gap,
-}
+#: the battery names, in the order their chunks are listed and seeded
+_LEMMA_BATTERIES = ("cyclic_order", "divisibility_gap", "path_bound")
 
 
-def _lemma_chunk(battery: str, n: int, seed: int) -> Checks:
+def _lemmas_case(battery: str, n: int, seed: int) -> Checks:
     from . import permclass  # once per chunk, not per draw
 
     rng = random.Random(seed)
-    check = _LEMMA_BATTERIES[battery]
+    check = globals()[f"_check_{battery}"]
     for _ in range(n):
         desc = check(rng, permclass)
         yield None if desc is None else f"{battery}: {desc}"
 
 
 # ---------------------------------------------------------------------------
-# suite assembly: each builder lists a suite's case arguments from its parameters
+# suite assembly: each ``_<kind>_args`` lists a suite's case arguments
 # ---------------------------------------------------------------------------
 
-def _pairs(params):
+def _pairs_args(params):
     return list(_iter_pq(3, params["p_max"], params["q_policy"]))
 
 
@@ -380,7 +383,7 @@ def _support_args(params):
         for p, q in _iter_pq(3, min(p_max, EXHAUSTIVE_PMAX), q_policy)
     ]
     for p, q in _iter_pq(EXHAUSTIVE_PMAX + 1, p_max, q_policy):
-        if q <= 8:
+        if q <= _SUPPORT_DP_QMAX:
             out.append((p, q, "cycle_cover"))
     return out
 
@@ -389,10 +392,10 @@ def _prime_args(params):
     return [(p,) for p in range(3, params["p_max"] + 1)]
 
 
-def _lemma_args(params):
+def _lemmas_args(params):
     cases, seed = params["cases_per_battery"], params["seed"]
     out = []
-    for b_idx, battery in enumerate(sorted(_LEMMA_BATTERIES)):
+    for b_idx, battery in enumerate(_LEMMA_BATTERIES):
         base, extra = divmod(cases, LEMMA_CHUNKS)
         for i in range(LEMMA_CHUNKS):
             n = base + (1 if i < extra else 0)
@@ -404,8 +407,7 @@ def _lemma_args(params):
 class _Suite(NamedTuple):
     default: int  # size when none is given: cases for lemmas, else pmax
     largest: int  # largest size admitted
-    args: Callable[[dict], list]  # the case arguments, from the parameters
-    case: Callable[..., Checks]
+    kind: str  # its case list is _<kind>_args: pairs, support, prime or lemmas
     modules: tuple[str, ...]  # the package modules the case function imports
 
 
@@ -417,20 +419,15 @@ class _Suite(NamedTuple):
 #: largest size; the target, and ``sign`` and ``permanent`` one size
 #: further, are among its other measured times
 _SUITES = {
-    "support": _Suite(
-        EXHAUSTIVE_PMAX, 50, _support_args, _support_case, ("circulant",)
-    ),
-    "sign": _Suite(EXHAUSTIVE_PMAX, 23, _pairs, _sign_case, ("circulant",)),
+    "support": _Suite(EXHAUSTIVE_PMAX, 50, "support", ("circulant",)),
+    "sign": _Suite(EXHAUSTIVE_PMAX, 23, "pairs", ("circulant",)),
     "cycle": _Suite(
-        EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, _pairs, _cycle_case,
-        ("circulant", "permclass"),
+        EXHAUSTIVE_PMAX, EXHAUSTIVE_PMAX, "pairs", ("circulant", "permclass")
     ),
-    "witness": _Suite(30, 60, _pairs, _witness_case, ("permclass",)),
-    "permanent": _Suite(12, 18, _pairs, _permanent_case, ("permanent",)),
-    "prime": _Suite(40, NEWTON_LIMIT, _prime_args, _prime_case, ()),
-    "lemmas": _Suite(
-        DEFAULT_CASES, LEMMA_CASES_LIMIT, _lemma_args, _lemma_chunk, ("permclass",)
-    ),
+    "witness": _Suite(30, 60, "pairs", ("permclass",)),
+    "permanent": _Suite(12, 18, "pairs", ("permanent",)),
+    "prime": _Suite(40, NEWTON_LIMIT, "prime", ()),
+    "lemmas": _Suite(DEFAULT_CASES, LEMMA_CASES_LIMIT, "lemmas", ("permclass",)),
 }
 
 SUITES = tuple(_SUITES)
@@ -441,7 +438,7 @@ def run_case(case: tuple) -> tuple[int, int, Optional[str]]:
 
     The tally is (checks run, checks failed, first counterexample or None).
     """
-    fn = _SUITES[case[0]].case
+    fn = globals()[f"_{case[0]}_case"]
     args = case[1:]
     checks = failures = 0
     first = None
@@ -502,29 +499,30 @@ def suite_parameters(
 
 
 def _case_list(suite: str, params: dict) -> list[tuple]:
-    return [(suite, *args) for args in _SUITES[suite].args(params)]
+    build = globals()[f"_{_SUITES[suite].kind}_args"]
+    return [(suite, *args) for args in build(params)]
 
 
 def _require_whole(suite: str, params: dict, case_list: list) -> None:
     """InternalInconsistency unless the case list is as long as the
     parameters say, counted without listing the cases: by the row's
-    builder, each lemma battery's chunks draw ``cases_per_battery`` in
+    kind, each lemma battery's chunks draw ``cases_per_battery`` in
     all, ``prime`` has one case per p, and every other suite one per
-    (p, q) pair that its q policy admits (for ``support``, q <= 8 past
-    ``EXHAUSTIVE_PMAX``)."""
-    build = _SUITES[suite].args
-    if build is _lemma_args:
+    (p, q) pair that its q policy admits (for ``support``,
+    q <= ``_SUPPORT_DP_QMAX`` past ``EXHAUSTIVE_PMAX``)."""
+    kind = _SUITES[suite].kind
+    if kind == "lemmas":
         got = {}
         for _, battery, n, _ in case_list:
             got[battery] = got.get(battery, 0) + n
         want = dict.fromkeys(_LEMMA_BATTERIES, params["cases_per_battery"])
-    elif build is _prime_args:
+    elif kind == "prime":
         got, want = len(case_list), params["p_max"] - 2
     else:
         got, want = len(case_list), 0
         coprime = params["q_policy"] == "coprime"
         for p in range(3, params["p_max"] + 1):
-            top = 8 if build is _support_args and p > EXHAUSTIVE_PMAX else p - 1
+            top = _SUPPORT_DP_QMAX if kind == "support" and p > EXHAUSTIVE_PMAX else p - 1
             want += (
                 sum(math.gcd(p, q) == 1 for q in range(2, top + 1)) if coprime else top - 1
             )

@@ -617,6 +617,14 @@ class TestFastParse:
         assert out == ""
         assert err.endswith("error: argument --p: invalid int value: '0x10'\n")
 
+    def test_a_handler_rebound_on_the_module_is_the_one_that_runs(self, capsys, monkeypatch):
+        # run() looks ``_cmd_<command>`` up by name after either parse
+        monkeypatch.setattr(climod, "_cmd_phi", lambda args: ({"p": args.p}, ["rebound"]))
+        assert climod.run(["phi", "--p", "5", "--q", "3"]) == 0
+        assert capsys.readouterr().out == "rebound\n"
+        assert climod.run(["phi", "--p=6", "--q", "3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"command": "phi", "p": 6}\n'
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
@@ -1416,7 +1424,7 @@ def test_corruption_fails_exactly_these_suites(corrupt, caught, monkeypatch, fre
 #: counterexample, and exits 1
 VERIFY_FAILED = [
     (words_all_east, ("verify", "--suite", "lemmas", "--cases", "10"),
-     "_lemma_chunk('path_bound', 1, 92437): "
+     "_lemmas_case('path_bound', 1, 92437): "
      "InternalInconsistency('path construction missed (16, 16)')"),
 ]
 

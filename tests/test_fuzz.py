@@ -93,10 +93,8 @@ def test_a_flag_change_re_deals_only_its_own_command(monkeypatch):
         return out
 
     before = by_command()
-    help_text, handler, flags = climod._COMMANDS["growth"]
-    monkeypatch.setitem(
-        climod._COMMANDS, "growth", (help_text, handler, {"--t": (int, 1), **flags})
-    )
+    help_text, flags = climod._COMMANDS["growth"]
+    monkeypatch.setitem(climod._COMMANDS, "growth", (help_text, {"--t": (int, 1), **flags}))
     after = by_command()
     assert after.keys() == before.keys()
     assert after["growth"] != before["growth"]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,75 @@ def test_each_function_has_one_binding():
                 if callable(obj) and not isinstance(obj, type):
                     found.append(f"{path.stem}: {module}.{alias.name}")
     assert found == ["circulant: tricirc.phi.reduce_theta"]
+
+
+def package_modules():
+    """Every module of the package, imported; ``__main__`` would run the CLI."""
+    for path in sorted(Path(tricirc.__file__).parent.glob("*.py")):
+        if path.stem != "__main__":
+            name = "tricirc" if path.stem == "__init__" else f"tricirc.{path.stem}"
+            yield importlib.import_module(name)
+
+
+def package_functions_in(value) -> list:
+    """The package functions that a (nested) dict, tuple or list holds."""
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list)):
+        items = value
+    elif callable(value) and not isinstance(value, type):
+        return [value] if getattr(value, "__module__", "").startswith("tricirc") else []
+    else:
+        return []
+    return [fn for item in items for fn in package_functions_in(item)]
+
+
+def test_no_module_table_holds_a_function():
+    # a table names a function and its caller looks the name up when it
+    # runs, so the one binding on the module is the one a rebinding test
+    # or a tracer replaces; classes and builtins such as int may be held
+    found = [
+        f"{mod.__name__}.{name}: {fn.__name__}"
+        for mod in package_modules()
+        for name, value in vars(mod).items()
+        if not name.startswith("__") and isinstance(value, (dict, tuple, list))
+        for fn in package_functions_in(value)
+    ]
+    assert found == []
+
+
+def test_every_name_a_table_looks_up_is_a_function():
+    # each table names its functions, so a typo would otherwise fail only
+    # in the one run that reaches it; and no function is left unnamed
+    from tricirc import circulant, cli, phi, verify
+
+    named = {
+        cli: {f"_cmd_{command}" for command in cli._COMMANDS},
+        verify: {
+            *(f"_{suite}_case" for suite in verify._SUITES),
+            *(f"_{row.kind}_args" for row in verify._SUITES.values()),
+            *(f"_check_{battery}" for battery in verify._LEMMA_BATTERIES),
+        },
+        phi: {"det_newton"},
+        circulant: {f"det_{name}" for name in phi.BACKENDS if name != "newton"},
+    }
+    for mod, names in named.items():
+        assert all(callable(getattr(mod, name, None)) for name in names), mod.__name__
+    for mod, pattern in ((cli, r"_cmd_\w+"), (verify, r"_(\w+_case|\w+_args|check_\w+)")):
+        defined = {name for name in vars(mod) if re.fullmatch(pattern, name)}
+        assert defined == named[mod], mod.__name__
+
+
+def test_the_ci_matrix_starts_at_the_declared_python_floor():
+    # pyproject.toml's requires-python is the floor the workflow tests
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(
+        r'^requires-python = ">=(3\.\d+)"$', (root / "pyproject.toml").read_text(), re.M
+    ).group(1)
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    matrix = re.search(r"^ *python-version: \[(.*)\]$", workflow, re.M).group(1)
+    versions = [tuple(map(int, v.strip(' "').split("."))) for v in matrix.split(",")]
+    assert versions[0] == min(versions) == tuple(map(int, floor.split(".")))
 
 
 def test_only_forked_children_exit_without_finalization():

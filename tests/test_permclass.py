@@ -201,6 +201,12 @@ def k_reference(key: PermClassKey):
     return None if ell is None else math.gcd(key.r, key.s, ell)
 
 
+def walk_from(start: int, word, p: int) -> list[int]:
+    """``_walk_word``'s walk from 1, translated to start at ``start``, as
+    ``construct_witness`` translates it for its other cycles."""
+    return [(v + start - 2) % p + 1 for v in permclass._walk_word(word, p)]
+
+
 def outcome(fn, *args):
     """fn's value, or the type and text of what it raised."""
     try:
@@ -494,26 +500,27 @@ class TestFits:
 
 
 class TestCycleWord:
-    # the walker that construct_witness runs on the path's word
+    # the walker that construct_witness runs on the path's word, from 1;
+    # walk_from translates its walk to other starts
     def test_published_pair(self):
-        points = permclass._walk_word(4, (3, 1, 1, 3, 1, 1), 10)
-        assert points == [4, 7, 8, 9, 2, 3]
+        assert permclass._walk_word((3, 1, 1, 3, 1, 1), 10) == [1, 4, 5, 6, 9, 10]
+        assert walk_from(4, (3, 1, 1, 3, 1, 1), 10) == [4, 7, 8, 9, 2, 3]
 
     def test_same_cycle_other_start(self):
-        a = permclass._walk_word(4, (3, 1, 1, 3, 1, 1), 10)
-        b = permclass._walk_word(8, (1, 3, 1, 1, 3, 1), 10)
+        a = walk_from(4, (3, 1, 1, 3, 1, 1), 10)
+        b = walk_from(8, (1, 3, 1, 1, 3, 1), 10)
         assert b == a[2:] + a[:2]
 
     def test_all_ones_word(self):
-        assert permclass._walk_word(1, (1, 1, 1), 3) == [1, 2, 3]
+        assert permclass._walk_word((1, 1, 1), 3) == [1, 2, 3]
 
     def test_early_revisit_raises(self):
         with pytest.raises(InternalInconsistency, match="point 1 revisited"):
-            permclass._walk_word(1, (1, 3, 3, 1), 4)
+            permclass._walk_word((1, 3, 3, 1), 4)
 
     def test_open_walk_raises(self):
-        with pytest.raises(InternalInconsistency, match="ends at 3"):
-            permclass._walk_word(1, (1, 1), 4)
+        with pytest.raises(InternalInconsistency, match="^word from 1 ends at 3, not back"):
+            permclass._walk_word((1, 1), 4)
 
 
 def within_band(word: str) -> bool:
@@ -714,7 +721,7 @@ class TestWitness:
     def test_a_faulty_walk_raises(self, monkeypatch, key, walk, fault):
         # the member is built without the Permutation constructor's sort,
         # so the owner list alone must stop a walk that is not a bijection
-        monkeypatch.setattr(permclass, "_walk_word", lambda start, word, p: walk)
+        monkeypatch.setattr(permclass, "_walk_word", lambda word, p: walk)
         with pytest.raises(InternalInconsistency, match=fault):
             construct_witness(key)
 
@@ -769,7 +776,7 @@ class TestKernelReferences:
                     word = permclass._path_steps(r // k, s // k, 1, q)
                     for j in range(k):
                         start = j * (q - 1) % p + 1
-                        assert permclass._walk_word(start, word, p) == (
+                        assert walk_from(start, word, p) == (
                             walk_word_reference(start, word, p)
                         ), (p, q, r, s, j)
 
@@ -785,7 +792,7 @@ class TestKernelReferences:
                     word = permclass._path_steps(r, s, 1, q)
                     for bad in (word[:-1] or word, word * 2, word[:1] * len(word)):
                         want = outcome(walk_word_reference, 1, bad, p)
-                        assert outcome(permclass._walk_word, 1, bad, p) == want
+                        assert outcome(permclass._walk_word, bad, p) == want
                         if isinstance(want, tuple):
                             raised.add(want[1].split()[-1])
         assert raised == {"ended", "start"}  # both faults were met
@@ -799,6 +806,6 @@ class TestKernelReferences:
                     for sigma in members:
                         for cyc in sigma.cycles():
                             word = [(b - a) % p for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-                            walk = permclass._walk_word(cyc[0], word, p)
+                            walk = walk_from(cyc[0], word, p)
                             assert walk == walk_word_reference(cyc[0], word, p)
                             assert walk == list(cyc)

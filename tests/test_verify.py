@@ -88,15 +88,35 @@ def test_the_case_count_check_passes_whole_lists_only(suite, sizes):
 def _patch_suite(monkeypatch, case_fn, cpus=2):
     # a "flaky" suite with the prime suite's cases p = 3..p_max, on a host
     # that reports ``cpus`` CPUs; with two workers the parent runs the odd
-    # p (share 0) and a forked child the even p (share 1)
-    monkeypatch.setitem(
-        verifymod._SUITES, "flaky",
-        verifymod._Suite(12, 12, verifymod._prime_args, case_fn, ()),
-    )
+    # p (share 0) and a forked child the even p (share 1).  The row names
+    # its case list's kind; the case function is ``_flaky_case``
+    monkeypatch.setitem(verifymod._SUITES, "flaky", verifymod._Suite(12, 12, "prime", ()))
+    monkeypatch.setattr(verifymod, "_flaky_case", case_fn, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
+
+
+def test_a_case_function_rebound_on_the_module_is_the_one_that_runs(monkeypatch):
+    # run_case looks ``_<suite>_case`` up by name, so the rebinding reaches
+    # every case, in the parent and in any forked worker alike
+    def witness(p, q):
+        yield f"(p={p}, q={q}): rebound"
+
+    monkeypatch.setattr(verifymod, "_witness_case", witness)
+    for workers in (1, 2):
+        res = run_suite("witness", p_max=4, workers=workers)
+        assert (res.cases, res.failures) == (3, 3)  # (3, 2), (4, 2), (4, 3)
+        assert res.first_counterexample == "(p=3, q=2): rebound"
+
+
+def test_a_battery_rebound_on_the_module_is_the_one_that_runs(monkeypatch):
+    monkeypatch.setattr(verifymod, "_check_path_bound", lambda rng, permclass: "rebound")
+    for workers in (1, 2):
+        res = run_suite("lemmas", cases=10, workers=workers)
+        assert (res.cases, res.failures) == (30, 10)
+        assert res.first_counterexample == "path_bound: rebound"
 
 
 def test_merge_preserves_first_counterexample_order(monkeypatch):
@@ -304,7 +324,7 @@ def test_the_batteries_draw_the_randint_instances(monkeypatch, battery):
         return drawn[-1]
 
     rng.sample = sample
-    check = verifymod._LEMMA_BATTERIES[battery]
+    check = getattr(verifymod, f"_check_{battery}")
     ref = random.Random(verifymod.DEFAULT_SEED)
     for i in range(1000):
         del drawn[:]
