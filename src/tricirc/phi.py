@@ -32,7 +32,8 @@ and :mod:`tricirc.errors`.  From the standard library this module takes
 only :mod:`math` and :mod:`typing` (which ``bipoly`` loads anyway).
 The cross-check backends of :data:`BACKENDS` (Bareiss, the cycle-cover
 DP and brute force) live in :mod:`tricirc.circulant`, which is imported
-on their first call; permutations, lattice paths and witnesses live in
+on their first call, and :func:`phi_polynomial` is the one caller of
+every route.  Permutations, lattice paths and witnesses live in
 :mod:`tricirc.permclass`.  A function has one binding, on its home
 module: the package's modules import each other's classes and constants
 by name and call each other's functions through the module, so a route

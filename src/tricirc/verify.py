@@ -5,9 +5,8 @@ machine checks against independent oracles:
 
 * ``support``   -- nonzero coefficients are exactly the divisible profiles;
 * ``sign``      -- every term obeys the gcd parity sign rule, and the
-                   exact backends agree: Newton's identities, Bareiss
-                   and the cycle-cover DP in every case, and brute
-                   force up to ``EXHAUSTIVE_PMAX``;
+                   routes of :data:`tricirc.phi.BACKENDS` agree, brute
+                   force only up to ``EXHAUSTIVE_PMAX``;
 * ``cycle``     -- class members share one cycle type and one sign, and
                    class sizes match coefficient magnitudes;
 * ``witness``   -- the constructed member lands in its class with the
@@ -24,14 +23,16 @@ machine checks against independent oracles:
 
 A suite is one row of ``_SUITES``, plain data: its default and largest
 size (cases per battery for ``lemmas``, pmax for the others), the kind
-of its case list and the package modules its case function imports.
+of its case list and the package modules its routes run in.
 The row's functions are looked up on this module by name as they run:
 ``_<kind>_args`` lists the cases, ``_<suite>_case`` runs one and
 ``_check_<battery>`` draws one lemma instance.  A case function runs the
 same routes in every case, and the largest size is the suite's own
-measured size, inside every route's reach.  It imports the home modules
-of its routes when it runs and calls each route on its module, so a
-suite loads only its own routes (``lemmas`` and ``witness`` only
+measured size, inside every route's reach.  It reaches a determinant
+route by name through :func:`tricirc.phi.phi_polynomial`, the routes'
+one caller, imports the home module of any other function it calls when
+it runs and calls that function on its module.  So a suite loads only
+its own routes (``lemmas`` and ``witness`` only
 :mod:`tricirc.permclass`, ``prime`` nothing beyond :mod:`tricirc.phi`,
 which this module imports), and a function rebound on its module, as a
 tracer or a fault-injecting test does, is the one the suite runs.
@@ -63,7 +64,7 @@ from typing import Iterator, NamedTuple, Optional
 from . import phi as phimod
 from .bipoly import Monomial
 from .errors import InternalInconsistency, TooLarge
-from .phi import NEWTON_LIMIT, CirculantSpec, PermClassKey, Record
+from .phi import NEWTON_LIMIT, PermClassKey, Record
 
 #: largest p swept exhaustively, by brute force (the Leibniz expansion
 #: over the matrix's nonzero entries) and by enumerating every class
@@ -135,27 +136,24 @@ def _support_case(p: int, q: int, backend: str) -> Checks:
 def _sign_case(p: int, q: int) -> Checks:
     """Newton's polynomial against the other exact routes, and the sign rule.
 
-    Bareiss and the DP run in every case, and brute force too at
-    p <= EXHAUSTIVE_PMAX.  These routes are compared in a chain, one
-    check per adjacent pair.  Newton's polynomial is compared with the
-    first of them one monomial at a time, in the same check as that
-    monomial's sign, over the union of their terms.  Newton and brute
-    force run at q, Bareiss and the DP at the smallest image of q
-    (:func:`tricirc.phi.canonical_images`), except that at
-    q = p/2 and p/2 + 1 the DP runs at p/2 and Bareiss at p/2 + 1.  So
-    two different offsets are compared wherever q is not its own
-    smallest image.
+    The routes are :data:`tricirc.phi.BACKENDS`, each reached through
+    :func:`tricirc.phi.phi_polynomial`: Bareiss and the DP in every
+    case, brute force only at p <= EXHAUSTIVE_PMAX.  All but Newton are
+    compared in a chain, one check per adjacent pair.  Newton's
+    polynomial is compared with the first of them one monomial at a
+    time, in the same check as that monomial's sign, over the union of
+    their terms.  Newton and brute force run at q, Bareiss and the DP at
+    the smallest image of q (:func:`tricirc.phi.canonical_images`),
+    except that at q = p/2 and p/2 + 1 the DP runs at p/2 and Bareiss at
+    p/2 + 1.  So two different offsets are compared wherever q is not
+    its own smallest image.
     """
-    from . import circulant
-
-    spec = CirculantSpec(p, q)
-    newton = phimod.det_newton(spec)
     polys = {
-        "bareiss": circulant.det_bareiss(spec),
-        "cycle_cover": circulant.det_cycle_cover(spec),
+        name: phimod.phi_polynomial(p, q, name)
+        for name in phimod.BACKENDS
+        if name != "bruteforce" or p <= EXHAUSTIVE_PMAX
     }
-    if p <= EXHAUSTIVE_PMAX:
-        polys["bruteforce"] = circulant.det_bruteforce(spec)
+    newton = polys.pop("newton")
     names = sorted(polys)
     for a, b in zip(names, names[1:]):
         yield None if polys[a] == polys[b] else f"(p={p}, q={q}): {a} and {b} disagree"
@@ -179,10 +177,10 @@ def _sign_case(p: int, q: int) -> Checks:
 
 
 def _cycle_case(p: int, q: int) -> Checks:
-    from . import circulant, permclass
+    from . import permclass
 
     classes = permclass.enumerate_by_profile(p, q)
-    poly = circulant.det_bruteforce(CirculantSpec(p, q))
+    poly = phimod.phi_polynomial(p, q, "bruteforce")
 
     # nonemptiness in both directions
     for r in range(p + 1):
@@ -408,7 +406,7 @@ class _Suite(NamedTuple):
     default: int  # size when none is given: cases for lemmas, else pmax
     largest: int  # largest size admitted
     kind: str  # its case list is _<kind>_args: pairs, support, prime or lemmas
-    modules: tuple[str, ...]  # the package modules the case function imports
+    modules: tuple[str, ...]  # the package modules its routes run in
 
 
 #: name -> its row.  The largest size keeps one worker within the suites'

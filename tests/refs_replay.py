@@ -101,7 +101,7 @@ def main() -> int:
         with line_audit.Collector() as collector:
             wrong = replay(refs, json_digests, stderr_digests)
             run_demos()
-        total = line_audit.report(collector.ran)
+        total = line_audit.report(collector)
         print(f"# {total} lines never run by a job or a demo")
     else:
         wrong = replay(refs, json_digests, stderr_digests)

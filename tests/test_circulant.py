@@ -345,6 +345,17 @@ class TestNewton:
                 terms[r, s] = -c
             assert det_newton(CirculantSpec(p, 2)) == BiPoly(terms), p
 
+    def test_layer_one_in_closed_form_at_every_q(self):
+        # the terms with r + qs = p are -P_p at every q: a(r, s) =
+        # -p/(r+s) C(r+s, s), an exact division (Waring's formula)
+        for p, q in [*canonical_pairs(60), (200, 7), (400, 199), (NEWTON_LIMIT, 333)]:
+            poly = det_newton(CirculantSpec(p, q))
+            for s in range(p // q + 1):
+                r = p - q * s
+                c, rem = divmod(p * math.comb(r + s, s), r + s)
+                assert rem == 0, (p, q, r, s)
+                assert poly.coefficient(r, s) == -c, (p, q, r, s)
+
     def test_power_sums_3_2(self):
         # tr(A) = 0, tr(A^2) = 6xy, tr(A^3) = 3x^3 + 3y^3
         assert power_sums(3, 2) == {2: {1: 6}, 3: {0: 3, 3: 3}}

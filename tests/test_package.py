@@ -177,6 +177,23 @@ def test_each_function_has_one_binding():
     assert found == ["circulant: tricirc.phi.reduce_theta"]
 
 
+def test_only_phi_polynomial_calls_a_route():
+    # every caller names a route and reaches det_<name> through
+    # phi_polynomial, so the route set is BACKENDS alone: a name or an
+    # attribute det_<name>, or the f-string that looks one up, counts
+    from tricirc import phi
+
+    routes = {f"det_{name}" for name in phi.BACKENDS}
+
+    def names_a_route(node):
+        if isinstance(node, ast.JoinedStr):
+            head = node.values[0]
+            return isinstance(head, ast.Constant) and head.value == "det_"
+        return getattr(node, "id", getattr(node, "attr", None)) in routes
+
+    assert set(sites(names_a_route)) == {"phi.phi_polynomial"}
+
+
 def package_modules():
     """Every module of the package, imported; ``__main__`` would run the CLI."""
     for path in sorted(Path(tricirc.__file__).parent.glob("*.py")):

@@ -183,6 +183,19 @@ class TestBounds:
         for p in [*range(3, 41), 100, 200]:
             assert bounds_report(p, 2).d11 == lucas[p] + 2, p
 
+    @pytest.mark.parametrize("q", (2, 3))
+    def test_growth_rate_is_the_largest_root(self, q):
+        # d11^(1/p) tends to the largest real root of l^q - l^(q-1) - 1
+        # (Minc, LAA 71, 1985; Boyd, 1981): 1.618034 at q = 2, 1.465571 at 3
+        lo, hi = 1.0, 2.0  # f(1) = -1 < 0 < f(2), and f rises past 1
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if mid ** q - mid ** (q - 1) - 1 < 0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(exp(log(bounds_report(300, q).d11) / 300) - lo) < 1e-5
+
     def test_large_p_uses_dp_route(self):
         rep = bounds_report(22, 3)
         assert rep.d11 == rep.abs_sum
