@@ -14,7 +14,7 @@ cross-check over complex roots of unity:
                           the DP's one result, the unsigned polynomial
                           sum N(r, s) x^r y^s (:func:`cycle_cover_counts`);
 * ``det_bruteforce``   -- Leibniz expansion over the nonzero entries
-                          (p <= 10), the oracle;
+                          (p <= ``SEARCH_LIMIT``), the oracle;
 * ``det_float_check``  -- product over complex p-th roots of unity at a
                           fixed sample grid, advisory only.
 
@@ -62,7 +62,7 @@ from . import bipoly, phi
 from .bipoly import ONE, ZERO, BiPoly
 from .errors import InternalInconsistency, TooLarge
 # reduce_theta is not used here: benchmark/make_refs.py imports it from this module
-from .phi import CirculantSpec, PermClassKey, Record, reduce_theta
+from .phi import SEARCH_LIMIT, CirculantSpec, PermClassKey, Record, reduce_theta
 
 #: largest p accepted by fraction-free elimination; (96, 48), run at
 #: its image 49, is the README limits table's row
@@ -73,11 +73,6 @@ BAREISS_LIMIT = 96
 #: (3000, 2), and refuses (28, 14) at 15 bits, (3000, 3) and (4000, 2);
 #: README's other measured times give the DP's time at each
 DP_BUDGET = 15 * 10**8
-
-#: largest p accepted by the Leibniz expansion over the nonzero entries
-#: (README's other measured times give every q at p = 9 and at p = 10);
-#: the CLI's refusals and the goldens rest on it
-BRUTEFORCE_LIMIT = 10
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +169,7 @@ def _perm_sign(images: list[int]) -> int:
 
 
 def det_bruteforce(spec: CirculantSpec) -> BiPoly:
-    """Determinant as the Leibniz sum over the nonzero entries (p <= 10).
+    """Determinant as the Leibniz sum over the nonzero entries (p <= ``SEARCH_LIMIT``).
 
     Row i holds 1, -x and -y in columns i, i+1 and i+q (mod p) and zero
     elsewhere, so a permutation that sends some row to any other column
@@ -185,11 +180,11 @@ def det_bruteforce(spec: CirculantSpec) -> BiPoly:
     on purpose, and sharing no code with the class search of
     :mod:`tricirc.permclass`: this is the ground-truth oracle the fast
     backends and that search are judged against.  Its times at p = 9
-    and p = 10 are among README's other measured times.
+    and at ``SEARCH_LIMIT`` are among README's other measured times.
     """
     p, q = phi._require_canonical(spec)
-    if p > BRUTEFORCE_LIMIT:
-        raise TooLarge(f"brute force is limited to p <= {BRUTEFORCE_LIMIT}")
+    if p > SEARCH_LIMIT:
+        raise TooLarge(f"brute force is limited to p <= {SEARCH_LIMIT}")
     # column -> (x power, y power) of the nonzero entries of each row
     rows = [
         {i: (0, 0), (i + 1) % p: (1, 0), (i + q) % p: (0, 1)} for i in range(p)

@@ -51,8 +51,9 @@ where ``os.fork`` does not exist, and merges results in case order, so
 output bytes do not depend on the worker count.
 
 ``enumerate`` checks the size of the class it prints against |a(r, s)|
-of the determinant polynomial: it admits p = 10, one past the largest p
-at which the ``cycle`` suite compares the class search with brute force.
+of the determinant polynomial: it admits p up to ``phi.SEARCH_LIMIT``,
+past ``verify.EXHAUSTIVE_PMAX``, the largest p at which the ``cycle``
+suite compares the class search with brute force.
 Its members must be strictly increasing in one-line notation, as the
 search sorts them, so none is listed twice, and each must fit the
 class's structure, the check that ``witness`` runs on its member.
@@ -108,7 +109,7 @@ from types import SimpleNamespace
 
 from . import phi as phimod
 from .errors import InternalInconsistency, IrreducibleSpec, TooLarge
-from .phi import CirculantSpec, PermClassKey
+from .phi import SEARCH_LIMIT, CirculantSpec, PermClassKey
 
 WORKERS_ENV = "TRICIRC_WORKERS"
 
@@ -280,7 +281,7 @@ _COMMANDS = {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
         "--format": (_FORMAT, "text"),
     }),
-    "enumerate": ("list a whole class (p <= 10)", {
+    "enumerate": (f"list a whole class (p <= {SEARCH_LIMIT})", {
         "--p": (int,), "--q": (int,), "--r": (int,), "--s": (int,),
         "--format": (_FORMAT, "text"),
     }),

@@ -28,10 +28,7 @@ would give 0 gives p instead.
 from typing import Optional
 
 from .errors import InternalInconsistency, TooLarge
-from .phi import PermClassKey, Record
-
-#: largest p accepted by exhaustive class enumeration
-ENUMERATION_LIMIT = 10
+from .phi import SEARCH_LIMIT, PermClassKey, Record
 
 #: largest p accepted by ``construct_witness``; ``tricirc witness`` at
 #: p = 10^6 is the README limits table's row, and its memory is among
@@ -168,7 +165,7 @@ def predict_structure(key: PermClassKey) -> StructureReport:
 
 
 def enumerate_class(key: PermClassKey) -> list[Permutation]:
-    """All members of the class, sorted by one-line notation (p <= 10).
+    """All members of the class, sorted by one-line notation (p <= ``SEARCH_LIMIT``).
 
     Read off :func:`enumerate_by_profile`, the search that the ``cycle``
     verify suite checks against brute force.
@@ -179,11 +176,11 @@ def enumerate_class(key: PermClassKey) -> list[Permutation]:
 def enumerate_by_profile(p: int, q: int) -> dict[tuple[int, int], list[Permutation]]:
     """All displacement-constrained permutations grouped by (r, s).
 
-    One search over the whole displacement product space (p <= 10),
-    each group sorted by one-line notation.
+    One search over the whole displacement product space (p <=
+    ``SEARCH_LIMIT``), each group sorted by one-line notation.
     """
-    if p > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration is limited to p <= {ENUMERATION_LIMIT}")
+    if p > SEARCH_LIMIT:
+        raise TooLarge(f"enumeration is limited to p <= {SEARCH_LIMIT}")
     out: dict[tuple[int, int], list[Permutation]] = {}
     images = [0] * p
 

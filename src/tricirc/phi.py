@@ -57,6 +57,12 @@ from .errors import InternalInconsistency, IrreducibleSpec, NonExactDivision, To
 #: times at q = 2 and q = 500 among the other measured times)
 NEWTON_LIMIT = 1000
 
+#: largest p of the two exhaustive walks over the displacements {0, 1, q}:
+#: brute force (``circulant.det_bruteforce``) and the class search
+#: (``permclass.enumerate_by_profile``); README's limits table measures it
+#: by brute force, and the CLI's refusals and the goldens rest on it
+SEARCH_LIMIT = 10
+
 
 class Record:
     """Base of the package's immutable value classes, with dataclass value semantics.
@@ -274,7 +280,7 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
     q.  Once slice t is known it adds c_t tr(A^i) to the sum of every
     later slice t + i, so an empty slice, as most are, costs nothing.
     Each division by t must be exact (:class:`NonExactDivision`
-    otherwise), and the unit constant term is checked as in Bareiss.
+    otherwise).
     """
     p, q = _require_canonical(spec)
     if p > NEWTON_LIMIT:
@@ -305,12 +311,9 @@ def det_newton(spec: CirculantSpec) -> BiPoly:
                 for s2, c2 in ps:
                     k = s1 + s2
                     later[k] = later.get(k, 0) + c1 * c2
-    det = BiPoly(
+    return BiPoly(
         {(t - s, s): c for t, ct in enumerate(slices) for s, c in ct.items()}
     )
-    if det.constant_term() != 1:
-        raise InternalInconsistency("determinant lost its unit constant term")
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,10 @@ from .errors import InternalInconsistency, TooLarge
 from .phi import NEWTON_LIMIT, PermClassKey, Record
 
 #: largest p swept exhaustively, by brute force (the Leibniz expansion
-#: over the matrix's nonzero entries) and by enumerating every class
-#: (brute force's times at p = 9 and p = 10 are among README's other
-#: measured times); the check counts, goldens and benchmark references
-#: rest on this size
+#: over the matrix's nonzero entries) and by enumerating every class,
+#: below the walks' own ``phi.SEARCH_LIMIT`` (brute force's times at both
+#: are among README's other measured times); the check counts, goldens and
+#: benchmark references rest on this size
 EXHAUSTIVE_PMAX = 9
 
 DEFAULT_CASES = 10000

@@ -15,7 +15,6 @@ from tricirc import circulant, phi
 from tricirc.bipoly import ZERO, BiPoly
 from tricirc.circulant import (
     BAREISS_LIMIT,
-    BRUTEFORCE_LIMIT,
     DP_BUDGET,
     cycle_cover_counts,
     det_bareiss,
@@ -27,6 +26,7 @@ from tricirc.circulant import (
 )
 from tricirc.phi import (
     NEWTON_LIMIT,
+    SEARCH_LIMIT,
     CirculantSpec,
     canonical_images,
     det_newton,
@@ -234,7 +234,7 @@ class TestReduceTheta:
     def test_every_reduction_maps_back_to_the_band_walk(self):
         # every admitted non-canonical spec up to the brute-force size
         checked = 0
-        for p in range(3, BRUTEFORCE_LIMIT + 1):
+        for p in range(3, SEARCH_LIMIT + 1):
             for q, t in itertools.permutations(range(1, p), 2):
                 try:
                     spec = CirculantSpec(p, q, t)
@@ -445,8 +445,11 @@ class TestBruteforce:
         assert det_bruteforce(CirculantSpec(3, 2)) == DET_3_2
 
     def test_size_guard(self):
-        with pytest.raises(TooLarge):
-            det_bruteforce(CirculantSpec(11, 3))
+        assert det_bruteforce(CirculantSpec(SEARCH_LIMIT, 3)) == det_newton(
+            CirculantSpec(SEARCH_LIMIT, 3)
+        )
+        with pytest.raises(TooLarge, match=f"^brute force is limited to p <= {SEARCH_LIMIT}$"):
+            det_bruteforce(CirculantSpec(SEARCH_LIMIT + 1, 3))
 
     @pytest.mark.parametrize("p", range(3, 9))
     def test_matches_literal_definition(self, p):
@@ -455,7 +458,7 @@ class TestBruteforce:
             assert det_bruteforce(spec) == leibniz_reference(spec), (p, q)
 
     def test_matches_newton_at_limit(self):
-        p = BRUTEFORCE_LIMIT
+        p = SEARCH_LIMIT
         for q in range(2, p):
             spec = CirculantSpec(p, q)
             assert det_bruteforce(spec) == det_newton(spec), (p, q)
@@ -556,7 +559,7 @@ class TestSymmetricImages:
         # refused specs too: t and q both non-units reach canonical q' only
         # through an order that moves z off offset 0
         orders = set()
-        for p in range(3, BRUTEFORCE_LIMIT + 1):
+        for p in range(3, SEARCH_LIMIT + 1):
             for q, t in itertools.permutations(range(1, p), 2):
                 want = band_walk(p, q, t)
                 for image, way in canonical_images(p, q, t).items():

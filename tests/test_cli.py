@@ -351,6 +351,12 @@ class TestGolden:
         stem = f"help_{command}" if command else "help"
         assert capsys.readouterr().out == (GOLDEN / f"{stem}.txt").read_text()
 
+    def test_enumerate_help_reads_the_search_limit(self, capsys):
+        # the golden pins the bytes; this pins where the number comes from
+        assert climod.run(["--help"]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert ["enumerate", f"list a whole class (p <= {phimod.SEARCH_LIMIT})"] in rows
+
 
 class TestJsonSchema:
     def test_phi(self):
@@ -1106,10 +1112,10 @@ PERMANENT_5_3 = ("permanent", "--p", "5", "--q", "3")
 
 #: (corruption, call, InternalInconsistency text) for every fault that a
 #: check in the call's own run catches; the call exits 1 with the text
-#: on one stderr line.  Newton's unit constant term has no row: slice 0
-#: is the literal {0: 1}, and every later slice holds only terms of
-#: positive degree, so no fault in the power sums or the divisions can
-#: reach the constant term that the check reads
+#: on one stderr line.  Unlike Bareiss, Newton checks no unit constant
+#: term: slice 0 is the literal {0: 1}, and every later slice holds only
+#: terms of positive degree, so no fault in the power sums or the
+#: divisions can reach the constant term
 CAUGHT = [
     (newton_plus_one, ENUMERATE_5_3, r"5 members enumerated .* = 4"),
     (newton_plus_one, PERMANENT_5_3, "differs from the absolute determinant"),

@@ -11,11 +11,11 @@ import pytest
 
 import tricirc
 
-#: home module -> the names the package has always exported from it
+#: home module -> the names the package exports from it
 PUBLIC = {
     "bipoly": "ONE X Y ZERO BiPoly Monomial exact_div",
     "circulant": (
-        "BAREISS_LIMIT BRUTEFORCE_LIMIT DP_BUDGET FloatCheckReport "
+        "BAREISS_LIMIT DP_BUDGET FloatCheckReport "
         "cycle_cover_counts det_bareiss det_bruteforce det_cycle_cover "
         "det_float_check dp_cost window_width"
     ),
@@ -25,15 +25,16 @@ PUBLIC = {
         "growth_table_csv permanent_ryser"
     ),
     "permclass": (
-        "ENUMERATION_LIMIT Permutation StructureReport build_path "
+        "Permutation StructureReport build_path "
         "construct_witness cycle_notation displacement_profile "
         "enumerate_by_profile enumerate_class path_bound_check "
         "predict_structure"
     ),
     "phi": (
-        "BACKENDS NEWTON_LIMIT CirculantSpec CoefficientReport PermClassKey "
-        "ReducedSpec binomial_power coefficient default_backend det_newton "
-        "phi_polynomial primality_check reduce_theta support trial_division"
+        "BACKENDS NEWTON_LIMIT SEARCH_LIMIT CirculantSpec CoefficientReport "
+        "PermClassKey ReducedSpec binomial_power coefficient default_backend "
+        "det_newton phi_polynomial primality_check reduce_theta support "
+        "trial_division"
     ),
     "verify": "SUITES SuiteResult run_suite",
 }

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from polytext import parse
+from test_circulant import integer_det
 from tricirc import circulant, cli
 from tricirc import phi as phimod
 from tricirc import permanent as permmod
@@ -29,6 +30,40 @@ def benchmark_growth_pmax() -> dict:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.GROWTH_PMAX
+
+
+def stepped_d11(q, p_max):
+    """p -> d11(p, q) for every growth row up to p_max, from q x q determinants alone.
+
+    C_{a,b} is the companion matrix of lambda^q - a lambda^(q-1) - b.
+    det(I - C_{a,b}^p) is the circulant's determinant at x = a, y = b,
+    and det(I + C_{a,b}^p) the same with the wrapped band entries
+    negated; over a, b = +-1 the sign rule turns a quarter of their sum,
+    less the determinant at (1, 1), into the sum of |a(r, s)|.  Each row
+    steps every power once: C X moves X up one row and writes
+    b X[0] + a X[q-1] below.
+    """
+    signs = [(a, b) for a in (1, -1) for b in (1, -1)]
+    powers = {ab: [[int(i == j) for j in range(q)] for i in range(q)] for ab in signs}
+    out = {}
+    for p in range(1, p_max + 1):
+        for (a, b), x in powers.items():
+            x.append([b * u + a * v for u, v in zip(x.pop(0), x[-1])])
+        if p < max(3, q + 1):
+            continue
+
+        def det(ab, e):
+            x = powers[ab]
+            return integer_det([[int(i == j) - e * x[i][j] for j in range(q)] for i in range(q)])
+
+        total = sum(det(ab, 1) + det(ab, -1) for ab in signs)
+        assert total % 4 == 0, (p, q, total)
+        out[p] = total // 4 - det((1, 1), 1)
+    return out
+
+
+#: (q, pmax) of the growth tables checked row by row: the benchmark's and four more
+GROWTH_TABLES = [*benchmark_growth_pmax().items(), (8, 30), (9, 20), (11, 26), (12, 23)]
 
 
 def dp_growth_rows(q, p_max):
@@ -291,12 +326,13 @@ class TestGrowth:
         assert row.max_coeff == big and row.d11 == big + 2
         assert row.root == pytest.approx(10 ** (401 / 3))
 
-    @pytest.mark.parametrize(
-        "q, p_max",
-        [*benchmark_growth_pmax().items(), (8, 30), (9, 20), (11, 26), (12, 23)],
-    )
+    @pytest.mark.parametrize("q, p_max", GROWTH_TABLES)
     def test_rows_match_the_dp_alone(self, q, p_max):
         assert growth_table(q, p_max) == dp_growth_rows(q, p_max)
+
+    @pytest.mark.parametrize("q, p_max", GROWTH_TABLES)
+    def test_d11_matches_the_stepped_companion_determinants(self, q, p_max):
+        assert {row.p: row.d11 for row in growth_table(q, p_max)} == stepped_d11(q, p_max)
 
     # (23, 12) runs at its image 1/12 = 2, a 3-bit window, not 13 bits; no
     # row of (8, 14) reaches 2q - 1

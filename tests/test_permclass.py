@@ -24,7 +24,7 @@ from tricirc.permclass import (
     predict_structure,
 )
 from tricirc.permanent import permanent_ryser
-from tricirc.phi import phi_polynomial
+from tricirc.phi import SEARCH_LIMIT, phi_polynomial
 
 
 #: (key, step rule, text): a faulty ``_path_steps`` and the check of
@@ -395,8 +395,11 @@ class TestEnumerate:
         assert enumerate_class(PermClassKey(5, 3, 0, 0)) == [Permutation.identity(5)]
 
     def test_size_guard(self):
-        with pytest.raises(TooLarge):
-            enumerate_class(PermClassKey(11, 3, 0, 0))
+        assert enumerate_class(PermClassKey(SEARCH_LIMIT, 3, 0, 0)) == [
+            Permutation.identity(SEARCH_LIMIT)
+        ]
+        with pytest.raises(TooLarge, match=f"^enumeration is limited to p <= {SEARCH_LIMIT}$"):
+            enumerate_class(PermClassKey(SEARCH_LIMIT + 1, 3, 0, 0))
 
     def test_profile_sweep_consistency(self):
         # class sizes are the |coefficients| of the brute-force determinant

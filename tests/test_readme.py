@@ -26,11 +26,10 @@ LIMITS_HEADER = "| Limit | Value | Seconds | Measured by |"
 #: the limits that are module constants, by home module
 CONSTANTS = {
     "NEWTON_LIMIT": phimod,
+    "SEARCH_LIMIT": phimod,
     "BAREISS_LIMIT": circulant,
     "DP_BUDGET": circulant,
-    "BRUTEFORCE_LIMIT": circulant,
     "RYSER_LIMIT": permanent,
-    "ENUMERATION_LIMIT": permclass,
     "WITNESS_LIMIT": permclass,
 }
 
@@ -45,8 +44,7 @@ SUITE_ROWS = {
 BOUNDED_FLAG = {
     "NEWTON_LIMIT": "p",
     "BAREISS_LIMIT": "p",
-    "BRUTEFORCE_LIMIT": "p",
-    "ENUMERATION_LIMIT": "p",
+    "SEARCH_LIMIT": "p",
     "WITNESS_LIMIT": "p",
 }
 
